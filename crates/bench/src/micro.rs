@@ -45,7 +45,7 @@ pub fn register(c: &mut Criterion) {
 }
 
 fn bench_store(c: &mut Criterion) {
-    use store::{DurabilityMode, Record, Store};
+    use store::{DurabilityMode, Progress, Store};
 
     const RECORDS: u64 = 10_000;
 
@@ -53,7 +53,8 @@ fn bench_store(c: &mut Criterion) {
     g.sample_size(20);
     g.throughput(Throughput::Elements(RECORDS));
     // WAL framing + checksum cost with IO factored out (InMemory mode):
-    // what every journaled engine transition pays.
+    // what every progress marker (one per quantum boundary that publishes
+    // no snapshot) pays.
     g.bench_function("wal_append_10k", |b| {
         b.iter_batched(
             || {
@@ -63,7 +64,7 @@ fn bench_store(c: &mut Criterion) {
             },
             |mut s| {
                 for i in 0..RECORDS {
-                    s.append(&Record::Progress {
+                    s.append(&Progress {
                         quantum: i,
                         now_ns: i * 1000,
                     })
@@ -75,14 +76,14 @@ fn bench_store(c: &mut Criterion) {
             BatchSize::LargeInput,
         )
     });
-    // The recovery scan over the same journal: frame parse, CRC verify,
-    // and record decode per entry — the startup cost of a crashed store.
+    // The recovery scan over the same markers: frame parse, CRC verify,
+    // and decode per entry — the startup cost of a crashed store.
     let image = {
         let mut s = Store::create(std::path::Path::new("bench-wal"), DurabilityMode::InMemory)
             // memlint: allow(no-unwrap): in-memory stores cannot fail to create
             .expect("in-memory store");
         for i in 0..RECORDS {
-            s.append(&Record::Progress {
+            s.append(&Progress {
                 quantum: i,
                 now_ns: i * 1000,
             })

@@ -3,14 +3,14 @@
 //! A durable fleet ([`FleetConfig::store_dir`](crate::FleetConfig) set)
 //! keeps two kinds of state on disk:
 //!
-//! * **per-shard stores** (`shard-<node>/`) — each shard engine journals
-//!   its MEMCON transitions and snapshots itself at every epoch barrier
-//!   (snapshot cadence = `epoch_quanta`), entirely through
-//!   [`memcon::engine::MemconEngine::attach_store`];
+//! * **per-shard stores** (`shard-<node>/`) — each shard engine snapshots
+//!   itself at every epoch barrier (snapshot cadence = `epoch_quanta`),
+//!   entirely through [`memcon::engine::MemconEngine::attach_store`];
+//!   quantum boundaries between barriers leave progress markers;
 //! * **one fleet meta store** (`fleet/`) — at every epoch barrier the
-//!   scheduler appends an [`store::Record::EpochSample`] and publishes a
-//!   [`FleetMeta`] snapshot: the epoch clock, the complete per-epoch
-//!   observability log, and every shard's [`LiveStats`] cursor.
+//!   scheduler publishes a [`FleetMeta`] snapshot: the epoch clock and
+//!   its length in quanta, the complete per-epoch observability log, and
+//!   every shard's [`LiveStats`] cursor. It appends nothing.
 //!
 //! On [`Fleet::recover`](crate::Fleet::recover) the meta snapshot replays
 //! the epoch log through [`emit_epoch_entry`] — the *same* code path the
@@ -26,7 +26,7 @@ use memcon::engine::LiveStats;
 use memutil::codec::{Dec, Enc};
 
 /// Meta-snapshot payload format version (the first payload byte).
-const META_VERSION: u8 = 1;
+const META_VERSION: u8 = 2;
 
 /// Subdirectory of the fleet store root holding the meta store.
 pub const META_SUBDIR: &str = "fleet";
@@ -105,6 +105,8 @@ pub fn emit_epoch_entry(entry: &EpochEntry) -> Option<telemetry::SamplePoint> {
 pub struct FleetMeta {
     /// Epochs completed when this snapshot was published.
     pub epoch: u64,
+    /// Quanta per epoch the fleet ran with; a resume must use the same.
+    pub epoch_quanta: u64,
     /// Complete epoch log, oldest first.
     pub entries: Vec<EpochEntry>,
     /// Every shard's [`LiveStats`] cursor at the barrier, in node order —
@@ -120,6 +122,7 @@ impl FleetMeta {
         let mut e = Enc::with_capacity(64 + 96 * self.entries.len() + 96 * self.last_live.len());
         e.u8(META_VERSION);
         e.u64(self.epoch);
+        e.u64(self.epoch_quanta);
         e.u64(self.entries.len() as u64);
         for entry in &self.entries {
             e.u64(entry.epoch);
@@ -167,6 +170,7 @@ impl FleetMeta {
             ));
         }
         let epoch = d.u64()?;
+        let epoch_quanta = d.u64()?;
         let n_entries = d.u64()?;
         let mut entries = Vec::with_capacity(n_entries.min(4096) as usize);
         for _ in 0..n_entries {
@@ -205,6 +209,7 @@ impl FleetMeta {
         d.finish("fleet meta snapshot")?;
         Ok(FleetMeta {
             epoch,
+            epoch_quanta,
             entries,
             last_live,
         })
@@ -219,7 +224,8 @@ pub struct FleetRecovery {
     pub epochs_replayed: u64,
     /// Shard engines recovered from their stores.
     pub shards_recovered: u64,
-    /// WAL records replayed across all stores (meta + shards).
+    /// Progress markers past the snapshots across all stores (meta +
+    /// shards): the quanta the resumed shards re-simulate.
     pub replayed_records: u64,
     /// Bytes truncated from torn WAL tails across all stores.
     pub truncated_bytes: u64,
@@ -236,6 +242,7 @@ mod tests {
     fn sample_meta() -> FleetMeta {
         FleetMeta {
             epoch: 3,
+            epoch_quanta: 2,
             entries: (1..=3)
                 .map(|epoch| EpochEntry {
                     epoch,

@@ -18,7 +18,7 @@ use memcon::engine::{LiveStats, MemconEngine, MemconReport, RecoveryStats};
 use memcon::refreshmgr::PageState;
 use memcon::testengine::{ContentOracle, FailureOracle, RateOracle};
 use memutil::par;
-use store::{Record, Store, StoreError};
+use store::{Store, StoreError};
 
 use crate::durable::{self, EpochEntry, FleetMeta, FleetRecovery};
 use crate::report::{FleetReport, LatencySummary, ShardSummary};
@@ -60,7 +60,7 @@ pub struct Fleet {
     /// Shared behind a mutex so a scrape endpoint can serve `HEALTH`
     /// while the fleet runs.
     health: Option<Arc<Mutex<telemetry::HealthMonitor>>>,
-    /// Fleet meta store (epoch-log journal + barrier snapshots), when the
+    /// Fleet meta store (barrier snapshots of the epoch log), when the
     /// fleet is durable.
     meta: Option<Store>,
     /// First meta-store failure: the fleet-level durability plane goes
@@ -133,6 +133,7 @@ impl Fleet {
             // recovers (epoch 0, empty log, default cursors).
             let anchor = FleetMeta {
                 epoch: 0,
+                epoch_quanta: config.epoch_quanta,
                 entries: Vec::new(),
                 last_live: vec![LiveStats::default(); shards.len()],
             };
@@ -162,25 +163,28 @@ impl Fleet {
     }
 
     /// Recovers a durable fleet from `plan.config.store_dir` at its last
-    /// epoch barrier: opens the meta store, replays the epoch log through
-    /// the telemetry registry (restoring the `fleet.obs.*` counters and
-    /// the time-series ring byte-identically), then recovers every shard
-    /// engine from its own store across `jobs` workers. The caller
+    /// epoch barrier: opens the meta store, recovers every shard engine
+    /// from its own store across `jobs` workers, then replays the epoch
+    /// log through the telemetry registry (restoring the `fleet.obs.*`
+    /// counters and the time-series ring byte-identically). The caller
     /// resumes with [`Fleet::run_epoch`] / [`Fleet::run_to_completion`]
     /// exactly as the crashed process would have; the health monitor is
     /// not restored — re-arm one with [`Fleet::set_health_monitor`].
     ///
     /// `plan` must be the same expansion the crashed fleet ran (plans are
     /// pure functions of the config, so re-expanding the config is
-    /// enough).
+    /// enough); recovery checks its shard count, epoch length, engine
+    /// config and every shard's trace against what the stores recorded.
     ///
     /// # Errors
     ///
     /// [`StoreError::Unsupported`] when the config names no store
     /// directory or the on-disk fleet already finished its runs;
     /// [`StoreError::Corrupt`] when the meta snapshot is unusable or
-    /// disagrees with the plan's shard count; any [`StoreError`] from
-    /// opening the underlying stores.
+    /// disagrees with the plan's shard count or `epoch_quanta`, or a
+    /// shard's snapshot disagrees with the plan's engine config or the
+    /// shard's trace; any [`StoreError`] from opening the underlying
+    /// stores.
     pub fn recover(plan: &FleetPlan, jobs: usize) -> Result<(Fleet, FleetRecovery), StoreError> {
         let config = &plan.config;
         let Some(base) = &config.store_dir else {
@@ -202,15 +206,18 @@ impl Fleet {
                 plan.shards.len()
             )));
         }
-        // Replay the epoch log through the *same* emission path the live
-        // barriers use, before any fresh barrier runs.
-        for entry in &meta.entries {
-            let _ = durable::emit_epoch_entry(entry);
+        if meta.epoch_quanta != config.epoch_quanta {
+            return Err(StoreError::Corrupt(format!(
+                "meta snapshot ran {} quanta per epoch but the plan asks for {}",
+                meta.epoch_quanta, config.epoch_quanta
+            )));
         }
         let recovered: Vec<Result<(MemconEngine, store::Recovered), StoreError>> =
             par::ordered_map_with(jobs, plan.shards.len(), |i| {
+                let spec = &plan.shards[i];
                 MemconEngine::recover(
-                    &durable::shard_dir(base, plan.shards[i].node),
+                    &durable::shard_dir(base, spec.node),
+                    &spec.trace,
                     config.durability,
                     None,
                 )
@@ -226,6 +233,13 @@ impl Fleet {
         let mut shards = Vec::with_capacity(plan.shards.len());
         for (i, result) in recovered.into_iter().enumerate() {
             let (engine, rec) = result?;
+            if *engine.config() != config.engine {
+                return Err(StoreError::Corrupt(format!(
+                    "shard {i}'s snapshot ran engine config {:?}, not the plan's {:?}",
+                    engine.config(),
+                    config.engine
+                )));
+            }
             if !engine.mid_run() {
                 return Err(StoreError::Unsupported(format!(
                     "shard {i} already finished its run; a completed fleet cannot resume"
@@ -244,6 +258,12 @@ impl Fleet {
                 step_latency_ns: Vec::new(),
                 last_live: meta.last_live[i],
             }));
+        }
+        // Replay the epoch log through the *same* emission path the live
+        // barriers use, once every input check passed and before any
+        // fresh barrier runs.
+        for entry in &meta.entries {
+            let _ = durable::emit_epoch_entry(entry);
         }
         let horizon_ns = plan
             .shards
@@ -370,8 +390,8 @@ impl Fleet {
     /// into an [`EpochEntry`], emits it through the `fleet.obs.*` counters
     /// and the registry's time-series ring (tick = epoch), evaluates the
     /// armed health monitor (if any) against the fresh point, and — on a
-    /// durable fleet — appends the entry to the epoch log and persists the
-    /// meta snapshot.
+    /// durable fleet — appends the entry to the epoch log and publishes
+    /// the meta snapshot.
     ///
     /// Runs single-threaded after the epoch barrier, so the sampled deltas
     /// are a function of simulation state only — the series is
@@ -425,11 +445,10 @@ impl Fleet {
         }
     }
 
-    /// Persists the current epoch barrier to the fleet meta store: one
-    /// [`Record::EpochSample`] in the WAL, then a fresh [`FleetMeta`]
-    /// snapshot. The first failure poisons the meta store (mirroring the
-    /// shard engines' store-error latch): the fleet keeps simulating, but
-    /// no further meta writes are attempted.
+    /// Persists the current epoch barrier to the fleet meta store as a
+    /// fresh [`FleetMeta`] snapshot. The first failure poisons the meta
+    /// store (mirroring the shard engines' store-error latch): the fleet
+    /// keeps simulating, but no further meta writes are attempted.
     fn persist_barrier(&mut self) {
         if self.meta_error.is_some() {
             return;
@@ -446,16 +465,14 @@ impl Fleet {
             .collect();
         let meta = FleetMeta {
             epoch: self.epoch,
+            epoch_quanta: self.epoch_quanta,
             entries: self.epoch_log.clone(),
             last_live,
         };
         let Some(store) = self.meta.as_mut() else {
             return;
         };
-        let result = store
-            .append(&Record::EpochSample { epoch: self.epoch })
-            .and_then(|()| store.publish_snapshot(&meta.encode()));
-        if let Err(err) = result {
+        if let Err(err) = store.publish_snapshot(&meta.encode()) {
             self.meta_error = Some(err);
         }
     }
@@ -638,8 +655,18 @@ mod tests {
     use super::*;
     use crate::FleetConfig;
 
+    /// `telemetry::install` swaps a process-global registry, and a stepped
+    /// fleet counts into whichever enabled registry is current, so every
+    /// test that steps a fleet serializes on this lock.
+    fn registry_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn epoch_stepping_matches_whole_runs() {
+        let _serial = registry_lock();
         // The fleet's epoch-sliced engines must report exactly what one
         // whole-trace run of the same engine reports.
         let config = FleetConfig::small(6, 42);
@@ -668,6 +695,7 @@ mod tests {
 
     #[test]
     fn content_shards_share_chip_state_within_a_group() {
+        let _serial = registry_lock();
         // Two shards per chip-seed group: the vulnerable-cell cache must
         // cold-fill once per chip config, not once per shard. Counted via
         // the failure model's own cache telemetry.
@@ -694,6 +722,7 @@ mod tests {
 
     #[test]
     fn step_latencies_are_recorded_per_epoch() {
+        let _serial = registry_lock();
         let config = FleetConfig::small(3, 5);
         let plan = FleetPlan::expand(&config, 1);
         let mut fleet = Fleet::new(&plan);
@@ -719,6 +748,7 @@ mod tests {
 
     #[test]
     fn recovered_fleet_is_jobs_invariant_and_matches_uninterrupted() {
+        let _serial = registry_lock();
         // Reference: the same fleet with no store at all.
         let mut config = FleetConfig::small(4, 99);
         config.fault_plan = Some(engine_plan(0xF1EE7));
@@ -780,6 +810,7 @@ mod tests {
 
     #[test]
     fn fleet_recovers_from_a_crash_before_the_first_barrier() {
+        let _serial = registry_lock();
         let mut config = FleetConfig::small(2, 31);
         let reference = {
             let plan = FleetPlan::expand(&config, 1);
@@ -800,8 +831,82 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Every `.wal` segment under `dir`, recursively.
+    fn wal_files(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+        let mut found = Vec::new();
+        for entry in std::fs::read_dir(dir).expect("store directory is readable") {
+            let path = entry.expect("directory entry").path();
+            if path.is_dir() {
+                found.extend(wal_files(&path));
+            } else if path.extension().is_some_and(|x| x == "wal") {
+                found.push(path);
+            }
+        }
+        found
+    }
+
+    #[test]
+    fn one_quantum_epochs_leave_no_wal_in_any_store() {
+        let _serial = registry_lock();
+        // Every shard snapshots at every quantum boundary and the meta
+        // store only publishes snapshots: no progress marker is written.
+        let mut config = FleetConfig::small(3, 0x0A1);
+        config.epoch_quanta = 1;
+        let dir = store::scratch_dir("fleet-no-wal");
+        config.store_dir = Some(dir.clone());
+        let plan = FleetPlan::expand(&config, 1);
+        let mut fleet = Fleet::new(&plan);
+        for _ in 0..3 {
+            assert!(fleet.run_epoch(2));
+        }
+        assert!(fleet.meta_store_error().is_none());
+        assert_eq!(wal_files(&dir), Vec::<std::path::PathBuf>::new());
+        drop(fleet);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn recover_refuses_a_plan_other_than_the_checkpointed_one() {
+        let _serial = registry_lock();
+        let mut config = FleetConfig::small(3, 0x5EED);
+        let reference = {
+            let plan = FleetPlan::expand(&config, 1);
+            Fleet::new(&plan).run_to_completion(1).deterministic_emit()
+        };
+        let dir = store::scratch_dir("fleet-recover-changed-plan");
+        config.store_dir = Some(dir.clone());
+        let plan = FleetPlan::expand(&config, 1);
+        {
+            let mut fleet = Fleet::new(&plan);
+            assert!(fleet.run_epoch(1));
+        }
+        let mut quantum = config.clone();
+        quantum.engine = quantum.engine.with_quantum_ms(512.0);
+        let mut epoch = config.clone();
+        epoch.epoch_quanta = 1;
+        let mut seed = config.clone();
+        seed.seed ^= 1;
+        for (what, changed) in [
+            ("engine quantum", quantum),
+            ("epoch length", epoch),
+            ("seed (other traces)", seed),
+        ] {
+            let changed = FleetPlan::expand(&changed, 1);
+            assert!(
+                matches!(Fleet::recover(&changed, 1), Err(StoreError::Corrupt(_))),
+                "a changed {what} must be refused"
+            );
+        }
+        let (mut fleet, rec) = Fleet::recover(&plan, 1).expect("the matching plan recovers");
+        assert_eq!(rec.shards_recovered, 3);
+        let report = fleet.run_to_completion(1);
+        assert_eq!(report.deterministic_emit(), reference);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn recover_refuses_a_storeless_config_and_a_finished_fleet() {
+        let _serial = registry_lock();
         let mut config = FleetConfig::small(2, 8);
         let plan = FleetPlan::expand(&config, 1);
         assert!(matches!(

@@ -111,9 +111,9 @@ pub struct FleetConfig {
     /// derivation so fault streams are per-shard keyed.
     pub fault_plan: Option<Arc<FaultPlan>>,
     /// Durable store root, or `None` for a purely in-memory fleet. When
-    /// set, every shard engine journals to `<dir>/shard-<node>` and the
-    /// scheduler keeps its epoch log in `<dir>/fleet`, snapshotting both
-    /// at every epoch barrier; a crashed fleet resumes via
+    /// set, every shard engine keeps its store in `<dir>/shard-<node>` and
+    /// the scheduler keeps its epoch log in `<dir>/fleet`, snapshotting
+    /// both at every epoch barrier; a crashed fleet resumes via
     /// [`Fleet::recover`].
     pub store_dir: Option<PathBuf>,
     /// Durability mode of every store the fleet creates.

@@ -23,7 +23,7 @@ use std::sync::Arc;
 use faultinject::{FaultPlan, FaultSession, Site};
 use memtrace::trace::WriteTrace;
 use memutil::codec::{Dec, Enc};
-use store::{DurabilityMode, Record, Recovered, Store, StoreError};
+use store::{DurabilityMode, Progress, Recovered, Store, StoreError};
 
 use crate::config::MemconConfig;
 use crate::cost::{CostModel, TestMode};
@@ -45,7 +45,7 @@ pub const BACKOFF_EDGES: [u64; 5] = [1, 2, 4, 8, 16];
 pub const CANDIDATE_EDGES: [u64; 10] = [0, 1, 2, 4, 8, 16, 32, 64, 128, 256];
 
 /// Engine snapshot payload format version (the first payload byte).
-const SNAP_VERSION: u8 = 1;
+const SNAP_VERSION: u8 = 2;
 
 /// Run-level recovery accounting: what the fault injector did to the run
 /// and how the abort/retry/degradation machinery responded. All values
@@ -120,6 +120,52 @@ fn read_opt_u64(d: &mut Dec) -> Result<Option<u64>, String> {
 fn site_counts(v: Vec<u64>, what: &str) -> Result<[u64; faultinject::N_SITES], String> {
     v.try_into()
         .map_err(|_| format!("{what}: expected one counter per fault site"))
+}
+
+/// Identity of the trace a store-backed run began with. It rides in the
+/// snapshot's run section so [`MemconEngine::recover`] can refuse to
+/// resume a run over a trace other than the one it checkpointed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TraceFingerprint {
+    pages: u64,
+    duration_ns: u64,
+    events: u64,
+    /// FNV-1a step per event word (time, then page): each step is a
+    /// bijection, so changing any one word always changes the hash.
+    hash: u64,
+}
+
+impl TraceFingerprint {
+    fn of(trace: &WriteTrace) -> Self {
+        const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+        let mut hash = 0xCBF2_9CE4_8422_2325u64;
+        for e in trace.events() {
+            hash = (hash ^ e.time_ns).wrapping_mul(FNV_PRIME);
+            hash = (hash ^ e.page).wrapping_mul(FNV_PRIME);
+        }
+        TraceFingerprint {
+            pages: trace.n_pages(),
+            duration_ns: trace.duration_ns(),
+            events: trace.len() as u64,
+            hash,
+        }
+    }
+
+    fn encode(&self, e: &mut Enc) {
+        e.u64(self.pages);
+        e.u64(self.duration_ns);
+        e.u64(self.events);
+        e.u64(self.hash);
+    }
+
+    fn decode(d: &mut Dec) -> Result<Self, String> {
+        Ok(TraceFingerprint {
+            pages: d.u64()?,
+            duration_ns: d.u64()?,
+            events: d.u64()?,
+            hash: d.u64()?,
+        })
+    }
 }
 
 /// Everything the paper's Figs. 14, 17, and 18 need from one engine run.
@@ -228,6 +274,8 @@ struct RunState {
     duration: u64,
     /// Oracle memo counters at run start (telemetry reports the delta).
     memo_before: crate::testengine::MemoStats,
+    /// The run's trace, fingerprinted only while a store is attached.
+    trace: Option<TraceFingerprint>,
 }
 
 /// The MEMCON engine.
@@ -278,7 +326,7 @@ pub struct MemconEngine {
     /// Snapshot cadence in quanta while a store is attached (0 = none).
     snapshot_every: u64,
     /// First store failure, if any: the durability plane is considered
-    /// crashed from that point (no further journaling or snapshots), while
+    /// crashed from that point (no further markers or snapshots), while
     /// the simulation itself continues unaffected.
     store_error: Option<StoreError>,
     /// Per-quantum PRIL candidate-count distribution, bucketed by
@@ -381,10 +429,11 @@ impl MemconEngine {
         self.sample_every = every.filter(|n| *n > 0);
     }
 
-    /// Attaches a durable [`Store`]: subsequent runs journal every MEMCON
-    /// state transition to its WAL and publish an engine snapshot every
-    /// `snapshot_every` quanta (plus one at [`MemconEngine::begin_run`] and
-    /// one at [`MemconEngine::finish_run`]). A crashed run recovers via
+    /// Attaches a durable [`Store`]: subsequent runs publish an engine
+    /// snapshot every `snapshot_every` quanta (plus one at
+    /// [`MemconEngine::begin_run`] and one at
+    /// [`MemconEngine::finish_run`]) and append a [`Progress`] marker at
+    /// every other quantum boundary. A crashed run recovers via
     /// [`MemconEngine::recover`].
     ///
     /// Store failures never fail the simulation: the first one is latched
@@ -419,20 +468,8 @@ impl MemconEngine {
         Ok(())
     }
 
-    /// The attached store, if any.
-    #[must_use]
-    pub fn store(&self) -> Option<&Store> {
-        self.store.as_ref()
-    }
-
-    /// Detaches and returns the store (flushing is the caller's business).
-    pub fn take_store(&mut self) -> Option<Store> {
-        self.snapshot_every = 0;
-        self.store.take()
-    }
-
     /// The first store failure of the attached store's lifetime, if any.
-    /// Once set, journaling and snapshotting stop (the on-disk state is a
+    /// Once set, markers and snapshots stop (the on-disk state is a
     /// faithful crash image); the simulation itself continues.
     #[must_use]
     pub fn store_error(&self) -> Option<&StoreError> {
@@ -446,42 +483,27 @@ impl MemconEngine {
         self.run.is_some()
     }
 
-    /// Appends `rec` to the attached store's WAL, latching the first
-    /// failure into `store_error` (after which journaling goes quiet).
-    fn journal(&mut self, rec: &Record) {
+    /// Runs `op` on the attached store unless the durability plane has
+    /// already failed, latching the first failure into `store_error`
+    /// (after which the plane goes quiet).
+    fn with_store(&mut self, op: impl FnOnce(&mut Store) -> Result<(), StoreError>) {
         if self.store_error.is_some() {
             return;
         }
         if let Some(store) = self.store.as_mut() {
-            if let Err(e) = store.append(rec) {
+            if let Err(e) = op(store) {
                 self.store_error = Some(e);
             }
         }
     }
 
-    /// Publishes an encoded engine snapshot, with the same failure
-    /// latching as [`Self::journal`].
-    fn publish_payload(&mut self, payload: &[u8]) {
-        if self.store_error.is_some() {
-            return;
-        }
-        if let Some(store) = self.store.as_mut() {
-            if let Err(e) = store.publish_snapshot(payload) {
-                self.store_error = Some(e);
-            }
-        }
-    }
-
-    /// Encodes current engine state and publishes it as a snapshot (used
-    /// outside `advance_until`, where the run state lives in `self`).
-    fn snapshot_now(&mut self) {
+    /// Encodes the engine state with `run` and publishes it as a snapshot.
+    fn publish_snapshot(&mut self, run: Option<&RunState>) {
         if self.store.is_none() || self.store_error.is_some() {
             return;
         }
-        let run = self.run.take();
-        let payload = self.encode_state(run.as_ref());
-        self.run = run;
-        self.publish_payload(&payload);
+        let payload = self.encode_state(run);
+        self.with_store(|store| store.publish_snapshot(&payload));
     }
 
     /// Encodes the complete engine state (including the in-progress run,
@@ -584,6 +606,13 @@ impl MemconEngine {
                 e.u64(run.duration);
                 e.u64(run.memo_before.hits);
                 e.u64(run.memo_before.misses);
+                match &run.trace {
+                    Some(fingerprint) => {
+                        e.bool(true);
+                        fingerprint.encode(&mut e);
+                    }
+                    None => e.bool(false),
+                }
             }
             None => e.bool(false),
         }
@@ -692,6 +721,9 @@ impl MemconEngine {
         }
         eng.last_pinned = last_pinned;
         eng.snapshot_every = d.u64()?;
+        if eng.snapshot_every == 0 {
+            return Err("snapshot cadence must be at least one quantum".to_string());
+        }
         if d.bool()? {
             let mut mgr = RefreshManager::new(n_pages, eng.config.hi_ms, eng.config.lo_ms);
             mgr.restore_state(&mut d)?;
@@ -705,6 +737,11 @@ impl MemconEngine {
                 hits: d.u64()?,
                 misses: d.u64()?,
             };
+            let trace = if d.bool()? {
+                Some(TraceFingerprint::decode(&mut d)?)
+            } else {
+                None
+            };
             eng.run = Some(RunState {
                 mgr,
                 event_idx,
@@ -713,6 +750,7 @@ impl MemconEngine {
                 mwi_ns,
                 duration,
                 memo_before,
+                trace,
             });
         }
         d.finish("engine snapshot")?;
@@ -722,27 +760,32 @@ impl MemconEngine {
     /// Recovers an engine from a durable store directory: opens the store
     /// (repairing any torn WAL tail), loads the newest valid snapshot, and
     /// rebuilds the engine exactly as it stood when that snapshot was
-    /// published — including an in-progress run, ready to resume.
+    /// published — including an in-progress run, ready to resume with
+    /// `trace`.
     ///
-    /// Recovery is deterministic snapshot-resume: traces are not
-    /// persisted, so the caller must resume the recovered run with the
-    /// **same trace** (and the engine carries its fault plan and decision
-    /// cursors in the snapshot, so the replayed fault stream continues
-    /// bit-identically). A recovered engine journals a
-    /// [`Record::RecoveryEvent`] and publishes a fresh snapshot before
-    /// returning; time-series sampling stays disarmed.
+    /// Recovery is deterministic snapshot-resume: the resumed run
+    /// re-simulates the quanta past the snapshot (the [`Progress`] markers
+    /// in [`Recovered::tail`] count them). Traces are not persisted, so
+    /// the snapshot's run section carries a fingerprint of the trace the
+    /// run began with, and recovery refuses any other trace. The engine
+    /// carries its fault plan and decision cursors in the snapshot, so
+    /// the fault stream continues bit-identically. A recovered engine
+    /// publishes a fresh snapshot before returning; time-series sampling
+    /// stays disarmed.
     ///
     /// `scan_plan` arms fault injection for the recovery scan itself
     /// (`store.short_read`).
     ///
     /// # Errors
     ///
-    /// [`StoreError::Corrupt`] when no usable snapshot exists or the
-    /// newest valid snapshot does not decode; any [`StoreError`] from
-    /// opening the store. Post-recovery journaling failures are latched
-    /// into [`MemconEngine::store_error`], not returned.
+    /// [`StoreError::Corrupt`] when no usable snapshot exists, the newest
+    /// valid snapshot does not decode, or its run began with a trace other
+    /// than `trace`; any [`StoreError`] from opening the store.
+    /// Post-recovery store failures are latched into
+    /// [`MemconEngine::store_error`], not returned.
     pub fn recover(
         dir: &Path,
+        trace: &WriteTrace,
         mode: DurabilityMode,
         scan_plan: Option<Arc<FaultPlan>>,
     ) -> Result<(MemconEngine, Recovered), StoreError> {
@@ -751,13 +794,19 @@ impl MemconEngine {
             StoreError::Corrupt("store holds no usable snapshot to recover from".to_string())
         })?;
         let mut engine = Self::decode_state(&snap.payload).map_err(StoreError::Corrupt)?;
+        let run = engine.run.take();
+        if let Some(run) = &run {
+            let resumed = TraceFingerprint::of(trace);
+            if run.trace != Some(resumed) {
+                return Err(StoreError::Corrupt(format!(
+                    "the snapshot's run began with trace {:?}, not the resumed trace {resumed:?}",
+                    run.trace
+                )));
+            }
+        }
         engine.store = Some(store);
-        engine.store_error = None;
-        engine.journal(&Record::RecoveryEvent {
-            replayed_records: recovered.replayed_records,
-            truncated_bytes: recovered.truncated_bytes,
-        });
-        engine.snapshot_now();
+        engine.publish_snapshot(run.as_ref());
+        engine.run = run;
         Ok((engine, recovered))
     }
 
@@ -902,8 +951,9 @@ impl MemconEngine {
             mwi_ns: (self.config.min_write_interval_ms() * 1e6) as u64,
             duration: trace.duration_ns(),
             memo_before,
+            trace: self.store.is_some().then(|| TraceFingerprint::of(trace)),
         };
-        if self.store.is_some() {
+        if let Some(store) = self.store.as_mut() {
             // The store draws its own decision stream from the same plan
             // source, so store-plane faults never perturb the engine's
             // deterministic replay stream (and vice versa).
@@ -912,18 +962,10 @@ impl MemconEngine {
                 .as_ref()
                 .map(|p| FaultSession::with_plan(Arc::clone(p)))
                 .or_else(FaultSession::begin);
-            if let Some(store) = self.store.as_mut() {
-                store.set_fault_session(store_session);
-            }
-            self.journal(&Record::RunBegin {
-                n_pages: self.n_pages,
-                duration_ns: run.duration,
-                quantum_ns: run.quantum_ns,
-            });
+            store.set_fault_session(store_session);
             // Anchor snapshot: recovery always has a post-pre-pass state to
             // resume from, even before the first cadence boundary.
-            let payload = self.encode_state(Some(&run));
-            self.publish_payload(&payload);
+            self.publish_snapshot(Some(&run));
         }
         self.run = Some(run);
     }
@@ -964,12 +1006,18 @@ impl MemconEngine {
             if t_quantum == Some(now) {
                 self.handle_quantum(now, &mut run.mgr, run.mwi_ns);
                 run.next_quantum += run.quantum_ns;
-                if self.store.is_some()
-                    && self.snapshot_every > 0
-                    && self.quantum_index % self.snapshot_every == 0
-                {
-                    let payload = self.encode_state(Some(&run));
-                    self.publish_payload(&payload);
+                if self.store.is_some() {
+                    // A snapshot covers its own quantum; any other boundary
+                    // leaves a marker of one quantum to re-simulate.
+                    if self.quantum_index % self.snapshot_every == 0 {
+                        self.publish_snapshot(Some(&run));
+                    } else {
+                        let marker = Progress {
+                            quantum: self.quantum_index,
+                            now_ns: now,
+                        };
+                        self.with_store(|store| store.append(&marker));
+                    }
                 }
                 continue;
             }
@@ -1040,20 +1088,10 @@ impl MemconEngine {
         if telemetry::enabled() {
             self.flush_telemetry(&mgr, memo_before);
         }
-        if self.store.is_some() {
-            self.journal(&Record::RunFinished { at_ns: duration });
-            // Terminal snapshot (no run section): a recovery after a clean
-            // finish resumes a completed engine, not a mid-run one.
-            let payload = self.encode_state(None);
-            self.publish_payload(&payload);
-            if self.store_error.is_none() {
-                if let Some(store) = self.store.as_mut() {
-                    if let Err(e) = store.sync() {
-                        self.store_error = Some(e);
-                    }
-                }
-            }
-        }
+        // Terminal snapshot (no run section): a recovery after a clean
+        // finish resumes a completed engine, not a mid-run one.
+        self.publish_snapshot(None);
+        self.with_store(Store::sync);
         let test_cost = self.cost.test_cost_ns(self.config.test_mode);
         let refresh_ops = mgr.refresh_ops();
         let baseline_ops = mgr.baseline_ops();
@@ -1124,18 +1162,7 @@ impl MemconEngine {
         if let Some(due) = &mut self.retry_at[page as usize] {
             *due = (*due).max(self.quantum_index + 2);
         }
-        if self.store.is_some() {
-            let inserted_before = self.pril.stats.inserted;
-            self.pril.on_write(page);
-            if self.pril.stats.inserted > inserted_before {
-                self.journal(&Record::PrilEntered {
-                    page,
-                    quantum: self.quantum_index,
-                });
-            }
-        } else {
-            self.pril.on_write(page);
-        }
+        self.pril.on_write(page);
     }
 
     /// Records an aborted/ambiguous test attempt on `page` and arms the
@@ -1157,9 +1184,6 @@ impl MemconEngine {
         *slot = slot.saturating_add(1);
         let attempts = *slot;
         if uncorrectable || attempts >= policy.max_attempts {
-            if self.store.is_some() && !mgr.is_pinned(page) {
-                self.journal(&Record::PinHigh { page, at_ns: now });
-            }
             mgr.pin_high(page, now);
         }
         let backoff =
@@ -1182,12 +1206,9 @@ impl MemconEngine {
     /// A definitive (non-ambiguous) verdict resets the attempt counter and
     /// releases any fail-safe pin. Pin release must precede a LO-REF
     /// transition — the refresh manager rejects LO-REF for pinned pages.
-    fn clear_attempts(&mut self, page: PageId, mgr: &mut RefreshManager, now: u64) {
+    fn clear_attempts(&mut self, page: PageId, mgr: &mut RefreshManager) {
         self.attempts[page as usize] = 0;
         self.retry_at[page as usize] = None;
-        if self.store.is_some() && mgr.is_pinned(page) {
-            self.journal(&Record::PinReleased { page, at_ns: now });
-        }
         mgr.release_pin(page);
     }
 
@@ -1315,17 +1336,6 @@ impl MemconEngine {
                 self.retry_at[page as usize] = None;
                 self.recovery.retries += 1;
                 mgr.transition(page, PageState::Testing, now);
-                if self.store.is_some() {
-                    self.journal(&Record::TestStarted {
-                        page,
-                        quantum: self.quantum_index,
-                    });
-                    self.journal(&Record::BinChanged {
-                        page,
-                        state: 1,
-                        at_ns: now,
-                    });
-                }
                 if telemetry::enabled() {
                     telemetry::annotate("memcon.test_retry", page);
                 }
@@ -1338,14 +1348,6 @@ impl MemconEngine {
         // Accumulated (not observed) so the run-end flush is a pure
         // function of final engine state — see `flush_telemetry`.
         self.candidate_hist[candidate_bucket(candidates.len() as u64)] += 1;
-        if self.store.is_some() {
-            for &page in &candidates {
-                self.journal(&Record::PrilEvicted {
-                    page,
-                    quantum: self.quantum_index,
-                });
-            }
-        }
         for page in candidates {
             // A nominated page can be mid-retry-backoff or already under a
             // retry test started above; the retry machinery owns it.
@@ -1355,27 +1357,10 @@ impl MemconEngine {
             let generation = self.generation[page as usize];
             if self.tests.try_start(page, generation, now) {
                 mgr.transition(page, PageState::Testing, now);
-                if self.store.is_some() {
-                    self.journal(&Record::TestStarted {
-                        page,
-                        quantum: self.quantum_index,
-                    });
-                    self.journal(&Record::BinChanged {
-                        page,
-                        state: 1,
-                        at_ns: now,
-                    });
-                }
                 if telemetry::enabled() {
                     telemetry::annotate("memcon.test_start", page);
                 }
             }
-        }
-        if self.store.is_some() {
-            self.journal(&Record::Progress {
-                quantum: self.quantum_index,
-                now_ns: now,
-            });
         }
         if let Some(every) = self.sample_every {
             if self.quantum_index % every == 0 && telemetry::enabled() {
@@ -1419,43 +1404,17 @@ impl MemconEngine {
         for outcome in &outcomes {
             let end = outcome.end_ns.min(duration);
             let page = outcome.page;
-            if self.store.is_some() {
-                let verdict = match outcome.verdict {
-                    Verdict::Pass => 0u8,
-                    Verdict::Fail => 1,
-                    Verdict::Ambiguous => 2,
-                };
-                self.journal(&Record::TestCompleted {
-                    page,
-                    verdict,
-                    end_ns: end,
-                });
-            }
             match outcome.verdict {
                 Verdict::Fail => {
-                    self.clear_attempts(page, mgr, end);
+                    self.clear_attempts(page, mgr);
                     mgr.transition(page, PageState::HiRef, end);
-                    if self.store.is_some() {
-                        self.journal(&Record::BinChanged {
-                            page,
-                            state: 0,
-                            at_ns: end,
-                        });
-                    }
                     // A detected failure is a *correct* engagement of the
                     // mechanism: the test did its protective job.
                     self.tests_correct += 1;
                 }
                 Verdict::Pass => {
-                    self.clear_attempts(page, mgr, end);
+                    self.clear_attempts(page, mgr);
                     mgr.transition(page, PageState::LoRef, end);
-                    if self.store.is_some() {
-                        self.journal(&Record::BinChanged {
-                            page,
-                            state: 2,
-                            at_ns: end,
-                        });
-                    }
                     self.clean_gen[page as usize] = Some(outcome.generation);
                     self.lo_anchor[page as usize] = Some(outcome.start_ns);
                 }
@@ -1465,13 +1424,6 @@ impl MemconEngine {
                     // response is HI-REF plus a backed-off retry.
                     self.tests_mispredicted += 1;
                     mgr.transition(page, PageState::HiRef, end);
-                    if self.store.is_some() {
-                        self.journal(&Record::BinChanged {
-                            page,
-                            state: 0,
-                            at_ns: end,
-                        });
-                    }
                     self.note_failed_attempt(
                         page,
                         end,
@@ -1874,7 +1826,8 @@ mod tests {
             // Crash: the engine drops with the run in progress; only the
             // on-disk image survives.
         }
-        let (mut e, rec) = MemconEngine::recover(&dir, DurabilityMode::Buffered, None).unwrap();
+        let (mut e, rec) =
+            MemconEngine::recover(&dir, &trace, DurabilityMode::Buffered, None).unwrap();
         assert!(e.mid_run(), "recovered engine resumes mid-run");
         assert!(rec.snapshot.is_some());
         e.advance_until(&trace, trace.duration_ns());
@@ -1923,7 +1876,8 @@ mod tests {
         f.set_len(len - 3).unwrap();
         drop(f);
 
-        let (mut e, rec) = MemconEngine::recover(&dir, DurabilityMode::Buffered, None).unwrap();
+        let (mut e, rec) =
+            MemconEngine::recover(&dir, &trace, DurabilityMode::Buffered, None).unwrap();
         assert!(rec.truncated_bytes > 0, "the torn tail was truncated");
         e.advance_until(&trace, trace.duration_ns());
         let r = e.finish_run();
@@ -1948,7 +1902,8 @@ mod tests {
             e.attach_store(store, 3).unwrap();
             e.begin_run(&trace);
         }
-        let (mut e, rec) = MemconEngine::recover(&dir, DurabilityMode::Buffered, None).unwrap();
+        let (mut e, rec) =
+            MemconEngine::recover(&dir, &trace, DurabilityMode::Buffered, None).unwrap();
         assert!(e.mid_run());
         assert_eq!(rec.replayed_records, 0, "no WAL tail survives the anchor");
         e.advance_until(&trace, trace.duration_ns());
@@ -1983,11 +1938,12 @@ mod tests {
         assert_eq!(e.store_error(), Some(&StoreError::TornWrite));
 
         drop(e);
-        let (recovered, rec) = MemconEngine::recover(&dir, DurabilityMode::Buffered, None).unwrap();
+        let (recovered, rec) =
+            MemconEngine::recover(&dir, &trace, DurabilityMode::Buffered, None).unwrap();
         assert!(rec.truncated_bytes > 0, "the half-written frame was cut");
         assert!(
             recovered.mid_run(),
-            "image predates the (never-journaled) finish"
+            "image predates the (never-published) terminal snapshot"
         );
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -2013,22 +1969,23 @@ mod tests {
                 },
             )));
             let store = Store::create(&dir, DurabilityMode::Buffered).unwrap();
-            // A huge cadence keeps every journaled record (including the
-            // corrupt one) in the anchor snapshot's tail.
+            // A huge cadence keeps every marker (including the corrupt
+            // one) in the anchor snapshot's tail.
             e.attach_store(store, 10_000).unwrap();
             e.begin_run(&trace);
             e.advance_until(&trace, trace.duration_ns());
             assert!(e.store_error().is_none(), "corruption is latent");
         }
-        let (mut e, rec) = MemconEngine::recover(&dir, DurabilityMode::Buffered, None).unwrap();
+        let (mut e, rec) =
+            MemconEngine::recover(&dir, &trace, DurabilityMode::Buffered, None).unwrap();
         assert!(
             rec.truncated_bytes > 0,
             "scan stopped at the corrupt record"
         );
-        // The corrupt injection fired at append index 6; the anchor
-        // snapshot pruned append 0 (RunBegin), so five clean records
-        // precede the corrupt one in the surviving tail.
-        assert_eq!(rec.replayed_records, 5, "only the clean prefix replays");
+        // The corrupt injection fired at append index 6: the markers of
+        // quanta 1..=6 precede the corrupt one in the surviving tail (the
+        // anchor snapshot is published before any append).
+        assert_eq!(rec.replayed_records, 6, "only the clean prefix survives");
         e.advance_until(&trace, trace.duration_ns());
         let r = e.finish_run();
         assert_eq!(r, r_ref);
@@ -2053,7 +2010,8 @@ mod tests {
             e.begin_run(&trace);
             e.advance_until(&trace, 18_000 * MS);
         }
-        let (mut e, _) = MemconEngine::recover(&dir, DurabilityMode::Buffered, None).unwrap();
+        let (mut e, _) =
+            MemconEngine::recover(&dir, &trace, DurabilityMode::Buffered, None).unwrap();
         assert_eq!(
             e.live_stats().pinned_pages,
             1,
@@ -2072,7 +2030,7 @@ mod tests {
     fn recovery_ignores_a_stale_duplicate_segment_below_the_bound() {
         // A crash between snapshot publication and segment pruning can
         // leave a stale segment below the snapshot's WAL bound on disk;
-        // recovery must drop it, not replay it.
+        // recovery must drop it, not scan it.
         let trace = WorkloadProfile::netflix().scaled(0.02).generate(3);
         let dir = scratch_dir("engine-stale-seg");
         {
@@ -2086,19 +2044,89 @@ mod tests {
         // snapshot (the anchor snapshot set the bound to at least 1).
         let stale = dir.join("wal-00000000.wal");
         assert!(!stale.exists(), "rotation already pruned segment 0");
-        std::fs::write(
-            &stale,
-            store::wal::frame(&Record::EpochSample { epoch: 99 }.encode()),
-        )
-        .unwrap();
+        let forged = Progress {
+            quantum: 99,
+            now_ns: 99,
+        };
+        std::fs::write(&stale, store::wal::frame(&forged.encode())).unwrap();
 
-        let (e, rec) = MemconEngine::recover(&dir, DurabilityMode::Buffered, None).unwrap();
+        let (e, rec) = MemconEngine::recover(&dir, &trace, DurabilityMode::Buffered, None).unwrap();
         assert!(rec.stale_segments > 0, "the forged segment was discarded");
-        assert!(
-            !rec.tail.contains(&Record::EpochSample { epoch: 99 }),
-            "stale records never replay"
-        );
+        assert!(!rec.tail.contains(&forged), "stale records never replay");
         assert!(e.mid_run());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn the_tail_holds_the_markers_of_the_quanta_since_the_last_snapshot() {
+        // Cadence 3 over 11 quanta: boundaries 3, 6 and 9 publish
+        // snapshots, every other boundary appends a marker, and each
+        // snapshot prunes the markers before it.
+        let trace = WriteTrace::new(vec![ev(0, 0), ev(7000, 0)], 20_480 * MS, 1);
+        let mut reference = clean_engine(1);
+        let r_ref = reference.run(&trace);
+
+        let dir = scratch_dir("engine-marker-tail");
+        {
+            let mut e = clean_engine(1);
+            let store = Store::create(&dir, DurabilityMode::Buffered).unwrap();
+            e.attach_store(store, 3).unwrap();
+            e.begin_run(&trace);
+            e.advance_until(&trace, 11 * 1024 * MS + 5 * MS);
+            assert!(e.store_error().is_none());
+        }
+        let (mut e, rec) =
+            MemconEngine::recover(&dir, &trace, DurabilityMode::Buffered, None).unwrap();
+        let marker = |quantum: u64| Progress {
+            quantum,
+            now_ns: quantum * 1024 * MS,
+        };
+        assert_eq!(rec.tail, vec![marker(10), marker(11)]);
+        assert_eq!(rec.replayed_records, 2);
+        e.advance_until(&trace, trace.duration_ns());
+        assert_eq!(e.finish_run(), r_ref);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn recovery_refuses_a_trace_other_than_the_checkpointed_one() {
+        let trace = WorkloadProfile::netflix().scaled(0.02).generate(5);
+        let plan = engine_plan(0x5EED_F00D);
+        let (r_ref, rec_ref, states_ref) = reference_run(&trace, &plan);
+
+        let dir = scratch_dir("engine-wrong-trace");
+        {
+            let mut e = MemconEngine::new(cfg(), trace.n_pages());
+            e.set_fault_plan(Some(Arc::clone(&plan)));
+            let store = Store::create(&dir, DurabilityMode::Buffered).unwrap();
+            e.attach_store(store, 4).unwrap();
+            e.begin_run(&trace);
+            e.advance_until(&trace, trace.duration_ns() / 2);
+        }
+        let other_seed = WorkloadProfile::netflix().scaled(0.02).generate(6);
+        let events = trace.events();
+        let truncated = WriteTrace::new(
+            events[..events.len() - 1].to_vec(),
+            trace.duration_ns(),
+            trace.n_pages(),
+        );
+        for (what, wrong) in [("different-seed", &other_seed), ("truncated", &truncated)] {
+            assert!(
+                matches!(
+                    MemconEngine::recover(&dir, wrong, DurabilityMode::Buffered, None),
+                    Err(StoreError::Corrupt(_))
+                ),
+                "a {what} trace must be refused"
+            );
+        }
+        // A refused recovery leaves the store as it was: the matching trace
+        // still resumes to the uninterrupted result.
+        let (mut e, _) =
+            MemconEngine::recover(&dir, &trace, DurabilityMode::Buffered, None).unwrap();
+        e.advance_until(&trace, trace.duration_ns());
+        assert_eq!(e.finish_run(), r_ref);
+        assert_eq!(*e.recovery_stats(), rec_ref);
+        assert_eq!(e.final_states(), states_ref.as_slice());
         std::fs::remove_dir_all(&dir).ok();
     }
 

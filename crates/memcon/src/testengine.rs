@@ -61,7 +61,7 @@ pub trait FailureOracle: std::fmt::Debug + Send {
 
     /// Serializes the oracle's mutable state for a durability snapshot, or
     /// `None` when the oracle cannot be persisted (e.g. [`ContentOracle`],
-    /// whose simulated-chip state is far too large to journal). Engines
+    /// whose simulated-chip state is far too large to snapshot). Engines
     /// refuse to attach a durable store over a non-persistable oracle.
     fn persist_state(&self) -> Option<Vec<u8>> {
         None

@@ -9,7 +9,6 @@
 
 use crate::config::RefreshPolicy;
 use dram::timing::TimingParams;
-use memutil::calq::CalendarQueue;
 
 /// Tracks when refreshes are due and how many were issued.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,105 +62,6 @@ impl RefreshScheduler {
         // does not slip the long-run rate (DDR3 allows bounded postponement).
         self.next_due = self.next_due.max(now.saturating_sub(8 * trefi)) + trefi;
         now + trfc_cycles
-    }
-}
-
-/// Row-granularity multi-rate refresh scheduling (RAIDR/MEMCON style):
-/// every row is assigned a retention *bin* — a per-row refresh interval in
-/// cycles — and the scheduler answers "which rows must refresh by cycle
-/// `now`" in time proportional to the number of *due* rows, via the shared
-/// calendar queue ([`memutil::calq::CalendarQueue`]).
-///
-/// This is the row-granular counterpart of the rank-wide
-/// [`RefreshScheduler`]: the rank scheduler models the DDR3 `REF` command
-/// stream, while this plane models which rows a multi-rate policy would
-/// actually walk per interval (and therefore the per-bin refresh-energy
-/// split). Rebinning a row (e.g. MEMCON moving a page between HI-REF and
-/// LO-REF) reschedules it drift-free; pops are emitted in deterministic
-/// `(due, row)` order. Equivalence against the linear-scan reference
-/// (`memutil::calq::ScanQueue`) is pinned by the property test below.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RowBinRefresh {
-    /// Per-row refresh interval in cycles, indexed by row.
-    interval_cycles: Vec<u64>,
-    due: CalendarQueue,
-    /// Row refreshes issued (pops).
-    pub issued: u64,
-}
-
-impl RowBinRefresh {
-    /// Builds a scheduler for `intervals[row]`-cycle bins; every row's first
-    /// refresh comes due one interval after cycle 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any interval is zero.
-    #[must_use]
-    pub fn new(intervals: &[u64]) -> Self {
-        assert!(
-            intervals.iter().all(|&i| i > 0),
-            "row refresh intervals must be positive"
-        );
-        let min_interval = intervals.iter().copied().min().unwrap_or(1);
-        let max_interval = intervals.iter().copied().max().unwrap_or(1);
-        // Slot = 1/8 of the fastest bin; wheel spans the slowest bin.
-        let slot = (min_interval / 8).max(1);
-        let mut due = CalendarQueue::new(intervals.len(), slot, (max_interval / slot + 2) as usize);
-        for (row, &interval) in intervals.iter().enumerate() {
-            due.schedule(row as u64, interval);
-        }
-        RowBinRefresh {
-            interval_cycles: intervals.to_vec(),
-            due,
-            issued: 0,
-        }
-    }
-
-    /// Number of rows tracked.
-    #[must_use]
-    pub fn n_rows(&self) -> usize {
-        self.interval_cycles.len()
-    }
-
-    /// The row's bin interval in cycles.
-    #[must_use]
-    pub fn interval_of(&self, row: u64) -> u64 {
-        self.interval_cycles[row as usize]
-    }
-
-    /// The row's next refresh instant in cycles.
-    #[must_use]
-    pub fn next_due(&self, row: u64) -> Option<u64> {
-        self.due.due_of(row)
-    }
-
-    /// Moves `row` to a new bin at `now`: its next refresh comes due one new
-    /// interval out (the rebinning transition itself refreshes the row).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval_cycles` is zero.
-    pub fn rebin(&mut self, row: u64, interval_cycles: u64, now: u64) {
-        assert!(
-            interval_cycles > 0,
-            "row refresh intervals must be positive"
-        );
-        self.interval_cycles[row as usize] = interval_cycles;
-        self.due.schedule(row, now + interval_cycles);
-    }
-
-    /// Drains every row due at or before `now` into `out` in ascending
-    /// `(due, row)` order, rescheduling each drift-free at `due + interval`.
-    /// Cost tracks the due rows, not the row population.
-    pub fn pop_due(&mut self, now: u64, out: &mut Vec<u64>) {
-        let mut entries = Vec::new();
-        self.due.pop_due(now, &mut entries);
-        for &(due_at, row) in &entries {
-            self.due
-                .schedule(row, due_at + self.interval_cycles[row as usize]);
-            out.push(row);
-        }
-        self.issued += entries.len() as u64;
     }
 }
 
@@ -247,85 +147,5 @@ mod tests {
     fn start_without_refresh_panics() {
         let mut s = RefreshScheduler::new(RefreshPolicy::None, &timing());
         let _ = s.start(0, 10);
-    }
-
-    #[test]
-    fn row_bins_refresh_at_their_own_rates() {
-        // Two fast rows (1000 cycles) and one slow row (4000 cycles).
-        let mut s = RowBinRefresh::new(&[1000, 1000, 4000]);
-        let mut out = Vec::new();
-        s.pop_due(1000, &mut out);
-        assert_eq!(out, vec![0, 1]);
-        // Fast rows owe refreshes at 2000/3000/4000, the slow row one at
-        // 4000; a lagging row is emitted once per call until caught up.
-        let mut rounds = Vec::new();
-        loop {
-            let mut round = Vec::new();
-            s.pop_due(4000, &mut round);
-            if round.is_empty() {
-                break;
-            }
-            rounds.push(round);
-        }
-        assert_eq!(rounds, vec![vec![0, 1, 2], vec![0, 1], vec![0, 1]]);
-        assert_eq!(s.issued, 9);
-        assert_eq!(s.next_due(2), Some(8000));
-    }
-
-    #[test]
-    fn rebin_moves_a_row_drift_free_from_now() {
-        let mut s = RowBinRefresh::new(&[1000, 1000]);
-        s.rebin(1, 4000, 500); // row 1 promoted to the slow bin at cycle 500
-        assert_eq!(s.next_due(1), Some(4500));
-        assert_eq!(s.interval_of(1), 4000);
-        let mut out = Vec::new();
-        s.pop_due(2000, &mut out); // row 0's 1000-cycle refresh, once per call
-        assert_eq!(out, vec![0], "only the fast row refreshes");
-        out.clear();
-        s.pop_due(2000, &mut out); // catch-up: the 2000-cycle instant
-        assert_eq!(out, vec![0]);
-    }
-
-    /// Seeded equivalence property: the calendar-queue row plane matches a
-    /// linear-scan mirror under random rebinning and ragged pop times.
-    #[test]
-    fn prop_row_plane_matches_scan_reference() {
-        use memutil::calq::ScanQueue;
-        use memutil::rng::{Rng, SeedableRng, SmallRng};
-        let n_rows = 32usize;
-        let bins = [1000u64, 2000, 8000];
-        for seed in [0xB1D_1u64, 0xB1D_2, 0xB1D_3] {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let intervals: Vec<u64> = (0..n_rows)
-                .map(|_| bins[rng.gen_range(0usize..bins.len())])
-                .collect();
-            let mut fast = RowBinRefresh::new(&intervals);
-            let mut mirror = ScanQueue::new(n_rows);
-            let mut mirror_intervals = intervals.clone();
-            for (row, &i) in intervals.iter().enumerate() {
-                mirror.schedule(row as u64, i);
-            }
-            let mut now = 0u64;
-            for _ in 0..800 {
-                if rng.gen_range(0u32..3) == 0 {
-                    let row = rng.gen_range(0u64..n_rows as u64);
-                    let interval = bins[rng.gen_range(0usize..bins.len())];
-                    fast.rebin(row, interval, now);
-                    mirror_intervals[row as usize] = interval;
-                    mirror.schedule(row, now + interval);
-                } else {
-                    now += rng.gen_range(0u64..3000);
-                    let mut got = Vec::new();
-                    fast.pop_due(now, &mut got);
-                    let mut entries = Vec::new();
-                    mirror.pop_due(now, &mut entries);
-                    for &(due_at, row) in &entries {
-                        mirror.schedule(row, due_at + mirror_intervals[row as usize]);
-                    }
-                    let expect: Vec<u64> = entries.iter().map(|&(_, r)| r).collect();
-                    assert_eq!(got, expect, "row pop diverged at now={now}");
-                }
-            }
-        }
     }
 }

@@ -1,22 +1,25 @@
-//! Durable state store for MEMCON: append-only WAL + atomic snapshots.
+//! Durable state store for MEMCON: atomic snapshots + a progress WAL.
 //!
 //! The paper's thesis is that retention knowledge is expensive to acquire
 //! and therefore worth keeping; this crate makes it survive a process
-//! death. The shape follows proven WAL practice:
+//! death. Recovery is snapshot-resume: the newest snapshot holds the
+//! whole engine state, and the caller re-simulates from it. The store
+//! keeps only what that needs:
 //!
-//! * **WAL** — typed state-transition [`Record`]s, each framed
-//!   `[len][crc32][payload]` ([`wal`]), appended to numbered segment
-//!   files (`wal-<seq>.wal`).
 //! * **Snapshots** — opaque engine-state blobs published atomically
-//!   (write-temp → fsync → rename, [`snapshot`]) as `snap-<seq>.snap`.
-//!   Each snapshot names a `wal_bound`: the first segment whose records
-//!   postdate it. Publication rotates the WAL to that bound and prunes
-//!   dead segments, so WAL growth is bounded by snapshot cadence.
+//!   (write-temp → rename, fsynced in `Strict` mode, [`snapshot`]) as
+//!   `snap-<seq>.snap`. Each snapshot names a `wal_bound`: the first
+//!   segment whose records postdate it. Publication rotates the WAL to
+//!   that bound and prunes dead segments, so WAL growth is bounded by
+//!   snapshot cadence.
+//! * **WAL** — [`Progress`] markers, one per quantum boundary that
+//!   published no snapshot, each framed `[len][crc32][payload]`
+//!   ([`wal`]) and appended to numbered segment files (`wal-<seq>.wal`).
 //! * **Recovery** — [`Store::open`] loads the newest snapshot that
 //!   passes its checksum (corrupt ones are reported and deleted, never
-//!   loaded), replays the WAL tail above the bound, detects torn or
+//!   loaded), scans the markers above the bound, detects torn or
 //!   corrupt tails, truncates the file back to the last valid record,
-//!   and reports exactly what it replayed and what it discarded.
+//!   and reports how many markers survived and what it discarded.
 //!
 //! Three [`DurabilityMode`]s trade safety for speed: `InMemory` (no file
 //! IO at all — benches and tests), `Buffered` (files, no fsync — crash
@@ -39,13 +42,11 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod record;
 pub mod snapshot;
 pub mod wal;
 
-pub use record::Record;
 pub use snapshot::Snapshot;
-pub use wal::{crc32, scan_bytes, ScanResult};
+pub use wal::{crc32, scan_bytes, Progress, ScanResult};
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -146,8 +147,9 @@ fn io_err(what: &str, path: &Path, e: &std::io::Error) -> StoreError {
 pub struct Recovered {
     /// Newest snapshot that passed verification, if any.
     pub snapshot: Option<Snapshot>,
-    /// WAL records above the snapshot bound, in append order.
-    pub tail: Vec<Record>,
+    /// Progress markers above the snapshot bound, in append order: the
+    /// quanta a resume from the snapshot re-simulates.
+    pub tail: Vec<Progress>,
     /// `tail.len()` as a counter (mirrors the telemetry metric).
     pub replayed_records: u64,
     /// Bytes discarded from torn/corrupt tails (and any segments beyond
@@ -202,7 +204,7 @@ impl Store {
     }
 
     /// Opens an existing store, running recovery: load the newest valid
-    /// snapshot, replay the WAL tail, truncate torn/corrupt tails in
+    /// snapshot, scan the WAL tail, truncate torn/corrupt tails in
     /// place, delete stale pre-bound segments and corrupt snapshots.
     ///
     /// `plan` arms the `store.short_read` site during the scan (and stays
@@ -256,7 +258,7 @@ impl Store {
             }
         }
 
-        // Replay live segments in order; stop at the first torn tail and
+        // Scan live segments in order; stop at the first torn tail and
         // repair the files so a re-open sees a clean log.
         let mut torn_at: Option<u64> = None;
         for (&seq, path) in &segs {
@@ -281,10 +283,7 @@ impl Store {
             if let Some(session) = faults.as_mut() {
                 for i in 0..scan.records.len() {
                     if session.fires(Site::StoreShortRead) {
-                        scan.valid_len = scan.records[..i]
-                            .iter()
-                            .map(|r| (wal::FRAME_HEADER + r.encode().len()) as u64)
-                            .sum();
+                        scan.valid_len = (i * wal::PROGRESS_FRAME) as u64;
                         scan.records.truncate(i);
                         scan.torn = true;
                         break;
@@ -310,7 +309,7 @@ impl Store {
         }
 
         // Position past everything seen: appends go to a fresh segment,
-        // so replayed history is never re-scanned as live tail twice once
+        // so scanned history is never re-scanned as live tail twice once
         // the next snapshot prunes it.
         let seg_seq = segs.keys().next_back().map_or(bound, |&s| s + 1).max(bound);
         let snap_seq = best.as_ref().map_or(0, |s| s.seq + 1);
@@ -330,28 +329,10 @@ impl Store {
         ))
     }
 
-    /// The store's root directory.
-    #[must_use]
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The durability mode this store was opened with.
-    #[must_use]
-    pub fn mode(&self) -> DurabilityMode {
-        self.mode
-    }
-
     /// Current WAL segment index.
     #[must_use]
     pub fn wal_seq(&self) -> u64 {
         self.seg_seq
-    }
-
-    /// Sequence number the next snapshot will carry.
-    #[must_use]
-    pub fn snap_seq(&self) -> u64 {
-        self.snap_seq
     }
 
     /// Attaches (or clears) the fault session consulted by the append
@@ -361,15 +342,15 @@ impl Store {
         self.faults = session;
     }
 
-    /// Appends one record to the current WAL segment.
+    /// Appends one progress marker to the current WAL segment.
     ///
     /// # Errors
     ///
     /// IO failures, or [`StoreError::TornWrite`] when the armed
     /// `store.torn_write` site fires (the on-disk state then ends
     /// mid-frame, exactly like a crash during the write).
-    pub fn append(&mut self, rec: &Record) -> Result<(), StoreError> {
-        let mut frame = wal::frame(&rec.encode());
+    pub fn append(&mut self, marker: &Progress) -> Result<(), StoreError> {
+        let mut frame = wal::frame(&marker.encode());
         let mut torn = false;
         if let Some(session) = self.faults.as_mut() {
             if session.fires(Site::StoreTornWrite) {
@@ -559,13 +540,22 @@ mod tests {
     use super::*;
     use faultinject::{Schedule, SiteSpec};
 
-    fn progress(n: u64) -> Vec<Record> {
+    fn progress(n: u64) -> Vec<Progress> {
         (0..n)
-            .map(|i| Record::Progress {
+            .map(|i| Progress {
                 quantum: i,
                 now_ns: i * 1000,
             })
             .collect()
+    }
+
+    /// A marker outside `progress`'s sequence, so the tests can tell the
+    /// post-snapshot tail apart from the records the snapshot covers.
+    fn marker(quantum: u64) -> Progress {
+        Progress {
+            quantum: 1_000 + quantum,
+            now_ns: 7,
+        }
     }
 
     fn cleanup(dir: &Path) {
@@ -605,11 +595,11 @@ mod tests {
                 s.append(&r).unwrap();
             }
             s.publish_snapshot(b"strict-state").unwrap();
-            s.append(&Record::RunFinished { at_ns: 9 }).unwrap();
+            s.append(&marker(9)).unwrap();
         }
         let (_, rec) = Store::open(&dir, DurabilityMode::Strict, None).unwrap();
         assert_eq!(rec.snapshot.unwrap().payload, b"strict-state");
-        assert_eq!(rec.tail, vec![Record::RunFinished { at_ns: 9 }]);
+        assert_eq!(rec.tail, vec![marker(9)]);
         cleanup(&dir);
     }
 
@@ -676,7 +666,7 @@ mod tests {
                 s.append(&r).unwrap();
             }
             s.publish_snapshot(b"bound-1").unwrap();
-            s.append(&Record::EpochSample { epoch: 1 }).unwrap();
+            s.append(&marker(1)).unwrap();
         }
         // Re-create the pre-bound segment an interrupted prune would
         // leave behind (same seq as the pruned one: a duplicate).
@@ -690,7 +680,7 @@ mod tests {
         assert_eq!(rec.stale_segments, 1);
         assert_eq!(
             rec.tail,
-            vec![Record::EpochSample { epoch: 1 }],
+            vec![marker(1)],
             "stale duplicate records never replay"
         );
         assert!(!segment_path(&dir, 0).exists(), "stale segment deleted");
@@ -704,7 +694,7 @@ mod tests {
             let mut s = Store::create(&dir, DurabilityMode::Buffered).unwrap();
             s.append(&progress(1)[0]).unwrap();
             s.publish_snapshot(b"good-old").unwrap();
-            s.append(&Record::EpochSample { epoch: 7 }).unwrap();
+            s.append(&marker(7)).unwrap();
             s.publish_snapshot(b"bad-new").unwrap();
         }
         // Corrupt the newest snapshot's payload.
@@ -744,12 +734,12 @@ mod tests {
             s.append(&r).unwrap();
         }
         s.publish_snapshot(b"ram-only").unwrap();
-        s.append(&Record::RunFinished { at_ns: 1 }).unwrap();
+        s.append(&marker(1)).unwrap();
         assert!(!dir.exists(), "no directory was created");
         assert!(s.mem_segment(0).is_none(), "rotation pruned segment 0");
         let tail = s.mem_segment(1).expect("post-snapshot segment");
         let scan = wal::scan_bytes(tail);
-        assert_eq!(scan.records, vec![Record::RunFinished { at_ns: 1 }]);
+        assert_eq!(scan.records, vec![marker(1)]);
     }
 
     #[test]

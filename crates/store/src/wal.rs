@@ -1,6 +1,7 @@
-//! WAL record framing and the truncating recovery scan.
+//! The WAL record, its framing, and the truncating recovery scan.
 //!
-//! Every record travels as one frame:
+//! The only record is a [`Progress`] marker. Every record travels as one
+//! frame:
 //!
 //! ```text
 //! [ payload_len: u32 LE ][ crc32(payload): u32 LE ][ payload ... ]
@@ -14,10 +15,51 @@
 //! by checksum — which is exactly the contract an append-only log with
 //! crash-mid-write semantics can honor.
 
-use crate::record::Record;
+use memutil::codec::{Dec, Enc};
+
+/// A quantum boundary passed since the newest snapshot: one quantum a
+/// resume from that snapshot re-simulates. Engine state itself travels in
+/// snapshots; markers only count the work past them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Progress {
+    /// Quantum index just completed.
+    pub quantum: u64,
+    /// Trace time of the boundary in nanoseconds.
+    pub now_ns: u64,
+}
+
+impl Progress {
+    /// Encodes the marker as two little-endian words.
+    #[must_use]
+    pub fn encode(&self) -> Vec<u8> {
+        let mut e = Enc::with_capacity(16);
+        e.u64(self.quantum);
+        e.u64(self.now_ns);
+        e.into_bytes()
+    }
+
+    /// Decodes a payload produced by [`encode`](Self::encode).
+    ///
+    /// # Errors
+    ///
+    /// Returns a description when the payload is short or has trailing
+    /// bytes — treated as corruption by the recovery scan.
+    pub fn decode(payload: &[u8]) -> Result<Progress, String> {
+        let mut d = Dec::new(payload);
+        let marker = Progress {
+            quantum: d.u64()?,
+            now_ns: d.u64()?,
+        };
+        d.finish("progress marker")?;
+        Ok(marker)
+    }
+}
 
 /// Frame header size: payload length + checksum.
 pub const FRAME_HEADER: usize = 8;
+
+/// Size of one framed [`Progress`] marker: header plus two words.
+pub(crate) const PROGRESS_FRAME: usize = FRAME_HEADER + 16;
 
 const CRC_TABLE: [u32; 256] = crc_table();
 
@@ -64,8 +106,8 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
 /// Outcome of scanning one WAL segment.
 #[derive(Debug, Default)]
 pub struct ScanResult {
-    /// Records recovered, in append order.
-    pub records: Vec<Record>,
+    /// Markers recovered, in append order.
+    pub records: Vec<Progress>,
     /// Byte length of the valid prefix (truncation point for repair).
     pub valid_len: u64,
     /// Whether the segment ended in a torn/corrupt tail.
@@ -97,7 +139,7 @@ pub fn scan_bytes(buf: &[u8]) -> ScanResult {
         if crc32(payload) != want_crc {
             break; // checksum mismatch: corrupt record
         }
-        let Ok(record) = Record::decode(payload) else {
+        let Ok(record) = Progress::decode(payload) else {
             break; // checksummed but undecodable: treat as corrupt
         };
         out.records.push(record);
@@ -119,7 +161,7 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
-    fn log_of(records: &[Record]) -> Vec<u8> {
+    fn log_of(records: &[Progress]) -> Vec<u8> {
         let mut buf = Vec::new();
         for r in records {
             buf.extend_from_slice(&frame(&r.encode()));
@@ -127,13 +169,29 @@ mod tests {
         buf
     }
 
-    fn sample(n: u64) -> Vec<Record> {
+    fn sample(n: u64) -> Vec<Progress> {
         (0..n)
-            .map(|i| Record::Progress {
+            .map(|i| Progress {
                 quantum: i,
                 now_ns: i * 7,
             })
             .collect()
+    }
+
+    #[test]
+    fn progress_round_trips_and_rejects_bad_lengths() {
+        let marker = Progress {
+            quantum: 11,
+            now_ns: 999,
+        };
+        assert_eq!(Progress::decode(&marker.encode()).unwrap(), marker);
+        assert!(Progress::decode(&[]).is_err(), "empty payload");
+        let mut bytes = marker.encode();
+        bytes.pop();
+        assert!(Progress::decode(&bytes).is_err(), "truncated field");
+        let mut bytes = marker.encode();
+        bytes.push(0);
+        assert!(Progress::decode(&bytes).is_err(), "trailing byte");
     }
 
     #[test]

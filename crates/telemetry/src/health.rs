@@ -192,9 +192,9 @@ pub fn default_rules() -> Vec<Rule> {
             "fleet.gauge.pril_capacity",
             0.9,
         ),
-        // A healthy store journals a bounded trickle per epoch; a WAL
-        // growing >16 MiB in one epoch means snapshot rotation stopped
-        // pruning segments (or a record-emission loop is runaway).
+        // A healthy store appends at most one progress marker per shard
+        // quantum; a WAL growing >16 MiB in one epoch means snapshot
+        // rotation stopped pruning segments (or a marker loop is runaway).
         Rule::delta_above(
             "wal-growth",
             Severity::Warning,

@@ -2,19 +2,19 @@
 //!
 //! Each crash point drives the reference workload through a store-backed
 //! [`MemconEngine`], kills it mid-run at a seeded fraction of the trace,
-//! then truncates the newest WAL segment at a seeded random offset —
-//! modelling a power cut that lands anywhere inside a write. Recovery must
-//! come back up from the newest snapshot, truncate the torn tail to the
-//! last intact record (reporting every discarded byte), and resume; the
-//! finished run must be byte-identical to an uninterrupted storeless
-//! reference run of the same trace (report, recovery counters, and final
-//! refresh bins).
+//! then truncates the newest WAL segment (its progress markers) at a
+//! seeded random offset — modelling a power cut that lands anywhere
+//! inside a write. Recovery must come back up from the newest snapshot,
+//! truncate the torn tail to the last intact record (reporting every
+//! discarded byte), and resume; the finished run must be byte-identical
+//! to an uninterrupted storeless reference run of the same trace (report,
+//! recovery counters, and final refresh bins).
 //!
 //! Two adversarial legs ride along:
 //!
 //! * **corrupt-checksum** — one byte in the middle of the surviving WAL is
 //!   flipped (latent media corruption rather than a torn write); recovery
-//!   must stop replay at the corrupt record and report the truncation —
+//!   must stop its scan at the corrupt record and report the truncation —
 //!   never silently load state past it;
 //! * **injected torn write** — the `store.torn_write` fault site fires
 //!   during the run, poisoning the store mid-flight; the simulation must
@@ -124,7 +124,7 @@ fn soak(points: usize) -> Result<String, String> {
     injected_torn_write_leg(&trace, &reference)?;
     Ok(format!(
         "{points} crash point(s) recovered to the reference run ({torn_tails} torn tails, \
-         {total_truncated} bytes truncated, {total_replayed} records replayed); \
+         {total_truncated} bytes truncated, {total_replayed} progress markers scanned); \
          corrupt-checksum leg truncated {corrupt_truncated} bytes; \
          injected torn write recovered clean"
     ))
@@ -161,7 +161,7 @@ fn crash_point(
 
 /// The corrupt-checksum leg: flip one byte in the middle of the WAL tail
 /// (not truncation — the file keeps its length) and require recovery to
-/// stop replay at the corrupt record and report everything after it as
+/// stop its scan at the corrupt record and report everything after it as
 /// truncated. Returns the truncated byte count.
 fn corrupt_checksum_leg(trace: &WriteTrace, reference: &RunOutcome) -> Result<u64, String> {
     let dir = store::scratch_dir("xtask-crash-corrupt");
@@ -221,7 +221,7 @@ fn injected_torn_write_leg(trace: &WriteTrace, reference: &RunOutcome) -> Result
         );
     }
     drop(engine);
-    let (_, rec) = MemconEngine::recover(&dir, DurabilityMode::Buffered, None)
+    let (_, rec) = MemconEngine::recover(&dir, trace, DurabilityMode::Buffered, None)
         .map_err(|e| format!("recovery after injected torn write: {e}"))?;
     if rec.truncated_bytes == 0 {
         return Err("the half-written frame was not detected at recovery".to_string());
@@ -232,7 +232,8 @@ fn injected_torn_write_leg(trace: &WriteTrace, reference: &RunOutcome) -> Result
 
 /// Runs a store-backed engine up to `crash_ns` and drops it mid-run
 /// (snapshot cadence pinned past the run end, so the anchor snapshot is
-/// the only one and the WAL tail holds the whole partial run).
+/// the only one and the WAL tail holds a marker for every quantum of the
+/// partial run).
 fn run_to_crash(
     trace: &WriteTrace,
     dir: &Path,
@@ -262,7 +263,7 @@ fn recover_and_compare(
     dir: &Path,
     reference: &RunOutcome,
 ) -> Result<(u64, u64), String> {
-    let (mut engine, rec) = MemconEngine::recover(dir, DurabilityMode::Buffered, None)
+    let (mut engine, rec) = MemconEngine::recover(dir, trace, DurabilityMode::Buffered, None)
         .map_err(|e| format!("recovery: {e}"))?;
     if !engine.mid_run() {
         return Err("recovered engine is not mid-run".to_string());

@@ -135,11 +135,12 @@ fn run_reference_workload() {
     let _ = fleet::engine::run_fleet(&fleet_config, 2);
 
     // Layer 5: durable-store round trip (store.* counters): a store-backed
-    // engine crashes mid-run, its WAL tail is torn mid-record (the classic
-    // partial-write crash), and recovery truncates the tear, replays the
-    // journal, and resumes to completion. Every store.* counter — appends,
-    // bytes, snapshots, replayed records, truncated bytes — fires with a
-    // value that derives from the fixed workload alone.
+    // engine crashes mid-run, its WAL tail of progress markers is torn
+    // mid-record (the classic partial-write crash), and recovery truncates
+    // the tear, resumes from the snapshot, and runs to completion. Every
+    // store.* counter — appends, bytes, snapshots, scanned markers,
+    // truncated bytes — fires with a value that derives from the fixed
+    // workload alone.
     let dir = store::scratch_dir("obs-reference");
     let store_trace = memtrace::workload::WorkloadProfile::netflix()
         .scaled(0.01)
@@ -153,7 +154,8 @@ fn run_reference_workload() {
             // memlint: allow(no-unwrap): a broken scratch dir must fail the tool loudly
             .expect("scratch store directory must be creatable");
         // Cadence far past the run: the anchor snapshot is the only one,
-        // so the whole partial run accumulates in one WAL tail segment.
+        // so every quantum of the partial run leaves a marker in one WAL
+        // tail segment.
         engine
             .attach_store(s, 10_000)
             // memlint: allow(no-unwrap): fresh engine + rate oracle always accepts a store
@@ -176,10 +178,14 @@ fn run_reference_workload() {
     // memlint: allow(no-unwrap): scratch-dir IO failures must fail the tool loudly
     f.set_len(len - 3).expect("tear the tail mid-record");
     drop(f);
-    let (mut engine, _) =
-        memcon::engine::MemconEngine::recover(&dir, store::DurabilityMode::Buffered, None)
-            // memlint: allow(no-unwrap): a torn tail failing to recover is exactly what the golden must catch
-            .expect("torn tail recovers");
+    let (mut engine, _) = memcon::engine::MemconEngine::recover(
+        &dir,
+        &store_trace,
+        store::DurabilityMode::Buffered,
+        None,
+    )
+    // memlint: allow(no-unwrap): a torn tail failing to recover is exactly what the golden must catch
+    .expect("torn tail recovers");
     engine.advance_until(&store_trace, store_trace.duration_ns());
     let _ = engine.finish_run();
     drop(engine);
