@@ -8,47 +8,43 @@
 //! system-level detection is hard). [`TrueAntiLayout`] models that mapping;
 //! [`RowContent`] stores the logical bits.
 
+use std::sync::Arc;
+
 /// Logical content of one DRAM row, stored as 64-bit words.
 ///
 /// Bit `i` of the row is bit `i % 64` of word `i / 64`.
+///
+/// Storage is copy-on-write: clones share one word buffer until a mutator
+/// ([`RowContent::set_bit`], [`RowContent::flip_bit`],
+/// [`RowContent::as_mut_words`]) writes to it, which copies the buffer
+/// first if anything else still holds it. Cloning a row, a whole module,
+/// or a tester's golden image is therefore a reference-count bump per row,
+/// and no write ever reaches a shared buffer. Equality and hashing compare
+/// content, not storage.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RowContent {
-    words: Vec<u64>,
+    words: Arc<Vec<u64>>,
 }
 
 impl RowContent {
     /// An all-zero row of `words` 64-bit words.
     #[must_use]
     pub fn zeroed(words: usize) -> Self {
-        RowContent {
-            words: vec![0; words],
-        }
+        RowContent::from_words(vec![0; words])
     }
 
     /// An all-one row of `words` 64-bit words.
     #[must_use]
     pub fn ones(words: usize) -> Self {
-        RowContent {
-            words: vec![u64::MAX; words],
-        }
+        RowContent::from_words(vec![u64::MAX; words])
     }
 
-    /// Wraps existing word storage.
+    /// Wraps existing word storage without copying it.
     #[must_use]
     pub fn from_words(words: Vec<u64>) -> Self {
-        RowContent { words }
-    }
-
-    /// Builds a row by evaluating `f(bit_index)` for every bit.
-    #[must_use]
-    pub fn from_fn(words: usize, mut f: impl FnMut(u64) -> bool) -> Self {
-        let mut row = RowContent::zeroed(words);
-        for i in 0..row.bits() {
-            if f(i) {
-                row.set_bit(i, true);
-            }
+        RowContent {
+            words: Arc::new(words),
         }
-        row
     }
 
     /// Number of 64-bit words.
@@ -74,13 +70,13 @@ impl RowContent {
         (w >> (bit % 64)) & 1 == 1
     }
 
-    /// Writes one bit.
+    /// Writes one bit, first unsharing the storage.
     ///
     /// # Panics
     ///
     /// Panics if `bit` is out of range.
     pub fn set_bit(&mut self, bit: u64, value: bool) {
-        let w = &mut self.words[(bit / 64) as usize];
+        let w = &mut self.as_mut_words()[(bit / 64) as usize];
         if value {
             *w |= 1 << (bit % 64);
         } else {
@@ -88,13 +84,14 @@ impl RowContent {
         }
     }
 
-    /// Flips one bit, returning its new value.
+    /// Flips one bit, first unsharing the storage, and returns its new
+    /// value.
     ///
     /// # Panics
     ///
     /// Panics if `bit` is out of range.
     pub fn flip_bit(&mut self, bit: u64) -> bool {
-        let w = &mut self.words[(bit / 64) as usize];
+        let w = &mut self.as_mut_words()[(bit / 64) as usize];
         *w ^= 1 << (bit % 64);
         (*w >> (bit % 64)) & 1 == 1
     }
@@ -105,20 +102,22 @@ impl RowContent {
         &self.words
     }
 
-    /// Mutable view of the word storage.
+    /// Mutable view of the word storage. Copies the words first if the
+    /// buffer is shared with another row.
     #[must_use]
     pub fn as_mut_words(&mut self) -> &mut [u64] {
-        &mut self.words
+        Arc::make_mut(&mut self.words).as_mut_slice()
     }
 
-    /// Consumes the row, returning the word storage.
-    #[must_use]
-    pub fn into_words(self) -> Vec<u64> {
-        self.words
+    /// Whether `self` and `other` share one word buffer, and so hold equal
+    /// content no matter what has been written elsewhere.
+    fn shares_storage(&self, other: &RowContent) -> bool {
+        Arc::ptr_eq(&self.words, &other.words)
     }
 
     /// Bit positions at which `self` and `other` differ — the "failing cells"
-    /// a read-back comparison discovers.
+    /// a read-back comparison discovers. Rows that share storage return
+    /// empty at once; all others are compared word by word.
     ///
     /// # Panics
     ///
@@ -127,7 +126,10 @@ impl RowContent {
     pub fn diff_bits(&self, other: &RowContent) -> Vec<u64> {
         assert_eq!(self.words.len(), other.words.len(), "row length mismatch");
         let mut out = Vec::new();
-        for (wi, (a, b)) in self.words.iter().zip(&other.words).enumerate() {
+        if self.shares_storage(other) {
+            return out;
+        }
+        for (wi, (a, b)) in self.words.iter().zip(other.words.iter()).enumerate() {
             let mut x = a ^ b;
             while x != 0 {
                 let tz = x.trailing_zeros() as u64;
@@ -139,6 +141,7 @@ impl RowContent {
     }
 
     /// Number of differing bits (popcount of the XOR), without allocating.
+    /// Rows that share storage return 0 at once.
     ///
     /// # Panics
     ///
@@ -146,9 +149,12 @@ impl RowContent {
     #[must_use]
     pub fn hamming_distance(&self, other: &RowContent) -> u64 {
         assert_eq!(self.words.len(), other.words.len(), "row length mismatch");
+        if self.shares_storage(other) {
+            return 0;
+        }
         self.words
             .iter()
-            .zip(&other.words)
+            .zip(other.words.iter())
             .map(|(a, b)| u64::from((a ^ b).count_ones()))
             .sum()
     }
@@ -162,9 +168,7 @@ impl RowContent {
     /// Returns a bitwise-inverted copy.
     #[must_use]
     pub fn inverted(&self) -> RowContent {
-        RowContent {
-            words: self.words.iter().map(|w| !w).collect(),
-        }
+        RowContent::from_words(self.words.iter().map(|w| !w).collect())
     }
 }
 
@@ -268,9 +272,51 @@ mod tests {
     }
 
     #[test]
-    fn from_fn_builds_checkerboard() {
-        let r = RowContent::from_fn(1, |i| i % 2 == 0);
-        assert_eq!(r.as_words()[0], 0x5555_5555_5555_5555);
+    fn from_words_wraps_the_buffer_without_copying() {
+        let words = vec![7u64; 16];
+        let ptr = words.as_ptr();
+        assert_eq!(RowContent::from_words(words).as_words().as_ptr(), ptr);
+    }
+
+    /// Every mutator unshares a cloned row before writing: the source keeps
+    /// its content, and the two rows then diff by exactly the written bit.
+    #[test]
+    fn writes_to_a_clone_never_reach_the_source() {
+        let src = RowContent::from_words(vec![0xF0F0, 0, u64::MAX]);
+        let before = src.as_words().to_vec();
+        let mutators: [fn(&mut RowContent); 3] = [
+            |r| r.set_bit(3, true),
+            |r| {
+                r.flip_bit(64);
+            },
+            |r| r.as_mut_words()[2] ^= 1 << 9,
+        ];
+        for mutate in mutators {
+            let mut copy = src.clone();
+            assert!(copy.shares_storage(&src));
+            mutate(&mut copy);
+            assert!(!copy.shares_storage(&src), "a write left the buffer shared");
+            assert_eq!(src.as_words(), &before[..], "a write reached the source");
+            assert_eq!(copy.diff_bits(&src).len(), 1);
+            assert_eq!(copy.hamming_distance(&src), 1);
+        }
+    }
+
+    #[test]
+    fn equality_and_diff_compare_content_not_storage() {
+        use std::hash::{BuildHasher, RandomState};
+        let a = RowContent::from_words(vec![1, 2, 3]);
+        let b = RowContent::from_words(vec![1, 2, 3]);
+        assert!(!a.shares_storage(&b));
+        assert_eq!(a, b);
+        let hasher = RandomState::new();
+        assert_eq!(hasher.hash_one(&a), hasher.hash_one(&b));
+        assert!(a.diff_bits(&b).is_empty());
+        assert_eq!(a.hamming_distance(&b), 0);
+        let mut c = b.clone();
+        c.set_bit(0, false);
+        assert_ne!(b, c);
+        assert_eq!(b.diff_bits(&c), vec![0]);
     }
 
     #[test]

@@ -98,8 +98,12 @@ impl ChargeCache {
 
 /// A simulated DRAM module with vendor-internal structure.
 ///
-/// Cloning is supported (content is plain data) but note a 2 GB geometry
-/// stores 2 GB of host memory; experiments use scaled-down geometries.
+/// Rows are copy-on-write [`RowContent`]s: a clone shares every row's
+/// storage with its source until one side writes the row, so cloning costs
+/// a reference-count bump per row plus the charge-cache slots. A fresh
+/// module's rows all share one zero buffer; a 2 GB geometry still needs
+/// 2 GB of host memory once every row is written, so experiments use
+/// scaled-down geometries.
 #[derive(Debug, Clone)]
 pub struct DramModule {
     geometry: DramGeometry,
@@ -611,6 +615,32 @@ mod tests {
         let addr = RowAddr::new(0, 0, 0);
         m.row_mut(addr).unwrap().set_bit(7, true);
         assert!(m.read_row(addr).unwrap().bit(7));
+    }
+
+    /// Writes to a clone's rows, through either mutation path, unshare
+    /// them first: the source module keeps its content.
+    #[test]
+    fn writes_to_a_clone_never_reach_the_source() {
+        let mut m = tiny_module();
+        random_fill(&mut m, 11);
+        let words = |m: &DramModule| {
+            (0..m.geometry().total_rows())
+                .map(|id| m.read_row_id(id).as_words().to_vec())
+                .collect::<Vec<_>>()
+        };
+        let before = words(&m);
+        let addr = RowAddr::new(0, 1, 4);
+        let mut c = m.clone();
+        c.row_mut(addr).unwrap().flip_bit(5);
+        c.inject_bit_flip(RowAddr::new(0, 0, 9), 70).unwrap();
+        c.row_mut(addr).unwrap().as_mut_words()[3] ^= 1;
+        assert_eq!(words(&m), before, "a write to the clone reached the source");
+        assert_eq!(
+            c.read_row(addr)
+                .unwrap()
+                .hamming_distance(m.read_row(addr).unwrap()),
+            2
+        );
     }
 
     fn random_fill(m: &mut DramModule, seed: u64) {

@@ -32,7 +32,10 @@ enum WordClass {
 }
 
 impl WordClass {
-    fn sample<R: Rng + ?Sized>(self, rng: &mut R) -> u64 {
+    /// One word of this class: the per-word reference that
+    /// [`WordClass::words`] must match.
+    #[inline(always)]
+    fn sample<R: Rng>(self, rng: &mut R) -> u64 {
         match self {
             WordClass::Zero => 0,
             WordClass::Random => rng.gen(),
@@ -50,6 +53,25 @@ impl WordClass {
                 }
                 w
             }
+        }
+    }
+
+    /// `n` words of this class: exactly the words, and the draws, of `n`
+    /// calls to [`WordClass::sample`], with the class `match` taken once
+    /// per row instead of once per word.
+    fn words<R: Rng>(self, rng: &mut R, n: usize) -> Vec<u64> {
+        // `sample` inlines with a constant class, so every arm compiles to
+        // a loop of its own with no per-word dispatch.
+        #[inline(always)]
+        fn each<R: Rng>(class: WordClass, rng: &mut R, n: usize) -> Vec<u64> {
+            (0..n).map(|_| class.sample(rng)).collect()
+        }
+        match self {
+            WordClass::Zero => vec![0; n],
+            WordClass::Random => each(WordClass::Random, rng, n),
+            WordClass::Pointer => each(WordClass::Pointer, rng, n),
+            WordClass::SmallInt => each(WordClass::SmallInt, rng, n),
+            WordClass::Text => each(WordClass::Text, rng, n),
         }
     }
 }
@@ -124,28 +146,42 @@ impl ContentProfile {
         Ok(())
     }
 
-    /// Samples one 64-bit word from the mixture (word-granularity mixing;
-    /// row generation uses page-granularity classes instead, see
-    /// [`ContentProfile::row_content`]).
-    pub fn sample_word<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        let t = self.total();
-        let mut x = rng.gen_range(0.0..t);
+    /// Draws a word class from the mixture.
+    fn class<R: Rng>(&self, rng: &mut R) -> WordClass {
+        let mut x = rng.gen_range(0.0..self.total());
         if x < self.zero {
-            return WordClass::Zero.sample(rng);
+            return WordClass::Zero;
         }
         x -= self.zero;
         if x < self.random {
-            return WordClass::Random.sample(rng);
+            return WordClass::Random;
         }
         x -= self.random;
         if x < self.pointer {
-            return WordClass::Pointer.sample(rng);
+            return WordClass::Pointer;
         }
         x -= self.pointer;
         if x < self.small_int {
-            return WordClass::SmallInt.sample(rng);
+            return WordClass::SmallInt;
         }
-        WordClass::Text.sample(rng)
+        WordClass::Text
+    }
+
+    /// Samples one 64-bit word from the mixture (word-granularity mixing;
+    /// row generation uses page-granularity classes instead, see
+    /// [`ContentProfile::row_content`]).
+    pub fn sample_word<R: Rng>(&self, rng: &mut R) -> u64 {
+        self.class(rng).sample(rng)
+    }
+
+    /// The seeded generator of one row, and the row's class drawn from it.
+    fn row_class(&self, seed: u64, snapshot: u32, row_id: RowId) -> (WordClass, SmallRng) {
+        let mix = seed
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(u64::from(snapshot) << 32)
+            .wrapping_add(row_id);
+        let mut rng = SmallRng::seed_from_u64(mix);
+        (self.class(&mut rng), rng)
     }
 
     /// Deterministic content of one row under this profile.
@@ -158,36 +194,17 @@ impl ContentProfile {
     ///
     /// `snapshot` distinguishes successive content images of the same
     /// program (the paper samples one image per 100 M instructions).
+    ///
+    /// The row's class is drawn once, then its words fill one buffer in a
+    /// loop specialised to that class, which the returned row wraps without
+    /// copying. The words and the generator draws are exactly those of the
+    /// per-word reference, one [`WordClass::sample`] call per word; tests
+    /// pin the two against each other and against a recorded hash of the
+    /// stream.
     #[must_use]
     pub fn row_content(&self, seed: u64, snapshot: u32, row_id: RowId, words: usize) -> RowContent {
-        let mix = seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(u64::from(snapshot) << 32)
-            .wrapping_add(row_id);
-        let mut rng = SmallRng::seed_from_u64(mix);
-        let t = self.total();
-        let mut x = rng.gen_range(0.0..t);
-        let class = if x < self.zero {
-            WordClass::Zero
-        } else {
-            x -= self.zero;
-            if x < self.random {
-                WordClass::Random
-            } else {
-                x -= self.random;
-                if x < self.pointer {
-                    WordClass::Pointer
-                } else {
-                    x -= self.pointer;
-                    if x < self.small_int {
-                        WordClass::SmallInt
-                    } else {
-                        WordClass::Text
-                    }
-                }
-            }
-        };
-        RowContent::from_words((0..words).map(|_| class.sample(&mut rng)).collect())
+        let (class, mut rng) = self.row_class(seed, snapshot, row_id);
+        RowContent::from_words(class.words(&mut rng, words))
     }
 }
 
@@ -348,6 +365,98 @@ mod tests {
         for w in row.as_words() {
             assert_eq!(w >> 40, 0x7f, "pointer word {w:#x} lacks canonical prefix");
         }
+    }
+
+    /// Every single-class profile, then the named ones.
+    fn oracle_profiles() -> Vec<ContentProfile> {
+        let single = |i: usize| {
+            let mut w = [0.0; 5];
+            w[i] = 1.0;
+            ContentProfile {
+                zero: w[0],
+                random: w[1],
+                pointer: w[2],
+                small_int: w[3],
+                text: w[4],
+            }
+        };
+        let mut profiles: Vec<_> = (0..5).map(single).collect();
+        profiles.push(ContentProfile::zeroes());
+        profiles.push(ContentProfile::random_data());
+        profiles.extend(SpecBenchmark::ALL.iter().map(|b| b.profile()));
+        profiles
+    }
+
+    /// The per-word reference of `row_content`: the same generator and
+    /// class draw, then one `WordClass::sample` call per word.
+    fn row_content_reference(
+        p: &ContentProfile,
+        seed: u64,
+        snapshot: u32,
+        row_id: RowId,
+        words: usize,
+    ) -> RowContent {
+        let (class, mut rng) = p.row_class(seed, snapshot, row_id);
+        RowContent::from_words((0..words).map(|_| class.sample(&mut rng)).collect())
+    }
+
+    #[test]
+    fn row_content_matches_the_per_word_reference() {
+        let mut triples = SmallRng::seed_from_u64(0xC0_47E7);
+        for p in oracle_profiles() {
+            for _ in 0..12 {
+                let seed: u64 = triples.gen();
+                let snapshot = triples.gen_range(0..8u32);
+                let row: RowId = triples.gen_range(0..1u64 << 20);
+                for words in [1, 3, 1024] {
+                    assert_eq!(
+                        p.row_content(seed, snapshot, row, words),
+                        row_content_reference(&p, seed, snapshot, row, words),
+                        "{p:?} diverged at ({seed}, {snapshot}, {row}), {words} words"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The class loop takes exactly the reference's draws: both generators
+    /// end in the same state.
+    #[test]
+    fn class_words_consume_the_reference_draws() {
+        let classes = [
+            WordClass::Zero,
+            WordClass::Random,
+            WordClass::Pointer,
+            WordClass::SmallInt,
+            WordClass::Text,
+        ];
+        for (i, class) in classes.into_iter().enumerate() {
+            for n in [0, 1, 3, 1024] {
+                let mut fast = SmallRng::seed_from_u64(i as u64);
+                let mut slow = SmallRng::seed_from_u64(i as u64);
+                let reference: Vec<u64> = (0..n).map(|_| class.sample(&mut slow)).collect();
+                assert_eq!(class.words(&mut fast, n), reference, "{class:?}, {n} words");
+                assert_eq!(fast.gen::<u64>(), slow.gen::<u64>(), "{class:?}, {n} words");
+            }
+        }
+    }
+
+    /// A 64-bit hash (FNV-1a over whole words) of the 20 profiles' first
+    /// 64 rows at seed 1, snapshot 0, 1,024 words, recorded from the
+    /// per-word implementation before the class loop replaced it: the
+    /// kernel and its reference cannot drift together.
+    #[test]
+    fn content_stream_is_pinned() {
+        const PINNED: u64 = 0x9a97_7972_c6b4_5118;
+        let mut h = 0xCBF2_9CE4_8422_2325_u64;
+        for bench in SpecBenchmark::ALL {
+            for row in 0..64 {
+                for &w in bench.profile().row_content(1, 0, row, 1024).as_words() {
+                    h = (h ^ w).wrapping_mul(0x0100_0000_01B3);
+                }
+            }
+        }
+        assert_eq!(h, PINNED, "content stream changed: {h:#018x}");
     }
 
     #[test]

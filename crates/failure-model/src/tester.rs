@@ -168,6 +168,12 @@ impl ChipTester {
 
     /// Reads every row back and diffs against the golden image.
     ///
+    /// The golden image shares each row's storage with the module as
+    /// filled (see [`RowContent`]), so a row nothing has written since the
+    /// fill diffs empty at once; a row the failure model flipped owns a
+    /// buffer of its own and is compared word by word, as is every row
+    /// written through any other path.
+    ///
     /// The golden-vs-readback diff fans out over chunked row ranges on the
     /// [`memutil::par`] pool; rows are reduced in row-id order, so the
     /// report is bit-identical to the sequential sweep at any worker count.
@@ -365,6 +371,78 @@ mod tests {
         heated.restore();
         let second = heated.idle_ms(60_000.0);
         assert_eq!(first, second, "restore left stale charge images behind");
+    }
+
+    /// A 512-row tester of 8 KB rows, where random content fails some
+    /// tens of cells at the 328 ms interval.
+    fn wide_tester(seed: u64) -> ChipTester {
+        let geometry = DramGeometry {
+            rows_per_bank: 64,
+            ..DramGeometry::module_2gb()
+        };
+        let module = DramModule::new(geometry, TimingParams::ddr3_1600(), seed);
+        ChipTester::new(module, FailureModelParams::calibrated())
+    }
+
+    fn module_rows(m: &DramModule) -> Vec<RowContent> {
+        (0..m.geometry().total_rows())
+            .map(|id| m.read_row_id(id).clone())
+            .collect()
+    }
+
+    /// Copies of `rows` in fresh buffers, sharing storage with nothing.
+    fn deep_copy(rows: &[RowContent]) -> Vec<RowContent> {
+        rows.iter()
+            .map(|r| RowContent::from_words(r.as_words().to_vec()))
+            .collect()
+    }
+
+    #[test]
+    fn a_clones_fill_and_idle_leave_the_parent_untouched() {
+        let mut parent = wide_tester(9);
+        parent.fill_pattern(&TestPattern::Random(4));
+        let before = deep_copy(&module_rows(parent.module()));
+        // One clone idles on the rows it shares with the parent; the other
+        // fills content of its own first.
+        let mut shared = parent.clone();
+        assert!(!shared.idle_ms(328.0).is_empty());
+        let mut refilled = parent.clone();
+        refilled.fill_pattern(&TestPattern::Random(5));
+        assert!(!refilled.idle_ms(328.0).is_empty());
+        assert!(parent.read_back().is_clean());
+        assert_eq!(
+            module_rows(parent.module()),
+            before,
+            "a clone's flips reached the parent's rows"
+        );
+    }
+
+    /// Read-back against the shared golden reports what a diff against a
+    /// deep-copied golden reports, where no row shares storage and every
+    /// row takes the full word-by-word path: exactly the model's failures.
+    #[test]
+    fn read_back_matches_a_deep_copied_golden() {
+        for jobs in [1usize, 2, 8] {
+            let mut t = wide_tester(10).with_jobs(jobs);
+            t.fill_pattern(&TestPattern::Random(8));
+            // Keeps every golden buffer shared while `t` idles.
+            let _witness = t.clone();
+            let failures = t.idle_ms(328.0);
+            assert!(!failures.is_empty());
+            let g = *t.module().geometry();
+            let full: Vec<(RowAddr, Vec<u64>)> = deep_copy(&t.golden)
+                .iter()
+                .zip(module_rows(t.module()))
+                .enumerate()
+                .filter_map(|(id, (golden, row))| {
+                    let diff = golden.diff_bits(&row);
+                    (!diff.is_empty()).then(|| (RowAddr::from_row_id(id as u64, &g), diff))
+                })
+                .collect();
+            let report = t.read_back();
+            assert_eq!(report.failing_rows, full, "jobs={jobs}");
+            assert_eq!(report.flipped_bits(), failures.len() as u64, "jobs={jobs}");
+        }
     }
 
     #[test]

@@ -219,10 +219,19 @@ pub fn sample_point(tick: u64, gauges: &[(&str, u64)]) -> Option<SamplePoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+    /// [`install`] swaps the process-global current registry, and a test
+    /// that installs one asserts on what it records, so every test in this
+    /// crate that installs a registry serializes on this lock.
+    pub(crate) fn registry_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn free_helpers_are_noops_when_disabled() {
+        let _serial = registry_lock();
         let r = Arc::new(Registry::new());
         let _scope = install(Arc::clone(&r));
         assert!(!enabled());
@@ -237,6 +246,7 @@ mod tests {
 
     #[test]
     fn free_helpers_record_on_the_installed_registry() {
+        let _serial = registry_lock();
         let r = Arc::new(Registry::new());
         r.set_enabled(true);
         let _scope = install(Arc::clone(&r));
@@ -261,6 +271,7 @@ mod tests {
 
     #[test]
     fn spans_accumulate_wall_clock_time() {
+        let _serial = registry_lock();
         let r = Arc::new(Registry::new());
         r.set_enabled(true);
         let _scope = install(Arc::clone(&r));

@@ -542,8 +542,9 @@ mod tests {
 
     #[test]
     fn install_swaps_and_restores_the_current_registry() {
-        // Serialized against other tests touching CURRENT by the fact
-        // that this is the only test in this binary that installs.
+        // Four tests in this binary install a registry; all of them
+        // serialize on the crate's test lock.
+        let _serial = crate::tests::registry_lock();
         let outer = Arc::new(enabled_registry());
         let inner = Arc::new(enabled_registry());
         {

@@ -168,6 +168,23 @@ pub fn ci_cmd(bench: bool) -> i32 {
         return code;
     }
 
+    // The end-to-end benchmark is a package of its own, outside the
+    // workspace: build it and run its self-tests against the crates.
+    println!("ci: perfbench self-tests (release)");
+    if let Some(code) = run_step(
+        &root,
+        &[
+            "test",
+            "--release",
+            "--offline",
+            "-q",
+            "--manifest-path",
+            "perfbench/Cargo.toml",
+        ],
+    ) {
+        return code;
+    }
+
     if bench {
         println!("ci: bench compare (release)");
         if let Some(code) = run_step(
