@@ -31,7 +31,6 @@ use memtrace::workload::WorkloadProfile;
 /// bench harness and `xtask bench baseline`).
 pub fn register(c: &mut Criterion) {
     bench_pril(c);
-    bench_refreshmgr(c);
     bench_tester(c);
     bench_failure_model(c);
     bench_cost_model(c);
@@ -214,44 +213,6 @@ fn bench_pril(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_refreshmgr(c: &mut Criterion) {
-    use memcon::refreshmgr::{PageState, RefreshManager};
-    let mut g = c.benchmark_group("refreshmgr");
-    // Sparse due-plane tick: a large population (64 Ki pages) where only a
-    // tiny LO-REF cohort comes due inside the polled window — the shape the
-    // calendar queue exists for (a linear scan would pay 64 Ki probes per
-    // tick regardless of due count).
-    const N_PAGES: u64 = 65_536;
-    const MS: u64 = 1_000_000;
-    g.bench_function("tick_sparse", |b| {
-        b.iter_batched(
-            || {
-                let mut mgr = RefreshManager::new(N_PAGES, 16.0, 64.0);
-                // Most pages idle at LO-REF (due at 65 ms); a 512-page hot
-                // cohort re-enters HI-REF at 1 ms and is due at 17 ms.
-                for page in 0..N_PAGES {
-                    mgr.transition(page, PageState::LoRef, MS);
-                }
-                for page in 0..512u64 {
-                    mgr.transition(page, PageState::HiRef, MS);
-                }
-                mgr
-            },
-            |mut mgr| {
-                let mut due = Vec::new();
-                // Eight 2-ms ticks across 16-32 ms: only the hot cohort's
-                // 17 ms instants (and their 33 ms reschedules) come due.
-                for tick in 8..16u64 {
-                    mgr.pop_due_refreshes(tick * 2 * MS, &mut due);
-                }
-                std::hint::black_box(due.len())
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    g.finish();
-}
-
 fn bench_tester(c: &mut Criterion) {
     let mut g = c.benchmark_group("chip_tester");
     g.sample_size(10);
@@ -376,17 +337,6 @@ fn bench_telemetry(c: &mut Criterion) {
             for _ in 0..OPS {
                 v = (v + 97) % 8192;
                 hist.record(std::hint::black_box(v));
-            }
-        })
-    });
-    g.bench_function("span_enter_exit_enabled_512", |b| {
-        let registry = telemetry::Registry::new();
-        registry.set_enabled(true);
-        let span = registry.span("bench.span");
-        b.iter(|| {
-            for _ in 0..OPS {
-                let guard = span.start();
-                std::hint::black_box(&guard);
             }
         })
     });

@@ -167,13 +167,6 @@ impl ContentProfile {
         WordClass::Text
     }
 
-    /// Samples one 64-bit word from the mixture (word-granularity mixing;
-    /// row generation uses page-granularity classes instead, see
-    /// [`ContentProfile::row_content`]).
-    pub fn sample_word<R: Rng>(&self, rng: &mut R) -> u64 {
-        self.class(rng).sample(rng)
-    }
-
     /// The seeded generator of one row, and the row's class drawn from it.
     fn row_class(&self, seed: u64, snapshot: u32, row_id: RowId) -> (WordClass, SmallRng) {
         let mix = seed

@@ -128,12 +128,6 @@ impl ChipTester {
         &self.model
     }
 
-    /// Consumes the tester, returning the module in its current state.
-    #[must_use]
-    pub fn into_module(self) -> DramModule {
-        self.module
-    }
-
     fn snapshot(&mut self) {
         for (id, slot) in self.golden.iter_mut().enumerate() {
             *slot = self.module.read_row_id(id as u64).clone();

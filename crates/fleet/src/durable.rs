@@ -26,7 +26,7 @@ use memcon::engine::LiveStats;
 use memutil::codec::{Dec, Enc};
 
 /// Meta-snapshot payload format version (the first payload byte).
-const META_VERSION: u8 = 2;
+const META_VERSION: u8 = 3;
 
 /// Subdirectory of the fleet store root holding the meta store.
 pub const META_SUBDIR: &str = "fleet";
@@ -145,7 +145,6 @@ impl FleetMeta {
             e.u64(live.retries);
             e.u64(live.backoffs_scheduled);
             e.u64(live.backoff_ceiling_hits);
-            e.u64(live.degraded_rows);
             e.u64(live.escapes);
             e.u64(live.pinned_pages);
             e.u64(live.pril_buffered);
@@ -198,7 +197,6 @@ impl FleetMeta {
                 retries: d.u64()?,
                 backoffs_scheduled: d.u64()?,
                 backoff_ceiling_hits: d.u64()?,
-                degraded_rows: d.u64()?,
                 escapes: d.u64()?,
                 pinned_pages: d.u64()?,
                 pril_buffered: d.u64()?,
@@ -266,7 +264,6 @@ mod tests {
                     retries: 3,
                     backoffs_scheduled: 4,
                     backoff_ceiling_hits: 0,
-                    degraded_rows: 1,
                     escapes: 0,
                     pinned_pages: 1,
                     pril_buffered: 9,
@@ -287,9 +284,11 @@ mod tests {
 
     #[test]
     fn meta_rejects_malformed_payloads() {
-        let mut bytes = sample_meta().encode();
-        bytes[0] = 99; // unsupported version
-        assert!(FleetMeta::decode(&bytes).is_err());
+        for version in [2, 99] {
+            let mut bytes = sample_meta().encode();
+            bytes[0] = version;
+            assert!(FleetMeta::decode(&bytes).is_err(), "version {version}");
+        }
         let bytes = sample_meta().encode();
         assert!(
             FleetMeta::decode(&bytes[..bytes.len() - 1]).is_err(),

@@ -299,12 +299,6 @@ impl Fleet {
         self.health = Some(monitor);
     }
 
-    /// The armed SLO monitor, if any.
-    #[must_use]
-    pub fn health_monitor(&self) -> Option<&Arc<Mutex<telemetry::HealthMonitor>>> {
-        self.health.as_ref()
-    }
-
     /// Number of shards.
     #[must_use]
     pub fn len(&self) -> usize {

@@ -45,7 +45,7 @@ pub const BACKOFF_EDGES: [u64; 5] = [1, 2, 4, 8, 16];
 pub const CANDIDATE_EDGES: [u64; 10] = [0, 1, 2, 4, 8, 16, 32, 64, 128, 256];
 
 /// Engine snapshot payload format version (the first payload byte).
-const SNAP_VERSION: u8 = 2;
+const SNAP_VERSION: u8 = 3;
 
 /// Run-level recovery accounting: what the fault injector did to the run
 /// and how the abort/retry/degradation machinery responded. All values
@@ -244,8 +244,6 @@ pub struct LiveStats {
     pub backoffs_scheduled: u64,
     /// Backoffs clamped at the policy cap so far.
     pub backoff_ceiling_hits: u64,
-    /// Fail-safe HI-REF pin events so far.
-    pub degraded_rows: u64,
     /// Uncorrectable ECC escapes so far (must stay 0).
     pub escapes: u64,
     /// Pages currently pinned to HI-REF (gauge).
@@ -820,12 +818,9 @@ impl MemconEngine {
             .tests
             .fault_session()
             .map_or(0, FaultSession::total_injected);
-        let (pinned_pages, degraded_rows) = match &self.run {
-            Some(run) => (run.mgr.pinned_count(), run.mgr.pin_events()),
-            None => (
-                self.last_pinned.iter().filter(|p| **p).count() as u64,
-                self.recovery.degraded_rows,
-            ),
+        let pinned_pages = match &self.run {
+            Some(run) => run.mgr.pinned_count(),
+            None => self.last_pinned.iter().filter(|p| **p).count() as u64,
         };
         LiveStats {
             faults_injected,
@@ -833,7 +828,6 @@ impl MemconEngine {
             retries: self.recovery.retries,
             backoffs_scheduled: self.recovery.backoffs_scheduled,
             backoff_ceiling_hits: self.recovery.backoff_ceiling_hits,
-            degraded_rows,
             escapes: self.recovery.uncorrectable_escapes,
             pinned_pages,
             pril_buffered: self.pril.buffer_len() as u64,
@@ -2127,6 +2121,37 @@ mod tests {
         assert_eq!(e.finish_run(), r_ref);
         assert_eq!(*e.recovery_stats(), rec_ref);
         assert_eq!(e.final_states(), states_ref.as_slice());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn recovery_refuses_a_snapshot_of_the_previous_version() {
+        // A payload of the previous format has a different layout, so its
+        // version byte must refuse it before any section decodes.
+        let trace = WorkloadProfile::netflix().scaled(0.02).generate(9);
+        let dir = scratch_dir("engine-old-version");
+        let mut payload = {
+            let mut e = MemconEngine::new(cfg(), trace.n_pages());
+            let store = Store::create(&dir, DurabilityMode::Buffered).unwrap();
+            e.attach_store(store, 3).unwrap();
+            e.begin_run(&trace);
+            e.advance_until(&trace, trace.duration_ns() / 2);
+            e.encode_state(e.run.as_ref())
+        };
+        assert!(MemconEngine::decode_state(&payload).is_ok());
+        payload[0] = 2;
+        let Err(err) = MemconEngine::decode_state(&payload) else {
+            panic!("a version-2 payload must be refused");
+        };
+        assert!(err.contains("version 2"), "{err}");
+        // Published as the newest snapshot, it fails recovery as corrupt.
+        let (mut store, _) = Store::open(&dir, DurabilityMode::Buffered, None).unwrap();
+        store.publish_snapshot(&payload).unwrap();
+        drop(store);
+        assert!(matches!(
+            MemconEngine::recover(&dir, &trace, DurabilityMode::Buffered, None),
+            Err(StoreError::Corrupt(msg)) if msg.contains("version 2")
+        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 

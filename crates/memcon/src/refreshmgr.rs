@@ -9,24 +9,10 @@
 //! The manager integrates the time each page spends in each state, from
 //! which the refresh-operation count, the reduction over the all-HI-REF
 //! baseline (paper Fig. 14), and the LO-REF execution-time coverage
-//! (paper Fig. 17) all follow. That accounting is *analytic* (closed-form
-//! over time-in-state) and is untouched by the discrete plane below.
-//!
-//! # Discrete due-page plane (raw-speed wave 2)
-//!
-//! For tick-driven consumers (streaming ingestion, refresh-energy replay)
-//! the manager also keeps a calendar-queue schedule of each page's next
-//! refresh instant ([`memutil::calq::CalendarQueue`]): entering HI-REF or
-//! LO-REF schedules the page one period out, entering Testing unschedules
-//! it (rows under test are deliberately unrefreshed), and
-//! [`RefreshManager::pop_due_refreshes`] drains the pages due by `now` in
-//! deterministic `(due, page)` order while rescheduling them drift-free at
-//! `due + period`. Per-tick cost tracks the number of *due* pages, not the
-//! page population — the linear-scan equivalent is retained as
-//! `memutil::calq::ScanQueue` and pinned by equivalence tests.
+//! (paper Fig. 17) all follow. That accounting is *analytic*: closed-form
+//! over time-in-state.
 
 use crate::pril::PageId;
-use memutil::calq::CalendarQueue;
 
 /// Refresh state of one page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,10 +46,6 @@ pub struct RefreshManager {
     pins: u64,
     /// Pages currently pinned (kept incrementally so `pinned_count` is O(1)).
     pinned_n: u64,
-    /// Discrete next-refresh schedule (see module docs).
-    due: CalendarQueue,
-    period_hi_ns: u64,
-    period_lo_ns: u64,
 }
 
 impl RefreshManager {
@@ -75,16 +57,6 @@ impl RefreshManager {
     #[must_use]
     pub fn new(n_pages: u64, hi_ms: f64, lo_ms: f64) -> Self {
         assert!(hi_ms > 0.0 && lo_ms > hi_ms, "need 0 < HI < LO");
-        let period_hi_ns = ((hi_ms * 1e6) as u64).max(1);
-        let period_lo_ns = ((lo_ms * 1e6) as u64).max(1);
-        // Slot width: 1/8 of the HI period keeps per-slot buckets small;
-        // enough buckets to span one LO period without revolution churn.
-        let slot_ns = (period_hi_ns / 8).max(1);
-        let min_buckets = (period_lo_ns / slot_ns + 2) as usize;
-        let mut due = CalendarQueue::new(n_pages as usize, slot_ns, min_buckets);
-        for page in 0..n_pages {
-            due.schedule(page, period_hi_ns); // all pages HI-REF from t=0
-        }
         RefreshManager {
             hi_ms,
             lo_ms,
@@ -98,9 +70,6 @@ impl RefreshManager {
             transitions: [0; 3],
             pins: 0,
             pinned_n: 0,
-            due,
-            period_hi_ns,
-            period_lo_ns,
         }
     }
 
@@ -150,10 +119,9 @@ impl RefreshManager {
         self.pins
     }
 
-    /// Serializes the manager's dynamic state (per-page bins, pins,
-    /// time-in-state accumulators, and the discrete due-plane schedule) for
-    /// a durability snapshot. Periods derive from `hi_ms`/`lo_ms`, which
-    /// travel with the engine's config section.
+    /// Serializes the manager's dynamic state (per-page bins, pins, and
+    /// time-in-state accumulators) for a durability snapshot. The
+    /// intervals `hi_ms`/`lo_ms` travel with the engine's config section.
     pub(crate) fn encode_state(&self, e: &mut memutil::codec::Enc) {
         let tags: Vec<u8> = self
             .states
@@ -183,16 +151,6 @@ impl RefreshManager {
         }
         e.u64(self.pins);
         e.u64(self.pinned_n);
-        // Due plane: per-page next-refresh instant (absent while Testing).
-        for page in 0..self.states.len() as u64 {
-            match self.due.due_of(page) {
-                Some(t) => {
-                    e.bool(true);
-                    e.u64(t);
-                }
-                None => e.bool(false),
-            }
-        }
     }
 
     /// Restores state captured by [`encode_state`](Self::encode_state) into
@@ -239,13 +197,6 @@ impl RefreshManager {
         }
         self.pins = d.u64()?;
         self.pinned_n = d.u64()?;
-        for page in 0..n as u64 {
-            if d.bool()? {
-                self.due.schedule(page, d.u64()?);
-            } else {
-                self.due.unschedule(page);
-            }
-        }
         Ok(())
     }
 
@@ -301,53 +252,6 @@ impl RefreshManager {
             PageState::LoRef => 2,
         };
         self.transitions[slot] = self.transitions[slot].saturating_add(1);
-        // Discrete plane: entering a refreshed state restarts its period
-        // (a write's implicit restore IS a refresh); entering Testing
-        // suspends refresh for the window.
-        match state {
-            PageState::HiRef => self.due.schedule(page, now_ns + self.period_hi_ns),
-            PageState::LoRef => self.due.schedule(page, now_ns + self.period_lo_ns),
-            PageState::Testing => {
-                self.due.unschedule(page);
-            }
-        }
-    }
-
-    /// The page's next scheduled refresh instant (ns), `None` while under
-    /// test.
-    #[must_use]
-    pub fn next_refresh_due(&self, page: PageId) -> Option<u64> {
-        self.due.due_of(page)
-    }
-
-    /// Drains every page whose refresh is due at or before `now_ns` into
-    /// `out`, in ascending `(due, page)` order, and reschedules each
-    /// drift-free at `due + period` of its current state. Cost tracks the
-    /// number of due pages (plus wheel slots crossed), not the population.
-    /// A page that fell several periods behind is emitted once per call
-    /// until it catches up.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the manager is finalized.
-    pub fn pop_due_refreshes(&mut self, now_ns: u64, out: &mut Vec<PageId>) {
-        assert!(
-            self.finalized_at_ns.is_none(),
-            "manager is finalized; no more refreshes"
-        );
-        let mut entries = Vec::new();
-        self.due.pop_due(now_ns, &mut entries);
-        for &(due_at, page) in &entries {
-            let period = match self.states[page as usize] {
-                PageState::HiRef => self.period_hi_ns,
-                PageState::LoRef => self.period_lo_ns,
-                // Unreachable in practice (Testing unschedules), but a
-                // popped entry must be rescheduled somewhere safe.
-                PageState::Testing => self.period_hi_ns,
-            };
-            self.due.schedule(page, due_at + period);
-            out.push(page);
-        }
     }
 
     /// Transition counts into (HI-REF, Testing, LO-REF) since creation.
@@ -415,20 +319,6 @@ impl RefreshManager {
                 if self.states[page] == PageState::LoRef {
                     return Err(format!("pinned page {page} sits at LO-REF"));
                 }
-            }
-            // Discrete plane: refreshed states are scheduled, Testing is not.
-            let scheduled = self.due.due_of(page as PageId).is_some();
-            let testing = self.states[page] == PageState::Testing;
-            if scheduled == testing {
-                return Err(format!(
-                    "page {page} is {:?} but its refresh schedule says {}",
-                    self.states[page],
-                    if scheduled {
-                        "scheduled"
-                    } else {
-                        "unscheduled"
-                    }
-                ));
             }
         }
         if pinned_seen != self.pinned_n {
@@ -626,103 +516,5 @@ mod tests {
         m.finalize(100);
         assert_eq!(m.reduction(), 0.0);
         assert_eq!(m.lo_coverage(), 0.0);
-    }
-
-    #[test]
-    fn pages_start_due_one_hi_period_out() {
-        let mut m = RefreshManager::new(3, 16.0, 64.0);
-        assert_eq!(m.next_refresh_due(0), Some(16 * MS));
-        let mut due = Vec::new();
-        m.pop_due_refreshes(15 * MS, &mut due);
-        assert!(due.is_empty());
-        m.pop_due_refreshes(16 * MS, &mut due);
-        assert_eq!(due, vec![0, 1, 2]);
-        // Drift-free reschedule: next instants anchor on the due time.
-        assert_eq!(m.next_refresh_due(1), Some(32 * MS));
-    }
-
-    #[test]
-    fn testing_suspends_and_lo_ref_slows_the_schedule() {
-        let mut m = RefreshManager::new(2, 16.0, 64.0);
-        m.transition(0, PageState::Testing, 1 * MS);
-        assert_eq!(m.next_refresh_due(0), None);
-        m.transition(1, PageState::LoRef, 1 * MS);
-        assert_eq!(m.next_refresh_due(1), Some(65 * MS));
-        m.check_invariants().unwrap();
-        let mut due = Vec::new();
-        m.pop_due_refreshes(64 * MS, &mut due);
-        assert!(
-            due.is_empty(),
-            "page 0 untested+unscheduled, page 1 not due"
-        );
-        m.pop_due_refreshes(65 * MS, &mut due);
-        assert_eq!(due, vec![1]);
-        assert_eq!(m.next_refresh_due(1), Some(129 * MS));
-        m.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn write_like_hi_ref_transition_restarts_the_period() {
-        let mut m = RefreshManager::new(1, 16.0, 64.0);
-        m.transition(0, PageState::HiRef, 10 * MS); // write → restore
-        assert_eq!(m.next_refresh_due(0), Some(26 * MS));
-    }
-
-    /// Seeded equivalence property: the calendar-queue due plane matches a
-    /// linear-scan mirror driven by the same transition/pop script.
-    #[test]
-    fn prop_due_plane_matches_scan_reference() {
-        use memutil::calq::ScanQueue;
-        use memutil::rng::{Rng, SeedableRng, SmallRng};
-        for seed in [0x5EED_0001u64, 0x5EED_0002, 0x5EED_0003] {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let n_pages = 40u64;
-            let (hi, lo) = (16.0f64, 64.0f64);
-            let (hi_ns, lo_ns) = (16 * MS, 64 * MS);
-            let mut m = RefreshManager::new(n_pages, hi, lo);
-            let mut mirror = ScanQueue::new(n_pages as usize);
-            let mut states = vec![PageState::HiRef; n_pages as usize];
-            for page in 0..n_pages {
-                mirror.schedule(page, hi_ns);
-            }
-            let mut now = 0u64;
-            for _ in 0..1500 {
-                if rng.gen_range(0u32..4) == 0 {
-                    now += rng.gen_range(0u64..40 * MS);
-                    let mut got = Vec::new();
-                    m.pop_due_refreshes(now, &mut got);
-                    let mut entries = Vec::new();
-                    mirror.pop_due(now, &mut entries);
-                    for &(due_at, page) in &entries {
-                        let period = match states[page as usize] {
-                            PageState::LoRef => lo_ns,
-                            _ => hi_ns,
-                        };
-                        mirror.schedule(page, due_at + period);
-                    }
-                    let expect: Vec<u64> = entries.iter().map(|&(_, p)| p).collect();
-                    assert_eq!(got, expect, "pop diverged at now={now}");
-                } else {
-                    let page = rng.gen_range(0u64..n_pages);
-                    let state = match rng.gen_range(0u32..3) {
-                        0 => PageState::HiRef,
-                        1 => PageState::Testing,
-                        _ => PageState::LoRef,
-                    };
-                    m.transition(page, state, now);
-                    states[page as usize] = state;
-                    match state {
-                        PageState::HiRef => mirror.schedule(page, now + hi_ns),
-                        PageState::LoRef => mirror.schedule(page, now + lo_ns),
-                        PageState::Testing => {
-                            mirror.unschedule(page);
-                        }
-                    }
-                }
-                let probe = rng.gen_range(0u64..n_pages);
-                assert_eq!(m.next_refresh_due(probe), mirror.due_of(probe));
-            }
-            m.check_invariants().unwrap();
-        }
     }
 }

@@ -339,8 +339,6 @@ pub struct StagingRegion {
     /// accesses to in-test rows.
     redirect: HashMap<PageId, usize>,
     free: Vec<usize>,
-    /// Highest simultaneous occupancy observed.
-    pub peak_used: usize,
 }
 
 impl StagingRegion {
@@ -352,7 +350,6 @@ impl StagingRegion {
             capacity,
             redirect: HashMap::new(),
             free: (0..capacity).rev().collect(),
-            peak_used: 0,
         }
     }
 
@@ -589,7 +586,6 @@ impl TestEngine {
         }
         let free: Vec<u64> = self.staging.free.iter().map(|&s| s as u64).collect();
         e.u64_slice(&free);
-        e.u64(self.staging.peak_used as u64);
         e.u64(self.stats.started);
         e.u64(self.stats.completed);
         e.u64(self.stats.failed);
@@ -645,8 +641,6 @@ impl TestEngine {
             .into_iter()
             .map(|s| usize::try_from(s).map_err(|_| "test engine: free slot overflow".to_string()))
             .collect::<Result<Vec<usize>, String>>()?;
-        self.staging.peak_used = usize::try_from(d.u64()?)
-            .map_err(|_| "test engine: peak occupancy overflow".to_string())?;
         self.stats.started = d.u64()?;
         self.stats.completed = d.u64()?;
         self.stats.failed = d.u64()?;
@@ -684,7 +678,6 @@ impl TestEngine {
             self.stats.rejected += 1;
             return false;
         }
-        self.staging.peak_used = self.staging.peak_used.max(self.staging.used());
         self.in_flight.push(InFlight {
             end_ns: now_ns + self.duration_ns,
             page,
@@ -943,7 +936,6 @@ mod tests {
         let _ = e.poll(64 * MS);
         assert_eq!(e.staging().used(), 0);
         assert!(e.staging().redirect_of(1).is_none());
-        assert_eq!(e.staging().peak_used, 2);
     }
 
     #[test]

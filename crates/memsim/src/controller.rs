@@ -23,7 +23,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use dram::bank::{Bank, BURST_CYCLES};
+use dram::bank::Bank;
 use dram::command::DramCommand;
 use dram::timing::TimingParams;
 use faultinject::{FaultSession, Site};
@@ -548,12 +548,6 @@ impl MemoryController {
             front.row != open_row
                 && now.saturating_sub(front.arrive_cycle) > STARVATION_LIMIT_CYCLES
         })
-    }
-
-    /// Burst length exposure for tests.
-    #[must_use]
-    pub fn burst_cycles() -> u64 {
-        BURST_CYCLES
     }
 }
 

@@ -17,9 +17,6 @@
 //! * [`par`] — a scoped work-stealing thread pool with deterministic
 //!   ordered reduction (the rayon-free parallel substrate for the failure
 //!   model, chip tester, and experiments suite),
-//! * [`calq`] — a deterministic calendar-queue scheduler (plus its
-//!   linear-scan slow reference) backing the refresh due-page planes in
-//!   `memcon` and `memsim`,
 //! * [`codec`] — a little-endian binary encoder/decoder used by the durable
 //!   state store (`crates/store`) and the engine snapshot serializers.
 
@@ -27,7 +24,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod bench;
-pub mod calq;
 pub mod codec;
 pub mod json;
 pub mod par;

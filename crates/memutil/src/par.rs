@@ -98,17 +98,6 @@ pub fn pool_stats() -> PoolStats {
     }
 }
 
-/// Zeroes the process-lifetime [`PoolStats`] (tests and report scoping).
-pub fn reset_pool_stats() {
-    STAT_SCOPES.store(0, Ordering::Relaxed);
-    STAT_INLINE_RUNS.store(0, Ordering::Relaxed);
-    STAT_CHUNKS_RUN.store(0, Ordering::Relaxed);
-    STAT_CHUNKS_STOLEN.store(0, Ordering::Relaxed);
-    for counter in &STAT_WORKER_CHUNKS {
-        counter.store(0, Ordering::Relaxed);
-    }
-}
-
 /// Process-global worker count installed by [`set_jobs`] (0 = unset).
 /// Configuration, not computed state: set once from the CLI before any
 /// parallel work, and the same value on every worker makes runs
@@ -152,16 +141,6 @@ pub fn jobs() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
-}
-
-/// Maps `f` over `0..len` with the resolved [`jobs`] worker count,
-/// returning results in index order. See [`ordered_map_with`].
-pub fn ordered_map<T, F>(len: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    ordered_map_with(jobs(), len, f)
 }
 
 /// Maps `f` over `0..len` on a scoped work-stealing pool of `jobs`

@@ -1,5 +1,5 @@
-//! Deterministic telemetry: counters, histograms, span timers, and a
-//! bounded event trace, exported as structured JSON.
+//! Deterministic telemetry: counters, histograms, causal span trees, and
+//! a bounded event trace, exported as structured JSON.
 //!
 //! The subsystem exists to answer "why was this sweep slow / this
 //! prediction wrong" without perturbing the reproduction's core contract:
@@ -24,8 +24,12 @@
 //! (restored when the returned guard drops) so tests and the experiments
 //! CLI can collect into a private registry without touching global state
 //! left behind by other code. Instrumentation sites use either the free
-//! helpers ([`count`], [`observe`], [`span`], [`trace_event`]) or bind
+//! helpers ([`count`], [`observe`], [`observe_merged`], [`observe_timing`],
+//! [`tree_span`], [`annotate`], [`trace_event`], [`sample_point`]) or bind
 //! `Arc` metric handles once and update them directly on hot-ish paths.
+//! Work is timed in one of two ways: [`tree_span`] opens a causal span,
+//! or [`time_ns`] times a closure whose duration the caller files with
+//! [`observe_timing`].
 //!
 //! # Cost when disabled
 //!
@@ -65,7 +69,7 @@ mod trace;
 mod trees;
 
 pub use health::{flight_record, HealthMonitor, FLIGHTREC_SCHEMA};
-pub use metrics::{Counter, Histogram, Span, SpanGuard};
+pub use metrics::{Counter, Histogram};
 pub use registry::{current, global, install, Registry, ScopeGuard};
 pub use scrape::{respond, ScrapeServer};
 pub use timeseries::{SamplePoint, TIMESERIES_SCHEMA};
@@ -102,15 +106,6 @@ pub fn count(name: &str, n: u64) {
     let r = registry::current();
     if r.is_enabled() {
         r.counter(name, Class::Deterministic).add(n);
-    }
-}
-
-/// Adds `n` to the named [`Class::Timing`] counter on the current
-/// registry. No-op when telemetry is disabled.
-pub fn count_timing(name: &str, n: u64) {
-    let r = registry::current();
-    if r.is_enabled() {
-        r.counter(name, Class::Timing).add(n);
     }
 }
 
@@ -160,19 +155,6 @@ pub fn time_ns<R>(f: impl FnOnce() -> R) -> (R, u64) {
     let start = std::time::Instant::now();
     let result = f();
     (result, start.elapsed().as_nanos() as u64)
-}
-
-/// Starts a wall-clock span on the current registry; the elapsed time is
-/// recorded (as [`Class::Timing`] data) when the returned guard drops.
-/// Returns an inert guard when telemetry is disabled.
-#[must_use]
-pub fn span(name: &str) -> SpanGuard {
-    let r = registry::current();
-    if r.is_enabled() {
-        r.span(name).start()
-    } else {
-        SpanGuard::disabled()
-    }
 }
 
 /// Appends an event to the current registry's bounded trace ring
@@ -238,7 +220,6 @@ mod tests {
         count("t.free.counter", 5);
         observe("t.free.hist", &[1, 2], 1);
         trace_event("t.free.event", 1);
-        drop(span("t.free.span"));
         let report = r.report();
         let det = report.get("deterministic").expect("section");
         assert_eq!(det.get("counters"), Some(&memutil::json::Json::obj()));
@@ -254,31 +235,16 @@ mod tests {
         count("t.free.counter", 2);
         count("t.free.counter", 3);
         count("t.free.zero", 0);
-        count_timing("t.free.timing", 7);
         observe("t.free.hist", &[10, 20], 15);
         trace_event("t.free.event", 9);
         assert_eq!(r.counter("t.free.counter", Class::Deterministic).get(), 5);
         // Zero-value counters still register (stable report shape).
         assert_eq!(r.counter("t.free.zero", Class::Deterministic).get(), 0);
-        assert_eq!(r.counter("t.free.timing", Class::Timing).get(), 7);
         assert_eq!(
             r.histogram("t.free.hist", Class::Deterministic, &[10, 20])
                 .count(),
             1
         );
         assert_eq!(r.trace().snapshot().len(), 1);
-    }
-
-    #[test]
-    fn spans_accumulate_wall_clock_time() {
-        let _serial = registry_lock();
-        let r = Arc::new(Registry::new());
-        r.set_enabled(true);
-        let _scope = install(Arc::clone(&r));
-        for _ in 0..3 {
-            let _g = span("t.free.span");
-        }
-        let s = r.span("t.free.span");
-        assert_eq!(s.count(), 3);
     }
 }

@@ -1,5 +1,4 @@
-//! Atomic metric primitives: counters, fixed-bucket histograms, and span
-//! timers.
+//! Atomic metric primitives: counters and fixed-bucket histograms.
 //!
 //! Every metric shares its owning registry's enabled flag, so disabling a
 //! registry instantly quiesces handles that were bound while it was live.
@@ -9,7 +8,6 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// A monotonically increasing, saturating `u64` counter.
 ///
@@ -165,90 +163,6 @@ impl Histogram {
     }
 }
 
-/// Aggregated wall-clock timer for one named region: invocation count and
-/// saturating total nanoseconds. Always [`crate::Class::Timing`] — span
-/// values never enter the deterministic report section.
-#[derive(Debug)]
-pub struct Span {
-    enabled: Arc<AtomicBool>,
-    count: AtomicU64,
-    total_ns: AtomicU64,
-}
-
-impl Span {
-    pub(crate) fn new(enabled: Arc<AtomicBool>) -> Span {
-        Span {
-            enabled,
-            count: AtomicU64::new(0),
-            total_ns: AtomicU64::new(0),
-        }
-    }
-
-    /// Starts timing; the elapsed wall-clock time is recorded when the
-    /// guard drops. Returns an inert guard when the registry is disabled.
-    #[must_use]
-    pub fn start(self: &Arc<Self>) -> SpanGuard {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return SpanGuard::disabled();
-        }
-        SpanGuard {
-            active: Some((Arc::clone(self), Instant::now())),
-        }
-    }
-
-    /// Records one completed invocation of `ns` nanoseconds directly
-    /// (used by the guard; exposed for tests and external timers).
-    pub fn record_ns(&self, ns: u64) {
-        self.count.fetch_add(1, Ordering::Relaxed);
-        let _ = self
-            .total_ns
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(v.saturating_add(ns))
-            });
-    }
-
-    /// Number of completed invocations.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Total recorded nanoseconds.
-    #[must_use]
-    pub fn total_ns(&self) -> u64 {
-        self.total_ns.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn reset(&self) {
-        self.count.store(0, Ordering::Relaxed);
-        self.total_ns.store(0, Ordering::Relaxed);
-    }
-}
-
-/// RAII guard returned by [`Span::start`]; records the elapsed time into
-/// its span on drop. The disabled variant does nothing.
-#[derive(Debug)]
-pub struct SpanGuard {
-    active: Option<(Arc<Span>, Instant)>,
-}
-
-impl SpanGuard {
-    /// An inert guard: timing disabled, drop is free.
-    #[must_use]
-    pub fn disabled() -> SpanGuard {
-        SpanGuard { active: None }
-    }
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        if let Some((span, started)) = self.active.take() {
-            let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            span.record_ns(ns);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -401,30 +315,5 @@ mod tests {
         flag.store(false, Ordering::Relaxed);
         off.merge_counts(&[5, 5], 10, 50);
         assert_eq!(off.count(), 0);
-    }
-
-    #[test]
-    fn span_guard_records_on_drop_only_when_enabled() {
-        let s = Arc::new(Span::new(on()));
-        {
-            let _g = s.start();
-        }
-        assert_eq!(s.count(), 1);
-
-        let off = Arc::new(Span::new(Arc::new(AtomicBool::new(false))));
-        {
-            let _g = off.start();
-        }
-        assert_eq!(off.count(), 0);
-        assert_eq!(off.total_ns(), 0);
-    }
-
-    #[test]
-    fn span_record_ns_saturates() {
-        let s = Span::new(on());
-        s.record_ns(u64::MAX);
-        s.record_ns(5);
-        assert_eq!(s.count(), 2);
-        assert_eq!(s.total_ns(), u64::MAX);
     }
 }

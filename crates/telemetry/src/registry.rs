@@ -7,7 +7,7 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 
 use memutil::json::Json;
 
-use crate::metrics::{Counter, Histogram, Span};
+use crate::metrics::{Counter, Histogram};
 use crate::timeseries::{SamplePoint, TimeSeries, DEFAULT_TIMESERIES_CAPACITY};
 use crate::trace::EventTrace;
 use crate::trees::SpanTree;
@@ -23,7 +23,6 @@ const DEFAULT_TREE_CAPACITY: usize = 1024;
 struct Inner {
     counters: BTreeMap<String, (Class, Arc<Counter>)>,
     histograms: BTreeMap<String, (Class, Arc<Histogram>)>,
-    spans: BTreeMap<String, Arc<Span>>,
     /// Per-figure deltas of deterministic counters, in recording order.
     figures: Vec<(String, Vec<(String, u64)>)>,
 }
@@ -112,17 +111,6 @@ impl Registry {
             .histograms
             .insert(name.to_string(), (class, Arc::clone(&h)));
         h
-    }
-
-    /// The named span timer (always [`Class::Timing`]).
-    pub fn span(&self, name: &str) -> Arc<Span> {
-        let mut inner = self.inner();
-        if let Some(s) = inner.spans.get(name) {
-            return Arc::clone(s);
-        }
-        let s = Arc::new(Span::new(Arc::clone(&self.enabled)));
-        inner.spans.insert(name.to_string(), Arc::clone(&s));
-        s
     }
 
     /// The registry's bounded event trace.
@@ -237,9 +225,6 @@ impl Registry {
         for (_, h) in inner.histograms.values() {
             h.reset();
         }
-        for s in inner.spans.values() {
-            s.reset();
-        }
         inner.figures.clear();
         self.trace.clear();
         self.tree.clear();
@@ -253,7 +238,7 @@ impl Registry {
     ///   "schema": "memcon-telemetry/v1",
     ///   "deterministic": { "counters": {…}, "histograms": {…}, "figures": […],
     ///                      "timeseries": { "points": […], … } },
-    ///   "timing": { "counters": {…}, "spans": {…}, "span_tree": {…}, "par": {…},
+    ///   "timing": { "counters": {…}, "histograms": {…}, "span_tree": {…}, "par": {…},
     ///               "trace": { "events": […], "recorded": N, "dropped_events": M } }
     /// }
     /// ```
@@ -298,16 +283,6 @@ impl Registry {
                 Json::obj()
                     .field("figure", figure.as_str())
                     .field("counters", counters),
-            );
-        }
-
-        let mut spans = Json::obj();
-        for (name, s) in &inner.spans {
-            spans.set(
-                name,
-                Json::obj()
-                    .field("count", s.count())
-                    .field("total_ns", s.total_ns()),
             );
         }
 
@@ -369,7 +344,6 @@ impl Registry {
                 Json::obj()
                     .field("counters", timing_counters)
                     .field("histograms", timing_hists)
-                    .field("spans", spans)
                     .field("span_tree", span_tree)
                     .field("par", par)
                     .field("trace", trace),
@@ -459,7 +433,6 @@ mod tests {
         r.counter("det.c", Class::Deterministic).add(1);
         r.counter("tim.c", Class::Timing).add(2);
         r.histogram("det.h", Class::Deterministic, &[10]).record(4);
-        r.span("tim.s").record_ns(7);
         r.trace().record("evt", 1);
         let report = r.report();
         let det = report.get("deterministic").expect("deterministic");
@@ -468,7 +441,6 @@ mod tests {
         assert!(det.get("counters").and_then(|c| c.get("tim.c")).is_none());
         assert!(tim.get("counters").and_then(|c| c.get("tim.c")).is_some());
         assert!(det.get("histograms").and_then(|h| h.get("det.h")).is_some());
-        assert!(tim.get("spans").and_then(|s| s.get("tim.s")).is_some());
         assert!(tim.get("par").is_some());
         assert_eq!(
             report.get("schema").and_then(Json::as_str),
@@ -542,8 +514,8 @@ mod tests {
 
     #[test]
     fn install_swaps_and_restores_the_current_registry() {
-        // Four tests in this binary install a registry; all of them
-        // serialize on the crate's test lock.
+        // Every test in this binary that installs a registry serializes
+        // on the crate's test lock.
         let _serial = crate::tests::registry_lock();
         let outer = Arc::new(enabled_registry());
         let inner = Arc::new(enabled_registry());

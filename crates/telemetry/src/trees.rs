@@ -1,8 +1,8 @@
 //! Causal span trees: parent/child wall-clock spans with annotations.
 //!
-//! The flat [`crate::Span`] aggregates totals per name; trees keep the
-//! *structure* — which shard-step ran inside which fleet epoch, which
-//! engine run covered which fault activation. Each registry owns one
+//! A tree keeps the *structure* of timed work — which shard-step ran
+//! inside which fleet epoch, which engine run covered which fault
+//! activation. Each registry owns one
 //! bounded [`SpanTree`]. Opening a span ([`crate::tree_span`]) pushes onto
 //! a thread-local stack, so the innermost open span on the current thread
 //! becomes the parent of the next one and the target of

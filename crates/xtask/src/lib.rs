@@ -96,8 +96,9 @@ pub fn lint_cmd(update_ratchet: bool, json: Option<&str>) -> i32 {
 /// ([`chaos::chaos_cmd`]), the `chaos health` smoke (armed SLO monitor,
 /// alert latency, flight-record dump), the quick crash-recovery soak
 /// ([`crash::crash_cmd`]), the fleet smoke gate
-/// ([`fleet::fleet_cmd`] with `--smoke`), `cargo test -q`, and — when
-/// `bench` is set —
+/// ([`fleet::fleet_cmd`] with `--smoke`), `cargo test --workspace -q`
+/// (every crate's unit, property and integration tests), the perfbench
+/// self-tests, and — when `bench` is set —
 /// the `bench compare` regression gate plus the `obs` and `chaos`
 /// overhead gates (run through `cargo run --release` so the fresh medians
 /// are measured at the same profile as the checked-in baseline,
@@ -163,8 +164,8 @@ pub fn ci_cmd(bench: bool) -> i32 {
         return fleet_code;
     }
 
-    println!("ci: cargo test -q");
-    if let Some(code) = run_step(&root, &["test", "-q"]) {
+    println!("ci: cargo test --workspace -q");
+    if let Some(code) = run_step(&root, &["test", "--workspace", "-q"]) {
         return code;
     }
 

@@ -58,8 +58,8 @@ fn usage() {
          \x20                           cargo build --release, the --jobs 1-vs-4\n\
          \x20                           output + telemetry determinism gate,\n\
          \x20                           obs --check, a quick 3-plan chaos soak,\n\
-         \x20                           cargo test -q, the perfbench self-tests;\n\
-         \x20                           --bench additionally runs\n\
+         \x20                           cargo test --workspace -q, the perfbench\n\
+         \x20                           self-tests; --bench additionally runs\n\
          \x20                           `bench compare`, `obs overhead`, and\n\
          \x20                           `chaos overhead`\n\
          \x20 chaos [--plans N] [--quick] [health [--serve[=ADDR]]] [overhead]\n\
