@@ -112,7 +112,7 @@ pub fn compute_fault_overhead(opts: &RunOptions) -> Vec<FaultOverheadRow> {
             FaultOverheadRow {
                 rate,
                 report,
-                recovery: *engine.recovery_stats(),
+                recovery: engine.recovery_stats(),
             }
         })
         .collect()

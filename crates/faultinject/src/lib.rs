@@ -479,12 +479,6 @@ impl FaultSession {
         self.injected
     }
 
-    /// Total faults injected across all sites.
-    #[must_use]
-    pub fn total_injected(&self) -> u64 {
-        self.injected.iter().sum()
-    }
-
     /// Per-site decision tallies, indexed like [`Site::ALL`] — together
     /// with [`injected_counts`](Self::injected_counts) this is the
     /// session's full persistable position in its decision streams.
@@ -689,7 +683,7 @@ mod tests {
         );
         assert_eq!(s.injected(Site::TornRead), 2);
         assert_eq!(s.injected(Site::DramBitFlip), 1);
-        assert_eq!(s.total_injected(), 3);
+        assert_eq!(s.injected_counts().iter().sum::<u64>(), 3);
     }
 
     #[test]

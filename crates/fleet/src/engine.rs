@@ -14,7 +14,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use memcon::engine::{LiveStats, MemconEngine, MemconReport, RecoveryStats};
+use memcon::engine::{LiveStats, MemconEngine, MemconReport};
 use memcon::refreshmgr::PageState;
 use memcon::testengine::{ContentOracle, FailureOracle, RateOracle};
 use memutil::par;
@@ -495,7 +495,7 @@ impl Fleet {
             latencies.extend_from_slice(&shard.step_latency_ns);
             let Some(report) = shard.report else { continue };
             let internals = shard.engine.internals();
-            let recovery: &RecoveryStats = shard.engine.recovery_stats();
+            let recovery = shard.engine.recovery_stats();
             let final_hi = shard
                 .engine
                 .final_states()

@@ -27,6 +27,7 @@ use store::{DurabilityMode, Progress, Recovered, Store, StoreError};
 
 use crate::config::MemconConfig;
 use crate::cost::{CostModel, TestMode};
+use crate::overhead::STAGING_ROWS_PER_BANK;
 use crate::pril::{PageId, Pril, PrilStats};
 use crate::refreshmgr::{PageState, RefreshManager};
 use crate::testengine::{
@@ -45,12 +46,19 @@ pub const BACKOFF_EDGES: [u64; 5] = [1, 2, 4, 8, 16];
 pub const CANDIDATE_EDGES: [u64; 10] = [0, 1, 2, 4, 8, 16, 32, 64, 128, 256];
 
 /// Engine snapshot payload format version (the first payload byte).
-const SNAP_VERSION: u8 = 3;
+const SNAP_VERSION: u8 = 4;
+
+/// Copy-and-Compare staging rows: [`STAGING_ROWS_PER_BANK`] in each bank
+/// of the paper's 8-bank module. A test holds one row exactly while it is
+/// in flight, so the region caps the concurrent-test budget.
+const STAGING_ROWS: u64 = STAGING_ROWS_PER_BANK * 8;
 
 /// Run-level recovery accounting: what the fault injector did to the run
-/// and how the abort/retry/degradation machinery responded. All values
-/// derive from simulation state, so the whole struct is bit-reproducible
-/// for a fixed trace and [`FaultPlan`].
+/// and how the abort/retry/degradation machinery responded. A view built
+/// by [`MemconEngine::recovery_stats`] from the test-engine statistics,
+/// the refresh manager's pin count, the fault session and the engine's
+/// own retry counters. All values derive from simulation state, so the
+/// whole struct is bit-reproducible for a fixed trace and [`FaultPlan`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
     /// Faults injected per site, indexed like [`Site::ALL`]; all zero when
@@ -87,6 +95,18 @@ pub struct RecoveryStats {
     /// Uncorrectable ECC errors that did **not** leave their page pinned —
     /// must stay 0 (asserted by the chaos gate).
     pub uncorrectable_escapes: u64,
+}
+
+/// The recovery counters only the engine keeps; [`RecoveryStats`] reads
+/// the rest from their sources.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct RecoveryCounters {
+    retries: u64,
+    backoffs_scheduled: u64,
+    backoff_ceiling_hits: u64,
+    backoff_hist: [u64; 6],
+    backoff_sum_quanta: u64,
+    uncorrectable_escapes: u64,
 }
 
 fn backoff_bucket(quanta: u64) -> usize {
@@ -256,13 +276,12 @@ pub struct LiveStats {
     pub pages: u64,
 }
 
-/// Persistent state of a stepped run between [`MemconEngine::begin_run`]
-/// and [`MemconEngine::finish_run`]. Holding the refresh manager and the
-/// event cursor here (instead of on `run`'s stack) is what lets a fleet
-/// scheduler advance an engine one time-slice at a time.
+/// Run cursors of a stepped run between [`MemconEngine::begin_run`] and
+/// [`MemconEngine::finish_run`]. Holding the event cursor here (instead
+/// of on `run`'s stack) is what lets a fleet scheduler advance an engine
+/// one time-slice at a time.
 #[derive(Debug)]
 struct RunState {
-    mgr: RefreshManager,
     /// Cursor into `trace.events()`: events before it are consumed.
     event_idx: usize,
     /// Next quantum boundary, ns.
@@ -283,9 +302,10 @@ pub struct MemconEngine {
     cost: CostModel,
     pril: Pril,
     tests: TestEngine,
+    /// Per-page refresh bins and pins of the current or last run; zero
+    /// pages before the first run.
+    mgr: RefreshManager,
     n_pages: u64,
-    /// Final per-page states of the last completed run.
-    last_states: Vec<PageState>,
     /// Per-page content-generation counter (bumped by every write).
     generation: Vec<u64>,
     /// Pending amortization anchor: Some(test start) while the page sits at
@@ -312,9 +332,7 @@ pub struct MemconEngine {
     clean_gen: Vec<Option<u64>>,
     /// Quantum boundaries crossed this run.
     quantum_index: u64,
-    recovery: RecoveryStats,
-    /// Final per-page pin flags of the last run.
-    last_pinned: Vec<bool>,
+    recovery: RecoveryCounters,
     /// In-progress stepped run, if any.
     run: Option<RunState>,
     /// Quantum-window time-series sampling period (quanta), when armed.
@@ -357,21 +375,16 @@ impl MemconEngine {
     pub fn with_oracle(config: MemconConfig, n_pages: u64, oracle: Box<dyn FailureOracle>) -> Self {
         config.validate().expect("invalid MEMCON configuration");
         let cost = config.cost_model();
-        // Staging: the paper reserves 512 rows/bank on an 8-bank module.
-        let staging = 512 * 8;
-        let tests = TestEngine::new(
-            oracle,
-            config.test_mode,
-            config.lo_ms,
-            config.concurrent_tests,
-            staging,
-        );
+        let budget = match config.test_mode {
+            TestMode::ReadAndCompare => u64::from(config.concurrent_tests),
+            TestMode::CopyAndCompare => u64::from(config.concurrent_tests).min(STAGING_ROWS),
+        };
         MemconEngine {
             cost,
             pril: Pril::new(n_pages, config.write_buffer_capacity),
-            tests,
+            tests: TestEngine::new(oracle, config.lo_ms, budget as usize),
+            mgr: RefreshManager::new(0, config.hi_ms, config.lo_ms),
             n_pages,
-            last_states: Vec::new(),
             generation: vec![0; n_pages as usize],
             lo_anchor: vec![None; n_pages as usize],
             tests_correct: 0,
@@ -383,8 +396,7 @@ impl MemconEngine {
             retry_queue: Vec::new(),
             clean_gen: vec![None; n_pages as usize],
             quantum_index: 0,
-            recovery: RecoveryStats::default(),
-            last_pinned: Vec::new(),
+            recovery: RecoveryCounters::default(),
             run: None,
             sample_every: None,
             store: None,
@@ -409,10 +421,28 @@ impl MemconEngine {
         self.fault_plan = plan;
     }
 
-    /// Recovery statistics of the most recent run.
+    /// Recovery statistics of the current or most recent run.
     #[must_use]
-    pub fn recovery_stats(&self) -> &RecoveryStats {
-        &self.recovery
+    pub fn recovery_stats(&self) -> RecoveryStats {
+        let t = &self.tests.stats;
+        let r = &self.recovery;
+        RecoveryStats {
+            faults_injected: self
+                .tests
+                .fault_session()
+                .map_or([0; faultinject::N_SITES], FaultSession::injected_counts),
+            aborts: t.aborted,
+            retries: r.retries,
+            backoffs_scheduled: r.backoffs_scheduled,
+            backoff_ceiling_hits: r.backoff_ceiling_hits,
+            backoff_hist: r.backoff_hist,
+            backoff_sum_quanta: r.backoff_sum_quanta,
+            degraded_rows: self.mgr.pin_events(),
+            ambiguous: t.ambiguous,
+            ecc_corrected: t.ecc_corrected,
+            ecc_uncorrectable: t.ecc_uncorrectable,
+            uncorrectable_escapes: r.uncorrectable_escapes,
+        }
     }
 
     /// Arms quantum-window time-series sampling: every `Some(n)`-th
@@ -567,36 +597,18 @@ impl MemconEngine {
         e.u64(self.tests_correct);
         e.u64(self.tests_mispredicted);
         let r = &self.recovery;
-        e.u64_slice(&r.faults_injected);
-        e.u64(r.aborts);
         e.u64(r.retries);
         e.u64(r.backoffs_scheduled);
         e.u64(r.backoff_ceiling_hits);
         e.u64_slice(&r.backoff_hist);
         e.u64(r.backoff_sum_quanta);
-        e.u64(r.degraded_rows);
-        e.u64(r.ambiguous);
-        e.u64(r.ecc_corrected);
-        e.u64(r.ecc_uncorrectable);
         e.u64(r.uncorrectable_escapes);
         e.u64_slice(&self.candidate_hist);
-        e.u64(self.last_states.len() as u64);
-        for s in &self.last_states {
-            e.u8(match s {
-                PageState::HiRef => 0,
-                PageState::Testing => 1,
-                PageState::LoRef => 2,
-            });
-        }
-        e.u64(self.last_pinned.len() as u64);
-        for p in &self.last_pinned {
-            e.bool(*p);
-        }
         e.u64(self.snapshot_every);
+        self.mgr.encode_state(&mut e);
         match run {
             Some(run) => {
                 e.bool(true);
-                run.mgr.encode_state(&mut e);
                 e.u64(run.event_idx as u64);
                 e.u64(run.next_quantum);
                 e.u64(run.quantum_ns);
@@ -644,6 +656,15 @@ impl MemconEngine {
         config.recovery.backoff_cap_quanta = d.u32()?;
         config.validate()?;
         let n_pages = d.u64()?;
+        // Every page stores at least its 8-byte generation word, so a page
+        // count the rest of the payload cannot hold is refused before the
+        // per-page state is allocated.
+        if n_pages > (d.remaining() / 8) as u64 {
+            return Err(format!(
+                "page count {n_pages} exceeds what the {}-byte remainder can hold",
+                d.remaining()
+            ));
+        }
         let oracle: Box<dyn FailureOracle> = match d.u8()? {
             0 => Box::new(RateOracle::from_persisted(d.bytes()?)?),
             t => return Err(format!("unknown oracle tag {t}")),
@@ -659,7 +680,7 @@ impl MemconEngine {
                 .set_fault_session(Some(FaultSession::restore(plan, decisions, injected)));
         }
         eng.pril.restore_state(&mut d)?;
-        eng.tests.restore_state(&mut d)?;
+        eng.tests.restore_state(&mut d, n_pages)?;
         let pages = n_pages as usize;
         let generation = d.u64_vec()?;
         if generation.len() != pages {
@@ -676,14 +697,17 @@ impl MemconEngine {
             *r = read_opt_u64(&mut d)?;
         }
         eng.retry_queue = d.u64_vec()?;
+        if let Some(page) = eng.retry_queue.iter().find(|&&p| p >= n_pages) {
+            return Err(format!(
+                "retry queue page {page} out of range ({n_pages} pages)"
+            ));
+        }
         for c in &mut eng.clean_gen {
             *c = read_opt_u64(&mut d)?;
         }
         eng.quantum_index = d.u64()?;
         eng.tests_correct = d.u64()?;
         eng.tests_mispredicted = d.u64()?;
-        eng.recovery.faults_injected = site_counts(d.u64_vec()?, "injected fault counters")?;
-        eng.recovery.aborts = d.u64()?;
         eng.recovery.retries = d.u64()?;
         eng.recovery.backoffs_scheduled = d.u64()?;
         eng.recovery.backoff_ceiling_hits = d.u64()?;
@@ -692,39 +716,20 @@ impl MemconEngine {
             .try_into()
             .map_err(|_| "backoff histogram bucket count mismatch".to_string())?;
         eng.recovery.backoff_sum_quanta = d.u64()?;
-        eng.recovery.degraded_rows = d.u64()?;
-        eng.recovery.ambiguous = d.u64()?;
-        eng.recovery.ecc_corrected = d.u64()?;
-        eng.recovery.ecc_uncorrectable = d.u64()?;
         eng.recovery.uncorrectable_escapes = d.u64()?;
         eng.candidate_hist = d
             .u64_vec()?
             .try_into()
             .map_err(|_| "candidate histogram bucket count mismatch".to_string())?;
-        let n_states = d.u64()? as usize;
-        let mut last_states = Vec::with_capacity(n_states);
-        for _ in 0..n_states {
-            last_states.push(match d.u8()? {
-                0 => PageState::HiRef,
-                1 => PageState::Testing,
-                2 => PageState::LoRef,
-                t => return Err(format!("unknown page state tag {t}")),
-            });
-        }
-        eng.last_states = last_states;
-        let n_pinned = d.u64()? as usize;
-        let mut last_pinned = Vec::with_capacity(n_pinned);
-        for _ in 0..n_pinned {
-            last_pinned.push(d.bool()?);
-        }
-        eng.last_pinned = last_pinned;
         eng.snapshot_every = d.u64()?;
         if eng.snapshot_every == 0 {
             return Err("snapshot cadence must be at least one quantum".to_string());
         }
+        // Snapshots are published from `begin_run` on, so the manager
+        // always covers every page.
+        eng.mgr = RefreshManager::new(n_pages, eng.config.hi_ms, eng.config.lo_ms);
+        eng.mgr.restore_state(&mut d)?;
         if d.bool()? {
-            let mut mgr = RefreshManager::new(n_pages, eng.config.hi_ms, eng.config.lo_ms);
-            mgr.restore_state(&mut d)?;
             let event_idx = usize::try_from(d.u64()?)
                 .map_err(|_| "event cursor exceeds the address space".to_string())?;
             let next_quantum = d.u64()?;
@@ -741,7 +746,6 @@ impl MemconEngine {
                 None
             };
             eng.run = Some(RunState {
-                mgr,
                 event_idx,
                 next_quantum,
                 quantum_ns,
@@ -777,8 +781,9 @@ impl MemconEngine {
     /// # Errors
     ///
     /// [`StoreError::Corrupt`] when no usable snapshot exists, the newest
-    /// valid snapshot does not decode, or its run began with a trace other
-    /// than `trace`; any [`StoreError`] from opening the store.
+    /// valid snapshot does not decode or breaks a PRIL or refresh-manager
+    /// invariant, or its run began with a trace other than `trace`; any
+    /// [`StoreError`] from opening the store.
     /// Post-recovery store failures are latched into
     /// [`MemconEngine::store_error`], not returned.
     pub fn recover(
@@ -792,6 +797,11 @@ impl MemconEngine {
             StoreError::Corrupt("store holds no usable snapshot to recover from".to_string())
         })?;
         let mut engine = Self::decode_state(&snap.payload).map_err(StoreError::Corrupt)?;
+        engine
+            .pril
+            .check_invariants()
+            .and_then(|()| engine.mgr.check_invariants())
+            .map_err(|e| StoreError::Corrupt(format!("the snapshot breaks an invariant: {e}")))?;
         let run = engine.run.take();
         if let Some(run) = &run {
             let resumed = TraceFingerprint::of(trace);
@@ -808,28 +818,19 @@ impl MemconEngine {
         Ok((engine, recovered))
     }
 
-    /// Instantaneous observability snapshot (see [`LiveStats`]). Mid-run
-    /// the gauges read the live refresh manager; after a finished run they
-    /// read the final state.
+    /// Instantaneous observability snapshot (see [`LiveStats`]), read from
+    /// [`MemconEngine::recovery_stats`] and the refresh manager.
     #[must_use]
     pub fn live_stats(&self) -> LiveStats {
-        let t = &self.tests.stats;
-        let faults_injected = self
-            .tests
-            .fault_session()
-            .map_or(0, FaultSession::total_injected);
-        let pinned_pages = match &self.run {
-            Some(run) => run.mgr.pinned_count(),
-            None => self.last_pinned.iter().filter(|p| **p).count() as u64,
-        };
+        let r = self.recovery_stats();
         LiveStats {
-            faults_injected,
-            aborts: t.aborted,
-            retries: self.recovery.retries,
-            backoffs_scheduled: self.recovery.backoffs_scheduled,
-            backoff_ceiling_hits: self.recovery.backoff_ceiling_hits,
-            escapes: self.recovery.uncorrectable_escapes,
-            pinned_pages,
+            faults_injected: r.faults_injected.iter().sum(),
+            aborts: r.aborts,
+            retries: r.retries,
+            backoffs_scheduled: r.backoffs_scheduled,
+            backoff_ceiling_hits: r.backoff_ceiling_hits,
+            escapes: r.uncorrectable_escapes,
+            pinned_pages: self.mgr.pinned_count(),
             pril_buffered: self.pril.buffer_len() as u64,
             pril_capacity: self.config.write_buffer_capacity as u64,
             pages: self.n_pages,
@@ -845,11 +846,11 @@ impl MemconEngine {
     ///
     /// Returns a description of the first violating page.
     pub fn verify_refresh_correctness(&self) -> Result<(), String> {
-        for (i, s) in self.last_states.iter().enumerate() {
+        for (i, s) in self.mgr.states().iter().enumerate() {
             if *s != PageState::LoRef {
                 continue;
             }
-            if self.last_pinned.get(i).copied().unwrap_or(false) {
+            if self.mgr.is_pinned(i as PageId) {
                 return Err(format!("page {i} is pinned yet sits at LO-REF"));
             }
             let current = self.generation[i];
@@ -907,7 +908,7 @@ impl MemconEngine {
         self.retry_queue.clear();
         self.clean_gen.iter_mut().for_each(|c| *c = None);
         self.quantum_index = 0;
-        self.recovery = RecoveryStats::default();
+        self.recovery = RecoveryCounters::default();
         self.candidate_hist = [0; 11];
         // A fresh session per run: the decision streams replay, so the same
         // trace and plan reproduce the same faults bit-for-bit.
@@ -921,7 +922,7 @@ impl MemconEngine {
         // snapshot them so telemetry reports this run's delta, including the
         // steady-state pre-pass below.
         let memo_before = self.tests.memo_counters().unwrap_or_default();
-        let mut mgr = RefreshManager::new(self.n_pages, self.config.hi_ms, self.config.lo_ms);
+        self.mgr = RefreshManager::new(self.n_pages, self.config.hi_ms, self.config.lo_ms);
         if self.config.steady_state_start {
             // The trace window opens on a long-running system: every page
             // holding static content was tested before the window; clean
@@ -929,7 +930,7 @@ impl MemconEngine {
             // pre-window tests are not counted in this run's statistics.
             for page in 0..self.n_pages {
                 if !self.tests.oracle_mut().page_fails(page, 0) {
-                    mgr.transition(page, PageState::LoRef, 0);
+                    self.mgr.transition(page, PageState::LoRef, 0);
                     // No amortization anchor: the test cost was paid before
                     // the window, so it never counts as a misprediction.
                     self.clean_gen[page as usize] = Some(0);
@@ -938,7 +939,6 @@ impl MemconEngine {
         }
         let quantum_ns = (self.config.quantum_ms * 1e6) as u64;
         let run = RunState {
-            mgr,
             event_idx: 0,
             next_quantum: quantum_ns,
             quantum_ns,
@@ -994,11 +994,11 @@ impl MemconEngine {
             }
 
             if t_test == Some(now) {
-                self.handle_completions(now, &mut run.mgr, run.duration);
+                self.handle_completions(now, run.duration);
                 continue;
             }
             if t_quantum == Some(now) {
-                self.handle_quantum(now, &mut run.mgr, run.mwi_ns);
+                self.handle_quantum(now, run.mwi_ns);
                 run.next_quantum += run.quantum_ns;
                 if self.store.is_some() {
                     // A snapshot covers its own quantum; any other boundary
@@ -1017,7 +1017,7 @@ impl MemconEngine {
             }
             let e = events[run.event_idx];
             run.event_idx += 1;
-            self.handle_write(e.page, e.time_ns, &mut run.mgr, run.mwi_ns);
+            self.handle_write(e.page, e.time_ns, run.mwi_ns);
         }
         self.run = Some(run);
     }
@@ -1031,22 +1031,20 @@ impl MemconEngine {
     ///
     /// Panics if no run is in progress (call [`MemconEngine::begin_run`]).
     pub fn finish_run(&mut self) -> MemconReport {
-        let mut run = self
-            .run
-            .take()
-            .expect("finish_run without begin_run in progress");
         let RunState {
             duration,
             memo_before,
             ..
-        } = run;
-        let mgr = &mut run.mgr;
+        } = self
+            .run
+            .take()
+            .expect("finish_run without begin_run in progress");
         // Drain tests completing exactly at the horizon.
-        self.handle_completions(duration, mgr, duration);
-        mgr.finalize(duration);
+        self.handle_completions(duration, duration);
+        self.mgr.finalize(duration);
         #[cfg(feature = "strict-invariants")]
         {
-            if let Err(e) = mgr.check_invariants() {
+            if let Err(e) = self.mgr.check_invariants() {
                 // memlint: allow (deliberate strict-invariants abort)
                 panic!("RefreshManager invariant violation at finalization: {e}");
             }
@@ -1061,17 +1059,6 @@ impl MemconEngine {
             }
         }
 
-        self.last_states = (0..self.n_pages).map(|p| mgr.state(p)).collect();
-        self.last_pinned = (0..self.n_pages).map(|p| mgr.is_pinned(p)).collect();
-        let t = self.tests.stats;
-        self.recovery.aborts = t.aborted;
-        self.recovery.ambiguous = t.ambiguous;
-        self.recovery.ecc_corrected = t.ecc_corrected;
-        self.recovery.ecc_uncorrectable = t.ecc_uncorrectable;
-        self.recovery.degraded_rows = mgr.pin_events();
-        if let Some(session) = self.tests.fault_session() {
-            self.recovery.faults_injected = session.injected_counts();
-        }
         #[cfg(feature = "strict-invariants")]
         {
             if let Err(e) = self.verify_refresh_correctness() {
@@ -1080,13 +1067,14 @@ impl MemconEngine {
             }
         }
         if telemetry::enabled() {
-            self.flush_telemetry(&mgr, memo_before);
+            self.flush_telemetry(memo_before);
         }
         // Terminal snapshot (no run section): a recovery after a clean
         // finish resumes a completed engine, not a mid-run one.
         self.publish_snapshot(None);
         self.with_store(Store::sync);
         let test_cost = self.cost.test_cost_ns(self.config.test_mode);
+        let mgr = &self.mgr;
         let refresh_ops = mgr.refresh_ops();
         let baseline_ops = mgr.baseline_ops();
         MemconReport {
@@ -1107,12 +1095,12 @@ impl MemconEngine {
         }
     }
 
-    /// Final per-page refresh states of the most recent run (empty before
-    /// any run). The reliability guarantee is that every page reported
-    /// `LoRef` here passed a content test after its last write.
+    /// Per-page refresh states: final after a run, live during one, empty
+    /// before the first. The reliability guarantee is that every page
+    /// reported `LoRef` here passed a content test after its last write.
     #[must_use]
     pub fn final_states(&self) -> &[PageState] {
-        &self.last_states
+        self.mgr.states()
     }
 
     /// Post-run component statistics.
@@ -1121,20 +1109,20 @@ impl MemconEngine {
         EngineInternals {
             pril: self.pril.stats,
             tests: self.tests.stats,
-            recovery: self.recovery,
+            recovery: self.recovery_stats(),
         }
     }
 
-    fn handle_write(&mut self, page: PageId, now: u64, mgr: &mut RefreshManager, mwi_ns: u64) {
+    fn handle_write(&mut self, page: PageId, now: u64, mwi_ns: u64) {
         self.generation[page as usize] += 1;
         if self.tests.abort(page) {
             // The content under test changed before the verdict: the test
             // can never be amortized.
             self.tests_mispredicted += 1;
-            mgr.transition(page, PageState::HiRef, now);
-            self.note_failed_attempt(page, now, mgr, false);
+            self.mgr.transition(page, PageState::HiRef, now);
+            self.note_failed_attempt(page, now, false);
         } else {
-            match mgr.state(page) {
+            match self.mgr.state(page) {
                 PageState::LoRef => {
                     if let Some(start) = self.lo_anchor[page as usize].take() {
                         if now - start >= mwi_ns {
@@ -1143,7 +1131,7 @@ impl MemconEngine {
                             self.tests_mispredicted += 1;
                         }
                     }
-                    mgr.transition(page, PageState::HiRef, now);
+                    self.mgr.transition(page, PageState::HiRef, now);
                 }
                 PageState::HiRef => {} // already aggressive; no transition
                 PageState::Testing => unreachable!("abort() handles in-test pages"),
@@ -1166,19 +1154,13 @@ impl MemconEngine {
     /// to the high-refresh bin until a definitive verdict clears it.
     ///
     /// [`RecoveryPolicy`]: crate::config::RecoveryPolicy
-    fn note_failed_attempt(
-        &mut self,
-        page: PageId,
-        now: u64,
-        mgr: &mut RefreshManager,
-        uncorrectable: bool,
-    ) {
+    fn note_failed_attempt(&mut self, page: PageId, now: u64, uncorrectable: bool) {
         let policy = self.config.recovery;
         let slot = &mut self.attempts[page as usize];
         *slot = slot.saturating_add(1);
         let attempts = *slot;
         if uncorrectable || attempts >= policy.max_attempts {
-            mgr.pin_high(page, now);
+            self.mgr.pin_high(page, now);
         }
         let backoff =
             (1u64 << u64::from((attempts - 1).min(31))).min(u64::from(policy.backoff_cap_quanta));
@@ -1200,17 +1182,17 @@ impl MemconEngine {
     /// A definitive (non-ambiguous) verdict resets the attempt counter and
     /// releases any fail-safe pin. Pin release must precede a LO-REF
     /// transition — the refresh manager rejects LO-REF for pinned pages.
-    fn clear_attempts(&mut self, page: PageId, mgr: &mut RefreshManager) {
+    fn clear_attempts(&mut self, page: PageId) {
         self.attempts[page as usize] = 0;
         self.retry_at[page as usize] = None;
-        mgr.release_pin(page);
+        self.mgr.release_pin(page);
     }
 
     /// Folds one run's component statistics into the current telemetry
     /// registry. All values derive from simulation state, so they are
     /// deterministic; called once at the end of [`MemconEngine::run`] rather
     /// than per-event to keep the hot loop telemetry-free.
-    fn flush_telemetry(&self, mgr: &RefreshManager, memo_before: crate::testengine::MemoStats) {
+    fn flush_telemetry(&self, memo_before: crate::testengine::MemoStats) {
         let p = self.pril.stats;
         telemetry::count("memcon.pril.writes", p.writes);
         telemetry::count("memcon.pril.inserted", p.inserted);
@@ -1250,12 +1232,12 @@ impl MemconEngine {
         }
         telemetry::count("memcon.engine.tests_correct", self.tests_correct);
         telemetry::count("memcon.engine.tests_mispredicted", self.tests_mispredicted);
-        let (to_hi, to_testing, to_lo) = mgr.transition_counts();
+        let (to_hi, to_testing, to_lo) = self.mgr.transition_counts();
         telemetry::count("memcon.refresh.to_hi", to_hi);
         telemetry::count("memcon.refresh.to_testing", to_testing);
         telemetry::count("memcon.refresh.to_lo", to_lo);
         let mut finals = [0u64; 3];
-        for s in &self.last_states {
+        for s in self.mgr.states() {
             finals[match s {
                 PageState::HiRef => 0,
                 PageState::Testing => 1,
@@ -1268,7 +1250,7 @@ impl MemconEngine {
         // Fault-injection and recovery counters. Zero-valued fault.* entries
         // are emitted even with no plan installed so the report shape stays
         // stable across chaos and plain runs.
-        let r = &self.recovery;
+        let r = self.recovery_stats();
         for site in Site::ALL {
             telemetry::count(
                 &format!("fault.{}", site.name()),
@@ -1301,7 +1283,7 @@ impl MemconEngine {
         }
     }
 
-    fn handle_quantum(&mut self, now: u64, mgr: &mut RefreshManager, mwi_ns: u64) {
+    fn handle_quantum(&mut self, now: u64, mwi_ns: u64) {
         self.quantum_index += 1;
         // Injected test preemption: model a rogue write landing on whichever
         // page is under test, forcing the abort/retry path.
@@ -1311,7 +1293,7 @@ impl MemconEngine {
                 .fault_session_mut()
                 .is_some_and(|s| s.fires(Site::TestPreempt));
             if fired {
-                self.handle_write(victim, now, mgr, mwi_ns);
+                self.handle_write(victim, now, mwi_ns);
             }
         }
         // Drain the retry queue first: backed-off pages have priority over
@@ -1329,7 +1311,7 @@ impl MemconEngine {
             if self.tests.try_start(page, generation, now) {
                 self.retry_at[page as usize] = None;
                 self.recovery.retries += 1;
-                mgr.transition(page, PageState::Testing, now);
+                self.mgr.transition(page, PageState::Testing, now);
                 if telemetry::enabled() {
                     telemetry::annotate("memcon.test_retry", page);
                 }
@@ -1345,12 +1327,12 @@ impl MemconEngine {
         for page in candidates {
             // A nominated page can be mid-retry-backoff or already under a
             // retry test started above; the retry machinery owns it.
-            if self.retry_at[page as usize].is_some() || mgr.state(page) != PageState::HiRef {
+            if self.retry_at[page as usize].is_some() || self.mgr.state(page) != PageState::HiRef {
                 continue;
             }
             let generation = self.generation[page as usize];
             if self.tests.try_start(page, generation, now) {
-                mgr.transition(page, PageState::Testing, now);
+                self.mgr.transition(page, PageState::Testing, now);
                 if telemetry::enabled() {
                     telemetry::annotate("memcon.test_start", page);
                 }
@@ -1358,7 +1340,7 @@ impl MemconEngine {
         }
         if let Some(every) = self.sample_every {
             if self.quantum_index % every == 0 && telemetry::enabled() {
-                self.sample_quantum(mgr);
+                self.sample_quantum();
             }
         }
         #[cfg(feature = "strict-invariants")]
@@ -1367,7 +1349,7 @@ impl MemconEngine {
                 // memlint: allow (deliberate strict-invariants abort)
                 panic!("PRIL invariant violation at quantum boundary ({now} ns): {e}");
             }
-            if let Err(e) = mgr.check_invariants() {
+            if let Err(e) = self.mgr.check_invariants() {
                 // memlint: allow (deliberate strict-invariants abort)
                 panic!("RefreshManager invariant violation at quantum boundary ({now} ns): {e}");
             }
@@ -1377,11 +1359,11 @@ impl MemconEngine {
     /// Takes a quantum-window time-series sample (see
     /// [`MemconEngine::set_sample_every`]): engine gauges read from the
     /// live refresh manager, tick = quantum index.
-    fn sample_quantum(&self, mgr: &RefreshManager) {
+    fn sample_quantum(&self) {
         telemetry::sample_point(
             self.quantum_index,
             &[
-                ("memcon.gauge.pinned_pages", mgr.pinned_count()),
+                ("memcon.gauge.pinned_pages", self.mgr.pinned_count()),
                 ("memcon.gauge.pril_buffered", self.pril.buffer_len() as u64),
                 (
                     "memcon.gauge.pril_capacity",
@@ -1392,7 +1374,7 @@ impl MemconEngine {
         );
     }
 
-    fn handle_completions(&mut self, now: u64, mgr: &mut RefreshManager, duration: u64) {
+    fn handle_completions(&mut self, now: u64, duration: u64) {
         let mut outcomes = std::mem::take(&mut self.outcome_buf);
         self.tests.poll_into(now, &mut outcomes);
         for outcome in &outcomes {
@@ -1400,15 +1382,15 @@ impl MemconEngine {
             let page = outcome.page;
             match outcome.verdict {
                 Verdict::Fail => {
-                    self.clear_attempts(page, mgr);
-                    mgr.transition(page, PageState::HiRef, end);
+                    self.clear_attempts(page);
+                    self.mgr.transition(page, PageState::HiRef, end);
                     // A detected failure is a *correct* engagement of the
                     // mechanism: the test did its protective job.
                     self.tests_correct += 1;
                 }
                 Verdict::Pass => {
-                    self.clear_attempts(page, mgr);
-                    mgr.transition(page, PageState::LoRef, end);
+                    self.clear_attempts(page);
+                    self.mgr.transition(page, PageState::LoRef, end);
                     self.clean_gen[page as usize] = Some(outcome.generation);
                     self.lo_anchor[page as usize] = Some(outcome.start_ns);
                 }
@@ -1417,16 +1399,11 @@ impl MemconEngine {
                     // ECC: no verdict about the content — the conservative
                     // response is HI-REF plus a backed-off retry.
                     self.tests_mispredicted += 1;
-                    mgr.transition(page, PageState::HiRef, end);
-                    self.note_failed_attempt(
-                        page,
-                        end,
-                        mgr,
-                        outcome.ecc == EccEvent::Uncorrectable,
-                    );
+                    self.mgr.transition(page, PageState::HiRef, end);
+                    self.note_failed_attempt(page, end, outcome.ecc == EccEvent::Uncorrectable);
                 }
             }
-            if outcome.ecc == EccEvent::Uncorrectable && !mgr.is_pinned(page) {
+            if outcome.ecc == EccEvent::Uncorrectable && !self.mgr.is_pinned(page) {
                 self.recovery.uncorrectable_escapes += 1;
             }
         }
@@ -1566,6 +1543,29 @@ mod tests {
     }
 
     #[test]
+    fn copy_and_compare_caps_in_flight_tests_at_the_staging_rows() {
+        // 5,000 pages written once at t = 0 all become candidates at the
+        // 2048 ms boundary, under a budget and write buffer that admit
+        // them all. Each Copy-and-Compare test holds one of the 4,096
+        // staging rows while in flight, so that mode rejects the rest.
+        let pages = 5_000;
+        let events: Vec<WriteEvent> = (0..pages).map(|p| ev(0, p)).collect();
+        let trace = WriteTrace::new(events, 4096 * MS, pages);
+        for (mode, started, rejected) in [
+            (TestMode::ReadAndCompare, 5_000, 0),
+            (TestMode::CopyAndCompare, 4_096, 904),
+        ] {
+            let mut config = cfg().with_test_mode(mode);
+            config.concurrent_tests = 8_192;
+            config.write_buffer_capacity = 8_192;
+            let mut e = MemconEngine::with_oracle(config, pages, Box::new(RateOracle::new(0.0, 0)));
+            let _ = e.run(&trace);
+            let t = e.internals().tests;
+            assert_eq!((t.started, t.rejected), (started, rejected), "{mode:?}");
+        }
+    }
+
+    #[test]
     fn quantum_size_matters_for_test_onset() {
         for quantum in [512.0, 1024.0, 2048.0] {
             let trace = WriteTrace::new(vec![ev(0, 0)], 20_480 * MS, 1);
@@ -1621,6 +1621,10 @@ mod tests {
         // when the first run left a test in flight at the horizon.
         let trace = WriteTrace::new(vec![ev(0, 0), ev(2200, 0)], 4096 * MS, 1);
         let mut e = clean_engine(1);
+        assert!(
+            e.final_states().is_empty(),
+            "no states before the first run"
+        );
         let first = e.run(&trace);
         let second = e.run(&trace);
         assert_eq!(first, second);
@@ -1685,7 +1689,7 @@ mod tests {
         let mut e = MemconEngine::with_oracle(config, 1, Box::new(RateOracle::new(0.0, 0)));
         e.set_fault_plan(Some(plan_with(Site::TestPreempt, SiteSpec::rate(1.0))));
         let r = e.run(&trace);
-        let rec = *e.recovery_stats();
+        let rec = e.recovery_stats();
         assert!(rec.faults_injected[Site::TestPreempt as usize] > 0);
         assert!(rec.aborts >= 3, "aborts {}", rec.aborts);
         assert!(rec.retries >= 2, "retries {}", rec.retries);
@@ -1700,7 +1704,7 @@ mod tests {
         let mut e = clean_engine(1);
         e.set_fault_plan(Some(plan_with(Site::TornRead, SiteSpec::rate(1.0))));
         let r = e.run(&trace);
-        let rec = *e.recovery_stats();
+        let rec = e.recovery_stats();
         assert!(rec.ambiguous >= 3, "ambiguous {}", rec.ambiguous);
         assert_eq!(rec.degraded_rows, 1);
         assert_eq!(r.lo_coverage, 0.0);
@@ -1716,7 +1720,7 @@ mod tests {
         let mut e = clean_engine(1);
         e.set_fault_plan(Some(plan_with(Site::EccUncorrectable, SiteSpec::rate(1.0))));
         let _ = e.run(&trace);
-        let rec = *e.recovery_stats();
+        let rec = e.recovery_stats();
         assert!(rec.ecc_uncorrectable >= 1);
         assert_eq!(rec.degraded_rows, 1, "pinned on the very first attempt");
         assert_eq!(rec.uncorrectable_escapes, 0);
@@ -1741,7 +1745,7 @@ mod tests {
             },
         )));
         let r = e.run(&trace);
-        let rec = *e.recovery_stats();
+        let rec = e.recovery_stats();
         assert_eq!(rec.ambiguous, 2);
         assert_eq!(rec.retries, 2);
         assert_eq!(rec.degraded_rows, 1, "pinned once, then released");
@@ -1764,7 +1768,7 @@ mod tests {
             e.set_fault_plan(Some(Arc::clone(plan)));
             let report = e.run(&trace);
             e.verify_refresh_correctness().unwrap();
-            (report, *e.recovery_stats(), e.final_states().to_vec())
+            (report, e.recovery_stats(), e.final_states().to_vec())
         };
         let (r1, rec1, states1) = run(&plan);
         let (r2, rec2, states2) = run(&plan);
@@ -1789,13 +1793,14 @@ mod tests {
     }
 
     fn reference_run(
+        config: MemconConfig,
         trace: &WriteTrace,
-        plan: &Arc<FaultPlan>,
+        plan: Option<&Arc<FaultPlan>>,
     ) -> (MemconReport, RecoveryStats, Vec<PageState>) {
-        let mut e = MemconEngine::new(cfg(), trace.n_pages());
-        e.set_fault_plan(Some(Arc::clone(plan)));
+        let mut e = MemconEngine::new(config, trace.n_pages());
+        e.set_fault_plan(plan.cloned());
         let report = e.run(trace);
-        (report, *e.recovery_stats(), e.final_states().to_vec())
+        (report, e.recovery_stats(), e.final_states().to_vec())
     }
 
     #[test]
@@ -1806,7 +1811,7 @@ mod tests {
         // bit-identical to a run that never crashed.
         let trace = WorkloadProfile::netflix().scaled(0.02).generate(7);
         let plan = engine_plan(0xDEAD_BEEF);
-        let (r_ref, rec_ref, states_ref) = reference_run(&trace, &plan);
+        let (r_ref, rec_ref, states_ref) = reference_run(cfg(), &trace, Some(&plan));
 
         let dir = scratch_dir("engine-resume");
         {
@@ -1827,7 +1832,7 @@ mod tests {
         e.advance_until(&trace, trace.duration_ns());
         let r = e.finish_run();
         assert_eq!(r, r_ref);
-        assert_eq!(*e.recovery_stats(), rec_ref);
+        assert_eq!(e.recovery_stats(), rec_ref);
         assert_eq!(e.final_states(), states_ref.as_slice());
         e.verify_refresh_correctness().unwrap();
         std::fs::remove_dir_all(&dir).ok();
@@ -1840,7 +1845,7 @@ mod tests {
         // record, and the resumed run must still match the reference.
         let trace = WorkloadProfile::netflix().scaled(0.02).generate(11);
         let plan = engine_plan(0xFEED_FACE);
-        let (r_ref, rec_ref, states_ref) = reference_run(&trace, &plan);
+        let (r_ref, rec_ref, states_ref) = reference_run(cfg(), &trace, Some(&plan));
 
         let dir = scratch_dir("engine-torn-tail");
         {
@@ -1876,7 +1881,7 @@ mod tests {
         e.advance_until(&trace, trace.duration_ns());
         let r = e.finish_run();
         assert_eq!(r, r_ref);
-        assert_eq!(*e.recovery_stats(), rec_ref);
+        assert_eq!(e.recovery_stats(), rec_ref);
         assert_eq!(e.final_states(), states_ref.as_slice());
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1992,7 +1997,7 @@ mod tests {
         // survive recovery, and the resumed run must match the reference.
         let trace = WriteTrace::new(vec![ev(0, 0)], 20_480 * MS, 1);
         let plan = plan_with(Site::TornRead, SiteSpec::rate(1.0));
-        let (r_ref, rec_ref, states_ref) = reference_run(&trace, &plan);
+        let (r_ref, rec_ref, states_ref) = reference_run(cfg(), &trace, Some(&plan));
         assert_eq!(rec_ref.degraded_rows, 1, "the reference run pins the page");
 
         let dir = scratch_dir("engine-pinned");
@@ -2014,7 +2019,7 @@ mod tests {
         e.advance_until(&trace, trace.duration_ns());
         let r = e.finish_run();
         assert_eq!(r, r_ref);
-        assert_eq!(*e.recovery_stats(), rec_ref);
+        assert_eq!(e.recovery_stats(), rec_ref);
         assert_eq!(e.final_states(), states_ref.as_slice());
         e.verify_refresh_correctness().unwrap();
         std::fs::remove_dir_all(&dir).ok();
@@ -2086,7 +2091,7 @@ mod tests {
     fn recovery_refuses_a_trace_other_than_the_checkpointed_one() {
         let trace = WorkloadProfile::netflix().scaled(0.02).generate(5);
         let plan = engine_plan(0x5EED_F00D);
-        let (r_ref, rec_ref, states_ref) = reference_run(&trace, &plan);
+        let (r_ref, rec_ref, states_ref) = reference_run(cfg(), &trace, Some(&plan));
 
         let dir = scratch_dir("engine-wrong-trace");
         {
@@ -2119,40 +2124,204 @@ mod tests {
             MemconEngine::recover(&dir, &trace, DurabilityMode::Buffered, None).unwrap();
         e.advance_until(&trace, trace.duration_ns());
         assert_eq!(e.finish_run(), r_ref);
-        assert_eq!(*e.recovery_stats(), rec_ref);
+        assert_eq!(e.recovery_stats(), rec_ref);
         assert_eq!(e.final_states(), states_ref.as_slice());
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A store-backed engine stepped to half the trace, with its store
+    /// directory and its payload at that point.
+    fn half_run_payload(
+        trace: &WriteTrace,
+        dir_name: &str,
+    ) -> (MemconEngine, std::path::PathBuf, Vec<u8>) {
+        let dir = scratch_dir(dir_name);
+        let mut e = MemconEngine::new(cfg(), trace.n_pages());
+        let store = Store::create(&dir, DurabilityMode::Buffered).unwrap();
+        e.attach_store(store, 3).unwrap();
+        e.begin_run(trace);
+        e.advance_until(trace, trace.duration_ns() / 2);
+        let payload = e.encode_state(e.run.as_ref());
+        (e, dir, payload)
+    }
+
+    /// Publishes `payload` as the newest snapshot in `dir` and recovers
+    /// from it.
+    fn recover_payload(dir: &Path, trace: &WriteTrace, payload: &[u8]) -> Result<(), StoreError> {
+        let (mut store, _) = Store::open(dir, DurabilityMode::Buffered, None).unwrap();
+        store.publish_snapshot(payload).unwrap();
+        drop(store);
+        MemconEngine::recover(dir, trace, DurabilityMode::Buffered, None).map(drop)
+    }
+
     #[test]
     fn recovery_refuses_a_snapshot_of_the_previous_version() {
-        // A payload of the previous format has a different layout, so its
+        // A payload of an earlier format has a different layout, so its
         // version byte must refuse it before any section decodes.
         let trace = WorkloadProfile::netflix().scaled(0.02).generate(9);
-        let dir = scratch_dir("engine-old-version");
-        let mut payload = {
+        let (e, dir, payload) = half_run_payload(&trace, "engine-old-version");
+        drop(e);
+        assert!(MemconEngine::decode_state(&payload).is_ok());
+        for version in [2u8, 3] {
+            let mut old = payload.clone();
+            old[0] = version;
+            let Err(err) = MemconEngine::decode_state(&old) else {
+                panic!("a version-{version} payload must be refused");
+            };
+            assert!(err.contains(&format!("version {version}")), "{err}");
+            // Published as the newest snapshot, it fails recovery as corrupt.
+            assert!(matches!(
+                recover_payload(&dir, &trace, &old),
+                Err(StoreError::Corrupt(msg)) if msg.contains(&format!("version {version}"))
+            ));
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn payloads_with_out_of_range_pages_are_refused() {
+        // A page count the payload cannot hold is refused before the
+        // per-page state is allocated, and restored tests and retries must
+        // name pages the engine tracks.
+        let trace = WorkloadProfile::netflix().scaled(0.02).generate(9);
+        let (mut e, dir, mut huge) = half_run_payload(&trace, "engine-bad-pages");
+        let past_end = e.n_pages;
+        // Version, three f64 intervals, mode tag, test budget, write-buffer
+        // capacity, steady-state flag, two recovery-policy u32s.
+        const N_PAGES_AT: usize = 1 + 3 * 8 + 1 + 4 + 8 + 1 + 4 + 4;
+        let field = N_PAGES_AT..N_PAGES_AT + 8;
+        assert_eq!(huge[field.clone()], past_end.to_le_bytes());
+        huge[field].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        e.retry_queue.push(past_end);
+        let retry = e.encode_state(e.run.as_ref());
+        e.retry_queue.pop();
+        assert!(e.tests.try_start(past_end, 0, 0));
+        let in_flight = e.encode_state(e.run.as_ref());
+        drop(e);
+        for (payload, refusal) in [
+            (huge, format!("page count {}", 1u64 << 40)),
+            (in_flight, format!("in-flight page {past_end} out of range")),
+            (retry, format!("retry queue page {past_end} out of range")),
+        ] {
+            let Err(err) = MemconEngine::decode_state(&payload) else {
+                panic!("a payload with an out-of-range page must be refused: {refusal}");
+            };
+            assert!(err.contains(&refusal), "{err}");
+            assert!(matches!(
+                recover_payload(&dir, &trace, &payload),
+                Err(StoreError::Corrupt(msg)) if msg.contains(&refusal)
+            ));
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn recovery_refuses_a_snapshot_that_breaks_an_invariant() {
+        // Each state decodes cleanly but breaks one invariant: PRIL gains
+        // an inserted page it cannot account for, and the refresh manager
+        // a pin its counter does not hold.
+        let trace = WorkloadProfile::netflix().scaled(0.02).generate(9);
+        let (mut e, dir, payload) = half_run_payload(&trace, "engine-bad-invariant");
+        e.pril.stats.inserted += 1;
+        let bad_pril = e.encode_state(e.run.as_ref());
+        let mut section = Enc::new();
+        e.mgr.encode_state(&mut section);
+        let section = section.into_bytes();
+        let at = payload
+            .windows(section.len())
+            .position(|w| w == section.as_slice())
+            .expect("the payload holds the manager section");
+        // Bin tags, then since-times, then pin bytes, each length-prefixed.
+        let pages = e.n_pages as usize;
+        let pin_of_page_0 = at + (8 + pages) + (8 + 8 * pages) + 8;
+        let mut bad_mgr = payload.clone();
+        assert_eq!(bad_mgr[pin_of_page_0], 0);
+        bad_mgr[pin_of_page_0] = 1;
+        drop(e);
+        for (payload, broken) in [(bad_pril, "page conservation"), (bad_mgr, "pinned")] {
+            assert!(MemconEngine::decode_state(&payload).is_ok());
+            assert!(matches!(
+                recover_payload(&dir, &trace, &payload),
+                Err(StoreError::Corrupt(msg)) if msg.contains(broken)
+            ));
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn recovery_after_a_clean_finish_restores_the_finished_engine() {
+        // The terminal snapshot carries no run section: the recovered
+        // engine is the finished one, final bins and pins included.
+        let trace = WorkloadProfile::netflix().scaled(0.02).generate(13);
+        let dir = scratch_dir("engine-finished");
+        let (states, recovery, live) = {
             let mut e = MemconEngine::new(cfg(), trace.n_pages());
+            e.set_fault_plan(Some(plan_with(Site::EccUncorrectable, SiteSpec::rate(0.5))));
             let store = Store::create(&dir, DurabilityMode::Buffered).unwrap();
             e.attach_store(store, 3).unwrap();
-            e.begin_run(&trace);
-            e.advance_until(&trace, trace.duration_ns() / 2);
-            e.encode_state(e.run.as_ref())
+            let _ = e.run(&trace);
+            assert!(e.store_error().is_none());
+            assert!(e.live_stats().pinned_pages > 0, "the run ends with pins");
+            (
+                e.final_states().to_vec(),
+                e.recovery_stats(),
+                e.live_stats(),
+            )
         };
-        assert!(MemconEngine::decode_state(&payload).is_ok());
-        payload[0] = 2;
-        let Err(err) = MemconEngine::decode_state(&payload) else {
-            panic!("a version-2 payload must be refused");
-        };
-        assert!(err.contains("version 2"), "{err}");
-        // Published as the newest snapshot, it fails recovery as corrupt.
-        let (mut store, _) = Store::open(&dir, DurabilityMode::Buffered, None).unwrap();
-        store.publish_snapshot(&payload).unwrap();
-        drop(store);
-        assert!(matches!(
-            MemconEngine::recover(&dir, &trace, DurabilityMode::Buffered, None),
-            Err(StoreError::Corrupt(msg)) if msg.contains("version 2")
-        ));
+        let (e, _) = MemconEngine::recover(&dir, &trace, DurabilityMode::Buffered, None).unwrap();
+        assert!(!e.mid_run());
+        assert_eq!(e.final_states(), states.as_slice());
+        assert_eq!(e.recovery_stats(), recovery);
+        assert_eq!(e.live_stats(), live);
+        e.verify_refresh_correctness().unwrap();
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn stepped_engines_round_trip_through_their_payload() {
+        // Decoding a payload and encoding it again must reproduce it byte
+        // for byte, and the decoded engine must finish the run exactly as
+        // one that never stopped.
+        let dir = scratch_dir("engine-round-trip");
+        for seed in [3, 8] {
+            let trace = WorkloadProfile::netflix().scaled(0.02).generate(seed);
+            let horizon = trace.duration_ns();
+            for mode in [TestMode::ReadAndCompare, TestMode::CopyAndCompare] {
+                for plan in [None, Some(engine_plan(seed))] {
+                    let config = cfg().with_test_mode(mode);
+                    let reference = reference_run(config, &trace, plan.as_ref());
+                    let mut e = MemconEngine::new(config, trace.n_pages());
+                    e.set_fault_plan(plan.clone());
+                    let store = Store::create(&dir, DurabilityMode::InMemory).unwrap();
+                    e.attach_store(store, 5).unwrap();
+                    e.begin_run(&trace);
+                    for split in [0, horizon / 7, horizon / 2, horizon * 5 / 6, horizon] {
+                        let what = format!(
+                            "seed {seed}, {mode:?}, plan {}, split {split}",
+                            plan.is_some()
+                        );
+                        e.advance_until(&trace, split);
+                        let payload = e.encode_state(e.run.as_ref());
+                        let mut resumed = MemconEngine::decode_state(&payload).unwrap();
+                        assert!(
+                            resumed.encode_state(resumed.run.as_ref()) == payload,
+                            "{what}"
+                        );
+                        resumed.advance_until(&trace, horizon);
+                        let report = resumed.finish_run();
+                        assert_eq!(
+                            (
+                                report,
+                                resumed.recovery_stats(),
+                                resumed.final_states().to_vec()
+                            ),
+                            reference,
+                            "{what}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[derive(Debug)]

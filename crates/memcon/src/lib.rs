@@ -19,9 +19,9 @@
 //!   consecutive time quanta,
 //! * [`ecc`] — CRC-64 row signatures and a Hamming SEC-DED code used by the
 //!   Copy-and-Compare mode to detect flips without buffering full rows,
-//! * [`testengine`] — online-test orchestration: concurrent-test slots,
-//!   Copy-and-Compare staging-region bookkeeping, request redirection, and
-//!   the failure oracles the engine tests against,
+//! * [`testengine`] — online-test orchestration: the concurrent-test
+//!   budget (capped by the Copy-and-Compare staging rows) and the failure
+//!   oracles the engine tests against,
 //! * [`refreshmgr`] — per-page HI-REF/Testing/LO-REF state with exact
 //!   time-in-state integration and refresh-operation accounting,
 //! * [`engine`] — the end-to-end [`engine::MemconEngine`]: feed it a write

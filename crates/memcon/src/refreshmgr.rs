@@ -212,6 +212,12 @@ impl RefreshManager {
         self.states[page as usize]
     }
 
+    /// Every page's current state, indexed by page.
+    #[must_use]
+    pub fn states(&self) -> &[PageState] {
+        &self.states
+    }
+
     fn accumulate(&mut self, page: PageId, now_ns: u64) {
         let idx = page as usize;
         let dt = (now_ns - self.since_ns[idx]) as f64;

@@ -1,11 +1,11 @@
-//! Online-test orchestration: slots, staging region, redirection, oracles.
+//! Online-test orchestration: the concurrent-test budget and the oracles.
 //!
 //! A test keeps its row idle for one LO-REF interval, then re-reads and
-//! compares. The engine enforces the concurrent-test budget (paper Table 3),
-//! and for Copy-and-Compare manages the reserved staging region (512 rows
-//! per bank ≈ 1.56 % of a 2 GB module, paper appendix) together with the
-//! request-redirection table the memory controller would consult while a
-//! row is in test.
+//! compares. The engine enforces the concurrent-test budget (paper Table 3).
+//! A Copy-and-Compare test also holds one row of the reserved staging
+//! region (512 rows per bank ≈ 1.56 % of a 2 GB module, paper appendix)
+//! for exactly as long as it is in flight, so the region's only observable
+//! effect is a cap on that budget, which the caller folds in.
 //!
 //! Whether a row *fails* its test is decided by a [`FailureOracle`]:
 //!
@@ -15,7 +15,6 @@
 //! * [`RateOracle`] draws from a per-workload failing-row rate (the Fig. 4
 //!   fractions), which is what trace-scale engine runs use.
 
-use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};
 
 use memutil::codec::{Dec, Enc};
@@ -28,7 +27,6 @@ use failure_model::content::ContentProfile;
 use failure_model::model::CouplingFailureModel;
 use faultinject::{FaultSession, Site};
 
-use crate::cost::TestMode;
 use crate::ecc::{DecodeResult, Hamming72};
 use crate::pril::PageId;
 
@@ -331,59 +329,6 @@ impl TestOutcome {
     }
 }
 
-/// Staging-region bookkeeping for Copy-and-Compare.
-#[derive(Debug, Clone)]
-pub struct StagingRegion {
-    capacity: usize,
-    /// page → staging slot, consulted by the controller to redirect demand
-    /// accesses to in-test rows.
-    redirect: HashMap<PageId, usize>,
-    free: Vec<usize>,
-}
-
-impl StagingRegion {
-    /// A region of `capacity` spare rows (512 per bank × 8 banks by
-    /// default in the paper's 2 GB module).
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        StagingRegion {
-            capacity,
-            redirect: HashMap::new(),
-            free: (0..capacity).rev().collect(),
-        }
-    }
-
-    /// Number of slots in use.
-    #[must_use]
-    pub fn used(&self) -> usize {
-        self.capacity - self.free.len()
-    }
-
-    fn acquire(&mut self, page: PageId) -> Option<usize> {
-        match self.redirect.entry(page) {
-            Entry::Occupied(e) => Some(*e.get()),
-            Entry::Vacant(e) => {
-                let slot = self.free.pop()?;
-                e.insert(slot);
-                Some(slot)
-            }
-        }
-    }
-
-    fn release(&mut self, page: PageId) {
-        if let Some(slot) = self.redirect.remove(&page) {
-            self.free.push(slot);
-        }
-    }
-
-    /// Where demand accesses to `page` should be redirected while it is in
-    /// test, if anywhere.
-    #[must_use]
-    pub fn redirect_of(&self, page: PageId) -> Option<usize> {
-        self.redirect.get(&page).copied()
-    }
-}
-
 /// Test-engine statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TestEngineStats {
@@ -395,7 +340,7 @@ pub struct TestEngineStats {
     pub failed: u64,
     /// Tests aborted by a write to the in-test page.
     pub aborted: u64,
-    /// Candidates rejected because no test slot (or staging slot) was free.
+    /// Candidates rejected because no test slot was free.
     pub rejected: u64,
     /// Completed tests with an ambiguous verdict (torn read-back,
     /// disagreeing read passes, or uncorrectable ECC).
@@ -433,12 +378,10 @@ impl PartialOrd for InFlight {
 #[derive(Debug)]
 pub struct TestEngine {
     oracle: Box<dyn FailureOracle>,
-    mode: TestMode,
     duration_ns: u64,
-    slots: u32,
+    budget: usize,
     in_flight: BinaryHeap<InFlight>,
     in_flight_pages: HashMap<PageId, u64>,
-    staging: StagingRegion,
     faults: Option<FaultSession>,
     /// Accumulated statistics.
     pub stats: TestEngineStats,
@@ -449,25 +392,15 @@ impl TestEngine {
     ///
     /// * `duration_ms` — how long a row stays idle under test (one LO-REF
     ///   interval),
-    /// * `slots` — the concurrent-test budget,
-    /// * `staging_capacity` — Copy-and-Compare spare rows (ignored for
-    ///   Read-and-Compare).
+    /// * `budget` — how many tests may be in flight at once.
     #[must_use]
-    pub fn new(
-        oracle: Box<dyn FailureOracle>,
-        mode: TestMode,
-        duration_ms: f64,
-        slots: u32,
-        staging_capacity: usize,
-    ) -> Self {
+    pub fn new(oracle: Box<dyn FailureOracle>, duration_ms: f64, budget: usize) -> Self {
         TestEngine {
             oracle,
-            mode,
             duration_ns: (duration_ms * 1e6) as u64,
-            slots,
+            budget,
             in_flight: BinaryHeap::new(),
             in_flight_pages: HashMap::new(),
-            staging: StagingRegion::new(staging_capacity),
             faults: None,
             stats: TestEngineStats::default(),
         }
@@ -513,12 +446,6 @@ impl TestEngine {
         self.in_flight_pages.contains_key(&page)
     }
 
-    /// The staging region (redirection state; Copy-and-Compare only).
-    #[must_use]
-    pub fn staging(&self) -> &StagingRegion {
-        &self.staging
-    }
-
     /// Direct access to the oracle (used by the engine for pre-window
     /// steady-state initialization).
     pub fn oracle_mut(&mut self) -> &mut dyn FailureOracle {
@@ -539,9 +466,9 @@ impl TestEngine {
         self.oracle.persist_state()
     }
 
-    /// Serializes the engine's dynamic state (in-flight tests, staging
-    /// occupancy, statistics) for a durability snapshot. The oracle, fault
-    /// session, and constructor-derived configuration travel separately.
+    /// Serializes the engine's dynamic state (in-flight tests and
+    /// statistics) for a durability snapshot. The oracle, fault session,
+    /// and constructor-derived configuration travel separately.
     pub(crate) fn encode_state(&self, e: &mut Enc) {
         // Heap entries in a canonical order; stale (aborted/superseded)
         // entries are included because lazy discard still pops them.
@@ -566,26 +493,6 @@ impl TestEngine {
             e.u64(p);
             e.u64(g);
         }
-        // Staging: redirect map sorted by page; the free list travels
-        // verbatim because its LIFO order is observable through future
-        // slot assignments.
-        e.u64(self.staging.capacity as u64);
-        let mut redirect: Vec<(PageId, usize)> = self
-            .staging
-            // memlint: allow(map-iter-order): sorted below
-            .redirect
-            .iter()
-            .map(|(&p, &s)| (p, s))
-            .collect();
-        redirect.sort_unstable();
-        e.u64(redirect.len() as u64);
-        // memlint: allow(map-iter-order): iterating the sorted Vec, not the map
-        for (p, s) in redirect {
-            e.u64(p);
-            e.u64(s as u64);
-        }
-        let free: Vec<u64> = self.staging.free.iter().map(|&s| s as u64).collect();
-        e.u64_slice(&free);
         e.u64(self.stats.started);
         e.u64(self.stats.completed);
         e.u64(self.stats.failed);
@@ -597,13 +504,23 @@ impl TestEngine {
     }
 
     /// Restores state captured by [`encode_state`](Self::encode_state) into
-    /// an engine built with the same configuration.
-    pub(crate) fn restore_state(&mut self, d: &mut Dec) -> Result<(), String> {
+    /// an engine built with the same configuration, refusing any test of a
+    /// page at or past `n_pages`.
+    pub(crate) fn restore_state(&mut self, d: &mut Dec, n_pages: u64) -> Result<(), String> {
+        let page_in_range = |page: PageId| {
+            if page < n_pages {
+                Ok(page)
+            } else {
+                Err(format!(
+                    "test engine: in-flight page {page} out of range ({n_pages} pages)"
+                ))
+            }
+        };
         let n = d.u64()?;
         self.in_flight.clear();
         for _ in 0..n {
             let end_ns = d.u64()?;
-            let page = d.u64()?;
+            let page = page_in_range(d.u64()?)?;
             let start_ns = d.u64()?;
             let generation = d.u64()?;
             self.in_flight.push(InFlight {
@@ -616,31 +533,10 @@ impl TestEngine {
         let n = d.u64()?;
         self.in_flight_pages.clear();
         for _ in 0..n {
-            let page = d.u64()?;
+            let page = page_in_range(d.u64()?)?;
             let generation = d.u64()?;
             self.in_flight_pages.insert(page, generation);
         }
-        let capacity =
-            usize::try_from(d.u64()?).map_err(|_| "test engine: capacity overflow".to_string())?;
-        if capacity != self.staging.capacity {
-            return Err(format!(
-                "test engine: snapshot staging capacity {capacity} does not match configured {}",
-                self.staging.capacity
-            ));
-        }
-        let n = d.u64()?;
-        self.staging.redirect.clear();
-        for _ in 0..n {
-            let page = d.u64()?;
-            let slot = usize::try_from(d.u64()?)
-                .map_err(|_| "test engine: staging slot overflow".to_string())?;
-            self.staging.redirect.insert(page, slot);
-        }
-        self.staging.free = d
-            .u64_vec()?
-            .into_iter()
-            .map(|s| usize::try_from(s).map_err(|_| "test engine: free slot overflow".to_string()))
-            .collect::<Result<Vec<usize>, String>>()?;
         self.stats.started = d.u64()?;
         self.stats.completed = d.u64()?;
         self.stats.failed = d.u64()?;
@@ -652,29 +548,17 @@ impl TestEngine {
         Ok(())
     }
 
-    /// Cancels every in-flight test and releases all staging slots (used
-    /// when the engine starts a fresh run). Statistics are kept.
+    /// Cancels every in-flight test (used when the engine starts a fresh
+    /// run). Statistics are kept.
     pub fn cancel_all(&mut self) {
         self.in_flight.clear();
-        // Release in sorted page order: the staging free list is a LIFO, so
-        // hash-order releases would leak into future slot assignments.
-        let mut cancelled: Vec<PageId> = std::mem::take(&mut self.in_flight_pages)
-            .into_keys()
-            .collect();
-        cancelled.sort_unstable();
-        for page in cancelled {
-            self.staging.release(page);
-        }
+        self.in_flight_pages.clear();
     }
 
     /// Attempts to start a test of `page` at `now_ns`. `generation` tags the
     /// page's current content. Returns whether the test started.
     pub fn try_start(&mut self, page: PageId, generation: u64, now_ns: u64) -> bool {
-        if self.is_testing(page) || self.in_flight_pages.len() >= self.slots as usize {
-            self.stats.rejected += 1;
-            return false;
-        }
-        if self.mode == TestMode::CopyAndCompare && self.staging.acquire(page).is_none() {
+        if self.is_testing(page) || self.in_flight_pages.len() >= self.budget {
             self.stats.rejected += 1;
             return false;
         }
@@ -694,7 +578,6 @@ impl TestEngine {
     pub fn abort(&mut self, page: PageId) -> bool {
         if self.in_flight_pages.remove(&page).is_some() {
             // The heap entry is lazily discarded at pop time.
-            self.staging.release(page);
             self.stats.aborted += 1;
             true
         } else {
@@ -729,7 +612,6 @@ impl TestEngine {
                 _ => continue,
             }
             self.in_flight_pages.remove(&t.page);
-            self.staging.release(t.page);
             let (verdict, ecc) = self.read_back(t.page, t.generation);
             self.stats.completed += 1;
             match verdict {
@@ -838,14 +720,8 @@ mod tests {
 
     const MS: u64 = 1_000_000;
 
-    fn engine(slots: u32) -> TestEngine {
-        TestEngine::new(
-            Box::new(RateOracle::new(0.0, 0)),
-            TestMode::ReadAndCompare,
-            64.0,
-            slots,
-            16,
-        )
+    fn engine(budget: usize) -> TestEngine {
+        TestEngine::new(Box::new(RateOracle::new(0.0, 0)), 64.0, budget)
     }
 
     #[test]
@@ -864,13 +740,7 @@ mod tests {
 
     #[test]
     fn failing_oracle_reports_failure() {
-        let mut e = TestEngine::new(
-            Box::new(RateOracle::new(1.0, 0)),
-            TestMode::ReadAndCompare,
-            64.0,
-            4,
-            16,
-        );
+        let mut e = TestEngine::new(Box::new(RateOracle::new(1.0, 0)), 64.0, 4);
         assert!(e.try_start(1, 0, 0));
         let done = e.poll(64 * MS);
         assert_eq!(done[0].verdict, Verdict::Fail);
@@ -916,38 +786,6 @@ mod tests {
         let done = e.poll(100 * MS);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].start_ns, 10 * MS);
-    }
-
-    #[test]
-    fn copy_mode_uses_staging_and_redirects() {
-        let mut e = TestEngine::new(
-            Box::new(RateOracle::new(0.0, 0)),
-            TestMode::CopyAndCompare,
-            64.0,
-            8,
-            2,
-        );
-        assert!(e.try_start(1, 0, 0));
-        assert!(e.try_start(2, 0, 0));
-        assert!(e.staging().redirect_of(1).is_some());
-        assert_ne!(e.staging().redirect_of(1), e.staging().redirect_of(2));
-        // Staging exhausted even though slots remain.
-        assert!(!e.try_start(3, 0, 0));
-        let _ = e.poll(64 * MS);
-        assert_eq!(e.staging().used(), 0);
-        assert!(e.staging().redirect_of(1).is_none());
-    }
-
-    #[test]
-    fn read_mode_ignores_staging_capacity() {
-        let mut e = TestEngine::new(
-            Box::new(RateOracle::new(0.0, 0)),
-            TestMode::ReadAndCompare,
-            64.0,
-            8,
-            0, // no staging at all
-        );
-        assert!(e.try_start(1, 0, 0));
     }
 
     #[test]
@@ -1109,13 +947,7 @@ mod tests {
         // Regression: an aborted test must not leave a partial verdict in
         // the content-fingerprint memo — the next test of the same content
         // must be a memo miss, not a hit on a phantom entry.
-        let mut e = TestEngine::new(
-            Box::new(content_oracle(31)),
-            TestMode::ReadAndCompare,
-            64.0,
-            4,
-            16,
-        );
+        let mut e = TestEngine::new(Box::new(content_oracle(31)), 64.0, 4);
         assert!(e.try_start(3, 0, 0));
         assert!(e.abort(3));
         assert!(e.poll(100 * MS).is_empty());
@@ -1136,7 +968,7 @@ mod tests {
 
     fn faulted_engine(oracle: Box<dyn FailureOracle>, site: Site) -> TestEngine {
         use faultinject::{FaultPlan, SiteSpec};
-        let mut e = TestEngine::new(oracle, TestMode::ReadAndCompare, 64.0, 8, 16);
+        let mut e = TestEngine::new(oracle, 64.0, 8);
         let plan = FaultPlan::new(0xFA17).with_site(site, SiteSpec::rate(1.0));
         e.set_fault_session(Some(FaultSession::with_plan(std::sync::Arc::new(plan))));
         e

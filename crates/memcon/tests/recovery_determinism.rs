@@ -27,7 +27,7 @@ fn run_fleet(
         engine.set_fault_plan(Some(Arc::clone(plan)));
         let _ = engine.run(&traces[i]);
         engine.verify_refresh_correctness().unwrap();
-        (*engine.recovery_stats(), engine.final_states().to_vec())
+        (engine.recovery_stats(), engine.final_states().to_vec())
     })
 }
 

@@ -174,7 +174,7 @@ fn soak_plan(seed: u64, quick: bool) -> Result<String, String> {
             let _ = engine.run(&traces[i]);
             (
                 engine.verify_refresh_correctness(),
-                *engine.recovery_stats(),
+                engine.recovery_stats(),
                 engine.final_states().to_vec(),
             )
         });

@@ -95,7 +95,7 @@ fn reference_run(trace: &WriteTrace) -> RunOutcome {
     let report = engine.run(trace);
     (
         report,
-        *engine.recovery_stats(),
+        engine.recovery_stats(),
         engine.final_states().to_vec(),
     )
 }
@@ -210,7 +210,7 @@ fn injected_torn_write_leg(trace: &WriteTrace, reference: &RunOutcome) -> Result
     }
     let outcome = (
         report,
-        *engine.recovery_stats(),
+        engine.recovery_stats(),
         engine.final_states().to_vec(),
     );
     if &outcome != reference {
@@ -272,7 +272,7 @@ fn recover_and_compare(
     let report = engine.finish_run();
     let outcome = (
         report,
-        *engine.recovery_stats(),
+        engine.recovery_stats(),
         engine.final_states().to_vec(),
     );
     if &outcome != reference {

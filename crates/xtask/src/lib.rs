@@ -97,8 +97,9 @@ pub fn lint_cmd(update_ratchet: bool, json: Option<&str>) -> i32 {
 /// alert latency, flight-record dump), the quick crash-recovery soak
 /// ([`crash::crash_cmd`]), the fleet smoke gate
 /// ([`fleet::fleet_cmd`] with `--smoke`), `cargo test --workspace -q`
-/// (every crate's unit, property and integration tests), the perfbench
-/// self-tests, and — when `bench` is set —
+/// (every crate's unit, property and integration tests), the `memcon`
+/// and `memsim` tests again with their `strict-invariants` checks
+/// compiled in, the perfbench self-tests, and — when `bench` is set —
 /// the `bench compare` regression gate plus the `obs` and `chaos`
 /// overhead gates (run through `cargo run --release` so the fresh medians
 /// are measured at the same profile as the checked-in baseline,
@@ -166,6 +167,25 @@ pub fn ci_cmd(bench: bool) -> i32 {
 
     println!("ci: cargo test --workspace -q");
     if let Some(code) = run_step(&root, &["test", "--workspace", "-q"]) {
+        return code;
+    }
+
+    // The invariant checks behind `strict-invariants` compile in no
+    // other step.
+    println!("ci: cargo test -q -p memcon -p memsim (strict-invariants)");
+    if let Some(code) = run_step(
+        &root,
+        &[
+            "test",
+            "-q",
+            "-p",
+            "memcon",
+            "-p",
+            "memsim",
+            "--features",
+            "memcon/strict-invariants,memsim/strict-invariants",
+        ],
+    ) {
         return code;
     }
 

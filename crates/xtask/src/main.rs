@@ -58,10 +58,11 @@ fn usage() {
          \x20                           cargo build --release, the --jobs 1-vs-4\n\
          \x20                           output + telemetry determinism gate,\n\
          \x20                           obs --check, a quick 3-plan chaos soak,\n\
-         \x20                           cargo test --workspace -q, the perfbench\n\
-         \x20                           self-tests; --bench additionally runs\n\
-         \x20                           `bench compare`, `obs overhead`, and\n\
-         \x20                           `chaos overhead`\n\
+         \x20                           cargo test --workspace -q, the memcon\n\
+         \x20                           and memsim tests with strict-invariants,\n\
+         \x20                           the perfbench self-tests; --bench\n\
+         \x20                           additionally runs `bench compare`,\n\
+         \x20                           `obs overhead`, and `chaos overhead`\n\
          \x20 chaos [--plans N] [--quick] [health [--serve[=ADDR]]] [overhead]\n\
          \x20                           fault-injection soak gate: N seeded\n\
          \x20                           all-site plans over the fig9 workload\n\
