@@ -124,7 +124,7 @@ pub fn norm_ppf(p: f64) -> f64 {
 ///
 /// Panics if `lambda` is negative or not finite.
 #[must_use]
-pub fn poisson_sample<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> u32 {
+pub fn poisson_sample<R: Rng>(rng: &mut R, lambda: f64) -> u32 {
     assert!(
         lambda >= 0.0 && lambda.is_finite(),
         "lambda must be non-negative and finite, got {lambda}"

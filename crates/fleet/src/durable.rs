@@ -1,47 +1,26 @@
-//! Durable fleet state: the epoch log and its meta-store codec.
+//! Durable fleet state: the epoch log and the barrier image's codec.
 //!
 //! A durable fleet ([`FleetConfig::store_dir`](crate::FleetConfig) set)
-//! keeps two kinds of state on disk:
+//! keeps one [`store::Store`] directly at that directory. At every epoch
+//! barrier, and once as an anchor before the first epoch, the scheduler
+//! publishes one snapshot there: a [`FleetMeta`] image holding the epoch
+//! clock and its length in quanta, the complete per-epoch observability
+//! log, and every shard engine's checkpoint
+//! ([`memcon::engine::MemconEngine::checkpoint`]). The store appends
+//! nothing, and the shard engines own no store.
 //!
-//! * **per-shard stores** (`shard-<node>/`) — each shard engine snapshots
-//!   itself at every epoch barrier (snapshot cadence = `epoch_quanta`),
-//!   entirely through [`memcon::engine::MemconEngine::attach_store`];
-//!   quantum boundaries between barriers leave progress markers;
-//! * **one fleet meta store** (`fleet/`) — at every epoch barrier the
-//!   scheduler publishes a [`FleetMeta`] snapshot: the epoch clock and
-//!   its length in quanta, the complete per-epoch observability log, and
-//!   every shard's [`LiveStats`] cursor. It appends nothing.
-//!
-//! On [`Fleet::recover`](crate::Fleet::recover) the meta snapshot replays
-//! the epoch log through [`emit_epoch_entry`] — the *same* code path the
-//! live barriers use — so the `fleet.obs.*` counters and the registry's
-//! time-series ring come back byte-identical to an uninterrupted run, and
-//! the restored `LiveStats` cursors keep the first post-resume epoch's
-//! deltas exact even when a shard's own snapshot lags (e.g. after its
-//! store was poisoned by an injected torn write).
+//! On [`Fleet::recover`](crate::Fleet::recover) the newest valid image
+//! restores every shard ([`memcon::engine::MemconEngine::restore`]) and
+//! replays the epoch log through [`emit_epoch_entry`] — the *same* code
+//! path the live barriers use — so the `fleet.obs.*` counters and the
+//! registry's time-series ring come back byte-identical to an
+//! uninterrupted run. Every shard's delta cursor is its restored engine's
+//! own `live_stats()`: one image holds the whole fleet at one barrier.
 
-use std::path::{Path, PathBuf};
-
-use memcon::engine::LiveStats;
 use memutil::codec::{Dec, Enc};
 
-/// Meta-snapshot payload format version (the first payload byte).
-const META_VERSION: u8 = 3;
-
-/// Subdirectory of the fleet store root holding the meta store.
-pub const META_SUBDIR: &str = "fleet";
-
-/// The fleet meta store directory under `base`.
-#[must_use]
-pub fn meta_dir(base: &Path) -> PathBuf {
-    base.join(META_SUBDIR)
-}
-
-/// The per-shard store directory under `base` for `node`.
-#[must_use]
-pub fn shard_dir(base: &Path, node: u64) -> PathBuf {
-    base.join(format!("shard-{node:04}"))
-}
+/// Fleet image payload format version (the first payload byte).
+const META_VERSION: u8 = 4;
 
 /// One epoch barrier's observability roll-up: the `fleet.obs.*` counter
 /// deltas plus the fleet-wide gauges sampled at that barrier.
@@ -98,28 +77,26 @@ pub fn emit_epoch_entry(entry: &EpochEntry) -> Option<telemetry::SamplePoint> {
     )
 }
 
-/// The fleet meta store's snapshot payload: everything the scheduler
-/// needs (beyond the per-shard engine snapshots) to resume a crashed
+/// The fleet's barrier image: everything needed to resume a crashed
 /// fleet at an epoch barrier.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetMeta {
-    /// Epochs completed when this snapshot was published.
+    /// Epochs completed when this image was published.
     pub epoch: u64,
     /// Quanta per epoch the fleet ran with; a resume must use the same.
     pub epoch_quanta: u64,
-    /// Complete epoch log, oldest first.
+    /// Complete epoch log, oldest first: entry `i` records epoch `i + 1`.
     pub entries: Vec<EpochEntry>,
-    /// Every shard's [`LiveStats`] cursor at the barrier, in node order —
-    /// restoring these keeps the first post-resume epoch's observability
-    /// deltas exact.
-    pub last_live: Vec<LiveStats>,
+    /// Every shard engine's checkpoint at the barrier, in node order.
+    pub shards: Vec<Vec<u8>>,
 }
 
 impl FleetMeta {
-    /// Encodes the meta snapshot payload.
+    /// Encodes the image payload.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::with_capacity(64 + 96 * self.entries.len() + 96 * self.last_live.len());
+        let shard_bytes: usize = self.shards.iter().map(|s| 8 + s.len()).sum();
+        let mut e = Enc::with_capacity(32 + 96 * self.entries.len() + shard_bytes);
         e.u8(META_VERSION);
         e.u64(self.epoch);
         e.u64(self.epoch_quanta);
@@ -138,28 +115,20 @@ impl FleetMeta {
             e.u64(entry.pril_capacity);
             e.u64(entry.shards_done);
         }
-        e.u64(self.last_live.len() as u64);
-        for live in &self.last_live {
-            e.u64(live.faults_injected);
-            e.u64(live.aborts);
-            e.u64(live.retries);
-            e.u64(live.backoffs_scheduled);
-            e.u64(live.backoff_ceiling_hits);
-            e.u64(live.escapes);
-            e.u64(live.pinned_pages);
-            e.u64(live.pril_buffered);
-            e.u64(live.pril_capacity);
-            e.u64(live.pages);
+        e.u64(self.shards.len() as u64);
+        for shard in &self.shards {
+            e.bytes(shard);
         }
         e.into_bytes()
     }
 
-    /// Decodes a meta snapshot payload.
+    /// Decodes an image payload.
     ///
     /// # Errors
     ///
-    /// Returns a description when the payload is malformed or carries an
-    /// unsupported version.
+    /// Returns a description when the payload is malformed, carries an
+    /// unsupported version, or holds an epoch log that disagrees with its
+    /// epoch clock (one entry per completed epoch, numbered from 1).
     pub fn decode(payload: &[u8]) -> Result<FleetMeta, String> {
         let mut d = Dec::new(payload);
         let version = d.u8()?;
@@ -171,9 +140,14 @@ impl FleetMeta {
         let epoch = d.u64()?;
         let epoch_quanta = d.u64()?;
         let n_entries = d.u64()?;
+        if n_entries != epoch {
+            return Err(format!(
+                "the epoch log holds {n_entries} entries but the clock reads epoch {epoch}"
+            ));
+        }
         let mut entries = Vec::with_capacity(n_entries.min(4096) as usize);
-        for _ in 0..n_entries {
-            entries.push(EpochEntry {
+        for i in 1..=n_entries {
+            let entry = EpochEntry {
                 epoch: d.u64()?,
                 faults_injected: d.u64()?,
                 aborts: d.u64()?,
@@ -186,50 +160,45 @@ impl FleetMeta {
                 pril_buffered: d.u64()?,
                 pril_capacity: d.u64()?,
                 shards_done: d.u64()?,
-            });
+            };
+            if entry.epoch != i {
+                return Err(format!(
+                    "epoch log entry {i} is numbered epoch {}",
+                    entry.epoch
+                ));
+            }
+            entries.push(entry);
         }
-        let n_live = d.u64()?;
-        let mut last_live = Vec::with_capacity(n_live.min(4096) as usize);
-        for _ in 0..n_live {
-            last_live.push(LiveStats {
-                faults_injected: d.u64()?,
-                aborts: d.u64()?,
-                retries: d.u64()?,
-                backoffs_scheduled: d.u64()?,
-                backoff_ceiling_hits: d.u64()?,
-                escapes: d.u64()?,
-                pinned_pages: d.u64()?,
-                pril_buffered: d.u64()?,
-                pril_capacity: d.u64()?,
-                pages: d.u64()?,
-            });
+        let n_shards = d.u64()?;
+        let mut shards = Vec::with_capacity(n_shards.min(4096) as usize);
+        for _ in 0..n_shards {
+            shards.push(d.bytes()?.to_vec());
         }
-        d.finish("fleet meta snapshot")?;
+        d.finish("fleet image")?;
         Ok(FleetMeta {
             epoch,
             epoch_quanta,
             entries,
-            last_live,
+            shards,
         })
     }
 }
 
-/// What [`Fleet::recover`](crate::Fleet::recover) found on disk, rolled
-/// up across the meta store and every shard store.
+/// What [`Fleet::recover`](crate::Fleet::recover) found in the fleet's
+/// store.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FleetRecovery {
     /// Epoch-log entries replayed through the telemetry registry.
     pub epochs_replayed: u64,
-    /// Shard engines recovered from their stores.
+    /// Shard engines restored from the image.
     pub shards_recovered: u64,
-    /// Progress markers past the snapshots across all stores (meta +
-    /// shards): the quanta the resumed shards re-simulate.
+    /// Progress markers past the image (the fleet store appends none).
     pub replayed_records: u64,
-    /// Bytes truncated from torn WAL tails across all stores.
+    /// Bytes truncated from torn WAL tails.
     pub truncated_bytes: u64,
-    /// Corrupt snapshots skipped (and deleted) across all stores.
+    /// Corrupt images skipped (and deleted) before a valid one was found.
     pub snapshots_skipped: u64,
-    /// Stale pre-bound WAL segments discarded across all stores.
+    /// Stale pre-bound WAL segments discarded.
     pub stale_segments: u64,
 }
 
@@ -257,21 +226,7 @@ mod tests {
                     shards_done: 0,
                 })
                 .collect(),
-            last_live: vec![
-                LiveStats {
-                    faults_injected: 6,
-                    aborts: 1,
-                    retries: 3,
-                    backoffs_scheduled: 4,
-                    backoff_ceiling_hits: 0,
-                    escapes: 0,
-                    pinned_pages: 1,
-                    pril_buffered: 9,
-                    pril_capacity: 32,
-                    pages: 320,
-                },
-                LiveStats::default(),
-            ],
+            shards: vec![vec![4, 0, 1, 7], Vec::new()],
         }
     }
 
@@ -284,7 +239,7 @@ mod tests {
 
     #[test]
     fn meta_rejects_malformed_payloads() {
-        for version in [2, 99] {
+        for version in [2, 3, 99] {
             let mut bytes = sample_meta().encode();
             bytes[0] = version;
             assert!(FleetMeta::decode(&bytes).is_err(), "version {version}");
@@ -297,12 +252,5 @@ mod tests {
         let mut bytes = sample_meta().encode();
         bytes.push(0); // trailing garbage
         assert!(FleetMeta::decode(&bytes).is_err());
-    }
-
-    #[test]
-    fn store_layout_paths_are_stable() {
-        let base = Path::new("/tmp/fleet-store");
-        assert_eq!(meta_dir(base), base.join("fleet"));
-        assert_eq!(shard_dir(base, 7), base.join("shard-0007"));
     }
 }

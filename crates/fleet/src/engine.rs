@@ -44,6 +44,19 @@ struct Shard {
     last_live: LiveStats,
 }
 
+impl Shard {
+    fn new(spec: &ShardSpec, engine: MemconEngine) -> Shard {
+        Shard {
+            spec: spec.clone(),
+            last_live: engine.live_stats(),
+            engine,
+            report: None,
+            done_epoch: None,
+            step_latency_ns: Vec::new(),
+        }
+    }
+}
+
 /// A running fleet: per-shard engines plus the epoch clock.
 #[derive(Debug)]
 pub struct Fleet {
@@ -60,12 +73,12 @@ pub struct Fleet {
     /// Shared behind a mutex so a scrape endpoint can serve `HEALTH`
     /// while the fleet runs.
     health: Option<Arc<Mutex<telemetry::HealthMonitor>>>,
-    /// Fleet meta store (barrier snapshots of the epoch log), when the
-    /// fleet is durable.
-    meta: Option<Store>,
-    /// First meta-store failure: the fleet-level durability plane goes
-    /// quiet from that point (shard stores latch independently).
-    meta_error: Option<StoreError>,
+    /// The fleet's store (one image per epoch barrier), when the fleet
+    /// is durable.
+    store: Option<Store>,
+    /// First store failure: the durability plane goes quiet from that
+    /// point while the simulation continues.
+    store_error: Option<StoreError>,
     /// Per-epoch observability entries — the durable epoch log.
     epoch_log: Vec<EpochEntry>,
 }
@@ -75,17 +88,17 @@ impl Fleet {
     /// runs. Cheap relative to [`FleetPlan::expand`]: traces are shared by
     /// `Arc`, and shards of one chip-seed group share the chip's immutable
     /// state (scrambler tables, vulnerable-cell cache) through clones of a
-    /// per-group template rather than rebuilding it per shard.
+    /// per-group template rather than rebuilding it per shard. A durable
+    /// fleet publishes its anchor image (epoch 0) before returning.
     ///
     /// # Panics
     ///
     /// Panics if the plan is empty (checked at expansion), or if the
-    /// configured store directory cannot be created (an environment
-    /// failure, like the trace-synthesis panics at expansion).
+    /// configured store cannot be created or take its anchor image (an
+    /// environment failure, like the trace-synthesis panics at expansion).
     #[must_use]
     pub fn new(plan: &FleetPlan) -> Fleet {
         let config = &plan.config;
-        let quantum_ns = (config.engine.quantum_ms * 1e6) as u64;
         let templates = ContentTemplates::build(plan);
         let shards: Vec<Mutex<Shard>> = plan
             .shards
@@ -102,46 +115,36 @@ impl Fleet {
                 let mut engine =
                     MemconEngine::with_oracle(config.engine, spec.trace.n_pages(), oracle);
                 engine.set_fault_plan(spec.fault_plan.clone());
-                if let Some(base) = &config.store_dir {
-                    // Snapshot cadence = epoch_quanta: every shard
-                    // publishes a snapshot exactly at each epoch barrier.
-                    let store =
-                        Store::create(&durable::shard_dir(base, spec.node), config.durability)
-                            // memlint: allow(no-unwrap): an uncreatable store directory is an environment failure, like trace synthesis
-                            .expect("per-shard store directory must be creatable");
-                    engine
-                        .attach_store(store, config.epoch_quanta)
-                        // memlint: allow(no-unwrap): validate() rejects every config attach_store can refuse
-                        .expect("rate oracles always persist (validate() rejects content+store)");
-                }
                 engine.begin_run(&spec.trace);
-                Mutex::new(Shard {
-                    spec: spec.clone(),
-                    engine,
-                    report: None,
-                    done_epoch: None,
-                    step_latency_ns: Vec::new(),
-                    last_live: LiveStats::default(),
-                })
+                Mutex::new(Shard::new(spec, engine))
             })
             .collect();
-        let meta = config.store_dir.as_ref().map(|base| {
-            let mut meta = Store::create(&durable::meta_dir(base), config.durability)
+        let store = config.store_dir.as_ref().map(|dir| {
+            Store::create(dir, config.durability)
                 // memlint: allow(no-unwrap): an uncreatable store directory is an environment failure, like trace synthesis
-                .expect("fleet meta store directory must be creatable");
-            // Anchor meta snapshot: a crash before the first barrier still
-            // recovers (epoch 0, empty log, default cursors).
-            let anchor = FleetMeta {
-                epoch: 0,
-                epoch_quanta: config.epoch_quanta,
-                entries: Vec::new(),
-                last_live: vec![LiveStats::default(); shards.len()],
-            };
-            meta.publish_snapshot(&anchor.encode())
-                // memlint: allow(no-unwrap): a store that cannot take its first snapshot is unusable — die loudly
-                .expect("anchor meta snapshot must publish");
-            meta
+                .expect("fleet store directory must be creatable")
         });
+        let mut fleet = Fleet::assemble(plan, shards, 0, store, Vec::new());
+        // Anchor image: a crash before the first barrier still recovers.
+        fleet.persist_barrier(0);
+        if let Some(err) = &fleet.store_error {
+            // memlint: allow(no-panic): a store that cannot take its first image is unusable — die loudly
+            panic!("anchor fleet image must publish: {err}");
+        }
+        fleet
+    }
+
+    /// The fleet around `shards` at `epoch`, with its clock derived from
+    /// `plan`.
+    fn assemble(
+        plan: &FleetPlan,
+        shards: Vec<Mutex<Shard>>,
+        epoch: u64,
+        store: Option<Store>,
+        epoch_log: Vec<EpochEntry>,
+    ) -> Fleet {
+        let config = &plan.config;
+        let quantum_ns = (config.engine.quantum_ms * 1e6) as u64;
         let horizon_ns = plan
             .shards
             .iter()
@@ -150,92 +153,81 @@ impl Fleet {
             .unwrap_or(0);
         Fleet {
             shards,
-            epoch: 0,
+            epoch,
             epoch_ns: quantum_ns.saturating_mul(config.epoch_quanta).max(1),
             horizon_ns,
             seed: config.seed,
             epoch_quanta: config.epoch_quanta,
             health: None,
-            meta,
-            meta_error: None,
-            epoch_log: Vec::new(),
+            store,
+            store_error: None,
+            epoch_log,
         }
     }
 
     /// Recovers a durable fleet from `plan.config.store_dir` at its last
-    /// epoch barrier: opens the meta store, recovers every shard engine
-    /// from its own store across `jobs` workers, then replays the epoch
-    /// log through the telemetry registry (restoring the `fleet.obs.*`
-    /// counters and the time-series ring byte-identically). The caller
-    /// resumes with [`Fleet::run_epoch`] / [`Fleet::run_to_completion`]
-    /// exactly as the crashed process would have; the health monitor is
-    /// not restored — re-arm one with [`Fleet::set_health_monitor`].
+    /// epoch barrier: opens the store, restores every shard engine from
+    /// the newest valid image across `jobs` workers, then replays the
+    /// epoch log through the telemetry registry (restoring the
+    /// `fleet.obs.*` counters and the time-series ring byte-identically).
+    /// The caller resumes with [`Fleet::run_epoch`] /
+    /// [`Fleet::run_to_completion`] exactly as the crashed process would
+    /// have; the health monitor is not restored — re-arm one with
+    /// [`Fleet::set_health_monitor`].
     ///
     /// `plan` must be the same expansion the crashed fleet ran (plans are
     /// pure functions of the config, so re-expanding the config is
     /// enough); recovery checks its shard count, epoch length, engine
-    /// config and every shard's trace against what the stores recorded.
+    /// config and every shard's trace against what the image recorded.
     ///
     /// # Errors
     ///
     /// [`StoreError::Unsupported`] when the config names no store
-    /// directory or the on-disk fleet already finished its runs;
-    /// [`StoreError::Corrupt`] when the meta snapshot is unusable or
-    /// disagrees with the plan's shard count or `epoch_quanta`, or a
-    /// shard's snapshot disagrees with the plan's engine config or the
-    /// shard's trace; any [`StoreError`] from opening the underlying
-    /// stores.
+    /// directory or the image's fleet already finished its runs;
+    /// [`StoreError::Corrupt`] when the store holds no usable image, or
+    /// the image disagrees with the plan's shard count or `epoch_quanta`,
+    /// or a shard's checkpoint fails [`MemconEngine::restore`] against the
+    /// shard's trace or ran another engine config; any [`StoreError`] from
+    /// opening the store.
     pub fn recover(plan: &FleetPlan, jobs: usize) -> Result<(Fleet, FleetRecovery), StoreError> {
         let config = &plan.config;
-        let Some(base) = &config.store_dir else {
+        let Some(dir) = &config.store_dir else {
             return Err(StoreError::Unsupported(
                 "fleet config names no durable store directory".to_string(),
             ));
         };
-        let quantum_ns = (config.engine.quantum_ms * 1e6) as u64;
-        let (meta_store, meta_rec) =
-            Store::open(&durable::meta_dir(base), config.durability, None)?;
-        let snap = meta_rec.snapshot.as_ref().ok_or_else(|| {
-            StoreError::Corrupt("fleet meta store holds no usable snapshot".to_string())
-        })?;
+        let (store, found) = Store::open(dir, config.durability, None)?;
+        let snap = found
+            .snapshot
+            .as_ref()
+            .ok_or_else(|| StoreError::Corrupt("fleet store holds no usable image".to_string()))?;
         let meta = FleetMeta::decode(&snap.payload).map_err(StoreError::Corrupt)?;
-        if meta.last_live.len() != plan.shards.len() {
+        if meta.shards.len() != plan.shards.len() {
             return Err(StoreError::Corrupt(format!(
-                "meta snapshot tracks {} shards but the plan expands {}",
-                meta.last_live.len(),
+                "the image holds {} shards but the plan expands {}",
+                meta.shards.len(),
                 plan.shards.len()
             )));
         }
         if meta.epoch_quanta != config.epoch_quanta {
             return Err(StoreError::Corrupt(format!(
-                "meta snapshot ran {} quanta per epoch but the plan asks for {}",
+                "the image ran {} quanta per epoch but the plan asks for {}",
                 meta.epoch_quanta, config.epoch_quanta
             )));
         }
-        let recovered: Vec<Result<(MemconEngine, store::Recovered), StoreError>> =
+        let restored: Vec<Result<MemconEngine, StoreError>> =
             par::ordered_map_with(jobs, plan.shards.len(), |i| {
-                let spec = &plan.shards[i];
-                MemconEngine::recover(
-                    &durable::shard_dir(base, spec.node),
-                    &spec.trace,
-                    config.durability,
-                    None,
-                )
+                MemconEngine::restore(&meta.shards[i], &plan.shards[i].trace)
             });
-        let mut totals = FleetRecovery {
-            epochs_replayed: meta.entries.len() as u64,
-            replayed_records: meta_rec.replayed_records,
-            truncated_bytes: meta_rec.truncated_bytes,
-            snapshots_skipped: meta_rec.snapshots_skipped,
-            stale_segments: meta_rec.stale_segments,
-            ..FleetRecovery::default()
-        };
         let mut shards = Vec::with_capacity(plan.shards.len());
-        for (i, result) in recovered.into_iter().enumerate() {
-            let (engine, rec) = result?;
+        for (i, (result, spec)) in restored.into_iter().zip(&plan.shards).enumerate() {
+            let engine = result.map_err(|e| match e {
+                StoreError::Corrupt(m) => StoreError::Corrupt(format!("shard {i}: {m}")),
+                other => other,
+            })?;
             if *engine.config() != config.engine {
                 return Err(StoreError::Corrupt(format!(
-                    "shard {i}'s snapshot ran engine config {:?}, not the plan's {:?}",
+                    "shard {i}'s checkpoint ran engine config {:?}, not the plan's {:?}",
                     engine.config(),
                     config.engine
                 )));
@@ -245,19 +237,7 @@ impl Fleet {
                     "shard {i} already finished its run; a completed fleet cannot resume"
                 )));
             }
-            totals.shards_recovered += 1;
-            totals.replayed_records += rec.replayed_records;
-            totals.truncated_bytes += rec.truncated_bytes;
-            totals.snapshots_skipped += rec.snapshots_skipped;
-            totals.stale_segments += rec.stale_segments;
-            shards.push(Mutex::new(Shard {
-                spec: plan.shards[i].clone(),
-                engine,
-                report: None,
-                done_epoch: None,
-                step_latency_ns: Vec::new(),
-                last_live: meta.last_live[i],
-            }));
+            shards.push(Mutex::new(Shard::new(spec, engine)));
         }
         // Replay the epoch log through the *same* emission path the live
         // barriers use, once every input check passed and before any
@@ -265,31 +245,22 @@ impl Fleet {
         for entry in &meta.entries {
             let _ = durable::emit_epoch_entry(entry);
         }
-        let horizon_ns = plan
-            .shards
-            .iter()
-            .map(|s| s.trace.duration_ns())
-            .max()
-            .unwrap_or(0);
-        let fleet = Fleet {
-            shards,
-            epoch: meta.epoch,
-            epoch_ns: quantum_ns.saturating_mul(config.epoch_quanta).max(1),
-            horizon_ns,
-            seed: config.seed,
-            epoch_quanta: config.epoch_quanta,
-            health: None,
-            meta: Some(meta_store),
-            meta_error: None,
-            epoch_log: meta.entries,
+        let recovery = FleetRecovery {
+            epochs_replayed: meta.entries.len() as u64,
+            shards_recovered: shards.len() as u64,
+            replayed_records: found.replayed_records,
+            truncated_bytes: found.truncated_bytes,
+            snapshots_skipped: found.snapshots_skipped,
+            stale_segments: found.stale_segments,
         };
-        Ok((fleet, totals))
+        let fleet = Fleet::assemble(plan, shards, meta.epoch, Some(store), meta.entries);
+        Ok((fleet, recovery))
     }
 
-    /// The first meta-store failure of this fleet's lifetime, if any.
+    /// The first failure of the fleet's store, if any.
     #[must_use]
     pub fn meta_store_error(&self) -> Option<&StoreError> {
-        self.meta_error.as_ref()
+        self.store_error.as_ref()
     }
 
     /// Arms an SLO monitor: every epoch's post-barrier sample point is
@@ -375,7 +346,7 @@ impl Fleet {
                 }
             }
         }
-        self.epoch_barrier();
+        self.epoch_barrier(jobs);
         !self.is_done()
     }
 
@@ -385,13 +356,13 @@ impl Fleet {
     /// and the registry's time-series ring (tick = epoch), evaluates the
     /// armed health monitor (if any) against the fresh point, and — on a
     /// durable fleet — appends the entry to the epoch log and publishes
-    /// the meta snapshot.
+    /// the barrier image.
     ///
     /// Runs single-threaded after the epoch barrier, so the sampled deltas
     /// are a function of simulation state only — the series is
     /// deterministic and byte-identical at any `jobs` value.
-    fn epoch_barrier(&mut self) {
-        if !telemetry::enabled() && self.meta.is_none() {
+    fn epoch_barrier(&mut self, jobs: usize) {
+        if !telemetry::enabled() && self.store.is_none() {
             return;
         }
         let mut entry = EpochEntry {
@@ -433,41 +404,37 @@ impl Fleet {
                 }
             }
         }
-        if self.meta.is_some() {
+        if self.store.is_some() {
             self.epoch_log.push(entry);
-            self.persist_barrier();
+            self.persist_barrier(jobs);
         }
     }
 
-    /// Persists the current epoch barrier to the fleet meta store as a
-    /// fresh [`FleetMeta`] snapshot. The first failure poisons the meta
-    /// store (mirroring the shard engines' store-error latch): the fleet
-    /// keeps simulating, but no further meta writes are attempted.
-    fn persist_barrier(&mut self) {
-        if self.meta_error.is_some() {
+    /// Publishes the current barrier as one [`FleetMeta`] image, taking
+    /// the shard checkpoints across `jobs` workers. The first failure
+    /// latches into `store_error`: the fleet keeps simulating, but no
+    /// further images are attempted.
+    fn persist_barrier(&mut self, jobs: usize) {
+        let Some(store) = self.store.as_mut() else {
+            return;
+        };
+        if self.store_error.is_some() {
             return;
         }
-        let last_live: Vec<LiveStats> = self
-            .shards
-            .iter()
-            .map(|slot| {
-                slot.lock()
-                    // memlint: allow(no-unwrap): poisoned shard lock means an engine panicked — propagate
-                    .expect("shard engine panicked")
-                    .last_live
-            })
-            .collect();
-        let meta = FleetMeta {
+        let shards = par::ordered_map_with(jobs, self.shards.len(), |i| {
+            // memlint: allow(no-unwrap): poisoned shard lock means an engine panicked — propagate
+            let mut shard = self.shards[i].lock().expect("shard engine panicked");
+            let shard = &mut *shard;
+            shard.engine.checkpoint(&shard.spec.trace)
+        });
+        let image = FleetMeta {
             epoch: self.epoch,
             epoch_quanta: self.epoch_quanta,
             entries: self.epoch_log.clone(),
-            last_live,
+            shards,
         };
-        let Some(store) = self.meta.as_mut() else {
-            return;
-        };
-        if let Err(err) = store.publish_snapshot(&meta.encode()) {
-            self.meta_error = Some(err);
+        if let Err(err) = store.publish_snapshot(&image.encode()) {
+            self.store_error = Some(err);
         }
     }
 
@@ -728,16 +695,46 @@ mod tests {
         assert!(report.step_latency.max_ns >= report.step_latency.p50_ns);
     }
 
-    /// Engine-plane-only fault plan: the store sites stay cold so shard
-    /// WALs never tear and the crash scenario is exactly the one injected
-    /// by the test itself.
-    fn engine_plan(seed: u64) -> Arc<faultinject::FaultPlan> {
+    /// Engine-plane fault plan: preempted tests and torn read-backs, each
+    /// firing at `rate`.
+    fn engine_plan(seed: u64, rate: f64) -> Arc<faultinject::FaultPlan> {
         use faultinject::{Site, SiteSpec};
         Arc::new(
             faultinject::FaultPlan::new(seed)
-                .with_site(Site::TestPreempt, SiteSpec::rate(0.05))
-                .with_site(Site::TornRead, SiteSpec::rate(0.05)),
+                .with_site(Site::TestPreempt, SiteSpec::rate(rate))
+                .with_site(Site::TornRead, SiteSpec::rate(rate)),
         )
+    }
+
+    /// Every shard engine's checkpoint, in node order.
+    fn checkpoints(fleet: &Fleet) -> Vec<Vec<u8>> {
+        fleet
+            .shards
+            .iter()
+            .map(|slot| {
+                let mut shard = slot.lock().unwrap();
+                let shard = &mut *shard;
+                shard.engine.checkpoint(&shard.spec.trace)
+            })
+            .collect()
+    }
+
+    /// The newest image file in a fleet store directory.
+    fn newest_image(dir: &std::path::Path) -> std::path::PathBuf {
+        let mut images: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .collect();
+        images.sort();
+        images.pop().expect("the store holds an image")
+    }
+
+    /// An enabled registry, installed until the guard drops.
+    fn fresh_registry() -> (Arc<telemetry::Registry>, telemetry::ScopeGuard) {
+        let registry = Arc::new(telemetry::Registry::new());
+        registry.set_enabled(true);
+        let guard = telemetry::install(Arc::clone(&registry));
+        (registry, guard)
     }
 
     #[test]
@@ -745,12 +742,13 @@ mod tests {
         let _serial = registry_lock();
         // Reference: the same fleet with no store at all.
         let mut config = FleetConfig::small(4, 99);
-        config.fault_plan = Some(engine_plan(0xF1EE7));
+        config.fault_plan = Some(engine_plan(0xF1EE7, 0.05));
         let reference = {
             let plan = FleetPlan::expand(&config, 1);
             Fleet::new(&plan).run_to_completion(1).deterministic_emit()
         };
         let mut det_sections: Vec<String> = Vec::new();
+        let mut crash_images: Vec<Vec<u8>> = Vec::new();
         for jobs in [1usize, 2, 8] {
             let dir = store::scratch_dir(&format!("fleet-recover-j{jobs}"));
             let mut durable = config.clone();
@@ -759,17 +757,14 @@ mod tests {
             {
                 // Pre-crash phase under a throwaway registry: the process
                 // that crashes takes its registry with it.
-                let registry = std::sync::Arc::new(telemetry::Registry::new());
-                registry.set_enabled(true);
-                let _guard = telemetry::install(std::sync::Arc::clone(&registry));
+                let _scope = fresh_registry();
                 let mut fleet = Fleet::new(&plan);
                 assert!(fleet.run_epoch(jobs));
                 assert!(fleet.run_epoch(jobs));
                 // Crash at the barrier: drop the fleet mid-run.
             }
-            let registry = std::sync::Arc::new(telemetry::Registry::new());
-            registry.set_enabled(true);
-            let guard = telemetry::install(std::sync::Arc::clone(&registry));
+            crash_images.push(std::fs::read(newest_image(&dir)).unwrap());
+            let (registry, guard) = fresh_registry();
             let (mut fleet, rec) = Fleet::recover(&plan, jobs).expect("fleet recovers");
             assert_eq!(fleet.epoch(), 2, "fleet resumes at the crashed barrier");
             assert_eq!(rec.shards_recovered, 4);
@@ -800,6 +795,10 @@ mod tests {
             det_sections[0], det_sections[2],
             "recovered deterministic telemetry diverges between jobs 1 and 8"
         );
+        assert!(
+            crash_images.iter().all(|image| *image == crash_images[0]),
+            "the crash image differs between jobs values"
+        );
     }
 
     #[test]
@@ -825,37 +824,170 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Every `.wal` segment under `dir`, recursively.
-    fn wal_files(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
-        let mut found = Vec::new();
-        for entry in std::fs::read_dir(dir).expect("store directory is readable") {
-            let path = entry.expect("directory entry").path();
-            if path.is_dir() {
-                found.extend(wal_files(&path));
-            } else if path.extension().is_some_and(|x| x == "wal") {
-                found.push(path);
+    #[test]
+    fn durable_fleets_write_only_barrier_images() {
+        let _serial = registry_lock();
+        // Whatever the epoch length, the fleet store publishes the anchor
+        // and one image per barrier and appends no progress marker.
+        for epoch_quanta in [1, 2] {
+            let mut config = FleetConfig::small(3, 0x0A1);
+            config.epoch_quanta = epoch_quanta;
+            let dir = store::scratch_dir(&format!("fleet-images-only-q{epoch_quanta}"));
+            config.store_dir = Some(dir.clone());
+            let plan = FleetPlan::expand(&config, 1);
+            let (registry, guard) = fresh_registry();
+            let mut fleet = Fleet::new(&plan);
+            for _ in 0..3 {
+                assert!(fleet.run_epoch(2));
             }
+            drop(guard);
+            assert!(fleet.meta_store_error().is_none());
+            let count = |name| {
+                registry
+                    .counter(name, telemetry::Class::Deterministic)
+                    .get()
+            };
+            assert_eq!(count("store.wal.appends"), 0, "{epoch_quanta} quanta");
+            assert_eq!(count("store.snap.published"), 4, "{epoch_quanta} quanta");
+            for entry in std::fs::read_dir(&dir).unwrap() {
+                let name = entry.unwrap().file_name().into_string().unwrap();
+                assert!(
+                    name.starts_with("snap-") && name.ends_with(".snap"),
+                    "{epoch_quanta} quanta: unexpected store file {name}"
+                );
+            }
+            drop(fleet);
+            let _ = std::fs::remove_dir_all(&dir);
         }
-        found
     }
 
     #[test]
-    fn one_quantum_epochs_leave_no_wal_in_any_store() {
+    fn a_corrupt_newest_image_resumes_from_the_barrier_before() {
         let _serial = registry_lock();
-        // Every shard snapshots at every quantum boundary and the meta
-        // store only publishes snapshots: no progress marker is written.
-        let mut config = FleetConfig::small(3, 0x0A1);
-        config.epoch_quanta = 1;
-        let dir = store::scratch_dir("fleet-no-wal");
+        let mut config = FleetConfig::small(3, 0xC0DE);
+        let plan = FleetPlan::expand(&config, 1);
+        let mut reference = Fleet::new(&plan);
+        assert!(reference.run_epoch(1));
+        let at_epoch_1 = checkpoints(&reference);
+        let reference = reference.run_to_completion(1).deterministic_emit();
+        let dir = store::scratch_dir("fleet-corrupt-image");
         config.store_dir = Some(dir.clone());
         let plan = FleetPlan::expand(&config, 1);
-        let mut fleet = Fleet::new(&plan);
-        for _ in 0..3 {
-            assert!(fleet.run_epoch(2));
+        {
+            let mut fleet = Fleet::new(&plan);
+            assert!(fleet.run_epoch(1));
+            assert!(fleet.run_epoch(1));
         }
-        assert!(fleet.meta_store_error().is_none());
-        assert_eq!(wal_files(&dir), Vec::<std::path::PathBuf>::new());
-        drop(fleet);
+        let newest = newest_image(&dir);
+        let mut bytes = std::fs::read(&newest).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x01;
+        std::fs::write(&newest, bytes).unwrap();
+        let (mut fleet, rec) = Fleet::recover(&plan, 1).expect("the epoch-1 image recovers");
+        assert_eq!(rec.snapshots_skipped, 1);
+        assert_eq!(rec.epochs_replayed, 1);
+        assert_eq!(fleet.epoch(), 1);
+        assert_eq!(
+            checkpoints(&fleet),
+            at_epoch_1,
+            "every shard resumes at epoch 1"
+        );
+        let report = fleet.run_to_completion(1);
+        assert_eq!(report.deterministic_emit(), reference);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn recovered_fleet_telemetry_matches_an_uninterrupted_run() {
+        let _serial = registry_lock();
+        // The first resumed epoch's `fleet.obs.*` deltas start from the
+        // restored engines' cursors, so the crash must follow the first
+        // injected faults.
+        const CRASH_EPOCH: u64 = 4;
+        const OBS: [&str; 6] = [
+            "fleet.obs.faults_injected",
+            "fleet.obs.aborts",
+            "fleet.obs.retries",
+            "fleet.obs.backoffs_scheduled",
+            "fleet.obs.backoff_ceiling_hits",
+            "fleet.obs.escapes",
+        ];
+        let mut config = FleetConfig::small(8, 0x7E1E);
+        config.epoch_quanta = 1;
+        config.fault_plan = Some(engine_plan(0x0B5E, 0.5));
+        let observed = |registry: &telemetry::Registry| -> Vec<(u64, Vec<(u64, u64)>)> {
+            OBS.iter()
+                .map(|name| {
+                    let total = registry
+                        .counter(name, telemetry::Class::Deterministic)
+                        .get();
+                    (total, registry.series(name))
+                })
+                .collect()
+        };
+        let reference = {
+            let (registry, _guard) = fresh_registry();
+            let _ = Fleet::new(&FleetPlan::expand(&config, 1)).run_to_completion(1);
+            observed(&registry)
+        };
+        let faults = &reference[0].1;
+        assert!(
+            faults
+                .iter()
+                .any(|&(epoch, n)| epoch < CRASH_EPOCH && n > 0),
+            "faults fire before the crash: {faults:?}"
+        );
+        let dir = store::scratch_dir("fleet-recover-telemetry");
+        config.store_dir = Some(dir.clone());
+        let plan = FleetPlan::expand(&config, 1);
+        {
+            let _scope = fresh_registry();
+            let mut fleet = Fleet::new(&plan);
+            for _ in 0..CRASH_EPOCH {
+                assert!(fleet.run_epoch(1));
+            }
+        }
+        let (registry, guard) = fresh_registry();
+        let (mut fleet, _) = Fleet::recover(&plan, 1).expect("fleet recovers");
+        assert_eq!(fleet.epoch(), CRASH_EPOCH);
+        let _ = fleet.run_to_completion(1);
+        drop(guard);
+        for (name, (want, got)) in OBS.iter().zip(reference.iter().zip(observed(&registry))) {
+            assert_eq!(&got, want, "{name}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn recover_refuses_an_epoch_log_that_disagrees_with_the_clock() {
+        let _serial = registry_lock();
+        let mut config = FleetConfig::small(2, 0x106);
+        let dir = store::scratch_dir("fleet-bad-epoch-log");
+        config.store_dir = Some(dir.clone());
+        let plan = FleetPlan::expand(&config, 1);
+        {
+            let mut fleet = Fleet::new(&plan);
+            assert!(fleet.run_epoch(1));
+            assert!(fleet.run_epoch(1));
+        }
+        let (_, found) = Store::open(&dir, config.durability, None).unwrap();
+        let image = FleetMeta::decode(&found.snapshot.unwrap().payload).unwrap();
+        let mut short = image.clone();
+        short.entries.pop();
+        let mut renumbered = image;
+        renumbered.entries.swap(0, 1);
+        for (what, bad) in [("short", short), ("renumbered", renumbered)] {
+            let (mut store, _) = Store::open(&dir, config.durability, None).unwrap();
+            store.publish_snapshot(&bad.encode()).unwrap();
+            drop(store);
+            assert!(
+                matches!(
+                    Fleet::recover(&plan, 1),
+                    Err(StoreError::Corrupt(msg)) if msg.contains("epoch log")
+                ),
+                "a {what} epoch log must be refused"
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -880,10 +1012,16 @@ mod tests {
         epoch.epoch_quanta = 1;
         let mut seed = config.clone();
         seed.seed ^= 1;
+        let mut fewer = config.clone();
+        fewer.nodes = 2;
+        let mut more = config.clone();
+        more.nodes = 4;
         for (what, changed) in [
             ("engine quantum", quantum),
             ("epoch length", epoch),
             ("seed (other traces)", seed),
+            ("shard count (fewer)", fewer),
+            ("shard count (more)", more),
         ] {
             let changed = FleetPlan::expand(&changed, 1);
             assert!(

@@ -110,13 +110,13 @@ pub struct FleetConfig {
     /// Base fault plan; each shard runs the [`FaultPlan::for_shard`]
     /// derivation so fault streams are per-shard keyed.
     pub fault_plan: Option<Arc<FaultPlan>>,
-    /// Durable store root, or `None` for a purely in-memory fleet. When
-    /// set, every shard engine keeps its store in `<dir>/shard-<node>` and
-    /// the scheduler keeps its epoch log in `<dir>/fleet`, snapshotting
-    /// both at every epoch barrier; a crashed fleet resumes via
+    /// Durable store directory, or `None` for a purely in-memory fleet.
+    /// When set, the fleet keeps one store there and publishes one image
+    /// per epoch barrier — the epoch clock, the epoch log and every shard
+    /// engine's checkpoint ([`durable`]); a crashed fleet resumes via
     /// [`Fleet::recover`].
     pub store_dir: Option<PathBuf>,
-    /// Durability mode of every store the fleet creates.
+    /// Durability mode of the fleet's store.
     pub durability: DurabilityMode,
 }
 
@@ -152,10 +152,10 @@ impl FleetConfig {
         if self.nodes == 0 {
             return Err("fleet needs at least one node".into());
         }
-        if !(self.scale > 0.0) {
+        if self.scale.is_nan() || self.scale <= 0.0 {
             return Err("scale must be positive".into());
         }
-        if !(self.window_s > 0.0) {
+        if self.window_s.is_nan() || self.window_s <= 0.0 {
             return Err("window must be positive".into());
         }
         if self.epoch_quanta == 0 {
@@ -312,6 +312,14 @@ mod tests {
         let mut c = FleetConfig::small(4, 1);
         c.density_mix.clear();
         assert!(c.validate().is_err());
+        for bad in [0.0, f64::NAN] {
+            let mut c = FleetConfig::small(4, 1);
+            c.scale = bad;
+            assert!(c.validate().is_err(), "scale {bad}");
+            let mut c = FleetConfig::small(4, 1);
+            c.window_s = bad;
+            assert!(c.validate().is_err(), "window {bad}");
+        }
         let mut c = FleetConfig::small(4, 1);
         c.oracle = FleetOracle::Rate { fail_rate: 1.5 };
         assert!(c.validate().is_err());

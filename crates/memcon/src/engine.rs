@@ -142,8 +142,8 @@ fn site_counts(v: Vec<u64>, what: &str) -> Result<[u64; faultinject::N_SITES], S
         .map_err(|_| format!("{what}: expected one counter per fault site"))
 }
 
-/// Identity of the trace a store-backed run began with. It rides in the
-/// snapshot's run section so [`MemconEngine::recover`] can refuse to
+/// Identity of the trace a checkpointed run began with. It rides in the
+/// payload's run section so [`MemconEngine::restore`] can refuse to
 /// resume a run over a trace other than the one it checkpointed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct TraceFingerprint {
@@ -291,7 +291,8 @@ struct RunState {
     duration: u64,
     /// Oracle memo counters at run start (telemetry reports the delta).
     memo_before: crate::testengine::MemoStats,
-    /// The run's trace, fingerprinted only while a store is attached.
+    /// The run's trace, fingerprinted by `begin_run` while a store is
+    /// attached, else by the run's first [`MemconEngine::checkpoint`].
     trace: Option<TraceFingerprint>,
 }
 
@@ -722,9 +723,6 @@ impl MemconEngine {
             .try_into()
             .map_err(|_| "candidate histogram bucket count mismatch".to_string())?;
         eng.snapshot_every = d.u64()?;
-        if eng.snapshot_every == 0 {
-            return Err("snapshot cadence must be at least one quantum".to_string());
-        }
         // Snapshots are published from `begin_run` on, so the manager
         // always covers every page.
         eng.mgr = RefreshManager::new(n_pages, eng.config.hi_ms, eng.config.lo_ms);
@@ -759,21 +757,67 @@ impl MemconEngine {
         Ok(eng)
     }
 
+    /// Encodes the engine's current state, run cursors included, as a
+    /// payload [`MemconEngine::restore`] rebuilds — the same payload an
+    /// attached store's snapshots hold. `trace` must be the trace the
+    /// current run began with: the run's first checkpoint fingerprints it
+    /// and keeps the fingerprint in the run state, so a run pays one pass
+    /// over its trace however often it checkpoints.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the failure oracle cannot persist its state (e.g. the
+    /// content oracle's simulated chip).
+    pub fn checkpoint(&mut self, trace: &WriteTrace) -> Vec<u8> {
+        if let Some(run) = self.run.as_mut() {
+            run.trace.get_or_insert_with(|| TraceFingerprint::of(trace));
+        }
+        self.encode_state(self.run.as_ref())
+    }
+
+    /// Rebuilds an engine exactly as it stood when `payload` was encoded
+    /// by [`MemconEngine::checkpoint`] or a store snapshot — including an
+    /// in-progress run, ready to resume with `trace`. The engine owns no
+    /// store; time-series sampling stays disarmed.
+    ///
+    /// Traces are not persisted, so the payload's run section carries a
+    /// fingerprint of the trace the run began with, and any other trace is
+    /// refused. The fault plan and its decision cursors ride in the
+    /// payload, so the fault stream continues bit-identically.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Corrupt`] when the payload does not decode, breaks a
+    /// PRIL or refresh-manager invariant, or its run began with a trace
+    /// other than `trace`.
+    pub fn restore(payload: &[u8], trace: &WriteTrace) -> Result<MemconEngine, StoreError> {
+        let engine = Self::decode_state(payload).map_err(StoreError::Corrupt)?;
+        engine
+            .pril
+            .check_invariants()
+            .and_then(|()| engine.mgr.check_invariants())
+            .map_err(|e| StoreError::Corrupt(format!("the snapshot breaks an invariant: {e}")))?;
+        if let Some(run) = &engine.run {
+            let resumed = TraceFingerprint::of(trace);
+            if run.trace != Some(resumed) {
+                return Err(StoreError::Corrupt(format!(
+                    "the snapshot's run began with trace {:?}, not the resumed trace {resumed:?}",
+                    run.trace
+                )));
+            }
+        }
+        Ok(engine)
+    }
+
     /// Recovers an engine from a durable store directory: opens the store
-    /// (repairing any torn WAL tail), loads the newest valid snapshot, and
-    /// rebuilds the engine exactly as it stood when that snapshot was
-    /// published — including an in-progress run, ready to resume with
-    /// `trace`.
+    /// (repairing any torn WAL tail), [restores](MemconEngine::restore)
+    /// the newest valid snapshot with `trace`, re-attaches the store at
+    /// the snapshot's cadence and publishes a fresh snapshot before
+    /// returning.
     ///
     /// Recovery is deterministic snapshot-resume: the resumed run
     /// re-simulates the quanta past the snapshot (the [`Progress`] markers
-    /// in [`Recovered::tail`] count them). Traces are not persisted, so
-    /// the snapshot's run section carries a fingerprint of the trace the
-    /// run began with, and recovery refuses any other trace. The engine
-    /// carries its fault plan and decision cursors in the snapshot, so
-    /// the fault stream continues bit-identically. A recovered engine
-    /// publishes a fresh snapshot before returning; time-series sampling
-    /// stays disarmed.
+    /// in [`Recovered::tail`] count them).
     ///
     /// `scan_plan` arms fault injection for the recovery scan itself
     /// (`store.short_read`).
@@ -781,8 +825,8 @@ impl MemconEngine {
     /// # Errors
     ///
     /// [`StoreError::Corrupt`] when no usable snapshot exists, the newest
-    /// valid snapshot does not decode or breaks a PRIL or refresh-manager
-    /// invariant, or its run began with a trace other than `trace`; any
+    /// valid snapshot fails [`MemconEngine::restore`], or it names no
+    /// snapshot cadence (a payload taken with no store attached); any
     /// [`StoreError`] from opening the store.
     /// Post-recovery store failures are latched into
     /// [`MemconEngine::store_error`], not returned.
@@ -796,23 +840,14 @@ impl MemconEngine {
         let snap = recovered.snapshot.as_ref().ok_or_else(|| {
             StoreError::Corrupt("store holds no usable snapshot to recover from".to_string())
         })?;
-        let mut engine = Self::decode_state(&snap.payload).map_err(StoreError::Corrupt)?;
-        engine
-            .pril
-            .check_invariants()
-            .and_then(|()| engine.mgr.check_invariants())
-            .map_err(|e| StoreError::Corrupt(format!("the snapshot breaks an invariant: {e}")))?;
-        let run = engine.run.take();
-        if let Some(run) = &run {
-            let resumed = TraceFingerprint::of(trace);
-            if run.trace != Some(resumed) {
-                return Err(StoreError::Corrupt(format!(
-                    "the snapshot's run began with trace {:?}, not the resumed trace {resumed:?}",
-                    run.trace
-                )));
-            }
+        let mut engine = Self::restore(&snap.payload, trace)?;
+        if engine.snapshot_every == 0 {
+            return Err(StoreError::Corrupt(
+                "snapshot cadence must be at least one quantum".to_string(),
+            ));
         }
         engine.store = Some(store);
+        let run = engine.run.take();
         engine.publish_snapshot(run.as_ref());
         engine.run = run;
         Ok((engine, recovered))
@@ -1003,7 +1038,7 @@ impl MemconEngine {
                 if self.store.is_some() {
                     // A snapshot covers its own quantum; any other boundary
                     // leaves a marker of one quantum to re-simulate.
-                    if self.quantum_index % self.snapshot_every == 0 {
+                    if self.quantum_index.is_multiple_of(self.snapshot_every) {
                         self.publish_snapshot(Some(&run));
                     } else {
                         let marker = Progress {
@@ -1339,7 +1374,7 @@ impl MemconEngine {
             }
         }
         if let Some(every) = self.sample_every {
-            if self.quantum_index % every == 0 && telemetry::enabled() {
+            if self.quantum_index.is_multiple_of(every) && telemetry::enabled() {
                 self.sample_quantum();
             }
         }
@@ -2218,10 +2253,15 @@ mod tests {
     #[test]
     fn recovery_refuses_a_snapshot_that_breaks_an_invariant() {
         // Each state decodes cleanly but breaks one invariant: PRIL gains
-        // an inserted page it cannot account for, and the refresh manager
-        // a pin its counter does not hold.
+        // an inserted page it cannot account for, the refresh manager a
+        // pin its counter does not hold, and a checkpoint taken with no
+        // store attached names no snapshot cadence to resume at.
         let trace = WorkloadProfile::netflix().scaled(0.02).generate(9);
         let (mut e, dir, payload) = half_run_payload(&trace, "engine-bad-invariant");
+        let mut storeless = MemconEngine::new(cfg(), trace.n_pages());
+        storeless.begin_run(&trace);
+        storeless.advance_until(&trace, trace.duration_ns() / 2);
+        let no_cadence = storeless.checkpoint(&trace);
         e.pril.stats.inserted += 1;
         let bad_pril = e.encode_state(e.run.as_ref());
         let mut section = Enc::new();
@@ -2238,7 +2278,11 @@ mod tests {
         assert_eq!(bad_mgr[pin_of_page_0], 0);
         bad_mgr[pin_of_page_0] = 1;
         drop(e);
-        for (payload, broken) in [(bad_pril, "page conservation"), (bad_mgr, "pinned")] {
+        for (payload, broken) in [
+            (bad_pril, "page conservation"),
+            (bad_mgr, "pinned"),
+            (no_cadence, "snapshot cadence"),
+        ] {
             assert!(MemconEngine::decode_state(&payload).is_ok());
             assert!(matches!(
                 recover_payload(&dir, &trace, &payload),
@@ -2279,10 +2323,9 @@ mod tests {
 
     #[test]
     fn stepped_engines_round_trip_through_their_payload() {
-        // Decoding a payload and encoding it again must reproduce it byte
-        // for byte, and the decoded engine must finish the run exactly as
-        // one that never stopped.
-        let dir = scratch_dir("engine-round-trip");
+        // Restoring a checkpoint and checkpointing again must reproduce it
+        // byte for byte, and the restored engine must finish the run
+        // exactly as one that never stopped.
         for seed in [3, 8] {
             let trace = WorkloadProfile::netflix().scaled(0.02).generate(seed);
             let horizon = trace.duration_ns();
@@ -2292,8 +2335,6 @@ mod tests {
                     let reference = reference_run(config, &trace, plan.as_ref());
                     let mut e = MemconEngine::new(config, trace.n_pages());
                     e.set_fault_plan(plan.clone());
-                    let store = Store::create(&dir, DurabilityMode::InMemory).unwrap();
-                    e.attach_store(store, 5).unwrap();
                     e.begin_run(&trace);
                     for split in [0, horizon / 7, horizon / 2, horizon * 5 / 6, horizon] {
                         let what = format!(
@@ -2301,12 +2342,9 @@ mod tests {
                             plan.is_some()
                         );
                         e.advance_until(&trace, split);
-                        let payload = e.encode_state(e.run.as_ref());
-                        let mut resumed = MemconEngine::decode_state(&payload).unwrap();
-                        assert!(
-                            resumed.encode_state(resumed.run.as_ref()) == payload,
-                            "{what}"
-                        );
+                        let payload = e.checkpoint(&trace);
+                        let mut resumed = MemconEngine::restore(&payload, &trace).unwrap();
+                        assert!(resumed.checkpoint(&trace) == payload, "{what}");
                         resumed.advance_until(&trace, horizon);
                         let report = resumed.finish_run();
                         assert_eq!(

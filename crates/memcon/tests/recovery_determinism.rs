@@ -39,7 +39,7 @@ fn recovery_stats_and_refresh_bins_are_jobs_invariant() {
         WorkloadProfile::system_mgt(),
         WorkloadProfile::all().swap_remove(7),
     ];
-    for seed in [1u64, 0xBAD5_EED, 0xC4A0_5000] {
+    for seed in [1u64, 0xBAD_5EED, 0xC4A0_5000] {
         let plan = Arc::new(
             FaultPlan::new(seed)
                 .with_site(Site::TestPreempt, SiteSpec::rate(0.10))

@@ -160,8 +160,7 @@ impl<'s> FileScan<'s> {
     pub fn enclosing_fn(&self, idx: usize) -> Option<&Item> {
         self.items
             .iter()
-            .filter(|it| it.kind == ItemKind::Fn && it.body.contains(&idx))
-            .last()
+            .rfind(|it| it.kind == ItemKind::Fn && it.body.contains(&idx))
     }
 
     /// Iterator over `(index, token)` for non-comment tokens outside

@@ -60,7 +60,7 @@ impl BoundedPareto {
 
     /// Inverse-CDF sample. One-shot convenience over [`BoundedPareto::sampler`];
     /// draws exactly one uniform.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    pub fn sample<R: Rng>(&self, rng: &mut R) -> f64 {
         self.sampler().sample(rng)
     }
 
@@ -131,7 +131,7 @@ impl ParetoSampler {
 
     /// Inverse-CDF sample; draws exactly one uniform.
     #[inline]
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    pub fn sample<R: Rng>(&self, rng: &mut R) -> f64 {
         let u: f64 = rng.gen();
         self.sample_u(u)
     }
@@ -182,7 +182,7 @@ impl WriteIntervalModel {
     /// Samples one interval, in milliseconds. One-shot convenience over
     /// [`WriteIntervalModel::sampler`]; draws exactly two uniforms (branch,
     /// value) on either path.
-    pub fn sample_ms<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    pub fn sample_ms<R: Rng>(&self, rng: &mut R) -> f64 {
         self.sampler().sample_ms(rng)
     }
 
@@ -277,7 +277,7 @@ impl IntervalSampler {
 
     /// Samples one interval, in milliseconds (two uniform draws).
     #[inline]
-    pub fn sample_ms<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    pub fn sample_ms<R: Rng>(&self, rng: &mut R) -> f64 {
         let u_branch: f64 = rng.gen();
         let u_value: f64 = rng.gen();
         self.sample_uu(u_branch, u_value)
@@ -287,7 +287,7 @@ impl IntervalSampler {
     /// materialized first, then the lanes are evaluated as branch-free
     /// straight-line math over the buffered uniforms. Bit-identical to
     /// calling [`IntervalSampler::sample_ms`] once per slot.
-    pub fn fill_ms<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [f64]) {
+    pub fn fill_ms<R: Rng>(&self, rng: &mut R, out: &mut [f64]) {
         const BLOCK: usize = 8;
         let mut u = [0.0f64; 2 * BLOCK];
         for chunk in out.chunks_mut(BLOCK) {

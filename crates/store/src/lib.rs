@@ -83,29 +83,6 @@ pub enum DurabilityMode {
     Strict,
 }
 
-impl DurabilityMode {
-    /// Stable lowercase name (CLI flags, config files).
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            DurabilityMode::InMemory => "in-memory",
-            DurabilityMode::Buffered => "buffered",
-            DurabilityMode::Strict => "strict",
-        }
-    }
-
-    /// Parses [`as_str`](Self::as_str) names.
-    #[must_use]
-    pub fn from_name(name: &str) -> Option<DurabilityMode> {
-        match name {
-            "in-memory" => Some(DurabilityMode::InMemory),
-            "buffered" => Some(DurabilityMode::Buffered),
-            "strict" => Some(DurabilityMode::Strict),
-            _ => None,
-        }
-    }
-}
-
 /// Errors surfaced by the store. Corruption is *not* an error at the WAL
 /// tail (that is truncated and reported via [`Recovered`]); it is an
 /// error when it would mean loading bad state.
@@ -821,18 +798,6 @@ mod tests {
         assert_eq!(again.tail, progress(4));
         assert_eq!(again.truncated_bytes, 0);
         cleanup(&dir);
-    }
-
-    #[test]
-    fn durability_mode_names_round_trip() {
-        for mode in [
-            DurabilityMode::InMemory,
-            DurabilityMode::Buffered,
-            DurabilityMode::Strict,
-        ] {
-            assert_eq!(DurabilityMode::from_name(mode.as_str()), Some(mode));
-        }
-        assert_eq!(DurabilityMode::from_name("yolo"), None);
     }
 
     #[test]

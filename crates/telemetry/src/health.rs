@@ -245,7 +245,7 @@ impl HealthMonitor {
             let hit = match &rule.condition {
                 Condition::DeltaAbove { metric, threshold } => {
                     let observed = point.value(metric);
-                    (observed > *threshold).then(|| (observed as f64, *threshold as f64))
+                    (observed > *threshold).then_some((observed as f64, *threshold as f64))
                 }
                 Condition::RatioAbove { num, den, ratio } => {
                     let d = point.value(den);

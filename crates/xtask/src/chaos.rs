@@ -356,7 +356,7 @@ struct HealthRun {
 
 fn health_soak(serve: Option<&str>) -> Result<String, String> {
     let plan = chaos_plan(PLAN_SEED_BASE + 0x5EA1);
-    let mut config = ::fleet::FleetConfig::small(8, 0x5EA1_7B);
+    let mut config = ::fleet::FleetConfig::small(8, 0x5E_A17B);
     config.fault_plan = Some(plan);
 
     let run = |jobs: usize| -> Result<HealthRun, String> {

@@ -91,8 +91,9 @@ pub fn lint_cmd(update_ratchet: bool, json: Option<&str>) -> i32 {
 
 /// Runs the offline CI pipeline: fmt-check (if rustfmt is installed),
 /// `memlint`, `cargo build --workspace --release` (the determinism gate
-/// below byte-compares the freshly built experiments binary), the
-/// determinism gate, `obs --check`, a quick 3-plan chaos soak
+/// below byte-compares the freshly built experiments binary),
+/// `cargo clippy --workspace --all-targets -- -D warnings` (if clippy is
+/// installed), the determinism gate, `obs --check`, a quick 3-plan chaos soak
 /// ([`chaos::chaos_cmd`]), the `chaos health` smoke (armed SLO monitor,
 /// alert latency, flight-record dump), the quick crash-recovery soak
 /// ([`crash::crash_cmd`]), the fleet smoke gate
@@ -110,7 +111,7 @@ pub fn lint_cmd(update_ratchet: bool, json: Option<&str>) -> i32 {
 pub fn ci_cmd(bench: bool) -> i32 {
     let root = workspace_root();
 
-    if rustfmt_available(&root) {
+    if cargo_tool_available(&root, "fmt") {
         println!("ci: cargo fmt --all -- --check");
         if let Some(code) = run_step(&root, &["fmt", "--all", "--", "--check"]) {
             return code;
@@ -128,6 +129,23 @@ pub fn ci_cmd(bench: bool) -> i32 {
     println!("ci: cargo build --workspace --release");
     if let Some(code) = run_step(&root, &["build", "--workspace", "--release"]) {
         return code;
+    }
+
+    if cargo_tool_available(&root, "clippy") {
+        println!("ci: cargo clippy --workspace --all-targets -- -D warnings");
+        let clippy = [
+            "clippy",
+            "--workspace",
+            "--all-targets",
+            "--",
+            "-D",
+            "warnings",
+        ];
+        if let Some(code) = run_step(&root, &clippy) {
+            return code;
+        }
+    } else {
+        println!("ci: clippy not installed; skipping lint check");
     }
 
     println!("ci: determinism gate (memcon-experiments --quick all, --jobs 1 vs --jobs 4)");
@@ -628,9 +646,10 @@ fn baseline_json(profile: &str, results: &[memutil::bench::BenchResult]) -> Stri
     out
 }
 
-fn rustfmt_available(root: &Path) -> bool {
+/// Whether the cargo subcommand `tool` (`fmt`, `clippy`) is installed.
+fn cargo_tool_available(root: &Path, tool: &str) -> bool {
     Command::new("cargo")
-        .args(["fmt", "--version"])
+        .args([tool, "--version"])
         .current_dir(root)
         .output()
         .map(|o| o.status.success())

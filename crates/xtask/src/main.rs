@@ -55,7 +55,8 @@ fn usage() {
          \x20                           stdout (or PATH, relative to the\n\
          \x20                           workspace root)\n\
          \x20 ci [--bench]              fmt-check (if rustfmt present), memlint,\n\
-         \x20                           cargo build --release, the --jobs 1-vs-4\n\
+         \x20                           cargo build --release, clippy -D warnings\n\
+         \x20                           (if clippy present), the --jobs 1-vs-4\n\
          \x20                           output + telemetry determinism gate,\n\
          \x20                           obs --check, a quick 3-plan chaos soak,\n\
          \x20                           cargo test --workspace -q, the memcon\n\
