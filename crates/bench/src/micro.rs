@@ -198,18 +198,6 @@ fn bench_pril(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
-    // The streaming front door: the same writes through the batch entry
-    // point, as a drained ingestion buffer would submit them.
-    g.bench_function("on_write_batch_10k", |b| {
-        b.iter_batched(
-            || Pril::new(65_536, 4096),
-            |mut pril| {
-                pril.on_write_batch(&writes);
-                std::hint::black_box(pril.end_quantum())
-            },
-            BatchSize::SmallInput,
-        )
-    });
     g.finish();
 }
 

@@ -443,7 +443,7 @@ impl DramModule {
 
     /// Heat-gated variant of [`DramModule::charge_image`]: counts the call
     /// as one row-level probe and returns the image only once the row has
-    /// been probed more than [`HOT_ROW_PROBES`] times since its content
+    /// been probed more than `HOT_ROW_PROBES` times since its content
     /// last changed (`None` while cold — callers fall back to
     /// [`DramModule::charge_probe`]). This keeps one-shot sweeps off the
     /// O(bits-per-row) image build while repeatedly probed rows amortize it.

@@ -191,7 +191,7 @@ impl ContentProfile {
     /// The row's class is drawn once, then its words fill one buffer in a
     /// loop specialised to that class, which the returned row wraps without
     /// copying. The words and the generator draws are exactly those of the
-    /// per-word reference, one [`WordClass::sample`] call per word; tests
+    /// per-word reference, one `WordClass::sample` call per word; tests
     /// pin the two against each other and against a recorded hash of the
     /// stream.
     #[must_use]

@@ -24,7 +24,7 @@
 //! # Evaluation kernel
 //!
 //! Evaluation runs through a two-level fast path that is bit-identical to
-//! the definitional one ([`CouplingFailureModel::evaluate_row_reference`],
+//! the definitional one (`CouplingFailureModel::evaluate_row_reference`,
 //! kept for the equivalence tests and the `slow-reference` feature):
 //!
 //! * the [`crate::cache::VulnerableCellCache`] materializes each row's

@@ -16,13 +16,13 @@ use std::sync::{Arc, Mutex};
 
 use memcon::engine::{LiveStats, MemconEngine, MemconReport};
 use memcon::refreshmgr::PageState;
-use memcon::testengine::{ContentOracle, FailureOracle, RateOracle};
+use memcon::testengine::RateOracle;
 use memutil::par;
 use store::{Store, StoreError};
 
 use crate::durable::{self, EpochEntry, FleetMeta, FleetRecovery};
 use crate::report::{FleetReport, LatencySummary, ShardSummary};
-use crate::{FleetOracle, FleetPlan, ShardSpec};
+use crate::{FleetPlan, ShardSpec};
 
 /// Microsecond-scale bucket edges of the per-shard step-latency histogram
 /// (`fleet.step.latency_us`, timing class).
@@ -86,10 +86,9 @@ pub struct Fleet {
 impl Fleet {
     /// Instantiates engines for every shard of `plan` and begins their
     /// runs. Cheap relative to [`FleetPlan::expand`]: traces are shared by
-    /// `Arc`, and shards of one chip-seed group share the chip's immutable
-    /// state (scrambler tables, vulnerable-cell cache) through clones of a
-    /// per-group template rather than rebuilding it per shard. A durable
-    /// fleet publishes its anchor image (epoch 0) before returning.
+    /// `Arc`, and each shard engine runs the rate oracle at
+    /// [`memcon::engine::DEFAULT_FAIL_RATE`], seeded by its chip seed. A
+    /// durable fleet publishes its anchor image (epoch 0) before returning.
     ///
     /// # Panics
     ///
@@ -99,21 +98,16 @@ impl Fleet {
     #[must_use]
     pub fn new(plan: &FleetPlan) -> Fleet {
         let config = &plan.config;
-        let templates = ContentTemplates::build(plan);
         let shards: Vec<Mutex<Shard>> = plan
             .shards
             .iter()
             .map(|spec| {
-                let oracle: Box<dyn FailureOracle> = match config.oracle {
-                    FleetOracle::Rate { fail_rate } => {
-                        Box::new(RateOracle::new(fail_rate, spec.chip_seed))
-                    }
-                    FleetOracle::Content { .. } => {
-                        Box::new(templates.oracle(spec, config.engine.lo_ms))
-                    }
-                };
-                let mut engine =
-                    MemconEngine::with_oracle(config.engine, spec.trace.n_pages(), oracle);
+                let oracle = RateOracle::new(memcon::engine::DEFAULT_FAIL_RATE, spec.chip_seed);
+                let mut engine = MemconEngine::with_oracle(
+                    config.engine,
+                    spec.trace.n_pages(),
+                    Box::new(oracle),
+                );
                 engine.set_fault_plan(spec.fault_plan.clone());
                 engine.begin_run(&spec.trace);
                 Mutex::new(Shard::new(spec, engine))
@@ -534,75 +528,6 @@ impl Fleet {
     }
 }
 
-/// Per-chip-seed-group content templates: one simulated module per
-/// distinct `(chip seed, density)` identity, built once and **cloned**
-/// into each member shard's oracle. `DramModule` clones share their
-/// scrambler tables and `CouplingFailureModel` clones share the
-/// vulnerable-cell cache, so a group's chip state is `Arc`-shared across
-/// its shard engines — cold fills happen once per chip config, not once
-/// per shard (asserted by the cheap-clone audit test).
-#[derive(Debug, Default)]
-struct ContentTemplates {
-    modules: Vec<((u64, dram::geometry::ChipDensity), dram::module::DramModule)>,
-    model: Option<failure_model::model::CouplingFailureModel>,
-}
-
-impl ContentTemplates {
-    fn build(plan: &FleetPlan) -> ContentTemplates {
-        use dram::geometry::DramGeometry;
-        use dram::timing::TimingParams;
-        use failure_model::model::CouplingFailureModel;
-        use failure_model::params::FailureModelParams;
-
-        let FleetOracle::Content { rows_per_bank } = plan.config.oracle else {
-            return ContentTemplates::default();
-        };
-        let mut templates = ContentTemplates {
-            modules: Vec::new(),
-            // One model for the whole fleet: the vulnerable-cell cache is
-            // keyed by chip identity internally, so sharing it across
-            // groups is sound and maximizes reuse.
-            model: Some(CouplingFailureModel::new(
-                FailureModelParams::calibrated_at(plan.config.engine.lo_ms),
-            )),
-        };
-        for spec in &plan.shards {
-            let key = (spec.chip_seed, spec.density);
-            if templates.modules.iter().any(|(k, _)| *k == key) {
-                continue;
-            }
-            let mut geometry = DramGeometry::tiny();
-            geometry.rows_per_bank = rows_per_bank;
-            geometry.density = spec.density;
-            let module =
-                dram::module::DramModule::new(geometry, TimingParams::ddr3_1600(), spec.chip_seed);
-            templates.modules.push((key, module));
-        }
-        templates
-    }
-
-    fn oracle(&self, spec: &ShardSpec, lo_ms: f64) -> ContentOracle {
-        use failure_model::content::ContentProfile;
-        let key = (spec.chip_seed, spec.density);
-        let module = self
-            .modules
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, m)| m.clone())
-            .expect("template exists for every shard's chip identity");
-        let model = self.model.clone().expect("content mode builds the model");
-        // Content seed = chip seed: shards of one group regenerate the
-        // same content stream for the same (page, generation).
-        ContentOracle::new(
-            module,
-            model,
-            ContentProfile::random_data(),
-            lo_ms,
-            spec.chip_seed,
-        )
-    }
-}
-
 /// Convenience: expand + instantiate + run to completion at `jobs`.
 #[must_use]
 pub fn run_fleet(config: &crate::FleetConfig, jobs: usize) -> FleetReport {
@@ -652,33 +577,6 @@ mod tests {
         assert!(fleet.is_done());
         assert!(!fleet.run_epoch(1), "done fleet refuses further epochs");
         fleet.verify_refresh_correctness().unwrap();
-    }
-
-    #[test]
-    fn content_shards_share_chip_state_within_a_group() {
-        let _serial = registry_lock();
-        // Two shards per chip-seed group: the vulnerable-cell cache must
-        // cold-fill once per chip config, not once per shard. Counted via
-        // the failure model's own cache telemetry.
-        let mut config = FleetConfig::small(4, 7);
-        config.distinct_chip_seeds = 2;
-        config.density_mix = vec![dram::geometry::ChipDensity::Gb8];
-        config.oracle = FleetOracle::Content { rows_per_bank: 32 };
-        let registry = std::sync::Arc::new(telemetry::Registry::new());
-        registry.set_enabled(true);
-        let guard = telemetry::install(std::sync::Arc::clone(&registry));
-        let _ = run_fleet(&config, 1);
-        drop(guard);
-        let builds = registry
-            .counter(
-                "failure_model.cache.chip_builds",
-                telemetry::Class::Deterministic,
-            )
-            .get();
-        assert_eq!(
-            builds, 2,
-            "4 shards over 2 chip identities must build exactly 2 cache entries"
-        );
     }
 
     #[test]

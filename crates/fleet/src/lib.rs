@@ -6,19 +6,19 @@
 //! single-module [`memcon::engine::MemconEngine`] to hundreds-to-thousands
 //! of simulated DIMMs:
 //!
-//! * a [`FleetConfig`] (node count, density mix, distinct chip seeds,
-//!   per-node Table-1 workload assignment) expands into a [`FleetPlan`] —
-//!   one spec per *shard* (= one simulated DIMM) with its own synthesized
-//!   write trace, chip identity, and derived fault plan;
+//! * a [`FleetConfig`] (node count, distinct chip seeds, per-node
+//!   Table-1 workload assignment) expands into a [`FleetPlan`] — one spec
+//!   per *shard* (= one simulated DIMM) with its own synthesized write
+//!   trace, chip seed, and derived fault plan;
 //! * [`Fleet`] instantiates one `MemconEngine` per shard — fully
 //!   independent PRIL/refresh/recovery state — and advances all shards one
 //!   *epoch* (a batch of PRIL quanta) at a time over the
 //!   [`memutil::par`] work-stealing pool, applying cross-shard roll-up
 //!   work in deterministic shard order after each batch;
-//! * a [`FleetReport`](report::FleetReport) rolls the per-shard reports up
-//!   into fleet-level aggregates (failing-row distribution, refresh-ops
-//!   savings) plus per-shard step-latency percentiles, and the same
-//!   aggregates are flushed through the [`telemetry`] registry.
+//! * a [`FleetReport`] rolls the per-shard reports up into fleet-level
+//!   aggregates (failing-row distribution, refresh-ops savings) plus
+//!   per-shard step-latency percentiles, and the same aggregates are
+//!   flushed through the [`telemetry`] registry.
 //!
 //! # Determinism
 //!
@@ -47,7 +47,6 @@ use std::sync::Arc;
 
 use store::DurabilityMode;
 
-use dram::geometry::ChipDensity;
 use faultinject::FaultPlan;
 use memcon::config::MemconConfig;
 use memtrace::trace::WriteTrace;
@@ -61,26 +60,6 @@ fn mix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
-}
-
-/// Which failure oracle each shard engine runs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FleetOracle {
-    /// Bernoulli oracle at a fixed failing-row rate, seeded by the shard's
-    /// chip seed — the cheap trace-scale default.
-    Rate {
-        /// Failing-row probability per test (paper Fig. 4 band).
-        fail_rate: f64,
-    },
-    /// Physics-backed [`memcon::testengine::ContentOracle`] over a small
-    /// simulated chip. Shards sharing a chip-seed group share the chip's
-    /// immutable state: the module's scrambler tables and the failure
-    /// model's vulnerable-cell cache are `Arc`-shared across their
-    /// engines, not rebuilt per shard.
-    Content {
-        /// Rows per bank of the simulated chip (two banks, 256-byte rows).
-        rows_per_bank: u32,
-    },
 }
 
 /// Configuration of a simulated fleet.
@@ -97,16 +76,14 @@ pub struct FleetConfig {
     /// PRIL quanta advanced per scheduler epoch (batching factor: larger
     /// epochs mean fewer pool barriers but coarser progress roll-up).
     pub epoch_quanta: u64,
-    /// Chip densities assigned round-robin across nodes.
-    pub density_mix: Vec<ChipDensity>,
     /// Number of distinct chip seeds; node `i` joins seed group
     /// `i % distinct_chip_seeds`. Shards in one group model identical
-    /// silicon and share its immutable chip state.
+    /// silicon and draw the same oracle stream.
     pub distinct_chip_seeds: u64,
-    /// Per-shard MEMCON engine configuration.
+    /// Per-shard MEMCON engine configuration. Every shard engine runs the
+    /// Bernoulli rate oracle at [`memcon::engine::DEFAULT_FAIL_RATE`],
+    /// seeded by its chip seed.
     pub engine: MemconConfig,
-    /// Failure-oracle mode for every shard.
-    pub oracle: FleetOracle,
     /// Base fault plan; each shard runs the [`FaultPlan::for_shard`]
     /// derivation so fault streams are per-shard keyed.
     pub fault_plan: Option<Arc<FaultPlan>>,
@@ -131,12 +108,8 @@ impl FleetConfig {
             scale: 0.02,
             window_s: 8.0,
             epoch_quanta: 2,
-            density_mix: vec![ChipDensity::Gb8, ChipDensity::Gb16, ChipDensity::Gb32],
             distinct_chip_seeds: (nodes / 2).max(1),
             engine: MemconConfig::paper_default(),
-            oracle: FleetOracle::Rate {
-                fail_rate: memcon::engine::DEFAULT_FAIL_RATE,
-            },
             fault_plan: None,
             store_dir: None,
             durability: DurabilityMode::Buffered,
@@ -161,30 +134,8 @@ impl FleetConfig {
         if self.epoch_quanta == 0 {
             return Err("epoch must span at least one quantum".into());
         }
-        if self.density_mix.is_empty() {
-            return Err("density mix must name at least one density".into());
-        }
         if self.distinct_chip_seeds == 0 {
             return Err("need at least one chip seed group".into());
-        }
-        match self.oracle {
-            FleetOracle::Rate { fail_rate } => {
-                if !(0.0..=1.0).contains(&fail_rate) {
-                    return Err(format!("fail rate {fail_rate} is not a probability"));
-                }
-            }
-            FleetOracle::Content { rows_per_bank } => {
-                if rows_per_bank == 0 {
-                    return Err("content shards need at least one row per bank".into());
-                }
-                if self.store_dir.is_some() {
-                    return Err(
-                        "content-oracle shards cannot persist: the simulated chip's state \
-                         is too large to snapshot (use the rate oracle with a store)"
-                            .into(),
-                    );
-                }
-            }
         }
         self.engine.validate().map_err(|e| format!("engine: {e}"))
     }
@@ -200,10 +151,8 @@ pub struct ShardSpec {
     pub profile: String,
     /// The node's synthesized write trace.
     pub trace: Arc<WriteTrace>,
-    /// Chip identity seed (shared within a chip-seed group).
+    /// Seed of the shard's rate oracle (shared within a chip-seed group).
     pub chip_seed: u64,
-    /// Chip density of this node's DIMM.
-    pub density: ChipDensity,
     /// Per-shard derived fault plan, if the fleet arms faults.
     pub fault_plan: Option<Arc<FaultPlan>>,
 }
@@ -248,7 +197,6 @@ impl FleetPlan {
                 profile: name,
                 trace,
                 chip_seed: mix64(seed ^ 0xC41F_5EED ^ mix64(group)),
-                density: config.density_mix[(node % config.density_mix.len() as u64) as usize],
                 fault_plan: config
                     .fault_plan
                     .as_ref()
@@ -277,7 +225,6 @@ mod tests {
             assert_eq!(sa.profile, sb.profile);
             assert_eq!(sa.trace, sb.trace);
             assert_eq!(sa.chip_seed, sb.chip_seed);
-            assert_eq!(sa.density, sb.density);
         }
     }
 
@@ -309,9 +256,6 @@ mod tests {
     #[test]
     fn validate_rejects_degenerate_configs() {
         assert!(FleetConfig::small(0, 1).validate().is_err());
-        let mut c = FleetConfig::small(4, 1);
-        c.density_mix.clear();
-        assert!(c.validate().is_err());
         for bad in [0.0, f64::NAN] {
             let mut c = FleetConfig::small(4, 1);
             c.scale = bad;
@@ -320,21 +264,6 @@ mod tests {
             c.window_s = bad;
             assert!(c.validate().is_err(), "window {bad}");
         }
-        let mut c = FleetConfig::small(4, 1);
-        c.oracle = FleetOracle::Rate { fail_rate: 1.5 };
-        assert!(c.validate().is_err());
         assert!(FleetConfig::small(4, 1).validate().is_ok());
-    }
-
-    #[test]
-    fn validate_rejects_content_oracle_with_a_store() {
-        let mut c = FleetConfig::small(4, 1);
-        c.oracle = FleetOracle::Content { rows_per_bank: 32 };
-        assert!(c.validate().is_ok(), "content without a store is fine");
-        c.store_dir = Some(std::path::PathBuf::from("/tmp/nope"));
-        assert!(
-            c.validate().is_err(),
-            "the content oracle's chip state cannot be persisted"
-        );
     }
 }

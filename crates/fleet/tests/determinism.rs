@@ -4,14 +4,13 @@
 //! deterministic section AND the telemetry registry's deterministic
 //! section are byte-identical at any `--jobs` value — with or without a
 //! fault plan armed. These tests pin that over fleet sizes {4, 64},
-//! multiple seeds, jobs {1, 2, 8}, both oracle modes, and three chaos
-//! fault plans.
+//! multiple seeds, jobs {1, 2, 8}, and three chaos fault plans.
 
 use std::sync::{Arc, Mutex, OnceLock};
 
 use faultinject::{FaultPlan, Site, SiteSpec};
 use fleet::engine::run_fleet;
-use fleet::{FleetConfig, FleetOracle};
+use fleet::FleetConfig;
 
 /// `telemetry::install` swaps a process-global registry; tests in this
 /// binary run on parallel threads, so runs that compare registry contents
@@ -69,13 +68,6 @@ fn large_fleet_is_jobs_invariant() {
     let mut config = FleetConfig::small(64, 0xF1EE7);
     config.window_s = 2.0;
     assert_jobs_invariant(&config, "64 nodes");
-}
-
-#[test]
-fn content_oracle_fleet_is_jobs_invariant() {
-    let mut config = FleetConfig::small(4, 0xC0417E47);
-    config.oracle = FleetOracle::Content { rows_per_bank: 32 };
-    assert_jobs_invariant(&config, "4 content-oracle nodes");
 }
 
 #[test]

@@ -46,7 +46,7 @@ pub const BACKOFF_EDGES: [u64; 5] = [1, 2, 4, 8, 16];
 pub const CANDIDATE_EDGES: [u64; 10] = [0, 1, 2, 4, 8, 16, 32, 64, 128, 256];
 
 /// Engine snapshot payload format version (the first payload byte).
-const SNAP_VERSION: u8 = 4;
+const SNAP_VERSION: u8 = 5;
 
 /// Copy-and-Compare staging rows: [`STAGING_ROWS_PER_BANK`] in each bank
 /// of the paper's 8-bank module. A test holds one row exactly while it is
@@ -788,14 +788,16 @@ impl MemconEngine {
     /// # Errors
     ///
     /// [`StoreError::Corrupt`] when the payload does not decode, breaks a
-    /// PRIL or refresh-manager invariant, or its run began with a trace
-    /// other than `trace`.
+    /// PRIL or refresh-manager invariant, holds a page at Testing with no
+    /// test in flight or a test on a page not at Testing, or its run began
+    /// with a trace other than `trace`.
     pub fn restore(payload: &[u8], trace: &WriteTrace) -> Result<MemconEngine, StoreError> {
         let engine = Self::decode_state(payload).map_err(StoreError::Corrupt)?;
         engine
             .pril
             .check_invariants()
             .and_then(|()| engine.mgr.check_invariants())
+            .and_then(|()| engine.check_tests_match_bins())
             .map_err(|e| StoreError::Corrupt(format!("the snapshot breaks an invariant: {e}")))?;
         if let Some(run) = &engine.run {
             let resumed = TraceFingerprint::of(trace);
@@ -807,6 +809,33 @@ impl MemconEngine {
             }
         }
         Ok(engine)
+    }
+
+    /// Checks that the pages in flight in the test engine are exactly the
+    /// pages the refresh manager holds at Testing: every test start moves
+    /// its page to Testing, and every abort and completion moves it out.
+    ///
+    /// # Errors
+    ///
+    /// Names the lowest page on which the two disagree.
+    fn check_tests_match_bins(&self) -> Result<(), String> {
+        for page in 0..self.n_pages {
+            let state = self.mgr.state(page);
+            match (self.tests.is_testing(page), state == PageState::Testing) {
+                (true, false) => {
+                    return Err(format!(
+                        "page {page} has a test in flight but sits at {state:?}"
+                    ))
+                }
+                (false, true) => {
+                    return Err(format!(
+                        "page {page} sits at Testing with no test in flight"
+                    ))
+                }
+                _ => {}
+            }
+        }
+        Ok(())
     }
 
     /// Recovers an engine from a durable store directory: opens the store
@@ -2197,7 +2226,7 @@ mod tests {
         let (e, dir, payload) = half_run_payload(&trace, "engine-old-version");
         drop(e);
         assert!(MemconEngine::decode_state(&payload).is_ok());
-        for version in [2u8, 3] {
+        for version in [2u8, 3, 4] {
             let mut old = payload.clone();
             old[0] = version;
             let Err(err) = MemconEngine::decode_state(&old) else {
@@ -2254,16 +2283,16 @@ mod tests {
     fn recovery_refuses_a_snapshot_that_breaks_an_invariant() {
         // Each state decodes cleanly but breaks one invariant: PRIL gains
         // an inserted page it cannot account for, the refresh manager a
-        // pin its counter does not hold, and a checkpoint taken with no
-        // store attached names no snapshot cadence to resume at.
+        // pin its counter does not hold, a HI-REF page moves to Testing
+        // with no test in flight or gains a test while staying HI-REF,
+        // and a checkpoint taken with no store attached names no snapshot
+        // cadence to resume at.
         let trace = WorkloadProfile::netflix().scaled(0.02).generate(9);
         let (mut e, dir, payload) = half_run_payload(&trace, "engine-bad-invariant");
         let mut storeless = MemconEngine::new(cfg(), trace.n_pages());
         storeless.begin_run(&trace);
         storeless.advance_until(&trace, trace.duration_ns() / 2);
         let no_cadence = storeless.checkpoint(&trace);
-        e.pril.stats.inserted += 1;
-        let bad_pril = e.encode_state(e.run.as_ref());
         let mut section = Enc::new();
         e.mgr.encode_state(&mut section);
         let section = section.into_bytes();
@@ -2277,16 +2306,36 @@ mod tests {
         let mut bad_mgr = payload.clone();
         assert_eq!(bad_mgr[pin_of_page_0], 0);
         bad_mgr[pin_of_page_0] = 1;
+        e.pril.stats.inserted += 1;
+        let bad_pril = e.encode_state(e.run.as_ref());
+        e.pril.stats.inserted -= 1;
+        let now = trace.duration_ns() / 2;
+        let hi = (0..e.n_pages)
+            .find(|&p| e.mgr.state(p) == PageState::HiRef)
+            .expect("the half run holds a HI-REF page");
+        e.mgr.transition(hi, PageState::Testing, now);
+        let untested = e.encode_state(e.run.as_ref());
+        e.mgr.transition(hi, PageState::HiRef, now);
+        assert!(e.tests.try_start(hi, e.generation[hi as usize], now));
+        let unbinned = e.encode_state(e.run.as_ref());
         drop(e);
         for (payload, broken) in [
-            (bad_pril, "page conservation"),
-            (bad_mgr, "pinned"),
-            (no_cadence, "snapshot cadence"),
+            (bad_pril, "page conservation".to_string()),
+            (bad_mgr, "pinned".to_string()),
+            (
+                untested,
+                format!("page {hi} sits at Testing with no test in flight"),
+            ),
+            (
+                unbinned,
+                format!("page {hi} has a test in flight but sits at HiRef"),
+            ),
+            (no_cadence, "snapshot cadence".to_string()),
         ] {
             assert!(MemconEngine::decode_state(&payload).is_ok());
             assert!(matches!(
                 recover_payload(&dir, &trace, &payload),
-                Err(StoreError::Corrupt(msg)) if msg.contains(broken)
+                Err(StoreError::Corrupt(msg)) if msg.contains(&broken)
             ));
         }
         std::fs::remove_dir_all(&dir).ok();

@@ -22,25 +22,21 @@
 //!
 //! # Struct-of-arrays layout (raw-speed wave 2)
 //!
-//! Per-page metadata is three parallel bit-vectors plus one counter and one
-//! log per quantum tracker:
+//! Per-page metadata is two parallel bit-vectors plus one counter per
+//! quantum tracker:
 //!
 //! * `map` — written at least once this quantum (as in the paper's RTL),
 //! * `buf` — buffered as a candidate-in-waiting; the write-*buffer* of the
 //!   paper is this bitmap, not a hash set,
-//! * `len` — popcount of `buf`, giving O(1) capacity/occupancy checks,
-//! * `order` — bounded insertion-order log (one entry per page per quantum,
-//!   appended on step ¶ only) used for capacity/overflow accounting and the
-//!   sparse quantum-end drain.
+//! * `len` — popcount of `buf`, giving O(1) capacity/occupancy checks.
 //!
 //! Step ¸ clears the previous-buffer bit *eagerly* on each write, so the
 //! candidate set at quantum end is exactly the surviving `previous.buf`
 //! bits — the `previous & !current` candidacy algebra is maintained as the
 //! standing invariant `previous.buf & current.map == 0` rather than
-//! recomputed, and `end_quantum` reduces to an ascending bit-scan (dense) or
-//! a filtered order-log replay (sparse). Every per-write operation is a
-//! couple of word indexings and mask ops with no hashing and no
-//! data-dependent memory allocation.
+//! recomputed, and `end_quantum` reduces to an ascending word scan of
+//! `previous.buf`. Every per-write operation is a couple of word indexings
+//! and mask ops with no hashing and no memory allocation.
 //!
 //! The pre-wave hash-set implementation is retained as [`reference`] (under
 //! `cfg(test)` or the `slow-reference` feature) and pinned bit-identical by
@@ -94,12 +90,6 @@ struct QuantumTracker {
     buf: Vec<u64>,
     /// Popcount of `buf`, maintained incrementally.
     len: usize,
-    /// Insertion-order log: pages appended on first-write insertion. Each
-    /// page appears at most once per quantum (the map bit forbids
-    /// re-insertion), so the log is bounded by the insertions the capacity
-    /// check admitted; evicted pages stay in the log and are filtered by the
-    /// `buf` bitmap on drain.
-    order: Vec<PageId>,
 }
 
 impl QuantumTracker {
@@ -108,7 +98,6 @@ impl QuantumTracker {
             map: vec![0; n_words],
             buf: vec![0; n_words],
             len: 0,
-            order: Vec::new(),
         }
     }
 
@@ -116,7 +105,6 @@ impl QuantumTracker {
         self.map.iter_mut().for_each(|w| *w = 0);
         self.buf.iter_mut().for_each(|w| *w = 0);
         self.len = 0;
-        self.order.clear();
     }
 }
 
@@ -184,10 +172,14 @@ impl Pril {
         (self.previous.buf[(page >> 6) as usize] >> (page & 63)) & 1 == 1
     }
 
-    /// One write, stats.writes excluded (hoisted by the batch entry point).
-    #[inline]
-    fn write_one(&mut self, page: PageId) {
+    /// Processes a write access to `page` (Fig. 13, left side).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `page` is out of range.
+    pub fn on_write(&mut self, page: PageId) {
         assert!(page < self.n_pages, "page {page} out of range");
+        self.stats.writes += 1;
         let w = (page >> 6) as usize;
         let bit = 1u64 << (page & 63);
         // Step ¸: a write in this quantum disqualifies the page from the
@@ -220,7 +212,6 @@ impl Pril {
             if self.current.len < self.capacity {
                 self.current.buf[w] |= bit;
                 self.current.len += 1;
-                self.current.order.push(page);
                 self.stats.inserted += 1;
             } else {
                 self.stats.overflowed += 1;
@@ -228,37 +219,10 @@ impl Pril {
         }
     }
 
-    /// Processes a write access to `page` (Fig. 13, left side).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `page` is out of range.
-    pub fn on_write(&mut self, page: PageId) {
-        self.stats.writes += 1;
-        self.write_one(page);
-    }
-
-    /// Processes a batch of write accesses, equivalent to calling
-    /// [`Pril::on_write`] for each page in order. This is the streaming
-    /// front-door entry point: the write counter is bumped once and the
-    /// per-write path is a handful of word ops, so a drained ingestion
-    /// buffer costs a few ns per page.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any page is out of range.
-    pub fn on_write_batch(&mut self, pages: &[PageId]) {
-        self.stats.writes += pages.len() as u64;
-        for &page in pages {
-            self.write_one(page);
-        }
-    }
-
     fn encode_tracker(t: &QuantumTracker, e: &mut Enc) {
         e.u64_slice(&t.map);
         e.u64_slice(&t.buf);
         e.u64(t.len as u64);
-        e.u64_slice(&t.order);
     }
 
     fn restore_tracker(t: &mut QuantumTracker, n_words: usize, d: &mut Dec) -> Result<(), String> {
@@ -274,14 +238,13 @@ impl Pril {
         t.map = map;
         t.buf = buf;
         t.len = usize::try_from(d.u64()?).map_err(|_| "pril: occupancy overflow".to_string())?;
-        t.order = d.u64_vec()?;
         Ok(())
     }
 
-    /// Serializes the tracker's dynamic state (both quantum bitmaps, the
-    /// insertion-order logs, and the statistics block) for a durability
-    /// snapshot. Capacity, policy, and page count are configuration and
-    /// travel with the engine's config section instead.
+    /// Serializes the tracker's dynamic state (both quantum bitmaps and the
+    /// statistics block) for a durability snapshot. Capacity, policy, and
+    /// page count are configuration and travel with the engine's config
+    /// section instead.
     pub(crate) fn encode_state(&self, e: &mut Enc) {
         Self::encode_tracker(&self.current, e);
         Self::encode_tracker(&self.previous, e);
@@ -408,25 +371,11 @@ impl Pril {
         let prev = &self.previous;
         let mut candidates: Vec<PageId> = Vec::with_capacity(prev.len);
         if prev.len > 0 {
-            // Sparse quanta replay the bounded order log (filtering evicted
-            // pages by their cleared bit); dense quanta scan the bitmap
-            // directly. Both yield the surviving bits — the choice depends
-            // only on tracker state, so the result is deterministic either
-            // way.
-            if prev.order.len() < self.n_words / 8 {
-                for &page in &prev.order {
-                    if (prev.buf[(page >> 6) as usize] >> (page & 63)) & 1 == 1 {
-                        candidates.push(page);
-                    }
-                }
-                candidates.sort_unstable();
-            } else {
-                for (w, &word) in prev.buf.iter().enumerate() {
-                    let mut word = word;
-                    while word != 0 {
-                        candidates.push((w as u64) << 6 | u64::from(word.trailing_zeros()));
-                        word &= word - 1;
-                    }
+            for (w, &word) in prev.buf.iter().enumerate() {
+                let mut word = word;
+                while word != 0 {
+                    candidates.push((w as u64) << 6 | u64::from(word.trailing_zeros()));
+                    word &= word - 1;
                 }
             }
         }
@@ -693,27 +642,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
-    fn batch_rejects_out_of_range_page() {
-        pril().on_write_batch(&[1, 2, 5000]);
-    }
-
-    #[test]
-    fn batch_matches_per_write_loop() {
-        let mut a = pril();
-        let mut b = pril();
-        let pages = [1u64, 2, 3, 2, 1, 4, 1023, 4];
-        a.on_write_batch(&pages);
-        for &page in &pages {
-            b.on_write(page);
-        }
-        assert_eq!(a.stats, b.stats);
-        assert_eq!(a.buffer_len(), b.buffer_len());
-        assert_eq!(a.end_quantum(), b.end_quantum());
-        assert_eq!(a.end_quantum(), b.end_quantum());
-    }
-
-    #[test]
     fn non_multiple_of_64_page_count_stays_in_bounds() {
         let mut p = Pril::new(100, 8);
         p.on_write(99);
@@ -800,42 +728,45 @@ mod tests {
         use memutil::rng::{Rng, SeedableRng, SmallRng};
         for policy in [TrackingPolicy::SingleWrite, TrackingPolicy::AnyWrite] {
             for seed in [0xF00D_0001u64, 0xF00D_0002, 0xF00D_0003, 0xF00D_0004] {
-                let mut rng = SmallRng::seed_from_u64(seed);
-                let n_pages = 257; // non-multiple of 64: tail-word edge
-                let capacity = rng.gen_range(1usize..12); // small: overflow edge
-                let mut fast = Pril::with_policy(n_pages, capacity, policy);
-                let mut slow = reference::PrilRef::with_policy(n_pages, capacity, policy);
-                for _ in 0..600 {
-                    match rng.gen_range(0u32..10) {
-                        0 => {
-                            let fast_c = fast.end_quantum();
-                            let slow_c = slow.end_quantum();
-                            assert_eq!(fast_c, slow_c, "candidate drain diverged");
-                        }
-                        1 => {
-                            let batch: Vec<PageId> = (0..rng.gen_range(0usize..20))
-                                .map(|_| rng.gen_range(0u64..n_pages))
-                                .collect();
-                            fast.on_write_batch(&batch);
-                            for &page in &batch {
+                // 257: a non-multiple of 64, the tail-word edge. 4,096: a
+                // plane the small buffer leaves sparsely written.
+                for n_pages in [257u64, 4096] {
+                    let mut rng = SmallRng::seed_from_u64(seed);
+                    let capacity = rng.gen_range(1usize..12); // small: overflow edge
+                    let mut fast = Pril::with_policy(n_pages, capacity, policy);
+                    let mut slow = reference::PrilRef::with_policy(n_pages, capacity, policy);
+                    for _ in 0..600 {
+                        match rng.gen_range(0u32..10) {
+                            0 => {
+                                let fast_c = fast.end_quantum();
+                                let slow_c = slow.end_quantum();
+                                assert_eq!(fast_c, slow_c, "candidate drain diverged");
+                            }
+                            1 => {
+                                let batch: Vec<PageId> = (0..rng.gen_range(0usize..20))
+                                    .map(|_| rng.gen_range(0u64..n_pages))
+                                    .collect();
+                                for &page in &batch {
+                                    fast.on_write(page);
+                                    slow.on_write(page);
+                                }
+                            }
+                            _ => {
+                                let page = rng.gen_range(0u64..n_pages);
+                                fast.on_write(page);
                                 slow.on_write(page);
                             }
                         }
-                        _ => {
-                            let page = rng.gen_range(0u64..n_pages);
-                            fast.on_write(page);
-                            slow.on_write(page);
-                        }
+                        assert_eq!(fast.stats, slow.stats, "stats diverged");
+                        assert_eq!(fast.buffer_len(), slow.buffer_len());
+                        let probe = rng.gen_range(0u64..n_pages);
+                        assert_eq!(
+                            fast.is_pending_candidate(probe),
+                            slow.is_pending_candidate(probe),
+                            "pending-candidacy diverged on page {probe}"
+                        );
+                        fast.check_invariants().unwrap();
                     }
-                    assert_eq!(fast.stats, slow.stats, "stats diverged");
-                    assert_eq!(fast.buffer_len(), slow.buffer_len());
-                    let probe = rng.gen_range(0u64..n_pages);
-                    assert_eq!(
-                        fast.is_pending_candidate(probe),
-                        slow.is_pending_candidate(probe),
-                        "pending-candidacy diverged on page {probe}"
-                    );
-                    fast.check_invariants().unwrap();
                 }
             }
         }

@@ -15,7 +15,7 @@
 //! * [`RateOracle`] draws from a per-workload failing-row rate (the Fig. 4
 //!   fractions), which is what trace-scale engine runs use.
 
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, HashSet};
 
 use memutil::codec::{Dec, Enc};
 use memutil::rng::SmallRng;
@@ -505,7 +505,8 @@ impl TestEngine {
 
     /// Restores state captured by [`encode_state`](Self::encode_state) into
     /// an engine built with the same configuration, refusing any test of a
-    /// page at or past `n_pages`.
+    /// page at or past `n_pages` and any live test with no pending heap
+    /// entry of the same page and generation (it would never complete).
     pub(crate) fn restore_state(&mut self, d: &mut Dec, n_pages: u64) -> Result<(), String> {
         let page_in_range = |page: PageId| {
             if page < n_pages {
@@ -530,11 +531,22 @@ impl TestEngine {
                 generation,
             });
         }
+        let pending: HashSet<(PageId, u64)> = self
+            .in_flight
+            .iter()
+            .map(|f| (f.page, f.generation))
+            .collect();
         let n = d.u64()?;
         self.in_flight_pages.clear();
         for _ in 0..n {
             let page = page_in_range(d.u64()?)?;
             let generation = d.u64()?;
+            if !pending.contains(&(page, generation)) {
+                return Err(format!(
+                    "test engine: in-flight page {page} (generation {generation}) has no \
+                     pending completion"
+                ));
+            }
             self.in_flight_pages.insert(page, generation);
         }
         self.stats.started = d.u64()?;
@@ -786,6 +798,35 @@ mod tests {
         let done = e.poll(100 * MS);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].start_ns, 10 * MS);
+    }
+
+    #[test]
+    fn restore_refuses_a_live_test_with_no_pending_completion() {
+        // A live test with no heap entry of its page and generation would
+        // never complete, leaving its page unrefreshed for good.
+        let payload = |e: &TestEngine| {
+            let mut enc = Enc::new();
+            e.encode_state(&mut enc);
+            enc.into_bytes()
+        };
+        let mut e = engine(4);
+        assert!(e.try_start(7, 3, 0));
+        assert!(engine(4)
+            .restore_state(&mut Dec::new(&payload(&e)), 16)
+            .is_ok());
+        e.in_flight_pages.insert(7, 4);
+        let stale_generation = payload(&e);
+        e.in_flight.clear();
+        let no_entry = payload(&e);
+        for bytes in [stale_generation, no_entry] {
+            let err = engine(4)
+                .restore_state(&mut Dec::new(&bytes), 16)
+                .unwrap_err();
+            assert!(
+                err.contains("in-flight page 7 (generation 4) has no pending completion"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! # Parallel synthesis (raw-speed wave 2)
 //!
 //! Pages are statistically independent (each owns a PRNG derived from
-//! `(seed, page)` via [`page_seed`]), so synthesis fans the per-page
+//! `(seed, page)` via `page_seed`), so synthesis fans the per-page
 //! renewal loops across [`memutil::par`] and k-way-merges the per-page
 //! event runs — each already time-sorted — into the global `(time, page)`
 //! order that [`WriteTrace::new`] expects. The merge output is exactly the

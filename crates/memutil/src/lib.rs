@@ -12,7 +12,7 @@
 //!   `rng.gen_range(..)` / `rng.gen::<f64>()` call sites,
 //! * [`json`] — a minimal JSON value type with an emitter (and a parser used
 //!   by tests), for the experiment figure outputs and `trace-gen`,
-//! * [`bench`] — a `std::time`-based measurement harness replacing Criterion
+//! * [`bench`](mod@bench) — a `std::time`-based measurement harness replacing Criterion
 //!   for the `crates/bench` suite,
 //! * [`par`] — a scoped work-stealing thread pool with deterministic
 //!   ordered reduction (the rayon-free parallel substrate for the failure

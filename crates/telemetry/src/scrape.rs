@@ -16,13 +16,15 @@
 //! ```
 //!
 //! Unknown commands answer `ERR unknown command` followed by `END`. The
-//! server is strictly read-only — it cannot mutate the registry or the
-//! monitor — so pointing `xtask top` at a running soak observes without
-//! perturbing. The accept loop runs on one plain thread (this is I/O
-//! plumbing, not simulation work, so it stays off `memutil::par` and out
-//! of every determinism-sensitive path).
+//! server reads at most 1,024 bytes of a request, newline included; a
+//! longer line answers `ERR command too long` followed by `END`, without
+//! waiting for the rest. The server is strictly read-only — it cannot
+//! mutate the registry or the monitor — so pointing `xtask top` at a
+//! running soak observes without perturbing. The accept loop runs on one
+//! plain thread (this is I/O plumbing, not simulation work, so it stays
+//! off `memutil::par` and out of every determinism-sensitive path).
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -30,6 +32,11 @@ use std::time::Duration;
 
 use crate::health::HealthMonitor;
 use crate::Registry;
+
+/// Longest request line the server reads, newline included. The longest
+/// command is `SERIES <name>`, so a longer line is refused unread rather
+/// than buffered.
+const MAX_COMMAND_BYTES: u64 = 1024;
 
 /// A running scrape endpoint; shuts down when dropped or via
 /// [`ScrapeServer::shutdown`].
@@ -102,11 +109,15 @@ fn serve_one(
     health: Option<&Mutex<HealthMonitor>>,
 ) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(2)))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut reader = BufReader::new(stream.try_clone()?.take(MAX_COMMAND_BYTES));
     let mut line = String::new();
-    reader.read_line(&mut line)?;
+    let read = reader.read_line(&mut line)?;
     let mut out = stream;
-    let reply = respond(line.trim(), registry, health);
+    let reply = if read as u64 == MAX_COMMAND_BYTES && !line.ends_with('\n') {
+        "ERR command too long\nEND\n".to_string()
+    } else {
+        respond(line.trim(), registry, health)
+    };
     out.write_all(reply.as_bytes())?;
     out.flush()
 }

@@ -4,6 +4,7 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use telemetry::health::{HealthMonitor, Rule, Severity};
 use telemetry::{Class, Registry, ScrapeServer};
@@ -113,4 +114,41 @@ fn scrape_is_dead(addr: SocketAddr) -> bool {
     let _ = stream.write_all(b"METRICS\n");
     let mut reply = String::new();
     stream.read_to_string(&mut reply).unwrap_or(0) == 0
+}
+
+#[test]
+fn oversized_command_line_is_refused_at_the_cap() {
+    let r = Arc::new(Registry::new());
+    r.set_enabled(true);
+    r.counter("t.scrape.hits", Class::Deterministic).add(1);
+    let server = ScrapeServer::start(Arc::clone(&r), None, "127.0.0.1:0").expect("bind");
+    let addr = server.local_addr();
+    // The server's fixed cap on a request line, newline included.
+    let cap = 1024;
+
+    // The longest accepted line: the cap, newline included.
+    let longest = format!("SERIES {}", "x".repeat(cap - "SERIES \n".len()));
+    assert_eq!(
+        scrape(addr, &longest).last().map(String::as_str),
+        Some("END")
+    );
+
+    // Exactly the cap with no newline, the socket kept open: the reply
+    // must come at the cap, not after a newline that never arrives. The
+    // client sends no more than the cap, because a server that closes over
+    // unread input resets the connection and can drop the reply.
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    stream.write_all(&vec![b'A'; cap]).expect("send");
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply).expect("read");
+    assert_eq!(reply, "ERR command too long\nEND\n");
+
+    // The endpoint still serves.
+    assert!(scrape(addr, "METRICS")
+        .iter()
+        .any(|l| l == "counter t.scrape.hits 1"));
+    server.shutdown();
 }

@@ -13,9 +13,9 @@
 //!   byte-identical across worker counts.
 //! * **memsim leg** — a controller under dense test traffic with the same
 //!   plan, its command bus recorded and replayed through the offline
-//!   [`ProtocolChecker::audit`]. A faults-off control run must audit
-//!   clean; every injected `tRRD`/`tFAW` violation must be flagged by the
-//!   audit (detection completeness).
+//!   [`memsim::protocol::ProtocolChecker::audit`]. A faults-off control
+//!   run must audit clean; every injected `tRRD`/`tFAW` violation must be
+//!   flagged by the audit (detection completeness).
 //!
 //! `chaos health` is the observable variant of the soak: a faulted fleet
 //! runs with the SLO monitor armed, the gate asserts prompt alerting

@@ -93,7 +93,9 @@ pub fn lint_cmd(update_ratchet: bool, json: Option<&str>) -> i32 {
 /// `memlint`, `cargo build --workspace --release` (the determinism gate
 /// below byte-compares the freshly built experiments binary),
 /// `cargo clippy --workspace --all-targets -- -D warnings` (if clippy is
-/// installed), the determinism gate, `obs --check`, a quick 3-plan chaos soak
+/// installed), `cargo doc --workspace --no-deps` with
+/// `RUSTDOCFLAGS=-D warnings` (a doc link to a missing or private item
+/// fails), the determinism gate, `obs --check`, a quick 3-plan chaos soak
 /// ([`chaos::chaos_cmd`]), the `chaos health` smoke (armed SLO monitor,
 /// alert latency, flight-record dump), the quick crash-recovery soak
 /// ([`crash::crash_cmd`]), the fleet smoke gate
@@ -146,6 +148,15 @@ pub fn ci_cmd(bench: bool) -> i32 {
         }
     } else {
         println!("ci: clippy not installed; skipping lint check");
+    }
+
+    println!("ci: RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps");
+    if let Some(code) = run_step_with_env(
+        &root,
+        &["doc", "--workspace", "--no-deps"],
+        &[("RUSTDOCFLAGS", "-D warnings")],
+    ) {
+        return code;
     }
 
     println!("ci: determinism gate (memcon-experiments --quick all, --jobs 1 vs --jobs 4)");
@@ -658,7 +669,17 @@ fn cargo_tool_available(root: &Path, tool: &str) -> bool {
 
 /// Runs one `cargo` step; `None` on success, `Some(exit_code)` on failure.
 fn run_step(root: &Path, args: &[&str]) -> Option<i32> {
-    match Command::new("cargo").args(args).current_dir(root).status() {
+    run_step_with_env(root, args, &[])
+}
+
+/// [`run_step`] with `env` set for the cargo process.
+fn run_step_with_env(root: &Path, args: &[&str], env: &[(&str, &str)]) -> Option<i32> {
+    match Command::new("cargo")
+        .args(args)
+        .envs(env.iter().copied())
+        .current_dir(root)
+        .status()
+    {
         Ok(status) if status.success() => None,
         Ok(status) => {
             eprintln!("ci: `cargo {}` failed", args.join(" "));

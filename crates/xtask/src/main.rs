@@ -56,8 +56,10 @@ fn usage() {
          \x20                           workspace root)\n\
          \x20 ci [--bench]              fmt-check (if rustfmt present), memlint,\n\
          \x20                           cargo build --release, clippy -D warnings\n\
-         \x20                           (if clippy present), the --jobs 1-vs-4\n\
-         \x20                           output + telemetry determinism gate,\n\
+         \x20                           (if clippy present), cargo doc --no-deps\n\
+         \x20                           with RUSTDOCFLAGS=-D warnings, the\n\
+         \x20                           --jobs 1-vs-4 output + telemetry\n\
+         \x20                           determinism gate,\n\
          \x20                           obs --check, a quick 3-plan chaos soak,\n\
          \x20                           cargo test --workspace -q, the memcon\n\
          \x20                           and memsim tests with strict-invariants,\n\
