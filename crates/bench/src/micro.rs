@@ -141,7 +141,9 @@ fn bench_fleet(c: &mut Criterion) {
 fn bench_failure_model(c: &mut Criterion) {
     let mut g = c.benchmark_group("failure_model");
     // One bank of paper-sized (8 KB) rows with random content: the shape of
-    // every ChipTester sweep, Fig. 3/4 data point, and TestEngine oracle call.
+    // every ChipTester sweep and Fig. 3/4 data point. The kernel caches
+    // nothing derived from content, so once the chip's cell cache is warm a
+    // repeated sweep costs what a sweep of fresh content does.
     let geometry = DramGeometry {
         ranks: 1,
         chips_per_rank: 1,
@@ -163,7 +165,7 @@ fn bench_failure_model(c: &mut Criterion) {
     });
 
     // The single internal row carrying the most vulnerable cells: the
-    // worst-case per-row evaluation the TestEngine oracle pays on a miss.
+    // worst-case per-row evaluation a ContentOracle verdict pays.
     let bits = geometry.bits_per_row();
     let row = (0..geometry.rows_per_bank)
         .max_by_key(|&r| {

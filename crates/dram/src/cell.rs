@@ -5,7 +5,7 @@
 //! differ. Real DRAM complicates the logical→charge mapping with *true cells*
 //! (logical `1` = charged) and *anti cells* (logical `0` = charged), laid out
 //! differently by every vendor (the paper cites this as one reason
-//! system-level detection is hard). [`TrueAntiLayout`] models that mapping;
+//! system-level detection is hard). [`row_polarity`] models that mapping;
 //! [`RowContent`] stores the logical bits.
 
 use std::sync::Arc;
@@ -194,45 +194,16 @@ impl CellPolarity {
     }
 }
 
-/// Vendor-specific layout of true and anti cells across a bank's rows.
-///
-/// Liu et al. (ISCA 2013), cited by the paper, observed half-and-half and
-/// row-interleaved layouts in real chips; both are modelled, plus the trivial
-/// all-true layout for tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TrueAntiLayout {
-    /// Every cell is a true cell.
-    AllTrue,
-    /// Even internal rows are true cells, odd internal rows anti cells.
-    AlternateRows,
-    /// The lower half of the bank is true cells, the upper half anti cells.
-    HalfAndHalf {
-        /// Number of rows per bank (needed to find the midpoint).
-        rows_per_bank: u32,
-    },
-}
-
-impl TrueAntiLayout {
-    /// Polarity of cells in internal row `row`.
-    #[must_use]
-    pub fn polarity(self, row: u32) -> CellPolarity {
-        match self {
-            TrueAntiLayout::AllTrue => CellPolarity::True,
-            TrueAntiLayout::AlternateRows => {
-                if row.is_multiple_of(2) {
-                    CellPolarity::True
-                } else {
-                    CellPolarity::Anti
-                }
-            }
-            TrueAntiLayout::HalfAndHalf { rows_per_bank } => {
-                if row < rows_per_bank / 2 {
-                    CellPolarity::True
-                } else {
-                    CellPolarity::Anti
-                }
-            }
-        }
+/// Polarity of the cells in internal row `row` of a bank of `rows_per_bank`
+/// rows: the lower half of the bank holds true cells, the upper half anti
+/// cells. Liu et al. (ISCA 2013), cited by the paper, observed this
+/// half-and-half layout in the chips the paper's methodology builds on.
+#[must_use]
+pub fn row_polarity(row: u32, rows_per_bank: u32) -> CellPolarity {
+    if row < rows_per_bank / 2 {
+        CellPolarity::True
+    } else {
+        CellPolarity::Anti
     }
 }
 
@@ -335,18 +306,8 @@ mod tests {
 
     #[test]
     fn layouts() {
-        assert_eq!(TrueAntiLayout::AllTrue.polarity(7), CellPolarity::True);
-        assert_eq!(
-            TrueAntiLayout::AlternateRows.polarity(0),
-            CellPolarity::True
-        );
-        assert_eq!(
-            TrueAntiLayout::AlternateRows.polarity(1),
-            CellPolarity::Anti
-        );
-        let half = TrueAntiLayout::HalfAndHalf { rows_per_bank: 100 };
-        assert_eq!(half.polarity(49), CellPolarity::True);
-        assert_eq!(half.polarity(50), CellPolarity::Anti);
+        assert_eq!(row_polarity(49, 100), CellPolarity::True);
+        assert_eq!(row_polarity(50, 100), CellPolarity::Anti);
     }
 
     #[test]

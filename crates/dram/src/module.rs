@@ -4,20 +4,16 @@
 //! system cannot see: per-bank address scrambling, per-bank column repair,
 //! and the true/anti-cell layout. The system side (memory controller,
 //! MEMCON) reads and writes rows by *system* address; the failure model
-//! reaches the *internal* cell space through [`DramModule::charge_at_internal`]
-//! and friends.
+//! reaches the *internal* cell space through [`DramModule::charge_row`],
+//! which [`DramModule::charge_at_internal`] defines cell by cell.
 //!
 //! Content is stored bit-exactly per row so that read-back comparison (the
 //! testing MEMCON performs online) sees genuine data-dependent bit flips.
 
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use memutil::rng::SmallRng;
-use memutil::rng::{Rng, SeedableRng};
-
 use crate::address::{RowAddr, RowId};
-use crate::cell::{CellPolarity, RowContent, TrueAntiLayout};
+use crate::cell::{row_polarity, CellPolarity, RowContent};
 use crate::error::DramError;
 use crate::geometry::DramGeometry;
 use crate::remap::RemapTable;
@@ -33,18 +29,9 @@ pub const DEFAULT_REPAIR_FRACTION: f64 = 0.002;
 /// Number of spare bitlines per bank in the default instantiation.
 pub const DEFAULT_REDUNDANT_BITLINES: u64 = 512;
 
-/// Row-level probe count after which a row's charge image is materialized.
-///
-/// A single module-wide evaluation sweep touches an internal row at most
-/// three times (once as the victim, once per vertical neighbour), so the
-/// threshold keeps one-shot sweeps on the cheap sparse-probe path while
-/// repeated sweeps over unchanged content (hot TestEngine rows, benchmark
-/// loops) graduate to the word-wide image.
-const HOT_ROW_PROBES: u32 = 3;
-
 /// Flat per-bank scrambler tables: the [`Scrambler`] translations memoized
-/// into arrays, so a sparse charge probe costs two indexed loads instead of
-/// two O(address-width) bit-permutation walks. Content-independent — row
+/// into arrays, so resolving a row or a bit costs an indexed load instead
+/// of an O(address-width) bit-permutation walk. Content-independent: row
 /// writes never invalidate them.
 #[derive(Debug)]
 struct BankTables {
@@ -54,45 +41,28 @@ struct BankTables {
     sys_bit_of: Vec<u64>,
 }
 
-/// Charge-image state of one internal row: a probe-heat counter and the
-/// lazily built image. The whole slot is reset whenever the underlying
-/// system row is written, so a cached image always reflects live content.
-#[derive(Debug, Default)]
-struct RowChargeSlot {
-    probes: AtomicU32,
-    image: OnceLock<Arc<[u64]>>,
+/// The charge view of one internal row, from [`DramModule::charge_row`]:
+/// the row's system content and cell polarity, resolved once, so reading a
+/// cell's charge costs two indexed loads.
+#[derive(Debug)]
+pub struct ChargeRow<'a> {
+    words: &'a [u64],
+    sys_bit_of: &'a [u64],
+    polarity: CellPolarity,
 }
 
-impl Clone for RowChargeSlot {
-    fn clone(&self) -> Self {
-        RowChargeSlot {
-            probes: AtomicU32::new(self.probes.load(Ordering::Relaxed)),
-            image: self.image.clone(),
-        }
-    }
-}
-
-/// Derived fast-path state: per-bank scrambler tables plus the heat-gated
-/// per-row charge-image cache. Everything here is recomputable from the
-/// module's content and structure. The tables depend only on the immutable
-/// scramblers, so clones share them through one `Arc` — whichever clone
-/// builds a bank's tables first pays for the whole lineage. The image
-/// slots are copied per clone (they track content, which diverges).
-#[derive(Debug, Clone)]
-struct ChargeCache {
-    /// One lazily built table set per bank, shared across clones.
-    tables: Arc<Vec<OnceLock<Arc<BankTables>>>>,
-    /// One slot per internal row, bank-major:
-    /// `bank_idx * rows_per_bank + internal_row`.
-    rows: Vec<RowChargeSlot>,
-}
-
-impl ChargeCache {
-    fn new(n_banks: usize, total_rows: usize) -> Self {
-        ChargeCache {
-            tables: Arc::new((0..n_banks).map(|_| OnceLock::new()).collect()),
-            rows: (0..total_rows).map(|_| RowChargeSlot::default()).collect(),
-        }
+impl ChargeRow<'_> {
+    /// Charge state (`true` = capacitor charged) of internal bitline
+    /// `internal_bit` (pre-remap) of this row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `internal_bit` is out of range.
+    #[must_use]
+    pub fn charge(&self, internal_bit: u64) -> bool {
+        let sys_bit = self.sys_bit_of[internal_bit as usize];
+        let logical = (self.words[(sys_bit / 64) as usize] >> (sys_bit % 64)) & 1 == 1;
+        self.polarity.charge(logical)
     }
 }
 
@@ -100,10 +70,9 @@ impl ChargeCache {
 ///
 /// Rows are copy-on-write [`RowContent`]s: a clone shares every row's
 /// storage with its source until one side writes the row, so cloning costs
-/// a reference-count bump per row plus the charge-cache slots. A fresh
-/// module's rows all share one zero buffer; a 2 GB geometry still needs
-/// 2 GB of host memory once every row is written, so experiments use
-/// scaled-down geometries.
+/// a reference-count bump per row. A fresh module's rows all share one
+/// zero buffer; a 2 GB geometry still needs 2 GB of host memory once every
+/// row is written, so experiments use scaled-down geometries.
 #[derive(Debug, Clone)]
 pub struct DramModule {
     geometry: DramGeometry,
@@ -112,8 +81,10 @@ pub struct DramModule {
     rows: Vec<RowContent>,
     scramblers: Vec<VendorScrambler>,
     remaps: Vec<RemapTable>,
-    layout: TrueAntiLayout,
-    charge: ChargeCache,
+    /// One lazily built table set per bank. The tables depend only on the
+    /// immutable scramblers, so clones share them: whichever clone builds
+    /// a bank's tables first pays for the whole lineage.
+    tables: Arc<Vec<OnceLock<BankTables>>>,
 }
 
 impl DramModule {
@@ -133,14 +104,6 @@ impl DramModule {
         let bits = geometry.bits_per_row();
         let n_banks = usize::from(geometry.ranks) * usize::from(geometry.banks);
 
-        let mut rng = SmallRng::seed_from_u64(chip_seed);
-        // Half-and-half is the common layout reported by Liu et al. (ISCA'13)
-        // for the chips the paper's methodology builds on; row-interleaved
-        // layouts are available via `with_layout` for sensitivity studies.
-        let _ = rng.gen::<u64>(); // keep downstream seed stream stable
-        let layout = TrueAntiLayout::HalfAndHalf {
-            rows_per_bank: geometry.rows_per_bank,
-        };
         let faults = ((bits as f64 * DEFAULT_REPAIR_FRACTION) as u64)
             .min(DEFAULT_REDUNDANT_BITLINES.min(bits / 4));
         let scramblers = (0..n_banks)
@@ -170,8 +133,7 @@ impl DramModule {
             rows: vec![RowContent::zeroed(words); total],
             scramblers,
             remaps,
-            layout,
-            charge: ChargeCache::new(n_banks, total),
+            tables: Arc::new((0..n_banks).map(|_| OnceLock::new()).collect()),
         }
     }
 
@@ -191,20 +153,6 @@ impl DramModule {
     #[must_use]
     pub fn chip_seed(&self) -> u64 {
         self.chip_seed
-    }
-
-    /// True/anti-cell layout of this chip.
-    #[must_use]
-    pub fn layout(&self) -> TrueAntiLayout {
-        self.layout
-    }
-
-    /// Replaces the true/anti-cell layout (for layout sensitivity studies).
-    #[must_use]
-    pub fn with_layout(mut self, layout: TrueAntiLayout) -> Self {
-        self.layout = layout;
-        self.invalidate_all_images();
-        self
     }
 
     fn bank_index(&self, addr: RowAddr) -> usize {
@@ -270,7 +218,6 @@ impl DramModule {
             });
         }
         self.rows[idx] = content;
-        self.invalidate_image(addr);
         Ok(())
     }
 
@@ -282,13 +229,12 @@ impl DramModule {
     /// Returns an address-range error if `addr` is outside the geometry.
     pub fn row_mut(&mut self, addr: RowAddr) -> Result<&mut RowContent, DramError> {
         let idx = self.check_addr(addr)?;
-        self.invalidate_image(addr);
         Ok(&mut self.rows[idx])
     }
 
     /// Fault-injection hook: flips one content bit of the row at `addr`
-    /// (the bit index wraps modulo the row width), invalidating any charge
-    /// image exactly as a demand write would. Returns the bit's new value.
+    /// (the bit index wraps modulo the row width). Returns the bit's new
+    /// value.
     ///
     /// # Errors
     ///
@@ -321,7 +267,6 @@ impl DramModule {
             );
             *slot = content;
         }
-        self.invalidate_all_images();
     }
 
     /// Charge state (`true` = capacitor charged) of the cell at *internal*
@@ -348,7 +293,7 @@ impl DramModule {
         let sys_bit = s.to_system_bit(internal_bit);
         let addr = RowAddr::new(rank, bank, sys_row);
         let logical = self.rows[addr.to_row_id(&self.geometry) as usize].bit(sys_bit);
-        self.layout.polarity(internal_row).charge(logical)
+        row_polarity(internal_row, self.geometry.rows_per_bank).charge(logical)
     }
 
     /// Translates internal coordinates to the (rank, bank, system row,
@@ -370,137 +315,46 @@ impl DramModule {
     }
 
     /// The memoized scrambler tables of `bank_idx`, built on first use.
-    fn bank_tables(&self, bank_idx: usize) -> Arc<BankTables> {
-        Arc::clone(self.charge.tables[bank_idx].get_or_init(|| {
+    fn bank_tables(&self, bank_idx: usize) -> &BankTables {
+        self.tables[bank_idx].get_or_init(|| {
             let s = &self.scramblers[bank_idx];
-            Arc::new(BankTables {
+            BankTables {
                 sys_row_of: (0..self.geometry.rows_per_bank)
                     .map(|r| s.to_system_row(r))
                     .collect(),
                 sys_bit_of: (0..self.geometry.bits_per_row())
                     .map(|b| s.to_system_bit(b))
                     .collect(),
-            })
-        }))
+            }
+        })
     }
 
-    fn row_slot(&self, bank_idx: usize, internal_row: u32) -> &RowChargeSlot {
-        &self.charge.rows[bank_idx * self.geometry.rows_per_bank as usize + internal_row as usize]
-    }
-
-    /// Drops the cached charge image of the internal row that stores system
-    /// row `addr` (called from every content-mutation path).
-    fn invalidate_image(&mut self, addr: RowAddr) {
-        let bank_idx = self.bank_index(addr);
-        let internal_row = self.scramblers[bank_idx].to_internal_row(addr.row);
-        let slot = bank_idx * self.geometry.rows_per_bank as usize + internal_row as usize;
-        self.charge.rows[slot] = RowChargeSlot::default();
-    }
-
-    /// Drops every cached charge image (bulk-fill / layout-change path).
-    /// The scrambler tables are content-independent and survive.
-    fn invalidate_all_images(&mut self) {
-        for slot in &mut self.charge.rows {
-            *slot = RowChargeSlot::default();
-        }
-    }
-
-    /// Fast sparse charge probe: identical result to
-    /// [`DramModule::charge_at_internal`], but the scrambler translations go
-    /// through the memoized per-bank tables (two indexed loads), and a
-    /// cached charge image is used directly when one exists.
+    /// The charge view of bank-internal row `internal_row`: its system row
+    /// and true/anti polarity resolved once, so [`ChargeRow::charge`]
+    /// equals [`DramModule::charge_at_internal`] for every bit at two
+    /// indexed loads per cell. The view borrows the module, so no write can
+    /// make it stale.
     ///
     /// # Panics
     ///
     /// Panics if coordinates are out of range.
     #[must_use]
-    pub fn charge_probe(&self, rank: u8, bank: u8, internal_row: u32, internal_bit: u64) -> bool {
+    pub fn charge_row(&self, rank: u8, bank: u8, internal_row: u32) -> ChargeRow<'_> {
         let bank_idx = usize::from(rank) * usize::from(self.geometry.banks) + usize::from(bank);
-        if let Some(img) = self.row_slot(bank_idx, internal_row).image.get() {
-            return (img[(internal_bit / 64) as usize] >> (internal_bit % 64)) & 1 == 1;
-        }
         let t = self.bank_tables(bank_idx);
-        let sys_row = t.sys_row_of[internal_row as usize];
-        let sys_bit = t.sys_bit_of[internal_bit as usize];
-        let addr = RowAddr::new(rank, bank, sys_row);
-        let logical = self.rows[addr.to_row_id(&self.geometry) as usize].bit(sys_bit);
-        self.layout.polarity(internal_row).charge(logical)
-    }
-
-    /// The *charge image* of one internal row: bit `i % 64` of word `i / 64`
-    /// is the charge state of internal bitline `i`, with scrambling and
-    /// true-/anti-cell polarity already applied. Built on first call and
-    /// cached until the underlying system row is written.
-    ///
-    /// # Panics
-    ///
-    /// Panics if coordinates are out of range.
-    #[must_use]
-    pub fn charge_image(&self, rank: u8, bank: u8, internal_row: u32) -> Arc<[u64]> {
-        let bank_idx = usize::from(rank) * usize::from(self.geometry.banks) + usize::from(bank);
-        self.materialize_image(bank_idx, rank, bank, internal_row)
-    }
-
-    /// Heat-gated variant of [`DramModule::charge_image`]: counts the call
-    /// as one row-level probe and returns the image only once the row has
-    /// been probed more than `HOT_ROW_PROBES` times since its content
-    /// last changed (`None` while cold — callers fall back to
-    /// [`DramModule::charge_probe`]). This keeps one-shot sweeps off the
-    /// O(bits-per-row) image build while repeatedly probed rows amortize it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if coordinates are out of range.
-    #[must_use]
-    pub fn charge_image_if_hot(&self, rank: u8, bank: u8, internal_row: u32) -> Option<Arc<[u64]>> {
-        let bank_idx = usize::from(rank) * usize::from(self.geometry.banks) + usize::from(bank);
-        let slot = self.row_slot(bank_idx, internal_row);
-        if let Some(img) = slot.image.get() {
-            return Some(Arc::clone(img));
+        let addr = RowAddr::new(rank, bank, t.sys_row_of[internal_row as usize]);
+        ChargeRow {
+            words: self.rows[addr.to_row_id(&self.geometry) as usize].as_words(),
+            sys_bit_of: &t.sys_bit_of,
+            polarity: row_polarity(internal_row, self.geometry.rows_per_bank),
         }
-        if slot.probes.fetch_add(1, Ordering::Relaxed) < HOT_ROW_PROBES {
-            return None;
-        }
-        Some(self.materialize_image(bank_idx, rank, bank, internal_row))
-    }
-
-    fn materialize_image(
-        &self,
-        bank_idx: usize,
-        rank: u8,
-        bank: u8,
-        internal_row: u32,
-    ) -> Arc<[u64]> {
-        let slot = self.row_slot(bank_idx, internal_row);
-        Arc::clone(slot.image.get_or_init(|| {
-            // Heat transition: this row graduates from sparse probes to a
-            // word-wide image. Once per (row, invalidation epoch), and a
-            // pure function of total probe counts — deterministic.
-            telemetry::count("dram.charge.image_builds", 1);
-            let t = self.bank_tables(bank_idx);
-            let sys_row = t.sys_row_of[internal_row as usize];
-            let addr = RowAddr::new(rank, bank, sys_row);
-            let row = &self.rows[addr.to_row_id(&self.geometry) as usize];
-            let mut img = vec![0u64; self.geometry.words_per_row()];
-            for (internal_bit, &sys_bit) in t.sys_bit_of.iter().enumerate() {
-                if row.bit(sys_bit) {
-                    img[internal_bit / 64] |= 1 << (internal_bit % 64);
-                }
-            }
-            if matches!(self.layout.polarity(internal_row), CellPolarity::Anti) {
-                for w in &mut img {
-                    *w = !*w;
-                }
-            }
-            img.into()
-        }))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cell::CellPolarity;
+    use memutil::rng::{Rng, SeedableRng, SmallRng};
 
     fn tiny_module() -> DramModule {
         DramModule::new(DramGeometry::tiny(), TimingParams::ddr3_1600(), 1234)
@@ -569,7 +423,7 @@ mod tests {
         let s = &m.scramblers[0];
         let internal_row = s.to_internal_row(3);
         let internal_bit = s.to_internal_bit(17);
-        let polarity = m.layout().polarity(internal_row);
+        let polarity = row_polarity(internal_row, m.geometry().rows_per_bank);
         let expected_charge = polarity.charge(true);
         assert_eq!(
             m.charge_at_internal(0, 0, internal_row, internal_bit),
@@ -650,134 +504,23 @@ mod tests {
     }
 
     #[test]
-    fn charge_probe_and_image_agree_with_naive_path() {
+    fn charge_row_agrees_with_naive_path() {
         let mut m = tiny_module();
         random_fill(&mut m, 0xC4A6);
         let g = *m.geometry();
         for rank in 0..g.ranks {
             for bank in 0..g.banks {
                 for row in 0..g.rows_per_bank {
-                    let img = m.charge_image(rank, bank, row);
+                    let view = m.charge_row(rank, bank, row);
                     for bit in 0..g.bits_per_row() {
-                        let naive = m.charge_at_internal(rank, bank, row, bit);
                         assert_eq!(
-                            m.charge_probe(rank, bank, row, bit),
-                            naive,
-                            "probe diverged at ({rank},{bank},{row},{bit})"
-                        );
-                        assert_eq!(
-                            (img[(bit / 64) as usize] >> (bit % 64)) & 1 == 1,
-                            naive,
-                            "image diverged at ({rank},{bank},{row},{bit})"
+                            view.charge(bit),
+                            m.charge_at_internal(rank, bank, row, bit),
+                            "charge view diverged at ({rank},{bank},{row},{bit})"
                         );
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn charge_image_if_hot_gates_on_probe_count() {
-        let mut m = tiny_module();
-        random_fill(&mut m, 5);
-        for _ in 0..HOT_ROW_PROBES {
-            assert!(m.charge_image_if_hot(0, 0, 9).is_none(), "built too early");
-        }
-        assert!(m.charge_image_if_hot(0, 0, 9).is_some(), "never became hot");
-        // Once built, further callers get the cached image without waiting.
-        assert!(m.charge_image_if_hot(0, 0, 9).is_some());
-    }
-
-    #[test]
-    fn writes_invalidate_the_charge_image() {
-        let mut m = tiny_module();
-        random_fill(&mut m, 6);
-        let g = *m.geometry();
-        let addr = RowAddr::new(0, 1, 12);
-        let internal_row = m.scrambler_for(addr).to_internal_row(addr.row);
-
-        let before = m.charge_image(0, 1, internal_row);
-        // `write_row`: the stale image must be dropped and rebuilt from the
-        // new content.
-        let mut rng = SmallRng::seed_from_u64(7);
-        let fresh = RowContent::from_words(
-            (0..g.words_per_row())
-                .map(|_| rng.gen())
-                .collect::<Vec<_>>(),
-        );
-        m.write_row(addr, fresh).unwrap();
-        let after = m.charge_image(0, 1, internal_row);
-        assert_ne!(before, after, "image not rebuilt after write_row");
-        for bit in 0..g.bits_per_row() {
-            assert_eq!(
-                (after[(bit / 64) as usize] >> (bit % 64)) & 1 == 1,
-                m.charge_at_internal(0, 1, internal_row, bit)
-            );
-        }
-
-        // `row_mut`: in-place flips must invalidate too.
-        let sys_bit = 33;
-        m.row_mut(addr).unwrap().flip_bit(sys_bit);
-        let internal_bit = m.scrambler_for(addr).to_internal_bit(sys_bit);
-        let rebuilt = m.charge_image(0, 1, internal_row);
-        assert_eq!(
-            (rebuilt[(internal_bit / 64) as usize] >> (internal_bit % 64)) & 1 == 1,
-            m.charge_at_internal(0, 1, internal_row, internal_bit)
-        );
-        assert_ne!(rebuilt, after, "image not rebuilt after row_mut");
-
-        // `fill_with`: bulk refills drop every image.
-        let img_other = m.charge_image(0, 0, 3);
-        random_fill(&mut m, 8);
-        for bit in 0..g.bits_per_row() {
-            assert_eq!(
-                m.charge_probe(0, 0, 3, bit),
-                m.charge_at_internal(0, 0, 3, bit),
-                "stale probe after fill_with"
-            );
-        }
-        let img_refilled = m.charge_image(0, 0, 3);
-        assert_ne!(img_other, img_refilled, "image not rebuilt after fill_with");
-    }
-
-    #[test]
-    fn with_layout_invalidates_images() {
-        let mut m = tiny_module();
-        random_fill(&mut m, 9);
-        let before = m.charge_image(0, 0, 1);
-        let m = m.with_layout(TrueAntiLayout::AlternateRows);
-        let after = m.charge_image(0, 0, 1);
-        // Internal row 1 is a true cell under HalfAndHalf (64-row banks) but
-        // an anti cell under AlternateRows: the image must flip.
-        assert_eq!(
-            before.iter().map(|w| !w).collect::<Vec<_>>(),
-            after.iter().copied().collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn cloned_module_keeps_consistent_charge_state() {
-        let mut m = tiny_module();
-        random_fill(&mut m, 10);
-        let _ = m.charge_image(0, 0, 5);
-        let mut c = m.clone();
-        // The clone's cached image matches its (identical) content...
-        assert_eq!(m.charge_image(0, 0, 5), c.charge_image(0, 0, 5));
-        // ...and diverges independently after a write to the clone.
-        let addr = RowAddr::new(
-            0,
-            0,
-            c.scrambler_for(RowAddr::new(0, 0, 0)).to_system_row(5),
-        );
-        let internal = c.scrambler_for(addr).to_internal_row(addr.row);
-        assert_eq!(internal, 5, "address arithmetic self-check");
-        c.row_mut(addr).unwrap().flip_bit(0);
-        assert_ne!(m.charge_image(0, 0, 5), c.charge_image(0, 0, 5));
-        for bit in 0..m.geometry().bits_per_row() {
-            assert_eq!(
-                m.charge_probe(0, 0, 5, bit),
-                m.charge_at_internal(0, 0, 5, bit)
-            );
         }
     }
 }

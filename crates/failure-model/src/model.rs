@@ -31,11 +31,11 @@
 //!   cells once per chip — with remap neighbours and system attribution
 //!   precomputed — so a sweep pays the Poisson/RNG sampling only on its
 //!   first pass and skips empty rows (the vast majority) outright;
-//! * charge probes go through [`DramModule::charge_probe`] /
-//!   [`DramModule::charge_image_if_hot`]: once a row's charge image is
-//!   materialized, victim-vs-vertical-neighbour differences are word-wide
-//!   XORs plus a bit extraction instead of five scramble/polarity walks
-//!   per cell.
+//! * charge reads go through three [`DramModule::charge_row`] views per
+//!   row (victim, up, down), which resolve each row's system row and
+//!   true/anti polarity once, so a cell's charge costs two indexed loads
+//!   instead of a scramble/polarity walk. The views read the content
+//!   stored now, so one-shot and repeated sweeps take the same path.
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -46,7 +46,7 @@ use memutil::rng::{Rng, SeedableRng};
 use dram::address::RowAddr;
 use dram::module::DramModule;
 
-use crate::cache::{ChipCells, VulnerableCellCache};
+use crate::cache::VulnerableCellCache;
 use crate::math::poisson_sample;
 use crate::params::FailureModelParams;
 
@@ -343,32 +343,15 @@ impl CouplingFailureModel {
         out: &mut Vec<CellFailure>,
     ) {
         let chip = self.cache.chip(module);
-        self.eval_row_cached(&chip, module, rank, bank, internal_row, interval_ms, out);
-    }
-
-    /// The cached word-parallel evaluation kernel. Bit-identical to
-    /// [`CouplingFailureModel::evaluate_row_reference`]: cells are walked in
-    /// generation order (via the cache's `by_gen` permutation) and aggressor
-    /// weights are summed left, right, up, down, so both the failure list
-    /// and every f64 accumulation match the definitional path exactly.
-    #[allow(clippy::too_many_arguments)]
-    fn eval_row_cached(
-        &self,
-        chip: &ChipCells,
-        module: &DramModule,
-        rank: u8,
-        bank: u8,
-        internal_row: u32,
-        interval_ms: f64,
-        out: &mut Vec<CellFailure>,
-    ) {
         let row = chip.row(&self.params, module, rank, bank, internal_row);
         self.eval_row_cells(row, module, rank, bank, internal_row, interval_ms, out);
     }
 
-    /// The kernel body proper, on already-fetched cached cells — split out
-    /// so the telemetry path can fetch rows through
-    /// [`ChipCells::row_counted`] without duplicating the evaluation.
+    /// The evaluation kernel, on one row's cached cells. Bit-identical to
+    /// [`CouplingFailureModel::evaluate_row_reference`]: cells are walked in
+    /// generation order (via the cache's `by_gen` permutation) and aggressor
+    /// weights are summed left, right, up, down, so both the failure list
+    /// and every f64 accumulation match the definitional path exactly.
     #[allow(clippy::too_many_arguments)]
     fn eval_row_cells(
         &self,
@@ -384,61 +367,35 @@ impl CouplingFailureModel {
             return; // most rows: no vulnerable cells, no content probes
         }
         let rows_per_bank = module.geometry().rows_per_bank;
-        let victim_img = module.charge_image_if_hot(rank, bank, internal_row);
-        let up_img = (internal_row > 0)
-            .then(|| module.charge_image_if_hot(rank, bank, internal_row - 1))
-            .flatten();
-        let down_img = (internal_row + 1 < rows_per_bank)
-            .then(|| module.charge_image_if_hot(rank, bank, internal_row + 1))
-            .flatten();
-        let probe = |img: &Option<Arc<[u64]>>, r: u32, bit: u64| -> bool {
-            match img {
-                Some(words) => (words[(bit >> 6) as usize] >> (bit & 63)) & 1 == 1,
-                None => module.charge_probe(rank, bank, r, bit),
-            }
-        };
+        let victim = module.charge_row(rank, bank, internal_row);
+        let up = (internal_row > 0).then(|| module.charge_row(rank, bank, internal_row - 1));
+        let down = (internal_row + 1 < rows_per_bank)
+            .then(|| module.charge_row(rank, bank, internal_row + 1));
         for &pos in row.by_gen.iter() {
             let c = &row.cells[pos];
             let bit = c.cell.internal_bit;
-            let victim_charged = probe(&victim_img, internal_row, bit);
+            let victim_charged = victim.charge(bit);
             if !victim_charged {
                 continue; // only charged cells leak to a flip
             }
             let mut sum = 0.0;
             if let Some(lb) = c.left {
-                if probe(&victim_img, internal_row, lb) != victim_charged {
+                if victim.charge(lb) != victim_charged {
                     sum += c.cell.w_left;
                 }
             }
             if let Some(rb) = c.right {
-                if probe(&victim_img, internal_row, rb) != victim_charged {
+                if victim.charge(rb) != victim_charged {
                     sum += c.cell.w_right;
                 }
             }
-            if internal_row > 0 {
-                let hostile = match (&victim_img, &up_img) {
-                    // Word-wide XOR: both polarities are baked into the
-                    // images, so a set difference bit *is* a charge
-                    // difference.
-                    (Some(v), Some(u)) => {
-                        let wi = (bit >> 6) as usize;
-                        ((v[wi] ^ u[wi]) >> (bit & 63)) & 1 == 1
-                    }
-                    _ => probe(&up_img, internal_row - 1, bit) != victim_charged,
-                };
-                if hostile {
+            if let Some(up) = &up {
+                if up.charge(bit) != victim_charged {
                     sum += c.cell.w_up;
                 }
             }
-            if internal_row + 1 < rows_per_bank {
-                let hostile = match (&victim_img, &down_img) {
-                    (Some(v), Some(d)) => {
-                        let wi = (bit >> 6) as usize;
-                        ((v[wi] ^ d[wi]) >> (bit & 63)) & 1 == 1
-                    }
-                    _ => probe(&down_img, internal_row + 1, bit) != victim_charged,
-                };
-                if hostile {
+            if let Some(down) = &down {
+                if down.charge(bit) != victim_charged {
                     sum += c.cell.w_down;
                 }
             }
@@ -565,54 +522,55 @@ impl CouplingFailureModel {
         let chip = self.cache.chip(module);
         let banks = chip.bank_list();
         // Telemetry handles are bound once, outside the fan-out (pool
-        // workers must not consult the process-wide current registry);
-        // when disabled the per-bank closure is the exact pre-telemetry
-        // code path plus one `Option` check.
+        // workers must not consult the process-wide current registry).
+        // Both arms run the same row loop: enabled telemetry adds only the
+        // per-bank flush.
         let tm = EvalTelemetry::bind();
         // The fault plan is likewise hoisted: when disabled this is one
-        // relaxed atomic load and the sweep is the exact pre-fault code
-        // path. Injection is *keyed* per (rank, bank, row) — a pure hash of
-        // the plan seed — so the result stays bit-identical at any `jobs`.
+        // relaxed atomic load and no flip is drawn. Injection is *keyed*
+        // per (rank, bank, row) — a pure hash of the plan seed — so the
+        // result stays bit-identical at any `jobs`.
         let fault_plan = if faultinject::enabled() {
             faultinject::active_plan()
         } else {
             None
         };
         let bits_per_row = module.geometry().words_per_row() as u64 * 64;
-        let inject = |rank: u8, bank: u8, row: u32, out: &mut Vec<CellFailure>| {
-            let Some(plan) = &fault_plan else { return };
-            let key = (u64::from(rank) << 44) | (u64::from(bank) << 36) | u64::from(row);
-            if plan.fires(faultinject::Site::DramBitFlip, key) {
-                // A transient flip manifests as one extra failing cell.
-                let internal_bit = key.wrapping_mul(0x9E37_79B9_7F4A_7C15) % bits_per_row;
-                let (system_row, system_bit) =
-                    module.internal_to_system(rank, bank, row, internal_bit);
-                out.push(CellFailure {
-                    rank,
-                    bank,
-                    internal_row: row,
-                    internal_bit,
-                    system_row,
-                    system_bit,
-                });
-            }
-        };
         memutil::par::ordered_flat_map_with(jobs, banks.len(), |i| {
             let (rank, bank) = banks[i];
+            let key = |row: u32| (u64::from(rank) << 44) | (u64::from(bank) << 36) | u64::from(row);
+            // The bank's transient flips, drawn in one pass before the row
+            // loop: a draw inside the loop costs more than 2 % of the kernel
+            // even when nothing fires.
+            let flips: Vec<u32> = match &fault_plan {
+                Some(plan) => (0..rows_per_bank)
+                    .filter(|&row| plan.fires(faultinject::Site::DramBitFlip, key(row)))
+                    .collect(),
+                None => Vec::new(),
+            };
+            let mut flips = flips.into_iter().peekable();
             let mut out = Vec::new();
+            let mut cold = 0u64;
+            for row in 0..rows_per_bank {
+                let cells = chip.row_counted(&self.params, module, rank, bank, row, &mut cold);
+                self.eval_row_cells(cells, module, rank, bank, row, interval_ms, &mut out);
+                if flips.next_if_eq(&row).is_some() {
+                    // A transient flip manifests as one extra failing cell.
+                    let internal_bit = key(row).wrapping_mul(0x9E37_79B9_7F4A_7C15) % bits_per_row;
+                    let (system_row, system_bit) =
+                        module.internal_to_system(rank, bank, row, internal_bit);
+                    out.push(CellFailure {
+                        rank,
+                        bank,
+                        internal_row: row,
+                        internal_bit,
+                        system_row,
+                        system_bit,
+                    });
+                }
+            }
             if let Some(tm) = &tm {
-                let mut cold = 0u64;
-                for row in 0..rows_per_bank {
-                    let cells = chip.row_counted(&self.params, module, rank, bank, row, &mut cold);
-                    self.eval_row_cells(cells, module, rank, bank, row, interval_ms, &mut out);
-                    inject(rank, bank, row, &mut out);
-                }
                 tm.note_bank(u64::from(rows_per_bank), cold, out.len() as u64);
-            } else {
-                for row in 0..rows_per_bank {
-                    self.eval_row_cached(&chip, module, rank, bank, row, interval_ms, &mut out);
-                    inject(rank, bank, row, &mut out);
-                }
             }
             out
         })
@@ -951,11 +909,12 @@ mod tests {
 
     #[test]
     fn cached_kernel_matches_reference_exactly() {
-        // The tentpole's equivalence contract: across seeds, content
-        // profiles, intervals, worker counts, and repeated passes (which
-        // drive rows through the cold → hot charge-image transition), the
+        // The kernel's equivalence contract: across seeds, content
+        // profiles, intervals, worker counts, and repeated passes, the
         // cached kernel returns a byte-identical Vec<CellFailure> — order
-        // included — to the definitional probe-at-a-time path.
+        // included — to the definitional probe-at-a-time path. The 512-row
+        // banks put rows on both sides of the true/anti midpoint, where the
+        // up/down views differ in polarity from the victim's.
         let g = DramGeometry {
             ranks: 1,
             chips_per_rank: 1,
@@ -1026,16 +985,15 @@ mod tests {
 
     #[test]
     fn kernel_tracks_writes_between_sweeps() {
-        // A write landing between sweeps must be visible to the kernel even
-        // after rows have gone hot (charge images are invalidated by the
-        // module; the cell cache is content-independent by construction).
+        // A write landing between repeated sweeps must be visible to the
+        // kernel (the cell cache is content-independent by construction).
         let m = CouplingFailureModel::default();
         let mut module = test_module(29);
         let words = module.geometry().words_per_row();
         let mut rng = SmallRng::seed_from_u64(7);
         module.fill_with(|_| RowContent::from_words((0..words).map(|_| rng.gen()).collect()));
         for _ in 0..4 {
-            let _ = m.evaluate_module(&module, 16_000.0); // heat the images
+            let _ = m.evaluate_module(&module, 16_000.0);
         }
         module.fill_with(|_| RowContent::zeroed(words));
         let got = m.evaluate_module_with_jobs(&module, 16_000.0, 1);

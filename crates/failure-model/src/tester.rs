@@ -341,14 +341,12 @@ mod tests {
     #[test]
     fn hot_charge_images_never_leak_across_writes() {
         // Writes land on the module mid-suite (fill, idle's apply, restore)
-        // after rows have gone hot; every report must match a tester whose
-        // caches were never heated.
+        // after repeated sweeps of unchanged content; every report must
+        // match a tester that never swept before the suite.
         let patterns = TestPattern::suite(4);
         let mut heated = tester(31);
         heated.fill_pattern(&TestPattern::Random(5));
         for _ in 0..4 {
-            // Repeated physics sweeps push every row past the hot-image
-            // threshold without mutating content.
             let _ = heated.model().evaluate_module(heated.module(), 60_000.0);
         }
         let mut cold = tester(31);
@@ -364,7 +362,7 @@ mod tests {
         let first = heated.idle_ms(60_000.0);
         heated.restore();
         let second = heated.idle_ms(60_000.0);
-        assert_eq!(first, second, "restore left stale charge images behind");
+        assert_eq!(first, second, "restore left stale charge state behind");
     }
 
     /// A 512-row tester of 8 KB rows, where random content fails some

@@ -31,7 +31,7 @@ use crate::overhead::STAGING_ROWS_PER_BANK;
 use crate::pril::{PageId, Pril, PrilStats};
 use crate::refreshmgr::{PageState, RefreshManager};
 use crate::testengine::{
-    EccEvent, FailureOracle, MemoStats, RateOracle, TestEngine, TestEngineStats, Verdict,
+    EccEvent, FailureOracle, RateOracle, TestEngine, TestEngineStats, Verdict,
 };
 
 /// Default Bernoulli failing-row rate for trace-scale runs (the middle of
@@ -46,7 +46,7 @@ pub const BACKOFF_EDGES: [u64; 5] = [1, 2, 4, 8, 16];
 pub const CANDIDATE_EDGES: [u64; 10] = [0, 1, 2, 4, 8, 16, 32, 64, 128, 256];
 
 /// Engine snapshot payload format version (the first payload byte).
-const SNAP_VERSION: u8 = 5;
+const SNAP_VERSION: u8 = 6;
 
 /// Copy-and-Compare staging rows: [`STAGING_ROWS_PER_BANK`] in each bank
 /// of the paper's 8-bank module. A test holds one row exactly while it is
@@ -289,8 +289,6 @@ struct RunState {
     quantum_ns: u64,
     mwi_ns: u64,
     duration: u64,
-    /// Oracle memo counters at run start (telemetry reports the delta).
-    memo_before: crate::testengine::MemoStats,
     /// The run's trace, fingerprinted by `begin_run` while a store is
     /// attached, else by the run's first [`MemconEngine::checkpoint`].
     trace: Option<TraceFingerprint>,
@@ -615,8 +613,6 @@ impl MemconEngine {
                 e.u64(run.quantum_ns);
                 e.u64(run.mwi_ns);
                 e.u64(run.duration);
-                e.u64(run.memo_before.hits);
-                e.u64(run.memo_before.misses);
                 match &run.trace {
                     Some(fingerprint) => {
                         e.bool(true);
@@ -734,10 +730,6 @@ impl MemconEngine {
             let quantum_ns = d.u64()?;
             let mwi_ns = d.u64()?;
             let duration = d.u64()?;
-            let memo_before = MemoStats {
-                hits: d.u64()?,
-                misses: d.u64()?,
-            };
             let trace = if d.bool()? {
                 Some(TraceFingerprint::decode(&mut d)?)
             } else {
@@ -749,7 +741,6 @@ impl MemconEngine {
                 quantum_ns,
                 mwi_ns,
                 duration,
-                memo_before,
                 trace,
             });
         }
@@ -982,10 +973,6 @@ impl MemconEngine {
             .map(|p| FaultSession::with_plan(Arc::clone(p)))
             .or_else(FaultSession::begin);
         self.tests.set_fault_session(session);
-        // Memo counters persist across runs (the memo itself is the point);
-        // snapshot them so telemetry reports this run's delta, including the
-        // steady-state pre-pass below.
-        let memo_before = self.tests.memo_counters().unwrap_or_default();
         self.mgr = RefreshManager::new(self.n_pages, self.config.hi_ms, self.config.lo_ms);
         if self.config.steady_state_start {
             // The trace window opens on a long-running system: every page
@@ -1008,7 +995,6 @@ impl MemconEngine {
             quantum_ns,
             mwi_ns: (self.config.min_write_interval_ms() * 1e6) as u64,
             duration: trace.duration_ns(),
-            memo_before,
             trace: self.store.is_some().then(|| TraceFingerprint::of(trace)),
         };
         if let Some(store) = self.store.as_mut() {
@@ -1095,11 +1081,7 @@ impl MemconEngine {
     ///
     /// Panics if no run is in progress (call [`MemconEngine::begin_run`]).
     pub fn finish_run(&mut self) -> MemconReport {
-        let RunState {
-            duration,
-            memo_before,
-            ..
-        } = self
+        let RunState { duration, .. } = self
             .run
             .take()
             .expect("finish_run without begin_run in progress");
@@ -1131,7 +1113,7 @@ impl MemconEngine {
             }
         }
         if telemetry::enabled() {
-            self.flush_telemetry(memo_before);
+            self.flush_telemetry();
         }
         // Terminal snapshot (no run section): a recovery after a clean
         // finish resumes a completed engine, not a mid-run one.
@@ -1256,7 +1238,7 @@ impl MemconEngine {
     /// registry. All values derive from simulation state, so they are
     /// deterministic; called once at the end of [`MemconEngine::run`] rather
     /// than per-event to keep the hot loop telemetry-free.
-    fn flush_telemetry(&self, memo_before: crate::testengine::MemoStats) {
+    fn flush_telemetry(&self) {
         let p = self.pril.stats;
         telemetry::count("memcon.pril.writes", p.writes);
         telemetry::count("memcon.pril.inserted", p.inserted);
@@ -1284,16 +1266,6 @@ impl MemconEngine {
         telemetry::count("memcon.tests.failed", t.failed);
         telemetry::count("memcon.tests.aborted", t.aborted);
         telemetry::count("memcon.tests.rejected", t.rejected);
-        if let Some(memo) = self.tests.memo_counters() {
-            telemetry::count(
-                "memcon.oracle.memo_hits",
-                memo.hits.saturating_sub(memo_before.hits),
-            );
-            telemetry::count(
-                "memcon.oracle.memo_misses",
-                memo.misses.saturating_sub(memo_before.misses),
-            );
-        }
         telemetry::count("memcon.engine.tests_correct", self.tests_correct);
         telemetry::count("memcon.engine.tests_mispredicted", self.tests_mispredicted);
         let (to_hi, to_testing, to_lo) = self.mgr.transition_counts();
@@ -2226,7 +2198,7 @@ mod tests {
         let (e, dir, payload) = half_run_payload(&trace, "engine-old-version");
         drop(e);
         assert!(MemconEngine::decode_state(&payload).is_ok());
-        for version in [2u8, 3, 4] {
+        for version in [2u8, 3, 4, 5] {
             let mut old = payload.clone();
             old[0] = version;
             let Err(err) = MemconEngine::decode_state(&old) else {

@@ -11,7 +11,7 @@
 //!
 //! * [`ContentOracle`] runs the real physics — it regenerates the page's
 //!   content in a simulated chip and evaluates the coupling failure model
-//!   (used by integration tests and content-level experiments),
+//!   (used by integration tests; no experiment runs it),
 //! * [`RateOracle`] draws from a per-workload failing-row rate (the Fig. 4
 //!   fractions), which is what trace-scale engine runs use.
 
@@ -47,14 +47,6 @@ pub trait FailureOracle: std::fmt::Debug + Send {
     ) -> bool {
         let _ = faults;
         self.page_fails(page, generation)
-    }
-
-    /// Memo hit/miss counters, for oracles that memoize verdicts
-    /// ([`ContentOracle`]); `None` for memo-free oracles. Lets the engine
-    /// fold oracle efficiency into the telemetry registry without
-    /// downcasting.
-    fn memo_counters(&self) -> Option<MemoStats> {
-        None
     }
 
     /// Serializes the oracle's mutable state for a durability snapshot, or
@@ -126,26 +118,15 @@ impl FailureOracle for RateOracle {
     }
 }
 
-/// Hit/miss counters of [`ContentOracle`]'s content-fingerprint memo.
-/// Counters saturate at `u64::MAX` rather than wrapping.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MemoStats {
-    /// Verdicts answered from the memo.
-    pub hits: u64,
-    /// Verdicts that ran the full failure-model evaluation.
-    pub misses: u64,
-}
-
 /// Physics-backed oracle: regenerates the page's content inside a simulated
 /// chip and runs the coupling failure model at the LO-REF interval.
 ///
-/// Verdicts are memoized on a **content fingerprint**: the verdict of a row
-/// is a pure function of the chip identity and the content of the victim
-/// internal row plus its two vertically adjacent internal rows (the
-/// complete input set of the coupling evaluation), so the memo key is
-/// `(row id, hash of those three rows)`. Re-testing a page whose
-/// neighborhood content is unchanged — the common case, since most pages
-/// are written rarely — answers from the memo without re-running the model.
+/// Every verdict writes the page's current content into the chip and
+/// evaluates it; no verdict is kept for later. A verdict keyed on content
+/// alone would ignore that a real cell's retention drifts with time and
+/// conditions, and MEMCON vouches only for the content stored now. Rows
+/// written by earlier verdicts stay in place as the neighbours of later
+/// ones.
 #[derive(Debug)]
 pub struct ContentOracle {
     module: DramModule,
@@ -153,8 +134,6 @@ pub struct ContentOracle {
     profile: ContentProfile,
     lo_ms: f64,
     content_seed: u64,
-    memo: HashMap<(u64, u64), bool>,
-    memo_stats: MemoStats,
 }
 
 impl ContentOracle {
@@ -179,43 +158,9 @@ impl ContentOracle {
             profile,
             lo_ms,
             content_seed,
-            memo: HashMap::new(),
-            memo_stats: MemoStats::default(),
         }
     }
 
-    /// Memo hit/miss counters.
-    #[must_use]
-    pub fn memo_stats(&self) -> MemoStats {
-        self.memo_stats
-    }
-
-    /// Hashes the verdict's input set: the victim internal row and its
-    /// vertical neighbors, in internal-row order. `std`'s `DefaultHasher`
-    /// is deterministic (SipHash-1-3 with zero keys), so fingerprints are
-    /// stable across runs.
-    fn fingerprint(&self, addr: RowAddr) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let g = self.module.geometry();
-        let scrambler = self.module.scrambler_for(addr);
-        let ir = scrambler.to_internal_row(addr.row);
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        let neighborhood = [ir.checked_sub(1), Some(ir), ir.checked_add(1)];
-        for internal in neighborhood.into_iter().flatten() {
-            if internal >= g.rows_per_bank {
-                continue;
-            }
-            let system = RowAddr::new(addr.rank, addr.bank, scrambler.to_system_row(internal));
-            self.module
-                .read_row(system)
-                .expect("internal rows map inside the bank")
-                .hash(&mut h);
-        }
-        h.finish()
-    }
-}
-
-impl ContentOracle {
     fn verdict(
         &mut self,
         page: PageId,
@@ -235,8 +180,8 @@ impl ContentOracle {
         if let Some(s) = faults {
             // Device-level transient flip, keyed on the content instance so
             // the decision replays regardless of test ordering. The flip
-            // lands before the fingerprint below, so the memo key describes
-            // the (perturbed) content actually evaluated and stays sound.
+            // lands before the evaluation below, so the verdict describes
+            // the (perturbed) content actually stored.
             let key = row_id ^ generation.rotate_left(32);
             if s.fires_keyed(Site::DramBitFlip, key) {
                 let bit = row_id.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ generation;
@@ -245,18 +190,10 @@ impl ContentOracle {
                     .expect("address is in range by construction");
             }
         }
-        let key = (row_id, self.fingerprint(addr));
-        if let Some(&failed) = self.memo.get(&key) {
-            self.memo_stats.hits = self.memo_stats.hits.saturating_add(1);
-            return failed;
-        }
-        let failed = !self
+        !self
             .model
             .evaluate_system_row(&self.module, addr, self.lo_ms)
-            .is_empty();
-        self.memo_stats.misses = self.memo_stats.misses.saturating_add(1);
-        self.memo.insert(key, failed);
-        failed
+            .is_empty()
     }
 }
 
@@ -272,10 +209,6 @@ impl FailureOracle for ContentOracle {
         faults: &mut FaultSession,
     ) -> bool {
         self.verdict(page, generation, Some(faults))
-    }
-
-    fn memo_counters(&self) -> Option<MemoStats> {
-        Some(self.memo_stats)
     }
 }
 
@@ -450,13 +383,6 @@ impl TestEngine {
     /// steady-state initialization).
     pub fn oracle_mut(&mut self) -> &mut dyn FailureOracle {
         self.oracle.as_mut()
-    }
-
-    /// The oracle's memo counters, if it memoizes
-    /// ([`FailureOracle::memo_counters`]).
-    #[must_use]
-    pub fn memo_counters(&self) -> Option<MemoStats> {
-        self.oracle.memo_counters()
     }
 
     /// The oracle's persisted state, if it supports durability snapshots
@@ -644,8 +570,8 @@ impl TestEngine {
 
     /// Performs the read-back of a completed test window: fault sites fire
     /// first (a torn read-back or disagreeing read passes yield no verdict,
-    /// so the oracle — and its content memo — must not run), then the
-    /// oracle decides, then the ECC path of the read-back is exercised.
+    /// so the oracle must not run), then the oracle decides, then the ECC
+    /// path of the read-back is exercised.
     fn read_back(&mut self, page: PageId, generation: u64) -> (Verdict, EccEvent) {
         let Some(faults) = self.faults.as_mut() else {
             let verdict = if self.oracle.page_fails(page, generation) {
@@ -729,6 +655,8 @@ impl TestEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     const MS: u64 = 1_000_000;
 
@@ -930,24 +858,10 @@ mod tests {
     }
 
     #[test]
-    fn content_memo_hits_on_unchanged_neighborhood() {
-        let mut o = content_oracle(11);
-        let first = o.page_fails(5, 0);
-        // Same page, same generation: identical content is rewritten and no
-        // neighbor changed, so the verdict comes from the memo.
-        let second = o.page_fails(5, 0);
-        assert_eq!(first, second);
-        assert_eq!(o.memo_stats(), MemoStats { hits: 1, misses: 1 });
-        // A new generation regenerates different random content: miss.
-        let _ = o.page_fails(5, 1);
-        assert_eq!(o.memo_stats().misses, 2);
-    }
-
-    #[test]
-    fn content_memo_preserves_verdicts() {
-        // Every memoized verdict must equal a direct (memo-free) model
-        // evaluation of the same module state; the memo may only change
-        // *when* the model runs, never the answer.
+    fn content_oracle_verdicts_match_direct_evaluation() {
+        // Every verdict equals a direct model evaluation of the same module
+        // state, including re-tests of unchanged content and rows whose
+        // neighbours earlier verdicts rewrote.
         use dram::geometry::DramGeometry;
         use dram::timing::TimingParams;
         use failure_model::params::FailureModelParams;
@@ -976,77 +890,78 @@ mod tests {
                 assert_eq!(verdict, expected, "diverged at page {page} round {round}");
             }
         }
-        assert!(
-            oracle.memo_stats().hits > 0,
-            "repeated neighborhoods should hit: {:?}",
-            oracle.memo_stats()
-        );
     }
 
-    #[test]
-    fn aborted_test_never_populates_the_memo() {
-        // Regression: an aborted test must not leave a partial verdict in
-        // the content-fingerprint memo — the next test of the same content
-        // must be a memo miss, not a hit on a phantom entry.
-        let mut e = TestEngine::new(Box::new(content_oracle(31)), 64.0, 4);
-        assert!(e.try_start(3, 0, 0));
-        assert!(e.abort(3));
-        assert!(e.poll(100 * MS).is_empty());
-        assert_eq!(
-            e.memo_counters(),
-            Some(MemoStats::default()),
-            "aborted test must not touch the memo"
-        );
-        assert!(e.try_start(3, 0, 200 * MS));
-        let done = e.poll(300 * MS);
-        assert_eq!(done.len(), 1);
-        assert_eq!(
-            e.memo_counters(),
-            Some(MemoStats { hits: 0, misses: 1 }),
-            "first completed test must miss the memo"
-        );
+    /// Counts the verdicts it is asked for; every test passes.
+    #[derive(Debug, Default)]
+    struct CountingOracle {
+        calls: Arc<AtomicU64>,
+    }
+
+    impl FailureOracle for CountingOracle {
+        fn page_fails(&mut self, _page: PageId, _generation: u64) -> bool {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            false
+        }
+    }
+
+    /// A faulted engine over a `CountingOracle`, plus its call counter.
+    fn counted_engine(site: Site) -> (TestEngine, Arc<AtomicU64>) {
+        let oracle = CountingOracle::default();
+        let calls = Arc::clone(&oracle.calls);
+        (faulted_engine(Box::new(oracle), site), calls)
     }
 
     fn faulted_engine(oracle: Box<dyn FailureOracle>, site: Site) -> TestEngine {
         use faultinject::{FaultPlan, SiteSpec};
         let mut e = TestEngine::new(oracle, 64.0, 8);
         let plan = FaultPlan::new(0xFA17).with_site(site, SiteSpec::rate(1.0));
-        e.set_fault_session(Some(FaultSession::with_plan(std::sync::Arc::new(plan))));
+        e.set_fault_session(Some(FaultSession::with_plan(Arc::new(plan))));
         e
     }
 
     #[test]
-    fn torn_read_is_ambiguous_and_skips_oracle_and_memo() {
-        let mut e = faulted_engine(Box::new(content_oracle(33)), Site::TornRead);
+    fn torn_read_is_ambiguous_and_skips_the_oracle() {
+        let (mut e, calls) = counted_engine(Site::TornRead);
         assert!(e.try_start(1, 0, 0));
         let done = e.poll(64 * MS);
         assert_eq!(done[0].verdict, Verdict::Ambiguous);
         assert_eq!(e.stats.ambiguous, 1);
         assert_eq!(
-            e.memo_counters(),
-            Some(MemoStats::default()),
+            calls.load(Ordering::Relaxed),
+            0,
             "ambiguous read-back must not run the oracle"
         );
     }
 
     #[test]
     fn oracle_disagreement_is_ambiguous() {
-        let mut e = faulted_engine(Box::new(RateOracle::new(0.0, 0)), Site::OracleDisagree);
+        let (mut e, calls) = counted_engine(Site::OracleDisagree);
         assert!(e.try_start(9, 2, 0));
         let done = e.poll(64 * MS);
         assert_eq!(done[0].verdict, Verdict::Ambiguous);
         assert_eq!(done[0].generation, 2);
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            0,
+            "ambiguous read-back must not run the oracle"
+        );
     }
 
     #[test]
     fn vrt_toggles_the_observed_verdict() {
-        let mut e = faulted_engine(Box::new(RateOracle::new(0.0, 0)), Site::DramVrt);
+        let (mut e, calls) = counted_engine(Site::DramVrt);
         assert!(e.try_start(4, 0, 0));
         let done = e.poll(64 * MS);
         assert_eq!(
             done[0].verdict,
             Verdict::Fail,
             "a VRT flip-flop turns a clean verdict into an observed failure"
+        );
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            1,
+            "a VRT flip toggles the oracle's verdict, so the oracle runs"
         );
     }
 
@@ -1079,26 +994,34 @@ mod tests {
     #[test]
     fn dram_bit_flip_perturbs_the_content_oracle_input() {
         use faultinject::{FaultPlan, SiteSpec};
-        use std::sync::Arc;
         let mut o = content_oracle(77);
-        let _ = o.page_fails(5, 0);
-        let _ = o.page_fails(5, 0);
-        assert_eq!(
-            o.memo_stats(),
-            MemoStats { hits: 1, misses: 1 },
-            "unchanged content hits the memo"
-        );
-        // Same content with an injected transient flip: the evaluated
-        // input differs, so the fingerprint — and hence the memo key —
-        // must differ too (the memo stays sound under injection).
         let plan = Arc::new(FaultPlan::new(1).with_site(Site::DramBitFlip, SiteSpec::rate(1.0)));
         let mut s = FaultSession::with_plan(plan);
-        let _ = o.page_fails_faulted(5, 0, &mut s);
+        let faulted = o.page_fails_faulted(5, 0, &mut s);
         assert_eq!(s.injected(Site::DramBitFlip), 1);
+        // The verdict is the model's answer for the flipped content: store
+        // that content in a fresh copy of the chip and evaluate it directly.
+        let mut reference = content_oracle(77);
+        let g = *reference.module.geometry();
+        let addr = RowAddr::from_row_id(5, &g);
+        let content = ContentProfile::random_data().row_content(7 ^ 5, 0, 5, g.words_per_row());
         assert_eq!(
-            o.memo_stats(),
-            MemoStats { hits: 1, misses: 2 },
-            "flipped content must miss the memo"
+            o.module
+                .read_row(addr)
+                .expect("in range")
+                .hamming_distance(&content),
+            1,
+            "the flip must land in the evaluated row"
         );
+        reference.module.write_row(addr, content).expect("in range");
+        reference
+            .module
+            .inject_bit_flip(addr, 5u64.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .expect("in range");
+        let direct = !reference
+            .model
+            .evaluate_system_row(&reference.module, addr, 64.0)
+            .is_empty();
+        assert_eq!(faulted, direct);
     }
 }

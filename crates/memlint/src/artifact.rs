@@ -26,23 +26,13 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Metric names legitimately used in code but absent from the reference
 /// telemetry run (and therefore from `TELEMETRY_expected.json`):
 ///
-/// * `dram.charge.image_builds` — counted only when a charge image is
-///   (re)built; the reference workload hits the per-chip cache.
 /// * `memcon.recovery.backoff_quanta` — a histogram observed only when a
 ///   recovery backoff actually occurs; the reference run has none.
-/// * `memcon.oracle.memo_hits` / `memo_misses` — flushed only when the
-///   test engine's oracle memo is enabled (`memo_counters()` is `Some`),
-///   which the reference configuration leaves off.
 /// * `fleet.step.latency_us` — a `Class::Timing` histogram (wall-clock
 ///   step latencies); timing metrics never appear in the golden file's
 ///   deterministic section by design.
-pub const KNOWN_CONDITIONAL_METRICS: [&str; 5] = [
-    "dram.charge.image_builds",
-    "memcon.recovery.backoff_quanta",
-    "memcon.oracle.memo_hits",
-    "memcon.oracle.memo_misses",
-    "fleet.step.latency_us",
-];
+pub const KNOWN_CONDITIONAL_METRICS: [&str; 2] =
+    ["memcon.recovery.backoff_quanta", "fleet.step.latency_us"];
 
 /// The file owning the fault-site registry (`Site::name`).
 const FAULT_REGISTRY_FILE: &str = "crates/faultinject/src/lib.rs";

@@ -9,11 +9,18 @@
 //! trace-gen <workload|all> [--scale S] [--window SECONDS] [--seed N]
 //!           [--format json|text] [--out DIR]
 //! ```
+//!
+//! `--scale` must lie in (0, 1] and `--window` in (0, the workload's
+//! Table-1 duration]. Any other value, like an unknown workload or format,
+//! is a usage error: an `error:` line and the usage on stderr, exit 2.
 
 use std::io::Write as _;
 use std::path::PathBuf;
 
 use memtrace::workload::WorkloadProfile;
+
+const USAGE: &str = "usage: trace-gen <workload|all> [--scale S] [--window SECONDS] [--seed N] \
+                     [--format json|text] [--out DIR]";
 
 struct Args {
     workload: String,
@@ -57,7 +64,44 @@ fn parse_args() -> Result<Args, String> {
     if args.workload.is_empty() {
         return Err("missing workload (a Table-1 name, or 'all')".into());
     }
+    // 1 is the Table-1 footprint; the comparisons also refuse NaN.
+    if !(args.scale > 0.0 && args.scale <= 1.0) {
+        return Err(format!("--scale must be in (0, 1], got {:?}", args.scale));
+    }
     Ok(args)
+}
+
+/// The profiles `args` names. A `--window` must be positive and no longer
+/// than each profile's Table-1 capture, the trace it models.
+fn profiles(args: &Args) -> Result<Vec<WorkloadProfile>, String> {
+    let profiles = if args.workload == "all" {
+        WorkloadProfile::all()
+    } else {
+        let profile = WorkloadProfile::by_name(&args.workload).ok_or_else(|| {
+            format!(
+                "unknown workload '{}'; known: {}, or 'all'",
+                args.workload,
+                WorkloadProfile::all()
+                    .iter()
+                    .map(|w| w.name.clone())
+                    .collect::<Vec<_>>()
+                    .join(", ")
+            )
+        })?;
+        vec![profile]
+    };
+    if let Some(window) = args.window {
+        if let Some(p) = profiles
+            .iter()
+            .find(|p| !(window > 0.0 && window <= p.duration_s))
+        {
+            return Err(format!(
+                "--window must be in (0, {}] s for {}, its Table-1 capture; got {window:?}",
+                p.duration_s, p.name
+            ));
+        }
+    }
+    Ok(profiles)
 }
 
 fn export(profile: &WorkloadProfile, args: &Args) -> std::io::Result<()> {
@@ -97,33 +141,12 @@ fn export(profile: &WorkloadProfile, args: &Args) -> std::io::Result<()> {
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
+    let parsed = parse_args().and_then(|args| Ok((profiles(&args)?, args)));
+    let (profiles, args) = match parsed {
+        Ok(parsed) => parsed,
         Err(e) => {
-            eprintln!(
-                "error: {e}\nusage: trace-gen <workload|all> [--scale S] [--window SECONDS] \
-                 [--seed N] [--format json|text] [--out DIR]"
-            );
+            eprintln!("error: {e}\n{USAGE}");
             std::process::exit(2);
-        }
-    };
-    let profiles: Vec<WorkloadProfile> = if args.workload == "all" {
-        WorkloadProfile::all()
-    } else {
-        match WorkloadProfile::by_name(&args.workload) {
-            Some(w) => vec![w],
-            None => {
-                eprintln!(
-                    "unknown workload '{}'; known: {}, or 'all'",
-                    args.workload,
-                    WorkloadProfile::all()
-                        .iter()
-                        .map(|w| w.name.clone())
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                );
-                std::process::exit(2);
-            }
         }
     };
     for profile in &profiles {

@@ -1,14 +1,20 @@
 //! A minimal JSON value type with an emitter and a small parser.
 //!
-//! The workspace needs JSON in exactly two places — the `trace-gen` export
-//! format and the experiment figure outputs — so this module implements just
-//! enough of RFC 8259 to serve them: objects (insertion-ordered), arrays,
-//! strings with escaping, integers emitted losslessly, finite floats, bools,
-//! and null. The parser exists primarily so tests can round-trip what the
-//! emitter produces.
+//! The workspace writes JSON for the `trace-gen` export format, the
+//! experiment figure outputs and telemetry reports, and reads it back from
+//! fault plans, trace dumps, `BENCH_baseline.json` and telemetry reports.
+//! This module implements just enough of RFC 8259 to serve them: objects
+//! (insertion-ordered), arrays, strings with escaping, integers emitted
+//! losslessly, finite floats, bools, and null. Input read from disk is
+//! untrusted, so the parser caps nesting at [`MAX_DEPTH`].
 
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so the cap bounds its stack use on hostile
+/// input; the deepest document the workspace writes nests 7 levels.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -185,15 +191,17 @@ impl Json {
         }
     }
 
-    /// Parses a JSON document (used by tests to round-trip emitter output).
+    /// Parses a JSON document.
     ///
     /// # Errors
     ///
-    /// Returns a message with the byte offset of the first syntax error.
+    /// Returns a message with the byte offset of the first syntax error,
+    /// or of the array or object that nests deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -304,6 +312,8 @@ impl From<&BTreeMap<String, f64>> for Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -345,11 +355,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected byte at {}", self.pos)),
         }
+    }
+
+    /// Parses an array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -559,6 +584,43 @@ mod tests {
         let mut j = Json::obj().field("k", 1u64);
         j.set("k", 2u64);
         assert_eq!(j.emit(), r#"{"k":2}"#);
+    }
+
+    /// `levels` arrays nested around nothing: `[[...]]`.
+    fn nested_arrays(levels: usize) -> String {
+        format!("{}{}", "[".repeat(levels), "]".repeat(levels))
+    }
+
+    /// `levels` objects nested through key `k`, innermost empty.
+    fn nested_objects(levels: usize) -> String {
+        format!(
+            "{}{{}}{}",
+            "{\"k\":".repeat(levels - 1),
+            "}".repeat(levels - 1)
+        )
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        assert!(Json::parse(&nested_arrays(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nested_objects(MAX_DEPTH)).is_ok());
+        // The array opening level 129 sits at byte 128.
+        assert_eq!(
+            Json::parse(&nested_arrays(MAX_DEPTH + 1)).unwrap_err(),
+            format!("nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}")
+        );
+        assert!(Json::parse(&nested_objects(MAX_DEPTH + 1))
+            .unwrap_err()
+            .starts_with(&format!("nesting deeper than {MAX_DEPTH} levels")));
+    }
+
+    #[test]
+    fn hostile_nesting_is_refused_without_overflowing_the_stack() {
+        let err = Json::parse(&"[".repeat(200_000)).unwrap_err();
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}")
+        );
     }
 
     #[test]

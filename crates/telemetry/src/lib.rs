@@ -7,7 +7,7 @@
 //! metric therefore carries a [`Class`]:
 //!
 //! * [`Class::Deterministic`] — values derived purely from simulation
-//!   state (commands issued, PRIL outcomes, memo hits, rows evaluated).
+//!   state (commands issued, PRIL outcomes, tests started, rows evaluated).
 //!   Counter addition commutes, and histograms bucket values that are
 //!   themselves deterministic, so these sections of a report are
 //!   byte-identical across worker counts and are byte-diffed by the

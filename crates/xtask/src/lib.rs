@@ -17,8 +17,9 @@
 //! `ci` chains the whole offline gate: rustfmt check (when rustfmt is
 //! installed), `memlint`, a release build, the parallel-engine determinism
 //! gate (`memcon-experiments --quick all` at `--jobs 1` vs `--jobs 4`,
-//! byte-compared), the telemetry golden-file check, a quick fault-injection
-//! chaos soak ([`chaos`]), and the quiet test suite.
+//! byte-compared with each other and with the committed
+//! `EXPERIMENTS_quick_expected.txt`), the telemetry golden-file check, a
+//! quick fault-injection chaos soak ([`chaos`]), and the quiet test suite.
 //!
 //! `bench baseline` runs the `bench_suite::micro` suite in-process and
 //! snapshots the medians to `BENCH_baseline.json` at the workspace root.
@@ -95,7 +96,9 @@ pub fn lint_cmd(update_ratchet: bool, json: Option<&str>) -> i32 {
 /// `cargo clippy --workspace --all-targets -- -D warnings` (if clippy is
 /// installed), `cargo doc --workspace --no-deps` with
 /// `RUSTDOCFLAGS=-D warnings` (a doc link to a missing or private item
-/// fails), the determinism gate, `obs --check`, a quick 3-plan chaos soak
+/// fails), the determinism gate (`--quick all` at `--jobs 1` and
+/// `--jobs 4`, byte-compared with each other and with the committed
+/// `EXPERIMENTS_quick_expected.txt`), `obs --check`, a quick 3-plan chaos soak
 /// ([`chaos::chaos_cmd`]), the `chaos health` smoke (armed SLO monitor,
 /// alert latency, flight-record dump), the quick crash-recovery soak
 /// ([`crash::crash_cmd`]), the fleet smoke gate
@@ -159,7 +162,10 @@ pub fn ci_cmd(bench: bool) -> i32 {
         return code;
     }
 
-    println!("ci: determinism gate (memcon-experiments --quick all, --jobs 1 vs --jobs 4)");
+    println!(
+        "ci: determinism gate (memcon-experiments --quick all, --jobs 1 vs --jobs 4 \
+         vs {QUICK_GOLDEN})"
+    );
     if let Some(code) = determinism_gate(&root) {
         return code;
     }
@@ -263,12 +269,18 @@ pub fn ci_cmd(bench: bool) -> i32 {
     0
 }
 
+/// The committed `memcon-experiments --quick all` output, at the workspace
+/// root: the determinism gate pins every run to it, so an output change
+/// that is the same at any `--jobs` still fails CI until it is
+/// regenerated on purpose.
+const QUICK_GOLDEN: &str = "EXPERIMENTS_quick_expected.txt";
+
 /// Byte-compares the rendered `--quick all` output at one worker against
 /// four workers — the parallel engine's ordered-reduction contract says the
-/// two must be identical. Both runs collect telemetry, and the reports'
-/// `deterministic` sections are byte-compared too (the `timing` section is
-/// wall-clock and legitimately differs). `None` on success,
-/// `Some(exit_code)` on any divergence or run failure.
+/// two must be identical — and against [`QUICK_GOLDEN`]. Both runs collect
+/// telemetry, and the reports' `deterministic` sections are byte-compared
+/// too (the `timing` section is wall-clock and legitimately differs).
+/// `None` on success, `Some(exit_code)` on any divergence or run failure.
 fn determinism_gate(root: &Path) -> Option<i32> {
     let bin = root.join(format!("target/release/memcon-experiments{}", EXE_SUFFIX));
     let report_path =
@@ -292,19 +304,28 @@ fn determinism_gate(root: &Path) -> Option<i32> {
     match (run("1"), run("4")) {
         (Ok(seq), Ok(par)) if seq == par => {
             println!("ci: outputs byte-identical ({} bytes)", seq.len());
+            let golden_path = root.join(QUICK_GOLDEN);
+            let golden = match std::fs::read(&golden_path) {
+                Ok(golden) => golden,
+                Err(e) => {
+                    eprintln!("ci: determinism gate error: {}: {e}", golden_path.display());
+                    return Some(1);
+                }
+            };
+            if let Some(mismatch) = golden_mismatch(&seq, &golden) {
+                eprintln!("ci: determinism gate FAILED: {mismatch}");
+                return Some(1);
+            }
+            println!("ci: output matches {QUICK_GOLDEN}");
             telemetry_sections_match(&report_path("1"), &report_path("4"))
         }
         (Ok(seq), Ok(par)) => {
-            let diverges_at = seq
-                .iter()
-                .zip(par.iter())
-                .position(|(a, b)| a != b)
-                .unwrap_or(seq.len().min(par.len()));
             eprintln!(
                 "ci: determinism gate FAILED: --jobs 1 ({} bytes) and --jobs 4 ({} bytes) \
-                 outputs diverge at byte {diverges_at}",
+                 outputs diverge at byte {}",
                 seq.len(),
-                par.len()
+                par.len(),
+                first_difference(&seq, &par)
             );
             Some(1)
         }
@@ -313,6 +334,30 @@ fn determinism_gate(root: &Path) -> Option<i32> {
             Some(1)
         }
     }
+}
+
+/// Offset of the first byte at which `a` and `b` differ (the shorter
+/// length when one is a prefix of the other).
+fn first_difference(a: &[u8], b: &[u8]) -> usize {
+    a.iter()
+        .zip(b)
+        .position(|(x, y)| x != y)
+        .unwrap_or(a.len().min(b.len()))
+}
+
+/// Why the `--quick all` `output` is not the committed `golden`, with the
+/// command that regenerates it; `None` when they are byte-identical.
+fn golden_mismatch(output: &[u8], golden: &[u8]) -> Option<String> {
+    (output != golden).then(|| {
+        format!(
+            "--quick all output ({} bytes) differs from {QUICK_GOLDEN} ({} bytes) at byte {}; \
+             if the change is intended, regenerate the golden with \
+             `target/release/memcon-experiments --quick all > {QUICK_GOLDEN}`",
+            output.len(),
+            golden.len(),
+            first_difference(output, golden)
+        )
+    })
 }
 
 /// Compares the `deterministic` sections of two telemetry report files
@@ -689,5 +734,26 @@ fn run_step_with_env(root: &Path, args: &[&str], env: &[(&str, &str)]) -> Option
             eprintln!("ci: could not spawn `cargo {}`: {e}", args.join(" "));
             Some(1)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_one_byte_edit_of_the_quick_golden_is_a_mismatch() {
+        let golden = b"fig6: MinWriteInterval 560 ms\n".to_vec();
+        assert_eq!(golden_mismatch(&golden, &golden), None);
+        let mut edited = golden.clone();
+        edited[7] ^= 1;
+        let msg = golden_mismatch(&golden, &edited).expect("a one-byte edit is a mismatch");
+        assert!(msg.contains("at byte 7"), "{msg}");
+        assert!(
+            msg.contains("memcon-experiments --quick all > EXPERIMENTS_quick_expected.txt"),
+            "{msg}"
+        );
+        let msg = golden_mismatch(&golden, &golden[..10]).expect("a truncation is a mismatch");
+        assert!(msg.contains("at byte 10"), "{msg}");
     }
 }

@@ -59,7 +59,8 @@ fn usage() {
          \x20                           (if clippy present), cargo doc --no-deps\n\
          \x20                           with RUSTDOCFLAGS=-D warnings, the\n\
          \x20                           --jobs 1-vs-4 output + telemetry\n\
-         \x20                           determinism gate,\n\
+         \x20                           determinism gate (output also pinned\n\
+         \x20                           to EXPERIMENTS_quick_expected.txt),\n\
          \x20                           obs --check, a quick 3-plan chaos soak,\n\
          \x20                           cargo test --workspace -q, the memcon\n\
          \x20                           and memsim tests with strict-invariants,\n\
