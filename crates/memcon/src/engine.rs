@@ -313,8 +313,8 @@ pub struct MemconEngine {
     tests_correct: u64,
     tests_mispredicted: u64,
     /// Reused completion buffer for [`TestEngine::poll_into`] — the event
-    /// loop polls at every write and quantum boundary, so a fresh `Vec` per
-    /// poll would dominate allocations.
+    /// loop polls at every pending completion, so a fresh `Vec` per poll
+    /// would dominate allocations.
     outcome_buf: Vec<crate::testengine::TestOutcome>,
     /// Explicit fault plan (takes precedence over the globally installed
     /// one); a fresh [`FaultSession`] is created per run.
@@ -381,7 +381,7 @@ impl MemconEngine {
         MemconEngine {
             cost,
             pril: Pril::new(n_pages, config.write_buffer_capacity),
-            tests: TestEngine::new(oracle, config.lo_ms, budget as usize),
+            tests: TestEngine::new(oracle, config.lo_ms, budget as usize, n_pages),
             mgr: RefreshManager::new(0, config.hi_ms, config.lo_ms),
             n_pages,
             generation: vec![0; n_pages as usize],
@@ -677,7 +677,7 @@ impl MemconEngine {
                 .set_fault_session(Some(FaultSession::restore(plan, decisions, injected)));
         }
         eng.pril.restore_state(&mut d)?;
-        eng.tests.restore_state(&mut d, n_pages)?;
+        eng.tests.restore_state(&mut d)?;
         let pages = n_pages as usize;
         let generation = d.u64_vec()?;
         if generation.len() != pages {
@@ -1017,7 +1017,7 @@ impl MemconEngine {
     /// Advances the stepped run through every happening (test completion,
     /// quantum boundary, write event) at or before `limit_ns`, in exact
     /// timeline order. Splitting a run at arbitrary limits cannot reorder
-    /// happenings: the loop always picks the globally earliest next one, so
+    /// happenings: the loop always takes the globally earliest next one, so
     /// a limit only decides *when* the loop pauses, never *what* it does.
     ///
     /// # Panics
@@ -1031,43 +1031,45 @@ impl MemconEngine {
         let limit = limit_ns.min(run.duration);
         let events = trace.events();
         loop {
-            let t_event = events.get(run.event_idx).map(|e| e.time_ns);
             let t_test = self.tests.next_completion_ns();
             let t_quantum = (run.next_quantum <= run.duration).then_some(run.next_quantum);
-            // Earliest happening; completions tie-break first so a test that
-            // ends exactly when a write arrives completes before the write
-            // invalidates it (the write targets the *new* content).
-            let next = [t_test, t_quantum, t_event].into_iter().flatten().min();
-            let Some(now) = next else { break };
-            if now > limit {
-                break;
+            let horizon = [t_test, t_quantum].into_iter().flatten().min();
+            // Drain the writes before the next completion or boundary. At
+            // equal times the order is completion, then boundary, then
+            // write: a test that ends exactly when a write arrives completes
+            // before the write invalidates it (the write targets the *new*
+            // content), so the drain takes only writes strictly before the
+            // horizon. The horizon cannot move during the drain: a write
+            // starts no test, and an abort leaves its heap entry in place.
+            while let Some(e) = events.get(run.event_idx) {
+                if e.time_ns > limit || horizon.is_some_and(|h| e.time_ns >= h) {
+                    break;
+                }
+                run.event_idx += 1;
+                self.handle_write(e.page, e.time_ns, run.mwi_ns);
             }
-
+            let Some(now) = horizon.filter(|&h| h <= limit) else {
+                break;
+            };
             if t_test == Some(now) {
                 self.handle_completions(now, run.duration);
                 continue;
             }
-            if t_quantum == Some(now) {
-                self.handle_quantum(now, run.mwi_ns);
-                run.next_quantum += run.quantum_ns;
-                if self.store.is_some() {
-                    // A snapshot covers its own quantum; any other boundary
-                    // leaves a marker of one quantum to re-simulate.
-                    if self.quantum_index.is_multiple_of(self.snapshot_every) {
-                        self.publish_snapshot(Some(&run));
-                    } else {
-                        let marker = Progress {
-                            quantum: self.quantum_index,
-                            now_ns: now,
-                        };
-                        self.with_store(|store| store.append(&marker));
-                    }
+            self.handle_quantum(now, run.mwi_ns);
+            run.next_quantum += run.quantum_ns;
+            if self.store.is_some() {
+                // A snapshot covers its own quantum; any other boundary
+                // leaves a marker of one quantum to re-simulate.
+                if self.quantum_index.is_multiple_of(self.snapshot_every) {
+                    self.publish_snapshot(Some(&run));
+                } else {
+                    let marker = Progress {
+                        quantum: self.quantum_index,
+                        now_ns: now,
+                    };
+                    self.with_store(|store| store.append(&marker));
                 }
-                continue;
             }
-            let e = events[run.event_idx];
-            run.event_idx += 1;
-            self.handle_write(e.page, e.time_ns, run.mwi_ns);
         }
         self.run = Some(run);
     }
@@ -1389,6 +1391,10 @@ impl MemconEngine {
                 // memlint: allow (deliberate strict-invariants abort)
                 panic!("RefreshManager invariant violation at quantum boundary ({now} ns): {e}");
             }
+            if let Err(e) = self.check_tests_match_bins() {
+                // memlint: allow (deliberate strict-invariants abort)
+                panic!("test engine disagrees with the bins at quantum boundary ({now} ns): {e}");
+            }
         }
     }
 
@@ -1468,6 +1474,24 @@ mod tests {
 
     fn clean_engine(n_pages: u64) -> MemconEngine {
         MemconEngine::with_oracle(cfg(), n_pages, Box::new(RateOracle::new(0.0, 0)))
+    }
+
+    #[test]
+    fn equal_time_happenings_order_completion_then_boundary_then_write() {
+        // Page 0's test runs 2048–2112 ms. A page-0 write at 2112 ms comes
+        // after the completion: the test passes, and the early rewrite is a
+        // misprediction, not an abort.
+        let trace = WriteTrace::new(vec![ev(0, 0), ev(2100, 1), ev(2112, 0)], 8192 * MS, 2);
+        let mut e = clean_engine(2);
+        let r = e.run(&trace);
+        assert_eq!(e.internals().tests.aborted, 0);
+        assert_eq!(r.tests_mispredicted, 1);
+        // A page-0 write at the 2048 ms boundary comes after the boundary
+        // starts the test, so it aborts it.
+        let trace = WriteTrace::new(vec![ev(0, 0), ev(2040, 1), ev(2048, 0)], 8192 * MS, 2);
+        let mut e = clean_engine(2);
+        e.run(&trace);
+        assert_eq!(e.internals().tests.aborted, 1);
     }
 
     #[test]
@@ -2231,6 +2255,10 @@ mod tests {
         e.retry_queue.push(past_end);
         let retry = e.encode_state(e.run.as_ref());
         e.retry_queue.pop();
+        // The test table is sized to the engine's pages, so a test of the
+        // page past the end comes from a test engine one page larger.
+        let oracle = Box::new(RateOracle::new(0.0, 0));
+        e.tests = TestEngine::new(oracle, e.config.lo_ms, 1, past_end + 1);
         assert!(e.tests.try_start(past_end, 0, 0));
         let in_flight = e.encode_state(e.run.as_ref());
         drop(e);

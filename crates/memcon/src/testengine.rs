@@ -15,7 +15,8 @@
 //! * [`RateOracle`] draws from a per-workload failing-row rate (the Fig. 4
 //!   fractions), which is what trace-scale engine runs use.
 
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, HashSet};
 
 use memutil::codec::{Dec, Enc};
 use memutil::rng::SmallRng;
@@ -313,8 +314,16 @@ pub struct TestEngine {
     oracle: Box<dyn FailureOracle>,
     duration_ns: u64,
     budget: usize,
+    /// Pending completions, earliest end first. An aborted test's entry
+    /// stays until its end time and is dropped when popped: it no longer
+    /// matches `live`.
     in_flight: BinaryHeap<InFlight>,
-    in_flight_pages: HashMap<PageId, u64>,
+    /// Per page, the generation its live test covers (`None`: no test).
+    /// Sized once from the page count, so a demand write's abort check is
+    /// one index load.
+    live: Vec<Option<u64>>,
+    /// Pages with a live test: the `Some` entries of `live`.
+    live_count: usize,
     faults: Option<FaultSession>,
     /// Accumulated statistics.
     pub stats: TestEngineStats,
@@ -325,15 +334,22 @@ impl TestEngine {
     ///
     /// * `duration_ms` — how long a row stays idle under test (one LO-REF
     ///   interval),
-    /// * `budget` — how many tests may be in flight at once.
+    /// * `budget` — how many tests may be in flight at once,
+    /// * `n_pages` — pages `0..n_pages` may be tested.
     #[must_use]
-    pub fn new(oracle: Box<dyn FailureOracle>, duration_ms: f64, budget: usize) -> Self {
+    pub fn new(
+        oracle: Box<dyn FailureOracle>,
+        duration_ms: f64,
+        budget: usize,
+        n_pages: u64,
+    ) -> Self {
         TestEngine {
             oracle,
             duration_ns: (duration_ms * 1e6) as u64,
             budget,
             in_flight: BinaryHeap::new(),
-            in_flight_pages: HashMap::new(),
+            live: vec![None; n_pages as usize],
+            live_count: 0,
             faults: None,
             stats: TestEngineStats::default(),
         }
@@ -361,22 +377,29 @@ impl TestEngine {
     /// victim of an injected preempting write.
     #[must_use]
     pub fn any_in_flight_page(&self) -> Option<PageId> {
-        // `min` over the keys is the same value in any iteration order
-        // (see KNOWN_FAILURES.md, order-insensitive allow-marker sites).
-        // memlint: allow(map-iter-order): min() is order-insensitive
-        self.in_flight_pages.keys().min().copied()
+        if self.live_count == 0 {
+            return None;
+        }
+        // Every live test has a pending heap entry of its generation, so the
+        // scan is bounded by the heap, not the page count; `min` is the same
+        // page in any heap order.
+        self.in_flight
+            .iter()
+            .filter(|f| self.live[f.page as usize] == Some(f.generation))
+            .map(|f| f.page)
+            .min()
     }
 
     /// Tests currently in flight.
     #[must_use]
     pub fn in_flight(&self) -> usize {
-        self.in_flight_pages.len()
+        self.live_count
     }
 
     /// Whether `page` is currently under test.
     #[must_use]
     pub fn is_testing(&self, page: PageId) -> bool {
-        self.in_flight_pages.contains_key(&page)
+        self.live.get(page as usize).is_some_and(Option::is_some)
     }
 
     /// Direct access to the oracle (used by the engine for pre-window
@@ -407,17 +430,13 @@ impl TestEngine {
             e.u64(f.start_ns);
             e.u64(f.generation);
         }
-        let mut live: Vec<(PageId, u64)> = self
-            // memlint: allow(map-iter-order): sorted below
-            .in_flight_pages
-            .iter()
-            .map(|(&p, &g)| (p, g))
-            .collect();
-        live.sort_unstable();
-        e.u64(live.len() as u64);
-        for (p, g) in live {
-            e.u64(p);
-            e.u64(g);
+        // Ascending page order is part of the snapshot format.
+        e.u64(self.live_count as u64);
+        for (page, generation) in self.live.iter().enumerate() {
+            if let Some(g) = generation {
+                e.u64(page as u64);
+                e.u64(*g);
+            }
         }
         e.u64(self.stats.started);
         e.u64(self.stats.completed);
@@ -431,9 +450,10 @@ impl TestEngine {
 
     /// Restores state captured by [`encode_state`](Self::encode_state) into
     /// an engine built with the same configuration, refusing any test of a
-    /// page at or past `n_pages` and any live test with no pending heap
-    /// entry of the same page and generation (it would never complete).
-    pub(crate) fn restore_state(&mut self, d: &mut Dec, n_pages: u64) -> Result<(), String> {
+    /// page past the engine's page count and any live test with no pending
+    /// heap entry of the same page and generation (it would never complete).
+    pub(crate) fn restore_state(&mut self, d: &mut Dec) -> Result<(), String> {
+        let n_pages = self.live.len() as u64;
         let page_in_range = |page: PageId| {
             if page < n_pages {
                 Ok(page)
@@ -443,8 +463,8 @@ impl TestEngine {
                 ))
             }
         };
+        self.cancel_all();
         let n = d.u64()?;
-        self.in_flight.clear();
         for _ in 0..n {
             let end_ns = d.u64()?;
             let page = page_in_range(d.u64()?)?;
@@ -463,7 +483,6 @@ impl TestEngine {
             .map(|f| (f.page, f.generation))
             .collect();
         let n = d.u64()?;
-        self.in_flight_pages.clear();
         for _ in 0..n {
             let page = page_in_range(d.u64()?)?;
             let generation = d.u64()?;
@@ -473,7 +492,9 @@ impl TestEngine {
                      pending completion"
                 ));
             }
-            self.in_flight_pages.insert(page, generation);
+            if self.live[page as usize].replace(generation).is_none() {
+                self.live_count += 1;
+            }
         }
         self.stats.started = d.u64()?;
         self.stats.completed = d.u64()?;
@@ -490,32 +511,46 @@ impl TestEngine {
     /// run). Statistics are kept.
     pub fn cancel_all(&mut self) {
         self.in_flight.clear();
-        self.in_flight_pages.clear();
+        self.live.fill(None);
+        self.live_count = 0;
     }
 
     /// Attempts to start a test of `page` at `now_ns`. `generation` tags the
     /// page's current content. Returns whether the test started.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `page` is past the page count the engine was built with.
     pub fn try_start(&mut self, page: PageId, generation: u64, now_ns: u64) -> bool {
-        if self.is_testing(page) || self.in_flight_pages.len() >= self.budget {
+        let slot = &mut self.live[page as usize];
+        if slot.is_some() || self.live_count >= self.budget {
             self.stats.rejected += 1;
             return false;
         }
+        *slot = Some(generation);
+        self.live_count += 1;
         self.in_flight.push(InFlight {
             end_ns: now_ns + self.duration_ns,
             page,
             start_ns: now_ns,
             generation,
         });
-        self.in_flight_pages.insert(page, generation);
         self.stats.started += 1;
         true
     }
 
     /// Aborts the test of `page` (a demand write changed the content under
-    /// test). Returns whether a test was actually in flight.
+    /// test). Returns whether a test was actually in flight; a page past
+    /// the page count never is.
     pub fn abort(&mut self, page: PageId) -> bool {
-        if self.in_flight_pages.remove(&page).is_some() {
+        if self
+            .live
+            .get_mut(page as usize)
+            .and_then(Option::take)
+            .is_some()
+        {
             // The heap entry is lazily discarded at pop time.
+            self.live_count -= 1;
             self.stats.aborted += 1;
             true
         } else {
@@ -539,17 +574,18 @@ impl TestEngine {
     /// engine's event loop reuse one allocation across polls.
     pub fn poll_into(&mut self, now_ns: u64, out: &mut Vec<TestOutcome>) {
         out.clear();
-        while let Some(top) = self.in_flight.peek() {
-            if top.end_ns > now_ns {
-                break;
-            }
-            let t = self.in_flight.pop().expect("peeked");
+        loop {
+            let t = match self.in_flight.peek_mut() {
+                Some(top) if top.end_ns <= now_ns => PeekMut::pop(top),
+                _ => break,
+            };
             // Lazily drop aborted (or superseded) entries.
-            match self.in_flight_pages.get(&t.page) {
-                Some(&gen) if gen == t.generation => {}
-                _ => continue,
+            let slot = &mut self.live[t.page as usize];
+            if *slot != Some(t.generation) {
+                continue;
             }
-            self.in_flight_pages.remove(&t.page);
+            *slot = None;
+            self.live_count -= 1;
             let (verdict, ecc) = self.read_back(t.page, t.generation);
             self.stats.completed += 1;
             match verdict {
@@ -661,7 +697,7 @@ mod tests {
     const MS: u64 = 1_000_000;
 
     fn engine(budget: usize) -> TestEngine {
-        TestEngine::new(Box::new(RateOracle::new(0.0, 0)), 64.0, budget)
+        TestEngine::new(Box::new(RateOracle::new(0.0, 0)), 64.0, budget, 16)
     }
 
     #[test]
@@ -680,7 +716,7 @@ mod tests {
 
     #[test]
     fn failing_oracle_reports_failure() {
-        let mut e = TestEngine::new(Box::new(RateOracle::new(1.0, 0)), 64.0, 4);
+        let mut e = TestEngine::new(Box::new(RateOracle::new(1.0, 0)), 64.0, 4, 16);
         assert!(e.try_start(1, 0, 0));
         let done = e.poll(64 * MS);
         assert_eq!(done[0].verdict, Verdict::Fail);
@@ -712,9 +748,26 @@ mod tests {
         assert!(e.try_start(7, 0, 0));
         assert!(e.abort(7));
         assert!(!e.abort(7), "double abort is a no-op");
+        for past_end in [16, u64::MAX] {
+            assert!(!e.abort(past_end), "a page past the table is never tested");
+            assert!(!e.is_testing(past_end));
+        }
         assert!(e.poll(64 * MS).is_empty(), "aborted test must not complete");
         assert_eq!(e.stats.aborted, 1);
         assert_eq!(e.stats.completed, 0);
+    }
+
+    #[test]
+    fn lowest_live_page_skips_aborted_tests() {
+        let mut e = engine(4);
+        assert_eq!(e.any_in_flight_page(), None);
+        for page in [9, 3, 5] {
+            assert!(e.try_start(page, 0, 0));
+        }
+        assert_eq!(e.any_in_flight_page(), Some(3));
+        assert!(e.abort(3));
+        assert_eq!(e.any_in_flight_page(), Some(5));
+        assert_eq!(e.in_flight(), 2);
     }
 
     #[test]
@@ -739,17 +792,13 @@ mod tests {
         };
         let mut e = engine(4);
         assert!(e.try_start(7, 3, 0));
-        assert!(engine(4)
-            .restore_state(&mut Dec::new(&payload(&e)), 16)
-            .is_ok());
-        e.in_flight_pages.insert(7, 4);
+        assert!(engine(4).restore_state(&mut Dec::new(&payload(&e))).is_ok());
+        e.live[7] = Some(4);
         let stale_generation = payload(&e);
         e.in_flight.clear();
         let no_entry = payload(&e);
         for bytes in [stale_generation, no_entry] {
-            let err = engine(4)
-                .restore_state(&mut Dec::new(&bytes), 16)
-                .unwrap_err();
+            let err = engine(4).restore_state(&mut Dec::new(&bytes)).unwrap_err();
             assert!(
                 err.contains("in-flight page 7 (generation 4) has no pending completion"),
                 "{err}"
@@ -914,7 +963,7 @@ mod tests {
 
     fn faulted_engine(oracle: Box<dyn FailureOracle>, site: Site) -> TestEngine {
         use faultinject::{FaultPlan, SiteSpec};
-        let mut e = TestEngine::new(oracle, 64.0, 8);
+        let mut e = TestEngine::new(oracle, 64.0, 8, 16);
         let plan = FaultPlan::new(0xFA17).with_site(site, SiteSpec::rate(1.0));
         e.set_fault_session(Some(FaultSession::with_plan(Arc::new(plan))));
         e

@@ -132,22 +132,37 @@ fn page_events(
     events
 }
 
+/// `run.partition_point(pred)`, found by galloping: probe 1, 2, 4, … past
+/// the start until a probe fails, then binary-search that last bracket. A
+/// stretch of `n` events costs about 2·log2(n) comparisons however long the
+/// run is, where a plain `partition_point` costs log2(run) for every stretch.
+fn gallop(run: &[WriteEvent], pred: impl Fn(&WriteEvent) -> bool) -> usize {
+    let mut bound = 1;
+    while bound < run.len() && pred(&run[bound]) {
+        bound *= 2;
+    }
+    // `run[bound / 2]` passed (or `bound == 1`); `run[bound]` failed or is
+    // past the end.
+    let lo = bound / 2;
+    lo + run[lo..bound.min(run.len())].partition_point(pred)
+}
+
 /// Merges two time-sorted runs into `out` with galloping chunk copies:
-/// each step binary-searches how far the current run extends below the
-/// other run's head and copies that whole stretch at once, so a dominant
-/// run (the usual shape — one hot page among many near-silent cold pages)
-/// moves in a handful of `memcpy`-sized blocks instead of per-event steps.
-/// Equal `(time, page)` keys are identical events, so either tie side
-/// yields the same bytes.
+/// each step gallops to where the current run passes the other run's head
+/// and copies that whole stretch at once, so a dominant run (the usual
+/// shape — one hot page among many near-silent cold pages) moves in a
+/// handful of `memcpy`-sized blocks, and an interleaved one-event step
+/// costs a couple of comparisons. Equal `(time, page)` keys are identical
+/// events, so either tie side yields the same bytes.
 fn merge_two(a: &[WriteEvent], b: &[WriteEvent], out: &mut Vec<WriteEvent>) {
     let (mut i, mut j) = (0usize, 0usize);
     while i < a.len() && j < b.len() {
         if a[i] <= b[j] {
-            let run = a[i..].partition_point(|e| *e <= b[j]);
+            let run = gallop(&a[i..], |e| *e <= b[j]);
             out.extend_from_slice(&a[i..i + run]);
             i += run;
         } else {
-            let run = b[j..].partition_point(|e| *e < a[i]);
+            let run = gallop(&b[j..], |e| *e < a[i]);
             out.extend_from_slice(&b[j..j + run]);
             j += run;
         }
@@ -394,6 +409,26 @@ mod tests {
                         "trace diverged from reference (seed={seed} jobs={jobs})"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn gallop_matches_partition_point() {
+        let run: Vec<WriteEvent> = (0..70u64)
+            .map(|t| WriteEvent {
+                time_ns: t,
+                page: 0,
+            })
+            .collect();
+        for len in 0..=run.len() {
+            for cut in 0..=len as u64 + 1 {
+                let pred = |e: &WriteEvent| e.time_ns < cut;
+                assert_eq!(
+                    gallop(&run[..len], pred),
+                    run[..len].partition_point(pred),
+                    "len={len} cut={cut}"
+                );
             }
         }
     }
