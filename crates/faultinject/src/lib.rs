@@ -73,14 +73,14 @@ pub enum Site {
     /// `memcon::ecc`: an uncorrectable double-bit word error during
     /// read-back.
     EccUncorrectable = 10,
-    /// `store`: a WAL append is torn mid-frame — only a prefix of the
-    /// record reaches the file before the simulated crash.
+    /// `store`: a snapshot publication is torn — half the image reaches
+    /// its temp file, which is never renamed into place.
     StoreTornWrite = 11,
-    /// `store`: recovery's WAL scan sees an early EOF — the file read
-    /// comes up short of the next full record.
+    /// `store`: opening the store reads the newest image short, so it is
+    /// skipped in favour of the one before.
     StoreShortRead = 12,
-    /// `store`: a WAL record is written with a corrupted checksum, to be
-    /// caught (and truncated away) at recovery time.
+    /// `store`: a snapshot is published with one byte flipped, to be
+    /// caught (and skipped) when the store is next opened.
     StoreCorruptRecord = 13,
 }
 

@@ -6,8 +6,8 @@
 //! publishes one snapshot there: a [`FleetMeta`] image holding the epoch
 //! clock and its length in quanta, the complete per-epoch observability
 //! log, and every shard engine's checkpoint
-//! ([`memcon::engine::MemconEngine::checkpoint`]). The store appends
-//! nothing, and the shard engines own no store.
+//! ([`memcon::engine::MemconEngine::checkpoint`]). The shard engines own
+//! no store.
 //!
 //! On [`Fleet::recover`](crate::Fleet::recover) the newest valid image
 //! restores every shard ([`memcon::engine::MemconEngine::restore`]) and
@@ -192,14 +192,15 @@ pub struct FleetRecovery {
     pub epochs_replayed: u64,
     /// Shard engines restored from the image.
     pub shards_recovered: u64,
-    /// Progress markers past the image (the fleet store appends none).
+    /// Always 0: nothing past the image is replayed. Kept only so the
+    /// end-to-end benchmark can still report its
+    /// `store.recovery.replayed_records` metric until that metric goes.
     pub replayed_records: u64,
-    /// Bytes truncated from torn WAL tails.
+    /// Bytes recovery discarded: interrupted temp images and skipped
+    /// images.
     pub truncated_bytes: u64,
     /// Corrupt images skipped (and deleted) before a valid one was found.
     pub snapshots_skipped: u64,
-    /// Stale pre-bound WAL segments discarded.
-    pub stale_segments: u64,
 }
 
 #[cfg(test)]

@@ -14,6 +14,7 @@
 
 use std::sync::{Arc, Mutex};
 
+use faultinject::FaultSession;
 use memcon::engine::{LiveStats, MemconEngine, MemconReport};
 use memcon::refreshmgr::PageState;
 use memcon::testengine::RateOracle;
@@ -88,7 +89,9 @@ impl Fleet {
     /// runs. Cheap relative to [`FleetPlan::expand`]: traces are shared by
     /// `Arc`, and each shard engine runs the rate oracle at
     /// [`memcon::engine::DEFAULT_FAIL_RATE`], seeded by its chip seed. A
-    /// durable fleet publishes its anchor image (epoch 0) before returning.
+    /// durable fleet publishes its anchor image (epoch 0) before returning;
+    /// its store draws the `store.*` fault sites from the config's fault
+    /// plan.
     ///
     /// # Panics
     ///
@@ -114,9 +117,11 @@ impl Fleet {
             })
             .collect();
         let store = config.store_dir.as_ref().map(|dir| {
-            Store::create(dir, config.durability)
+            let mut store = Store::create(dir, config.durability)
                 // memlint: allow(no-unwrap): an uncreatable store directory is an environment failure, like trace synthesis
-                .expect("fleet store directory must be creatable")
+                .expect("fleet store directory must be creatable");
+            store.set_fault_session(config.fault_plan.clone().map(FaultSession::with_plan));
+            store
         });
         let mut fleet = Fleet::assemble(plan, shards, 0, store, Vec::new());
         // Anchor image: a crash before the first barrier still recovers.
@@ -160,7 +165,8 @@ impl Fleet {
     }
 
     /// Recovers a durable fleet from `plan.config.store_dir` at its last
-    /// epoch barrier: opens the store, restores every shard engine from
+    /// epoch barrier: opens the store (drawing the `store.*` fault sites
+    /// from the config's fault plan), restores every shard engine from
     /// the newest valid image across `jobs` workers, then replays the
     /// epoch log through the telemetry registry (restoring the
     /// `fleet.obs.*` counters and the time-series ring byte-identically).
@@ -178,11 +184,11 @@ impl Fleet {
     ///
     /// [`StoreError::Unsupported`] when the config names no store
     /// directory or the image's fleet already finished its runs;
-    /// [`StoreError::Corrupt`] when the store holds no usable image, or
-    /// the image disagrees with the plan's shard count or `epoch_quanta`,
-    /// or a shard's checkpoint fails [`MemconEngine::restore`] against the
-    /// shard's trace or ran another engine config; any [`StoreError`] from
-    /// opening the store.
+    /// [`StoreError::Corrupt`] when the image disagrees with the plan's
+    /// shard count or `epoch_quanta`, or a shard's checkpoint fails
+    /// [`MemconEngine::restore`] against the shard's trace or ran another
+    /// engine config; any [`StoreError`] from [`Store::open`] (a missing
+    /// directory, or no usable image).
     pub fn recover(plan: &FleetPlan, jobs: usize) -> Result<(Fleet, FleetRecovery), StoreError> {
         let config = &plan.config;
         let Some(dir) = &config.store_dir else {
@@ -190,12 +196,8 @@ impl Fleet {
                 "fleet config names no durable store directory".to_string(),
             ));
         };
-        let (store, found) = Store::open(dir, config.durability, None)?;
-        let snap = found
-            .snapshot
-            .as_ref()
-            .ok_or_else(|| StoreError::Corrupt("fleet store holds no usable image".to_string()))?;
-        let meta = FleetMeta::decode(&snap.payload).map_err(StoreError::Corrupt)?;
+        let (store, found) = Store::open(dir, config.durability, config.fault_plan.clone())?;
+        let meta = FleetMeta::decode(&found.snapshot.payload).map_err(StoreError::Corrupt)?;
         if meta.shards.len() != plan.shards.len() {
             return Err(StoreError::Corrupt(format!(
                 "the image holds {} shards but the plan expands {}",
@@ -242,10 +244,9 @@ impl Fleet {
         let recovery = FleetRecovery {
             epochs_replayed: meta.entries.len() as u64,
             shards_recovered: shards.len() as u64,
-            replayed_records: found.replayed_records,
+            replayed_records: 0,
             truncated_bytes: found.truncated_bytes,
             snapshots_skipped: found.snapshots_skipped,
-            stale_segments: found.stale_segments,
         };
         let fleet = Fleet::assemble(plan, shards, meta.epoch, Some(store), meta.entries);
         Ok((fleet, recovery))
@@ -726,7 +727,7 @@ mod tests {
     fn durable_fleets_write_only_barrier_images() {
         let _serial = registry_lock();
         // Whatever the epoch length, the fleet store publishes the anchor
-        // and one image per barrier and appends no progress marker.
+        // and one image per barrier, and its directory holds nothing else.
         for epoch_quanta in [1, 2] {
             let mut config = FleetConfig::small(3, 0x0A1);
             config.epoch_quanta = epoch_quanta;
@@ -745,7 +746,6 @@ mod tests {
                     .counter(name, telemetry::Class::Deterministic)
                     .get()
             };
-            assert_eq!(count("store.wal.appends"), 0, "{epoch_quanta} quanta");
             assert_eq!(count("store.snap.published"), 4, "{epoch_quanta} quanta");
             for entry in std::fs::read_dir(&dir).unwrap() {
                 let name = entry.unwrap().file_name().into_string().unwrap();
@@ -792,6 +792,47 @@ mod tests {
         );
         let report = fleet.run_to_completion(1);
         assert_eq!(report.deterministic_emit(), reference);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_injected_torn_publish_latches_and_the_directory_still_recovers() {
+        use faultinject::{FaultPlan, Schedule, Site, SiteSpec};
+        let _serial = registry_lock();
+        // The anchor is the store's decision 0, so the tear hits the
+        // epoch-2 image; every other site stays quiet.
+        let mut config = FleetConfig::small(3, 0x7042);
+        config.fault_plan = Some(Arc::new(FaultPlan::new(0x7042).with_site(
+            Site::StoreTornWrite,
+            SiteSpec {
+                rate: 1.0,
+                schedule: Schedule::OneShot { at: 2 },
+            },
+        )));
+        let reference = Fleet::new(&FleetPlan::expand(&config, 1))
+            .run_to_completion(1)
+            .deterministic_emit();
+        let dir = store::scratch_dir("fleet-torn-publish");
+        config.store_dir = Some(dir.clone());
+        let plan = FleetPlan::expand(&config, 1);
+        let mut fleet = Fleet::new(&plan);
+        let report = fleet.run_to_completion(1);
+        assert_eq!(fleet.meta_store_error(), Some(&StoreError::TornWrite));
+        assert_eq!(
+            report.deterministic_emit(),
+            reference,
+            "store faults stay on the durability plane"
+        );
+        drop(fleet);
+        let (mut fleet, rec) = Fleet::recover(&plan, 1).expect("the image before the tear");
+        assert_eq!(
+            fleet.epoch(),
+            1,
+            "resumes at the last image published whole"
+        );
+        assert!(rec.truncated_bytes > 0, "the torn temp image is discarded");
+        assert_eq!(rec.snapshots_skipped, 0);
+        assert_eq!(fleet.run_to_completion(1).deterministic_emit(), reference);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -869,7 +910,7 @@ mod tests {
             assert!(fleet.run_epoch(1));
         }
         let (_, found) = Store::open(&dir, config.durability, None).unwrap();
-        let image = FleetMeta::decode(&found.snapshot.unwrap().payload).unwrap();
+        let image = FleetMeta::decode(&found.snapshot.payload).unwrap();
         let mut short = image.clone();
         short.entries.pop();
         let mut renumbered = image;

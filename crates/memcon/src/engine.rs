@@ -17,13 +17,12 @@
 //!    accounting (a test is mispredicted when its page is rewritten before
 //!    `MinWriteInterval` elapses, so the test cost is never amortized).
 
-use std::path::Path;
 use std::sync::Arc;
 
 use faultinject::{FaultPlan, FaultSession, Site};
 use memtrace::trace::WriteTrace;
 use memutil::codec::{Dec, Enc};
-use store::{DurabilityMode, Progress, Recovered, Store, StoreError};
+use store::StoreError;
 
 use crate::config::MemconConfig;
 use crate::cost::{CostModel, TestMode};
@@ -46,7 +45,7 @@ pub const BACKOFF_EDGES: [u64; 5] = [1, 2, 4, 8, 16];
 pub const CANDIDATE_EDGES: [u64; 10] = [0, 1, 2, 4, 8, 16, 32, 64, 128, 256];
 
 /// Engine snapshot payload format version (the first payload byte).
-const SNAP_VERSION: u8 = 6;
+const SNAP_VERSION: u8 = 7;
 
 /// Copy-and-Compare staging rows: [`STAGING_ROWS_PER_BANK`] in each bank
 /// of the paper's 8-bank module. A test holds one row exactly while it is
@@ -289,8 +288,8 @@ struct RunState {
     quantum_ns: u64,
     mwi_ns: u64,
     duration: u64,
-    /// The run's trace, fingerprinted by `begin_run` while a store is
-    /// attached, else by the run's first [`MemconEngine::checkpoint`].
+    /// The run's trace, fingerprinted by the run's first
+    /// [`MemconEngine::checkpoint`].
     trace: Option<TraceFingerprint>,
 }
 
@@ -336,14 +335,6 @@ pub struct MemconEngine {
     run: Option<RunState>,
     /// Quantum-window time-series sampling period (quanta), when armed.
     sample_every: Option<u64>,
-    /// Attached durable store, if any (see [`MemconEngine::attach_store`]).
-    store: Option<Store>,
-    /// Snapshot cadence in quanta while a store is attached (0 = none).
-    snapshot_every: u64,
-    /// First store failure, if any: the durability plane is considered
-    /// crashed from that point (no further markers or snapshots), while
-    /// the simulation itself continues unaffected.
-    store_error: Option<StoreError>,
     /// Per-quantum PRIL candidate-count distribution, bucketed by
     /// [`CANDIDATE_EDGES`]; flushed as one merged histogram at run end.
     candidate_hist: [u64; 11],
@@ -398,9 +389,6 @@ impl MemconEngine {
             recovery: RecoveryCounters::default(),
             run: None,
             sample_every: None,
-            store: None,
-            snapshot_every: 0,
-            store_error: None,
             candidate_hist: [0; 11],
             config,
         }
@@ -456,92 +444,23 @@ impl MemconEngine {
         self.sample_every = every.filter(|n| *n > 0);
     }
 
-    /// Attaches a durable [`Store`]: subsequent runs publish an engine
-    /// snapshot every `snapshot_every` quanta (plus one at
-    /// [`MemconEngine::begin_run`] and one at
-    /// [`MemconEngine::finish_run`]) and append a [`Progress`] marker at
-    /// every other quantum boundary. A crashed run recovers via
-    /// [`MemconEngine::recover`].
-    ///
-    /// Store failures never fail the simulation: the first one is latched
-    /// into [`MemconEngine::store_error`] and the durability plane goes
-    /// quiet from that point — exactly the on-disk state a crash at that
-    /// moment would leave.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Unsupported`] when a run is in progress, the cadence
-    /// is zero, or the engine's failure oracle cannot persist its state
-    /// (e.g. the content oracle's simulated chip).
-    pub fn attach_store(&mut self, store: Store, snapshot_every: u64) -> Result<(), StoreError> {
-        if self.run.is_some() {
-            return Err(StoreError::Unsupported(
-                "cannot attach a store while a run is in progress".to_string(),
-            ));
-        }
-        if snapshot_every == 0 {
-            return Err(StoreError::Unsupported(
-                "snapshot cadence must be at least one quantum".to_string(),
-            ));
-        }
-        if self.tests.persist_oracle().is_none() {
-            return Err(StoreError::Unsupported(
-                "the failure oracle does not support state persistence".to_string(),
-            ));
-        }
-        self.store = Some(store);
-        self.snapshot_every = snapshot_every;
-        self.store_error = None;
-        Ok(())
-    }
-
-    /// The first store failure of the attached store's lifetime, if any.
-    /// Once set, markers and snapshots stop (the on-disk state is a
-    /// faithful crash image); the simulation itself continues.
-    #[must_use]
-    pub fn store_error(&self) -> Option<&StoreError> {
-        self.store_error.as_ref()
-    }
-
-    /// Whether a stepped run is currently in progress (also true for a
-    /// freshly recovered mid-run engine awaiting resumption).
+    /// Whether a stepped run is currently in progress (also true for an
+    /// engine restored mid-run, awaiting resumption).
     #[must_use]
     pub fn mid_run(&self) -> bool {
         self.run.is_some()
     }
 
-    /// Runs `op` on the attached store unless the durability plane has
-    /// already failed, latching the first failure into `store_error`
-    /// (after which the plane goes quiet).
-    fn with_store(&mut self, op: impl FnOnce(&mut Store) -> Result<(), StoreError>) {
-        if self.store_error.is_some() {
-            return;
-        }
-        if let Some(store) = self.store.as_mut() {
-            if let Err(e) = op(store) {
-                self.store_error = Some(e);
-            }
-        }
-    }
-
-    /// Encodes the engine state with `run` and publishes it as a snapshot.
-    fn publish_snapshot(&mut self, run: Option<&RunState>) {
-        if self.store.is_none() || self.store_error.is_some() {
-            return;
-        }
-        let payload = self.encode_state(run);
-        self.with_store(|store| store.publish_snapshot(&payload));
-    }
-
-    /// Encodes the complete engine state (including the in-progress run,
-    /// when one is passed) into a snapshot payload. The layout is private
-    /// to this module and versioned by [`SNAP_VERSION`].
+    /// Encodes the complete engine state (including the in-progress run
+    /// and the fingerprint of its trace, when one is passed) into a
+    /// checkpoint payload. The layout is private to this module and
+    /// versioned by [`SNAP_VERSION`].
     ///
     /// # Panics
     ///
-    /// Panics if the failure oracle cannot persist its state — ruled out
-    /// for store-attached engines by [`MemconEngine::attach_store`].
-    fn encode_state(&self, run: Option<&RunState>) -> Vec<u8> {
+    /// Panics if the failure oracle cannot persist its state (see
+    /// [`MemconEngine::checkpoint`]).
+    fn encode_state(&self, run: Option<(&RunState, TraceFingerprint)>) -> Vec<u8> {
         let mut e = Enc::with_capacity(64 * 1024);
         e.u8(SNAP_VERSION);
         // Configuration: enough to rebuild an identical engine.
@@ -563,8 +482,8 @@ impl MemconEngine {
         let oracle = self
             .tests
             .persist_oracle()
-            // memlint: allow(no-unwrap): attach_store rejects non-persistable oracles, so this is unreachable
-            .expect("store attached over a non-persistable oracle");
+            // memlint: allow(no-unwrap): checkpointing a non-persistable oracle is a documented caller error
+            .expect("checkpoint of a non-persistable oracle");
         e.bytes(&oracle);
         // Engine-plane fault session: the plan plus both replay cursors.
         match self.tests.fault_session() {
@@ -603,30 +522,23 @@ impl MemconEngine {
         e.u64(r.backoff_sum_quanta);
         e.u64(r.uncorrectable_escapes);
         e.u64_slice(&self.candidate_hist);
-        e.u64(self.snapshot_every);
         self.mgr.encode_state(&mut e);
         match run {
-            Some(run) => {
+            Some((run, fingerprint)) => {
                 e.bool(true);
                 e.u64(run.event_idx as u64);
                 e.u64(run.next_quantum);
                 e.u64(run.quantum_ns);
                 e.u64(run.mwi_ns);
                 e.u64(run.duration);
-                match &run.trace {
-                    Some(fingerprint) => {
-                        e.bool(true);
-                        fingerprint.encode(&mut e);
-                    }
-                    None => e.bool(false),
-                }
+                fingerprint.encode(&mut e);
             }
             None => e.bool(false),
         }
         e.into_bytes()
     }
 
-    /// Rebuilds an engine from a snapshot payload produced by
+    /// Rebuilds an engine from a checkpoint payload produced by
     /// [`MemconEngine::encode_state`].
     fn decode_state(payload: &[u8]) -> Result<MemconEngine, String> {
         let mut d = Dec::new(payload);
@@ -718,9 +630,8 @@ impl MemconEngine {
             .u64_vec()?
             .try_into()
             .map_err(|_| "candidate histogram bucket count mismatch".to_string())?;
-        eng.snapshot_every = d.u64()?;
-        // Snapshots are published from `begin_run` on, so the manager
-        // always covers every page.
+        // From `begin_run` on the manager covers every page, so a
+        // checkpoint taken before the first run (zero pages) is refused.
         eng.mgr = RefreshManager::new(n_pages, eng.config.hi_ms, eng.config.lo_ms);
         eng.mgr.restore_state(&mut d)?;
         if d.bool()? {
@@ -730,11 +641,7 @@ impl MemconEngine {
             let quantum_ns = d.u64()?;
             let mwi_ns = d.u64()?;
             let duration = d.u64()?;
-            let trace = if d.bool()? {
-                Some(TraceFingerprint::decode(&mut d)?)
-            } else {
-                None
-            };
+            let trace = Some(TraceFingerprint::decode(&mut d)?);
             eng.run = Some(RunState {
                 event_idx,
                 next_quantum,
@@ -749,27 +656,28 @@ impl MemconEngine {
     }
 
     /// Encodes the engine's current state, run cursors included, as a
-    /// payload [`MemconEngine::restore`] rebuilds — the same payload an
-    /// attached store's snapshots hold. `trace` must be the trace the
+    /// payload [`MemconEngine::restore`] rebuilds — what a durable fleet's
+    /// barrier image holds per shard. `trace` must be the trace the
     /// current run began with: the run's first checkpoint fingerprints it
     /// and keeps the fingerprint in the run state, so a run pays one pass
-    /// over its trace however often it checkpoints.
+    /// over its trace however often it checkpoints, and a run that never
+    /// checkpoints pays none.
     ///
     /// # Panics
     ///
     /// Panics if the failure oracle cannot persist its state (e.g. the
     /// content oracle's simulated chip).
     pub fn checkpoint(&mut self, trace: &WriteTrace) -> Vec<u8> {
-        if let Some(run) = self.run.as_mut() {
-            run.trace.get_or_insert_with(|| TraceFingerprint::of(trace));
-        }
-        self.encode_state(self.run.as_ref())
+        let fingerprint = self
+            .run
+            .as_mut()
+            .map(|run| *run.trace.get_or_insert_with(|| TraceFingerprint::of(trace)));
+        self.encode_state(self.run.as_ref().zip(fingerprint))
     }
 
     /// Rebuilds an engine exactly as it stood when `payload` was encoded
-    /// by [`MemconEngine::checkpoint`] or a store snapshot — including an
-    /// in-progress run, ready to resume with `trace`. The engine owns no
-    /// store; time-series sampling stays disarmed.
+    /// by [`MemconEngine::checkpoint`] — including an in-progress run,
+    /// ready to resume with `trace`. Time-series sampling stays disarmed.
     ///
     /// Traces are not persisted, so the payload's run section carries a
     /// fingerprint of the trace the run began with, and any other trace is
@@ -827,50 +735,6 @@ impl MemconEngine {
             }
         }
         Ok(())
-    }
-
-    /// Recovers an engine from a durable store directory: opens the store
-    /// (repairing any torn WAL tail), [restores](MemconEngine::restore)
-    /// the newest valid snapshot with `trace`, re-attaches the store at
-    /// the snapshot's cadence and publishes a fresh snapshot before
-    /// returning.
-    ///
-    /// Recovery is deterministic snapshot-resume: the resumed run
-    /// re-simulates the quanta past the snapshot (the [`Progress`] markers
-    /// in [`Recovered::tail`] count them).
-    ///
-    /// `scan_plan` arms fault injection for the recovery scan itself
-    /// (`store.short_read`).
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Corrupt`] when no usable snapshot exists, the newest
-    /// valid snapshot fails [`MemconEngine::restore`], or it names no
-    /// snapshot cadence (a payload taken with no store attached); any
-    /// [`StoreError`] from opening the store.
-    /// Post-recovery store failures are latched into
-    /// [`MemconEngine::store_error`], not returned.
-    pub fn recover(
-        dir: &Path,
-        trace: &WriteTrace,
-        mode: DurabilityMode,
-        scan_plan: Option<Arc<FaultPlan>>,
-    ) -> Result<(MemconEngine, Recovered), StoreError> {
-        let (store, recovered) = Store::open(dir, mode, scan_plan)?;
-        let snap = recovered.snapshot.as_ref().ok_or_else(|| {
-            StoreError::Corrupt("store holds no usable snapshot to recover from".to_string())
-        })?;
-        let mut engine = Self::restore(&snap.payload, trace)?;
-        if engine.snapshot_every == 0 {
-            return Err(StoreError::Corrupt(
-                "snapshot cadence must be at least one quantum".to_string(),
-            ));
-        }
-        engine.store = Some(store);
-        let run = engine.run.take();
-        engine.publish_snapshot(run.as_ref());
-        engine.run = run;
-        Ok((engine, recovered))
     }
 
     /// Instantaneous observability snapshot (see [`LiveStats`]), read from
@@ -995,22 +859,8 @@ impl MemconEngine {
             quantum_ns,
             mwi_ns: (self.config.min_write_interval_ms() * 1e6) as u64,
             duration: trace.duration_ns(),
-            trace: self.store.is_some().then(|| TraceFingerprint::of(trace)),
+            trace: None,
         };
-        if let Some(store) = self.store.as_mut() {
-            // The store draws its own decision stream from the same plan
-            // source, so store-plane faults never perturb the engine's
-            // deterministic replay stream (and vice versa).
-            let store_session = self
-                .fault_plan
-                .as_ref()
-                .map(|p| FaultSession::with_plan(Arc::clone(p)))
-                .or_else(FaultSession::begin);
-            store.set_fault_session(store_session);
-            // Anchor snapshot: recovery always has a post-pre-pass state to
-            // resume from, even before the first cadence boundary.
-            self.publish_snapshot(Some(&run));
-        }
         self.run = Some(run);
     }
 
@@ -1057,19 +907,6 @@ impl MemconEngine {
             }
             self.handle_quantum(now, run.mwi_ns);
             run.next_quantum += run.quantum_ns;
-            if self.store.is_some() {
-                // A snapshot covers its own quantum; any other boundary
-                // leaves a marker of one quantum to re-simulate.
-                if self.quantum_index.is_multiple_of(self.snapshot_every) {
-                    self.publish_snapshot(Some(&run));
-                } else {
-                    let marker = Progress {
-                        quantum: self.quantum_index,
-                        now_ns: now,
-                    };
-                    self.with_store(|store| store.append(&marker));
-                }
-            }
         }
         self.run = Some(run);
     }
@@ -1117,10 +954,6 @@ impl MemconEngine {
         if telemetry::enabled() {
             self.flush_telemetry();
         }
-        // Terminal snapshot (no run section): a recovery after a clean
-        // finish resumes a completed engine, not a mid-run one.
-        self.publish_snapshot(None);
-        self.with_store(Store::sync);
         let test_cost = self.cost.test_cost_ns(self.config.test_mode);
         let mgr = &self.mgr;
         let refresh_ops = mgr.refresh_ops();
@@ -1838,11 +1671,8 @@ mod tests {
         assert!(rec1.faults_injected.iter().sum::<u64>() > 0);
     }
 
-    use store::scratch_dir;
-
-    /// Engine-plane-only fault plan: exercises abort/retry/pin machinery
-    /// without tearing the store itself (store-plane faults get their own
-    /// tests below).
+    /// Engine-plane fault plan: exercises the abort/retry/pin machinery
+    /// that checkpoints must carry.
     fn engine_plan(seed: u64) -> Arc<FaultPlan> {
         Arc::new(
             FaultPlan::new(seed)
@@ -1864,217 +1694,26 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_resume_matches_uninterrupted_run() {
-        // The tentpole property: kill a store-backed run mid-flight,
-        // recover from disk, resume with the same trace — the final
-        // report, recovery stats, and per-page states must be
-        // bit-identical to a run that never crashed.
-        let trace = WorkloadProfile::netflix().scaled(0.02).generate(7);
-        let plan = engine_plan(0xDEAD_BEEF);
-        let (r_ref, rec_ref, states_ref) = reference_run(cfg(), &trace, Some(&plan));
-
-        let dir = scratch_dir("engine-resume");
-        {
-            let mut e = MemconEngine::new(cfg(), trace.n_pages());
-            e.set_fault_plan(Some(Arc::clone(&plan)));
-            let store = Store::create(&dir, DurabilityMode::Buffered).unwrap();
-            e.attach_store(store, 3).unwrap();
-            e.begin_run(&trace);
-            e.advance_until(&trace, trace.duration_ns() * 2 / 5);
-            assert!(e.store_error().is_none());
-            // Crash: the engine drops with the run in progress; only the
-            // on-disk image survives.
-        }
-        let (mut e, rec) =
-            MemconEngine::recover(&dir, &trace, DurabilityMode::Buffered, None).unwrap();
-        assert!(e.mid_run(), "recovered engine resumes mid-run");
-        assert!(rec.snapshot.is_some());
-        e.advance_until(&trace, trace.duration_ns());
-        let r = e.finish_run();
-        assert_eq!(r, r_ref);
-        assert_eq!(e.recovery_stats(), rec_ref);
-        assert_eq!(e.final_states(), states_ref.as_slice());
-        e.verify_refresh_correctness().unwrap();
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn recovery_truncates_a_torn_wal_tail_and_still_resumes() {
-        // Cut the newest WAL segment mid-frame (a crash mid-write):
-        // recovery must report the truncation, never load the partial
-        // record, and the resumed run must still match the reference.
-        let trace = WorkloadProfile::netflix().scaled(0.02).generate(11);
-        let plan = engine_plan(0xFEED_FACE);
-        let (r_ref, rec_ref, states_ref) = reference_run(cfg(), &trace, Some(&plan));
-
-        let dir = scratch_dir("engine-torn-tail");
-        {
-            let mut e = MemconEngine::new(cfg(), trace.n_pages());
-            e.set_fault_plan(Some(Arc::clone(&plan)));
-            let store = Store::create(&dir, DurabilityMode::Buffered).unwrap();
-            // A huge cadence pins the anchor snapshot as the recovery
-            // point, so the whole partial run sits in one WAL tail
-            // segment — guaranteed non-empty for the cut below.
-            e.attach_store(store, 10_000).unwrap();
-            e.begin_run(&trace);
-            e.advance_until(&trace, trace.duration_ns() * 3 / 5 + 777 * MS);
-            assert!(e.store_error().is_none());
-        }
-        let mut wals: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|entry| entry.unwrap().path())
-            .filter(|p| p.extension().is_some_and(|x| x == "wal"))
-            .collect();
-        wals.sort();
-        let tail = wals
-            .pop()
-            .expect("a WAL tail segment past the last snapshot");
-        let len = std::fs::metadata(&tail).unwrap().len();
-        assert!(len > 3, "tail segment holds records");
-        let f = std::fs::OpenOptions::new().write(true).open(&tail).unwrap();
-        f.set_len(len - 3).unwrap();
-        drop(f);
-
-        let (mut e, rec) =
-            MemconEngine::recover(&dir, &trace, DurabilityMode::Buffered, None).unwrap();
-        assert!(rec.truncated_bytes > 0, "the torn tail was truncated");
-        e.advance_until(&trace, trace.duration_ns());
-        let r = e.finish_run();
-        assert_eq!(r, r_ref);
-        assert_eq!(e.recovery_stats(), rec_ref);
-        assert_eq!(e.final_states(), states_ref.as_slice());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn recovery_from_anchor_snapshot_with_empty_wal() {
-        // Crash immediately after begin_run: the anchor snapshot is the
-        // whole durable state (rotation leaves no WAL tail behind it).
-        let trace = WriteTrace::new(vec![ev(0, 0)], 20_480 * MS, 1);
-        let mut reference = clean_engine(1);
-        let r_ref = reference.run(&trace);
-
-        let dir = scratch_dir("engine-anchor");
-        {
-            let mut e = clean_engine(1);
-            let store = Store::create(&dir, DurabilityMode::Buffered).unwrap();
-            e.attach_store(store, 3).unwrap();
-            e.begin_run(&trace);
-        }
-        let (mut e, rec) =
-            MemconEngine::recover(&dir, &trace, DurabilityMode::Buffered, None).unwrap();
-        assert!(e.mid_run());
-        assert_eq!(rec.replayed_records, 0, "no WAL tail survives the anchor");
-        e.advance_until(&trace, trace.duration_ns());
-        let r = e.finish_run();
-        assert_eq!(r, r_ref);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn torn_write_poisons_the_store_but_never_the_simulation() {
-        // An injected torn append latches store_error and silences the
-        // durability plane; the simulation must finish unaffected, and the
-        // crash image left behind must still recover (with the tear
-        // truncated and reported).
-        let trace = WriteTrace::new(vec![ev(0, 0), ev(7000, 0)], 20_480 * MS, 1);
-        let mut reference = clean_engine(1);
-        let r_ref = reference.run(&trace);
-
-        let dir = scratch_dir("engine-torn-write");
-        let mut e = clean_engine(1);
-        e.set_fault_plan(Some(plan_with(
-            Site::StoreTornWrite,
-            SiteSpec {
-                rate: 1.0,
-                schedule: Schedule::OneShot { at: 5 },
-            },
-        )));
-        let store = Store::create(&dir, DurabilityMode::Buffered).unwrap();
-        e.attach_store(store, 10_000).unwrap();
-        let r = e.run(&trace);
-        assert_eq!(r, r_ref, "store faults never perturb the simulation");
-        assert_eq!(e.store_error(), Some(&StoreError::TornWrite));
-
-        drop(e);
-        let (recovered, rec) =
-            MemconEngine::recover(&dir, &trace, DurabilityMode::Buffered, None).unwrap();
-        assert!(rec.truncated_bytes > 0, "the half-written frame was cut");
-        assert!(
-            recovered.mid_run(),
-            "image predates the (never-published) terminal snapshot"
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn latent_corrupt_record_is_caught_at_recovery_never_loaded() {
-        // A corrupt-record injection flips a payload bit *after* checksum
-        // framing: the append succeeds (corruption is latent), and only
-        // the recovery scan's CRC check may catch it — the record must be
-        // truncated away, never decoded into engine state.
-        let trace = WriteTrace::new(vec![ev(0, 0), ev(7000, 0)], 20_480 * MS, 1);
-        let mut reference = clean_engine(1);
-        let r_ref = reference.run(&trace);
-
-        let dir = scratch_dir("engine-corrupt-rec");
-        {
-            let mut e = clean_engine(1);
-            e.set_fault_plan(Some(plan_with(
-                Site::StoreCorruptRecord,
-                SiteSpec {
-                    rate: 1.0,
-                    schedule: Schedule::OneShot { at: 6 },
-                },
-            )));
-            let store = Store::create(&dir, DurabilityMode::Buffered).unwrap();
-            // A huge cadence keeps every marker (including the corrupt
-            // one) in the anchor snapshot's tail.
-            e.attach_store(store, 10_000).unwrap();
-            e.begin_run(&trace);
-            e.advance_until(&trace, trace.duration_ns());
-            assert!(e.store_error().is_none(), "corruption is latent");
-        }
-        let (mut e, rec) =
-            MemconEngine::recover(&dir, &trace, DurabilityMode::Buffered, None).unwrap();
-        assert!(
-            rec.truncated_bytes > 0,
-            "scan stopped at the corrupt record"
-        );
-        // The corrupt injection fired at append index 6: the markers of
-        // quanta 1..=6 precede the corrupt one in the surviving tail (the
-        // anchor snapshot is published before any append).
-        assert_eq!(rec.replayed_records, 6, "only the clean prefix survives");
-        e.advance_until(&trace, trace.duration_ns());
-        let r = e.finish_run();
-        assert_eq!(r, r_ref);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn recovery_with_hi_ref_pins_active_preserves_the_pin() {
-        // Crash while the fail-safe has a page pinned: the pin must
-        // survive recovery, and the resumed run must match the reference.
+        // Checkpoint while the fail-safe has a page pinned: the pin must
+        // survive the restore, and the resumed run must match the
+        // reference.
         let trace = WriteTrace::new(vec![ev(0, 0)], 20_480 * MS, 1);
         let plan = plan_with(Site::TornRead, SiteSpec::rate(1.0));
         let (r_ref, rec_ref, states_ref) = reference_run(cfg(), &trace, Some(&plan));
         assert_eq!(rec_ref.degraded_rows, 1, "the reference run pins the page");
 
-        let dir = scratch_dir("engine-pinned");
-        {
-            let mut e = MemconEngine::new(cfg(), 1);
-            e.set_fault_plan(Some(Arc::clone(&plan)));
-            let store = Store::create(&dir, DurabilityMode::Buffered).unwrap();
-            e.attach_store(store, 2).unwrap();
-            e.begin_run(&trace);
-            e.advance_until(&trace, 18_000 * MS);
-        }
-        let (mut e, _) =
-            MemconEngine::recover(&dir, &trace, DurabilityMode::Buffered, None).unwrap();
+        let mut e = MemconEngine::new(cfg(), 1);
+        e.set_fault_plan(Some(Arc::clone(&plan)));
+        e.begin_run(&trace);
+        e.advance_until(&trace, 18_000 * MS);
+        let payload = e.checkpoint(&trace);
+        drop(e);
+        let mut e = MemconEngine::restore(&payload, &trace).unwrap();
         assert_eq!(
             e.live_stats().pinned_pages,
             1,
-            "pin restored from the snapshot"
+            "pin restored from the checkpoint"
         );
         e.advance_until(&trace, trace.duration_ns());
         let r = e.finish_run();
@@ -2082,69 +1721,6 @@ mod tests {
         assert_eq!(e.recovery_stats(), rec_ref);
         assert_eq!(e.final_states(), states_ref.as_slice());
         e.verify_refresh_correctness().unwrap();
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn recovery_ignores_a_stale_duplicate_segment_below_the_bound() {
-        // A crash between snapshot publication and segment pruning can
-        // leave a stale segment below the snapshot's WAL bound on disk;
-        // recovery must drop it, not scan it.
-        let trace = WorkloadProfile::netflix().scaled(0.02).generate(3);
-        let dir = scratch_dir("engine-stale-seg");
-        {
-            let mut e = MemconEngine::new(cfg(), trace.n_pages());
-            let store = Store::create(&dir, DurabilityMode::Buffered).unwrap();
-            e.attach_store(store, 4).unwrap();
-            e.begin_run(&trace);
-            e.advance_until(&trace, trace.duration_ns() / 2);
-        }
-        // Forge a stale pre-bound segment: segment 0 predates every
-        // snapshot (the anchor snapshot set the bound to at least 1).
-        let stale = dir.join("wal-00000000.wal");
-        assert!(!stale.exists(), "rotation already pruned segment 0");
-        let forged = Progress {
-            quantum: 99,
-            now_ns: 99,
-        };
-        std::fs::write(&stale, store::wal::frame(&forged.encode())).unwrap();
-
-        let (e, rec) = MemconEngine::recover(&dir, &trace, DurabilityMode::Buffered, None).unwrap();
-        assert!(rec.stale_segments > 0, "the forged segment was discarded");
-        assert!(!rec.tail.contains(&forged), "stale records never replay");
-        assert!(e.mid_run());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn the_tail_holds_the_markers_of_the_quanta_since_the_last_snapshot() {
-        // Cadence 3 over 11 quanta: boundaries 3, 6 and 9 publish
-        // snapshots, every other boundary appends a marker, and each
-        // snapshot prunes the markers before it.
-        let trace = WriteTrace::new(vec![ev(0, 0), ev(7000, 0)], 20_480 * MS, 1);
-        let mut reference = clean_engine(1);
-        let r_ref = reference.run(&trace);
-
-        let dir = scratch_dir("engine-marker-tail");
-        {
-            let mut e = clean_engine(1);
-            let store = Store::create(&dir, DurabilityMode::Buffered).unwrap();
-            e.attach_store(store, 3).unwrap();
-            e.begin_run(&trace);
-            e.advance_until(&trace, 11 * 1024 * MS + 5 * MS);
-            assert!(e.store_error().is_none());
-        }
-        let (mut e, rec) =
-            MemconEngine::recover(&dir, &trace, DurabilityMode::Buffered, None).unwrap();
-        let marker = |quantum: u64| Progress {
-            quantum,
-            now_ns: quantum * 1024 * MS,
-        };
-        assert_eq!(rec.tail, vec![marker(10), marker(11)]);
-        assert_eq!(rec.replayed_records, 2);
-        e.advance_until(&trace, trace.duration_ns());
-        assert_eq!(e.finish_run(), r_ref);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -2153,15 +1729,12 @@ mod tests {
         let plan = engine_plan(0x5EED_F00D);
         let (r_ref, rec_ref, states_ref) = reference_run(cfg(), &trace, Some(&plan));
 
-        let dir = scratch_dir("engine-wrong-trace");
-        {
-            let mut e = MemconEngine::new(cfg(), trace.n_pages());
-            e.set_fault_plan(Some(Arc::clone(&plan)));
-            let store = Store::create(&dir, DurabilityMode::Buffered).unwrap();
-            e.attach_store(store, 4).unwrap();
-            e.begin_run(&trace);
-            e.advance_until(&trace, trace.duration_ns() / 2);
-        }
+        let mut e = MemconEngine::new(cfg(), trace.n_pages());
+        e.set_fault_plan(Some(Arc::clone(&plan)));
+        e.begin_run(&trace);
+        e.advance_until(&trace, trace.duration_ns() / 2);
+        let payload = e.checkpoint(&trace);
+        drop(e);
         let other_seed = WorkloadProfile::netflix().scaled(0.02).generate(6);
         let events = trace.events();
         let truncated = WriteTrace::new(
@@ -2172,46 +1745,32 @@ mod tests {
         for (what, wrong) in [("different-seed", &other_seed), ("truncated", &truncated)] {
             assert!(
                 matches!(
-                    MemconEngine::recover(&dir, wrong, DurabilityMode::Buffered, None),
+                    MemconEngine::restore(&payload, wrong),
                     Err(StoreError::Corrupt(_))
                 ),
                 "a {what} trace must be refused"
             );
         }
-        // A refused recovery leaves the store as it was: the matching trace
-        // still resumes to the uninterrupted result.
-        let (mut e, _) =
-            MemconEngine::recover(&dir, &trace, DurabilityMode::Buffered, None).unwrap();
+        // The matching trace still resumes to the uninterrupted result.
+        let mut e = MemconEngine::restore(&payload, &trace).unwrap();
         e.advance_until(&trace, trace.duration_ns());
         assert_eq!(e.finish_run(), r_ref);
         assert_eq!(e.recovery_stats(), rec_ref);
         assert_eq!(e.final_states(), states_ref.as_slice());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A store-backed engine stepped to half the trace, with its store
-    /// directory and its payload at that point.
-    fn half_run_payload(
-        trace: &WriteTrace,
-        dir_name: &str,
-    ) -> (MemconEngine, std::path::PathBuf, Vec<u8>) {
-        let dir = scratch_dir(dir_name);
+    /// An engine stepped to half the trace, with its checkpoint there.
+    fn half_run_payload(trace: &WriteTrace) -> (MemconEngine, Vec<u8>) {
         let mut e = MemconEngine::new(cfg(), trace.n_pages());
-        let store = Store::create(&dir, DurabilityMode::Buffered).unwrap();
-        e.attach_store(store, 3).unwrap();
         e.begin_run(trace);
         e.advance_until(trace, trace.duration_ns() / 2);
-        let payload = e.encode_state(e.run.as_ref());
-        (e, dir, payload)
+        let payload = e.checkpoint(trace);
+        (e, payload)
     }
 
-    /// Publishes `payload` as the newest snapshot in `dir` and recovers
-    /// from it.
-    fn recover_payload(dir: &Path, trace: &WriteTrace, payload: &[u8]) -> Result<(), StoreError> {
-        let (mut store, _) = Store::open(dir, DurabilityMode::Buffered, None).unwrap();
-        store.publish_snapshot(payload).unwrap();
-        drop(store);
-        MemconEngine::recover(dir, trace, DurabilityMode::Buffered, None).map(drop)
+    /// Restores `payload` over `trace`, dropping the engine.
+    fn restore_payload(trace: &WriteTrace, payload: &[u8]) -> Result<(), StoreError> {
+        MemconEngine::restore(payload, trace).map(drop)
     }
 
     #[test]
@@ -2219,23 +1778,22 @@ mod tests {
         // A payload of an earlier format has a different layout, so its
         // version byte must refuse it before any section decodes.
         let trace = WorkloadProfile::netflix().scaled(0.02).generate(9);
-        let (e, dir, payload) = half_run_payload(&trace, "engine-old-version");
+        let (e, payload) = half_run_payload(&trace);
         drop(e);
         assert!(MemconEngine::decode_state(&payload).is_ok());
-        for version in [2u8, 3, 4, 5] {
+        for version in [2u8, 3, 4, 5, 6] {
             let mut old = payload.clone();
             old[0] = version;
             let Err(err) = MemconEngine::decode_state(&old) else {
                 panic!("a version-{version} payload must be refused");
             };
             assert!(err.contains(&format!("version {version}")), "{err}");
-            // Published as the newest snapshot, it fails recovery as corrupt.
+            // Restoring it fails as corrupt.
             assert!(matches!(
-                recover_payload(&dir, &trace, &old),
+                restore_payload(&trace, &old),
                 Err(StoreError::Corrupt(msg)) if msg.contains(&format!("version {version}"))
             ));
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -2244,7 +1802,7 @@ mod tests {
         // per-page state is allocated, and restored tests and retries must
         // name pages the engine tracks.
         let trace = WorkloadProfile::netflix().scaled(0.02).generate(9);
-        let (mut e, dir, mut huge) = half_run_payload(&trace, "engine-bad-pages");
+        let (mut e, mut huge) = half_run_payload(&trace);
         let past_end = e.n_pages;
         // Version, three f64 intervals, mode tag, test budget, write-buffer
         // capacity, steady-state flag, two recovery-policy u32s.
@@ -2253,14 +1811,14 @@ mod tests {
         assert_eq!(huge[field.clone()], past_end.to_le_bytes());
         huge[field].copy_from_slice(&(1u64 << 40).to_le_bytes());
         e.retry_queue.push(past_end);
-        let retry = e.encode_state(e.run.as_ref());
+        let retry = e.checkpoint(&trace);
         e.retry_queue.pop();
         // The test table is sized to the engine's pages, so a test of the
         // page past the end comes from a test engine one page larger.
         let oracle = Box::new(RateOracle::new(0.0, 0));
         e.tests = TestEngine::new(oracle, e.config.lo_ms, 1, past_end + 1);
         assert!(e.tests.try_start(past_end, 0, 0));
-        let in_flight = e.encode_state(e.run.as_ref());
+        let in_flight = e.checkpoint(&trace);
         drop(e);
         for (payload, refusal) in [
             (huge, format!("page count {}", 1u64 << 40)),
@@ -2272,27 +1830,21 @@ mod tests {
             };
             assert!(err.contains(&refusal), "{err}");
             assert!(matches!(
-                recover_payload(&dir, &trace, &payload),
+                restore_payload(&trace, &payload),
                 Err(StoreError::Corrupt(msg)) if msg.contains(&refusal)
             ));
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn recovery_refuses_a_snapshot_that_breaks_an_invariant() {
         // Each state decodes cleanly but breaks one invariant: PRIL gains
         // an inserted page it cannot account for, the refresh manager a
-        // pin its counter does not hold, a HI-REF page moves to Testing
-        // with no test in flight or gains a test while staying HI-REF,
-        // and a checkpoint taken with no store attached names no snapshot
-        // cadence to resume at.
+        // pin its counter does not hold, and a HI-REF page moves to
+        // Testing with no test in flight or gains a test while staying
+        // HI-REF.
         let trace = WorkloadProfile::netflix().scaled(0.02).generate(9);
-        let (mut e, dir, payload) = half_run_payload(&trace, "engine-bad-invariant");
-        let mut storeless = MemconEngine::new(cfg(), trace.n_pages());
-        storeless.begin_run(&trace);
-        storeless.advance_until(&trace, trace.duration_ns() / 2);
-        let no_cadence = storeless.checkpoint(&trace);
+        let (mut e, payload) = half_run_payload(&trace);
         let mut section = Enc::new();
         e.mgr.encode_state(&mut section);
         let section = section.into_bytes();
@@ -2307,17 +1859,17 @@ mod tests {
         assert_eq!(bad_mgr[pin_of_page_0], 0);
         bad_mgr[pin_of_page_0] = 1;
         e.pril.stats.inserted += 1;
-        let bad_pril = e.encode_state(e.run.as_ref());
+        let bad_pril = e.checkpoint(&trace);
         e.pril.stats.inserted -= 1;
         let now = trace.duration_ns() / 2;
         let hi = (0..e.n_pages)
             .find(|&p| e.mgr.state(p) == PageState::HiRef)
             .expect("the half run holds a HI-REF page");
         e.mgr.transition(hi, PageState::Testing, now);
-        let untested = e.encode_state(e.run.as_ref());
+        let untested = e.checkpoint(&trace);
         e.mgr.transition(hi, PageState::HiRef, now);
         assert!(e.tests.try_start(hi, e.generation[hi as usize], now));
-        let unbinned = e.encode_state(e.run.as_ref());
+        let unbinned = e.checkpoint(&trace);
         drop(e);
         for (payload, broken) in [
             (bad_pril, "page conservation".to_string()),
@@ -2330,44 +1882,32 @@ mod tests {
                 unbinned,
                 format!("page {hi} has a test in flight but sits at HiRef"),
             ),
-            (no_cadence, "snapshot cadence".to_string()),
         ] {
             assert!(MemconEngine::decode_state(&payload).is_ok());
             assert!(matches!(
-                recover_payload(&dir, &trace, &payload),
+                restore_payload(&trace, &payload),
                 Err(StoreError::Corrupt(msg)) if msg.contains(&broken)
             ));
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn recovery_after_a_clean_finish_restores_the_finished_engine() {
-        // The terminal snapshot carries no run section: the recovered
-        // engine is the finished one, final bins and pins included.
+        // A checkpoint after `finish_run` carries no run section: the
+        // restored engine is the finished one, final bins and pins
+        // included.
         let trace = WorkloadProfile::netflix().scaled(0.02).generate(13);
-        let dir = scratch_dir("engine-finished");
-        let (states, recovery, live) = {
-            let mut e = MemconEngine::new(cfg(), trace.n_pages());
-            e.set_fault_plan(Some(plan_with(Site::EccUncorrectable, SiteSpec::rate(0.5))));
-            let store = Store::create(&dir, DurabilityMode::Buffered).unwrap();
-            e.attach_store(store, 3).unwrap();
-            let _ = e.run(&trace);
-            assert!(e.store_error().is_none());
-            assert!(e.live_stats().pinned_pages > 0, "the run ends with pins");
-            (
-                e.final_states().to_vec(),
-                e.recovery_stats(),
-                e.live_stats(),
-            )
-        };
-        let (e, _) = MemconEngine::recover(&dir, &trace, DurabilityMode::Buffered, None).unwrap();
-        assert!(!e.mid_run());
-        assert_eq!(e.final_states(), states.as_slice());
-        assert_eq!(e.recovery_stats(), recovery);
-        assert_eq!(e.live_stats(), live);
-        e.verify_refresh_correctness().unwrap();
-        std::fs::remove_dir_all(&dir).ok();
+        let mut e = MemconEngine::new(cfg(), trace.n_pages());
+        e.set_fault_plan(Some(plan_with(Site::EccUncorrectable, SiteSpec::rate(0.5))));
+        let _ = e.run(&trace);
+        assert!(e.live_stats().pinned_pages > 0, "the run ends with pins");
+        let payload = e.checkpoint(&trace);
+        let restored = MemconEngine::restore(&payload, &trace).unwrap();
+        assert!(!restored.mid_run());
+        assert_eq!(restored.final_states(), e.final_states());
+        assert_eq!(restored.recovery_stats(), e.recovery_stats());
+        assert_eq!(restored.live_stats(), e.live_stats());
+        restored.verify_refresh_correctness().unwrap();
     }
 
     #[test]
@@ -2409,41 +1949,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[derive(Debug)]
-    struct NeverFails;
-
-    impl FailureOracle for NeverFails {
-        fn page_fails(&mut self, _page: PageId, _generation: u64) -> bool {
-            false
-        }
-    }
-
-    #[test]
-    fn attach_store_rejects_unsupported_configurations() {
-        let dir = scratch_dir("engine-attach");
-        // Zero snapshot cadence.
-        let mut e = clean_engine(1);
-        let store = Store::create(&dir, DurabilityMode::InMemory).unwrap();
-        assert!(matches!(
-            e.attach_store(store, 0),
-            Err(StoreError::Unsupported(_))
-        ));
-        // Mid-run attachment.
-        let trace = WriteTrace::new(vec![ev(0, 0)], 100 * MS, 1);
-        e.begin_run(&trace);
-        let store = Store::create(&dir, DurabilityMode::InMemory).unwrap();
-        assert!(matches!(
-            e.attach_store(store, 3),
-            Err(StoreError::Unsupported(_))
-        ));
-        // A non-persistable oracle.
-        let mut e = MemconEngine::with_oracle(cfg(), 1, Box::new(NeverFails));
-        let store = Store::create(&dir, DurabilityMode::InMemory).unwrap();
-        assert!(matches!(
-            e.attach_store(store, 3),
-            Err(StoreError::Unsupported(_))
-        ));
     }
 }

@@ -142,7 +142,8 @@ fn chaos_plan(seed: u64) -> Arc<FaultPlan> {
             .with_site(Site::EccUncorrectable, SiteSpec::rate(0.05))
             // The store sites stay cold in this soak (no store attached)
             // but are armed so every registered site is covered; the
-            // `xtask crash` gate drives them against live WALs.
+            // store's tests and `xtask crash` fire them on the snapshot
+            // publish and open paths.
             .with_site(Site::StoreTornWrite, SiteSpec::rate(0.02))
             .with_site(Site::StoreShortRead, SiteSpec::rate(0.05))
             .with_site(Site::StoreCorruptRecord, SiteSpec::rate(0.02)),

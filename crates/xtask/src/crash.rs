@@ -1,24 +1,29 @@
-//! `xtask crash` — the crash-recovery soak gate for the durable store.
+//! `xtask crash` — the crash-recovery soak gate for the durable fleet.
 //!
-//! Each crash point drives the reference workload through a store-backed
-//! [`MemconEngine`], kills it mid-run at a seeded fraction of the trace,
-//! then truncates the newest WAL segment (its progress markers) at a
-//! seeded random offset — modelling a power cut that lands anywhere
-//! inside a write. Recovery must come back up from the newest snapshot,
-//! truncate the torn tail to the last intact record (reporting every
-//! discarded byte), and resume; the finished run must be byte-identical
-//! to an uninterrupted storeless reference run of the same trace (report,
-//! recovery counters, and final refresh bins).
+//! A durable fleet publishes one snapshot image per epoch barrier, and
+//! that publication is the only write its store makes. Each crash point
+//! runs the reference fleet on a store, drops it at a seeded barrier `e`
+//! (at least 1, before the last), then models a kill in the middle of
+//! publishing image `e`: the image is truncated at a seeded byte offset,
+//! or it becomes a `snap-<e>.snap.tmp` of seeded length — a kill before
+//! the rename. Recovery must report the torn image (skipped, or its temp
+//! file removed, with its bytes counted as discarded), resume at barrier
+//! `e − 1`, and finish byte-identical to the same fleet run in memory:
+//! the fleet report, and the registry's deterministic section once every
+//! `store.*` key is removed (the durability plane legitimately did extra
+//! work). Recoveries cycle through 1, 2 and 4 workers.
 //!
 //! Two adversarial legs ride along:
 //!
-//! * **corrupt-checksum** — one byte in the middle of the surviving WAL is
+//! * **corrupt-checksum** — one byte in the middle of the newest image is
 //!   flipped (latent media corruption rather than a torn write); recovery
-//!   must stop its scan at the corrupt record and report the truncation —
-//!   never silently load state past it;
-//! * **injected torn write** — the `store.torn_write` fault site fires
-//!   during the run, poisoning the store mid-flight; the simulation must
-//!   finish unaffected and the half-written tail must recover cleanly.
+//!   must skip that image, never load it, and resume from the one before
+//!   to the same result;
+//! * **injected torn write** — the `store.torn_write` fault site fires on
+//!   a mid-run publication; the fleet must latch the error, still finish
+//!   with the reference result (store faults stay on the durability
+//!   plane), and its directory must recover from the image before the
+//!   tear to the same result.
 //!
 //! `--quick` soaks 4 crash points (the CI configuration); the default is
 //! 16.
@@ -27,14 +32,13 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use faultinject::{FaultPlan, Schedule, Site, SiteSpec};
-use memcon::config::MemconConfig;
-use memcon::engine::{MemconEngine, MemconReport, RecoveryStats};
-use memcon::refreshmgr::PageState;
-use memtrace::trace::WriteTrace;
+use fleet::{Fleet, FleetConfig, FleetPlan, FleetRecovery};
+use memutil::json::Json;
 use memutil::rng::{Rng, SeedableRng, SmallRng};
-use store::DurabilityMode;
+use store::StoreError;
 
-/// Base seed of crash point `i` (point seed = base + i).
+/// Base seed of crash point `i` (point seed = base + i); also the fleet
+/// seed.
 const CRASH_SEED_BASE: u64 = 0xC4A0_6000;
 
 /// Crash points in the default (full) soak.
@@ -42,6 +46,9 @@ const FULL_POINTS: usize = 16;
 
 /// Crash points under `--quick` (the CI leg).
 const QUICK_POINTS: usize = 4;
+
+/// Worker counts the crash points recover at, in turn.
+const RECOVER_JOBS: [usize; 3] = [1, 2, 4];
 
 /// Entry point for `xtask crash <args>`; returns a process exit code.
 #[must_use]
@@ -77,224 +84,284 @@ pub fn crash_cmd(args: &[String]) -> i32 {
     }
 }
 
-/// Everything the cross-run comparison needs from one finished engine.
-type RunOutcome = (MemconReport, RecoveryStats, Vec<PageState>);
-
-/// The workload every leg replays (fixed: the gate compares runs, and a
-/// crashed run can only be resumed with the same trace).
-fn reference_trace() -> WriteTrace {
-    memtrace::workload::WorkloadProfile::netflix()
-        .scaled(0.02)
-        .generate(CRASH_SEED_BASE)
+/// What every resumed run must reproduce: the fleet report's
+/// deterministic emit, and the registry's deterministic section without
+/// `store.*` keys.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    report: String,
+    telemetry: String,
 }
 
-/// An uninterrupted storeless run of `trace` — the ground truth every
-/// recovered run must reproduce exactly.
-fn reference_run(trace: &WriteTrace) -> RunOutcome {
-    let mut engine = MemconEngine::new(MemconConfig::paper_default(), trace.n_pages());
-    let report = engine.run(trace);
-    (
-        report,
-        engine.recovery_stats(),
-        engine.final_states().to_vec(),
-    )
+/// Preempted tests and torn read-backs, so checkpoints carry retries,
+/// back-offs and pins.
+fn engine_faults() -> FaultPlan {
+    FaultPlan::new(CRASH_SEED_BASE)
+        .with_site(Site::TestPreempt, SiteSpec::rate(0.2))
+        .with_site(Site::TornRead, SiteSpec::rate(0.2))
+}
+
+/// The fleet every leg runs (fixed: the gate compares runs, and a crashed
+/// fleet can only resume with the same plan): 8 shards, one quantum per
+/// epoch, under `faults`.
+fn fleet_plan(faults: FaultPlan) -> FleetPlan {
+    let mut config = FleetConfig::small(8, CRASH_SEED_BASE);
+    config.epoch_quanta = 1;
+    config.fault_plan = Some(Arc::new(faults));
+    FleetPlan::expand(&config, 1)
+}
+
+/// `plan` on a store in `dir`.
+fn durable(plan: &FleetPlan, dir: &Path) -> FleetPlan {
+    let mut plan = plan.clone();
+    plan.config.store_dir = Some(dir.to_path_buf());
+    plan
+}
+
+/// Runs `f` under a fresh enabled registry; returns its result and the
+/// registry's deterministic section with every `store.*` key removed.
+fn observed<T>(f: impl FnOnce() -> T) -> (T, String) {
+    let registry = Arc::new(telemetry::Registry::new());
+    registry.set_enabled(true);
+    let guard = telemetry::install(Arc::clone(&registry));
+    let out = f();
+    drop(guard);
+    let det = registry
+        .report()
+        .get("deterministic")
+        .cloned()
+        .unwrap_or_else(Json::obj);
+    (out, without_store_keys(&det).emit())
+}
+
+/// `j` with every object field named `store.*` removed, at any depth —
+/// the counters and the time-series point deltas alike.
+fn without_store_keys(j: &Json) -> Json {
+    match j {
+        Json::Obj(fields) => Json::Obj(
+            fields
+                .iter()
+                .filter(|(k, _)| !k.starts_with("store."))
+                .map(|(k, v)| (k.clone(), without_store_keys(v)))
+                .collect(),
+        ),
+        Json::Arr(items) => Json::Arr(items.iter().map(without_store_keys).collect()),
+        leaf => leaf.clone(),
+    }
+}
+
+/// The in-memory run of `plan` every recovered run must reproduce, and
+/// the number of epochs it took.
+fn reference_run(plan: &FleetPlan) -> (Outcome, u64) {
+    let ((report, epochs), telemetry) = observed(|| {
+        let mut fleet = Fleet::new(plan);
+        let report = fleet.run_to_completion(1).deterministic_emit();
+        (report, fleet.epoch())
+    });
+    (Outcome { report, telemetry }, epochs)
 }
 
 fn soak(points: usize) -> Result<String, String> {
-    let trace = reference_trace();
-    let reference = reference_run(&trace);
-
-    let mut torn_tails = 0usize;
-    let mut total_truncated = 0u64;
-    let mut total_replayed = 0u64;
+    let plan = fleet_plan(engine_faults());
+    let (reference, epochs) = reference_run(&plan);
+    let mut before_rename = 0usize;
+    let mut discarded = 0u64;
     for i in 0..points {
         let seed = CRASH_SEED_BASE + i as u64;
-        let (truncated, replayed) = crash_point(&trace, &reference, seed)
-            .map_err(|e| format!("crash point {}/{points} (seed {seed:#x}): {e}", i + 1))?;
-        torn_tails += usize::from(truncated > 0);
-        total_truncated += truncated;
-        total_replayed += replayed;
+        let jobs = RECOVER_JOBS[i % RECOVER_JOBS.len()];
+        let (tmp, bytes) = crash_point(&plan, &reference, epochs, seed, jobs).map_err(|e| {
+            format!(
+                "crash point {}/{points} (seed {seed:#x}, jobs {jobs}): {e}",
+                i + 1
+            )
+        })?;
+        before_rename += usize::from(tmp);
+        discarded += bytes;
     }
-    if torn_tails == 0 {
-        return Err(format!(
-            "none of the {points} random WAL offsets landed mid-record (soak proved nothing)"
-        ));
-    }
-    let corrupt_truncated = corrupt_checksum_leg(&trace, &reference)?;
-    injected_torn_write_leg(&trace, &reference)?;
+    let corrupt = corrupt_checksum_leg(&plan, &reference, epochs)?;
+    injected_torn_write_leg(&reference, epochs)?;
     Ok(format!(
-        "{points} crash point(s) recovered to the reference run ({torn_tails} torn tails, \
-         {total_truncated} bytes truncated, {total_replayed} progress markers scanned); \
-         corrupt-checksum leg truncated {corrupt_truncated} bytes; \
-         injected torn write recovered clean"
+        "{points} crash point(s) landed mid-image and recovered to the in-memory reference \
+         ({} truncated images, {before_rename} interrupted before rename, {discarded} bytes \
+         discarded); corrupt-checksum leg skipped a {corrupt}-byte image; injected torn write \
+         recovered clean",
+        points - before_rename
     ))
 }
 
-/// One kill-at-random-WAL-offset point: crash at a seeded fraction of the
-/// trace, truncate the newest WAL segment at a seeded offset, recover,
-/// resume, and compare against the reference. Returns
-/// `(truncated_bytes, replayed_records)`.
+/// One crash point: crash at a seeded barrier `e`, tear image `e` at a
+/// seeded offset (in place, or as the temp file of an unfinished
+/// publication), recover at `jobs`, resume, and compare. Returns whether
+/// the tear was a temp file, and the bytes recovery discarded.
 fn crash_point(
-    trace: &WriteTrace,
-    reference: &RunOutcome,
+    plan: &FleetPlan,
+    reference: &Outcome,
+    epochs: u64,
     seed: u64,
-) -> Result<(u64, u64), String> {
+    jobs: usize,
+) -> Result<(bool, u64), String> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let dir = store::scratch_dir(&format!("xtask-crash-{seed:x}"));
-    // Crash somewhere in the middle 10%..90% of the trace; cadence far
-    // past the run so the whole partial run sits in one WAL tail segment
-    // and a random offset always has records to land in.
-    let crash_ns = trace.duration_ns() / 10 * (1 + rng.gen_range(0..9u64));
-    run_to_crash(trace, &dir, crash_ns, None)?;
-    let tail = newest_wal_segment(&dir)
-        .ok_or_else(|| "crashed run left no WAL tail segment".to_string())?;
-    let len = file_len(&tail)?;
-    // Truncate anywhere in the segment — a frame boundary (clean tail) is
-    // a legitimate outcome; the soak-level check requires only that *some*
-    // point tears mid-record.
-    let offset = rng.gen_range(0..len);
-    set_len(&tail, offset)?;
-    let (truncated, replayed) = recover_and_compare(trace, &dir, reference)?;
-    let _ = std::fs::remove_dir_all(&dir);
-    Ok((truncated, replayed))
-}
-
-/// The corrupt-checksum leg: flip one byte in the middle of the WAL tail
-/// (not truncation — the file keeps its length) and require recovery to
-/// stop its scan at the corrupt record and report everything after it as
-/// truncated. Returns the truncated byte count.
-fn corrupt_checksum_leg(trace: &WriteTrace, reference: &RunOutcome) -> Result<u64, String> {
-    let dir = store::scratch_dir("xtask-crash-corrupt");
-    run_to_crash(trace, &dir, trace.duration_ns() / 2, None)?;
-    let tail = newest_wal_segment(&dir)
-        .ok_or_else(|| "crashed run left no WAL tail segment".to_string())?;
-    let mut bytes = std::fs::read(&tail).map_err(|e| format!("read {}: {e}", tail.display()))?;
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x01;
-    std::fs::write(&tail, &bytes).map_err(|e| format!("write {}: {e}", tail.display()))?;
-    let (truncated, _) = recover_and_compare(trace, &dir, reference)?;
-    if truncated == 0 {
-        return Err(
-            "a flipped byte mid-WAL was not reported as a truncation (corrupt state \
-             would have been loaded silently)"
-                .to_string(),
-        );
+    let plan = durable(plan, &dir);
+    let crash_at = rng.gen_range(1..epochs);
+    run_to_barrier(&plan, jobs, crash_at)?;
+    let image = image_path(&dir, crash_at);
+    let len = file_len(&image)?;
+    let cut = rng.gen_range(1..len);
+    let before_rename = rng.gen_bool(0.5);
+    let torn = if before_rename {
+        let tmp = dir.join(format!("snap-{crash_at:08}.snap.tmp"));
+        std::fs::rename(&image, &tmp)
+            .map_err(|e| format!("rename {} to {}: {e}", image.display(), tmp.display()))?;
+        tmp
+    } else {
+        image
+    };
+    set_len(&torn, cut)?;
+    let rec = recover_and_compare(&plan, jobs, crash_at - 1, reference)?;
+    // The point proves it landed mid-image only if recovery saw the tear.
+    let skipped = u64::from(!before_rename);
+    if rec.truncated_bytes != cut || rec.snapshots_skipped != skipped || torn.exists() {
+        return Err(format!(
+            "image {crash_at} torn at byte {cut} of {len} ({}), but recovery discarded {} \
+             bytes, skipped {} image(s) and left the torn file {}",
+            if before_rename {
+                "before rename"
+            } else {
+                "in place"
+            },
+            rec.truncated_bytes,
+            rec.snapshots_skipped,
+            if torn.exists() { "behind" } else { "gone" }
+        ));
     }
     let _ = std::fs::remove_dir_all(&dir);
-    Ok(truncated)
+    Ok((before_rename, cut))
 }
 
-/// The injected-fault leg: the `store.torn_write` site fires once
-/// mid-run, leaving a half-written frame and a poisoned store. The
-/// simulation must still finish byte-identically, and the torn tail must
-/// recover (detecting the tear) and resume to the same result.
-fn injected_torn_write_leg(trace: &WriteTrace, reference: &RunOutcome) -> Result<(), String> {
+/// The corrupt-checksum leg: flip one byte in the middle of the newest
+/// image (not truncation — the file keeps its length); recovery must skip
+/// it and resume from the image before. Returns the skipped image's size.
+fn corrupt_checksum_leg(plan: &FleetPlan, reference: &Outcome, epochs: u64) -> Result<u64, String> {
+    let dir = store::scratch_dir("xtask-crash-corrupt");
+    let plan = durable(plan, &dir);
+    let crash_at = epochs / 2;
+    run_to_barrier(&plan, 1, crash_at)?;
+    let image = image_path(&dir, crash_at);
+    let mut bytes = std::fs::read(&image).map_err(|e| format!("read {}: {e}", image.display()))?;
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x01;
+    std::fs::write(&image, &bytes).map_err(|e| format!("write {}: {e}", image.display()))?;
+    let rec = recover_and_compare(&plan, 1, crash_at - 1, reference)?;
+    if rec.snapshots_skipped != 1 || rec.truncated_bytes != bytes.len() as u64 {
+        return Err(format!(
+            "a flipped byte mid-image was not skipped (skipped {}, discarded {} bytes): \
+             corrupt state would have been loaded silently",
+            rec.snapshots_skipped, rec.truncated_bytes
+        ));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    Ok(rec.truncated_bytes)
+}
+
+/// The injected-fault leg: the `store.torn_write` site fires on the
+/// publication of a mid-run image, leaving half of it in a temp file and
+/// latching the fleet's store error. The fleet must still finish with the
+/// reference result, and its directory must recover from the image
+/// before the tear to the same result.
+fn injected_torn_write_leg(reference: &Outcome, epochs: u64) -> Result<(), String> {
     let dir = store::scratch_dir("xtask-crash-injected");
-    let plan = Arc::new(FaultPlan::new(CRASH_SEED_BASE).with_site(
+    // The anchor image is the store's decision 0, so decision `torn_at`
+    // publishes the image of barrier `torn_at`.
+    let torn_at = epochs / 2;
+    let armed = engine_faults().with_site(
         Site::StoreTornWrite,
         SiteSpec {
             rate: 1.0,
-            schedule: Schedule::OneShot { at: 24 },
+            schedule: Schedule::OneShot { at: torn_at },
         },
-    ));
-    let mut engine = MemconEngine::new(MemconConfig::paper_default(), trace.n_pages());
-    engine.set_fault_plan(Some(Arc::clone(&plan)));
-    let s = store::Store::create(&dir, DurabilityMode::Buffered)
-        .map_err(|e| format!("create store: {e}"))?;
-    engine
-        .attach_store(s, 10_000)
-        .map_err(|e| format!("attach store: {e}"))?;
-    let report = engine.run(trace);
-    if engine.store_error().is_none() {
-        return Err("the armed store.torn_write site never fired".to_string());
-    }
-    let outcome = (
-        report,
-        engine.recovery_stats(),
-        engine.final_states().to_vec(),
     );
-    if &outcome != reference {
+    let plan = durable(&fleet_plan(armed), &dir);
+    let ((report, error), telemetry) = observed(|| {
+        let mut fleet = Fleet::new(&plan);
+        let report = fleet.run_to_completion(1).deterministic_emit();
+        (report, fleet.meta_store_error().cloned())
+    });
+    if error != Some(StoreError::TornWrite) {
+        return Err(format!(
+            "the armed store.torn_write site did not latch a torn write: {error:?}"
+        ));
+    }
+    if (Outcome { report, telemetry }) != *reference {
         return Err(
-            "a torn store write perturbed the simulation (store faults must stay \
-             on the durability plane)"
+            "a torn store write perturbed the simulation (store faults must stay on the \
+             durability plane)"
                 .to_string(),
         );
     }
-    drop(engine);
-    let (_, rec) = MemconEngine::recover(&dir, trace, DurabilityMode::Buffered, None)
-        .map_err(|e| format!("recovery after injected torn write: {e}"))?;
+    let rec = recover_and_compare(&plan, 1, torn_at - 1, reference)?;
     if rec.truncated_bytes == 0 {
-        return Err("the half-written frame was not detected at recovery".to_string());
+        return Err("the half-written temp image was not discarded at recovery".to_string());
     }
     let _ = std::fs::remove_dir_all(&dir);
     Ok(())
 }
 
-/// Runs a store-backed engine up to `crash_ns` and drops it mid-run
-/// (snapshot cadence pinned past the run end, so the anchor snapshot is
-/// the only one and the WAL tail holds a marker for every quantum of the
-/// partial run).
-fn run_to_crash(
-    trace: &WriteTrace,
-    dir: &Path,
-    crash_ns: u64,
-    plan: Option<Arc<FaultPlan>>,
-) -> Result<(), String> {
-    let mut engine = MemconEngine::new(MemconConfig::paper_default(), trace.n_pages());
-    engine.set_fault_plan(plan);
-    let s = store::Store::create(dir, DurabilityMode::Buffered)
-        .map_err(|e| format!("create store: {e}"))?;
-    engine
-        .attach_store(s, 10_000)
-        .map_err(|e| format!("attach store: {e}"))?;
-    engine.begin_run(trace);
-    engine.advance_until(trace, crash_ns);
-    if !engine.mid_run() {
-        return Err("crash point landed past the end of the run".to_string());
-    }
-    Ok(())
+/// Runs a fresh durable fleet of `plan` to epoch barrier `barrier` and
+/// drops it there, mid-run. The process that crashes takes its registry
+/// with it, so the run counts into a throwaway one.
+fn run_to_barrier(plan: &FleetPlan, jobs: usize, barrier: u64) -> Result<(), String> {
+    let (result, _) = observed(|| {
+        let mut fleet = Fleet::new(plan);
+        for _ in 0..barrier {
+            if !fleet.run_epoch(jobs) {
+                return Err(format!("the fleet finished before barrier {barrier}"));
+            }
+        }
+        match fleet.meta_store_error() {
+            Some(e) => Err(format!("publishing failed before the crash: {e}")),
+            None => Ok(()),
+        }
+    });
+    result
 }
 
-/// Recovers the engine in `dir`, resumes it with `trace`, and compares
-/// the finished run against `reference`. Returns
-/// `(truncated_bytes, replayed_records)` from the recovery scan.
+/// Recovers `plan`'s fleet at `jobs`, checks it resumed at barrier
+/// `resume_at`, runs it to completion, and compares against `reference`.
+/// Returns what recovery reported.
 fn recover_and_compare(
-    trace: &WriteTrace,
-    dir: &Path,
-    reference: &RunOutcome,
-) -> Result<(u64, u64), String> {
-    let (mut engine, rec) = MemconEngine::recover(dir, trace, DurabilityMode::Buffered, None)
-        .map_err(|e| format!("recovery: {e}"))?;
-    if !engine.mid_run() {
-        return Err("recovered engine is not mid-run".to_string());
+    plan: &FleetPlan,
+    jobs: usize,
+    resume_at: u64,
+    reference: &Outcome,
+) -> Result<FleetRecovery, String> {
+    let (result, telemetry) = observed(|| {
+        let (mut fleet, rec) = Fleet::recover(plan, jobs).map_err(|e| format!("recovery: {e}"))?;
+        if fleet.epoch() != resume_at {
+            return Err(format!(
+                "recovery resumed at barrier {}, not {resume_at}",
+                fleet.epoch()
+            ));
+        }
+        let report = fleet.run_to_completion(jobs).deterministic_emit();
+        Ok((report, rec))
+    });
+    let (report, rec) = result?;
+    if report != reference.report {
+        return Err("the resumed fleet's report diverges from the in-memory run".to_string());
     }
-    engine.advance_until(trace, trace.duration_ns());
-    let report = engine.finish_run();
-    let outcome = (
-        report,
-        engine.recovery_stats(),
-        engine.final_states().to_vec(),
-    );
-    if &outcome != reference {
+    if telemetry != reference.telemetry {
         return Err(
-            "resumed run diverges from the uninterrupted reference (report, recovery \
-             counters, or final refresh bins)"
+            "the resumed fleet's deterministic telemetry (store.* removed) diverges from the \
+             in-memory run"
                 .to_string(),
         );
     }
-    Ok((rec.truncated_bytes, rec.replayed_records))
+    Ok(rec)
 }
 
-/// The highest-sequence `.wal` segment in `dir`, if any.
-fn newest_wal_segment(dir: &Path) -> Option<PathBuf> {
-    let mut segments: Vec<_> = std::fs::read_dir(dir)
-        .ok()?
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "wal"))
-        .collect();
-    segments.sort();
-    segments.pop()
+fn image_path(dir: &Path, barrier: u64) -> PathBuf {
+    dir.join(format!("snap-{barrier:08}.snap"))
 }
 
 fn file_len(path: &Path) -> Result<u64, String> {

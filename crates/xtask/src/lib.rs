@@ -188,7 +188,7 @@ pub fn ci_cmd(bench: bool) -> i32 {
         return health_code;
     }
 
-    println!("ci: crash --quick (kill-at-random-WAL-offset recovery soak)");
+    println!("ci: crash --quick (durable-fleet kill-mid-image recovery soak)");
     let crash_code = crash::crash_cmd(&["--quick".to_string()]);
     if crash_code != 0 {
         return crash_code;

@@ -82,11 +82,12 @@ fn usage() {
          \x20                           kernel)\n\
          \x20 crash [--quick] [--points=N]\n\
          \x20                           crash-recovery soak gate: N seeded\n\
-         \x20                           kill-at-random-WAL-offset points\n\
-         \x20                           (recover, resume, byte-compare against\n\
-         \x20                           an uninterrupted reference run) plus a\n\
-         \x20                           corrupt-checksum leg and an injected\n\
-         \x20                           torn-write leg; --quick soaks 4 points\n\
+         \x20                           durable-fleet crashes, each killed\n\
+         \x20                           mid-publish of a barrier image (recover,\n\
+         \x20                           resume, byte-compare against the fleet\n\
+         \x20                           run in memory) plus a corrupt-checksum\n\
+         \x20                           leg and an injected torn-write leg;\n\
+         \x20                           --quick soaks 4 points\n\
          \x20 fleet [run|bench|soak|--smoke]\n\
          \x20                           fleet-scale simulation: `run` a sharded\n\
          \x20                           fleet (--nodes N --seed S --jobs J\n\

@@ -26,7 +26,7 @@
 //! system run (controller command mix and stall counters), a small
 //! fleet run (`fleet.rollup.*` aggregate counters and histograms plus the
 //! per-epoch `fleet.obs.*`/`fleet.gauge.*` time-series points), and a
-//! durable-store crash/recover round trip (`store.*` WAL, snapshot, and
+//! durable-store crash/recover round trip (`store.*` snapshot and
 //! recovery counters).
 
 use std::path::Path;
@@ -134,13 +134,12 @@ fn run_reference_workload() {
     let fleet_config = fleet::FleetConfig::small(4, 0x0B5);
     let _ = fleet::engine::run_fleet(&fleet_config, 2);
 
-    // Layer 5: durable-store round trip (store.* counters): a store-backed
-    // engine crashes mid-run, its WAL tail of progress markers is torn
-    // mid-record (the classic partial-write crash), and recovery truncates
-    // the tear, resumes from the snapshot, and runs to completion. Every
-    // store.* counter — appends, bytes, snapshots, scanned markers,
-    // truncated bytes — fires with a value that derives from the fixed
-    // workload alone.
+    // Layer 5: durable-store round trip (store.* counters): one engine
+    // publishes its checkpoints at 0, 1/5 and 2/5 of the trace and then
+    // crashes; the newest image is torn by 3 bytes (the classic
+    // partial-write crash), recovery skips it, restores the 1/5 image,
+    // and the engine runs to completion. Both store.* counters fire with
+    // values that derive from the fixed workload alone.
     let dir = store::scratch_dir("obs-reference");
     let store_trace = memtrace::workload::WorkloadProfile::netflix()
         .scaled(0.01)
@@ -150,58 +149,41 @@ fn run_reference_workload() {
             memcon::config::MemconConfig::paper_default(),
             store_trace.n_pages(),
         );
-        let s = store::Store::create(&dir, store::DurabilityMode::Buffered)
+        let mut s = store::Store::create(&dir, store::DurabilityMode::Buffered)
             // memlint: allow(no-unwrap): a broken scratch dir must fail the tool loudly
             .expect("scratch store directory must be creatable");
-        // Cadence far past the run: the anchor snapshot is the only one,
-        // so every quantum of the partial run leaves a marker in one WAL
-        // tail segment.
-        engine
-            .attach_store(s, 10_000)
-            // memlint: allow(no-unwrap): fresh engine + rate oracle always accepts a store
-            .expect("fresh engine accepts a store");
         engine.begin_run(&store_trace);
-        engine.advance_until(&store_trace, store_trace.duration_ns() * 2 / 5);
+        for fifths in 0..3 {
+            engine.advance_until(&store_trace, store_trace.duration_ns() / 5 * fifths);
+            s.publish_snapshot(&engine.checkpoint(&store_trace))
+                // memlint: allow(no-unwrap): scratch-dir IO failures must fail the tool loudly
+                .expect("checkpoint publishes");
+        }
         // Crash: drop the engine mid-run without finish_run.
     }
-    // memlint: allow(no-unwrap): the anchor-only cadence above guarantees a tail
-    let tail = newest_wal_segment(&dir).expect("crashed run leaves a WAL tail");
-    let len = std::fs::metadata(&tail)
+    let newest = dir.join("snap-00000002.snap");
+    let len = std::fs::metadata(&newest)
         // memlint: allow(no-unwrap): scratch-dir IO failures must fail the tool loudly
-        .expect("tail segment is readable")
+        .expect("newest image is readable")
         .len();
     let f = std::fs::OpenOptions::new()
         .write(true)
-        .open(&tail)
+        .open(&newest)
         // memlint: allow(no-unwrap): scratch-dir IO failures must fail the tool loudly
-        .expect("tail segment is writable");
+        .expect("newest image is writable");
     // memlint: allow(no-unwrap): scratch-dir IO failures must fail the tool loudly
-    f.set_len(len - 3).expect("tear the tail mid-record");
+    f.set_len(len - 3).expect("tear the newest image");
     drop(f);
-    let (mut engine, _) = memcon::engine::MemconEngine::recover(
-        &dir,
-        &store_trace,
-        store::DurabilityMode::Buffered,
-        None,
-    )
-    // memlint: allow(no-unwrap): a torn tail failing to recover is exactly what the golden must catch
-    .expect("torn tail recovers");
+    let (_, found) = store::Store::open(&dir, store::DurabilityMode::Buffered, None)
+        // memlint: allow(no-unwrap): a torn newest image failing to fall back is exactly what the golden must catch
+        .expect("the image before the tear loads");
+    let mut engine = memcon::engine::MemconEngine::restore(&found.snapshot.payload, &store_trace)
+        // memlint: allow(no-unwrap): a checkpoint failing to restore is exactly what the golden must catch
+        .expect("the checkpoint restores");
     engine.advance_until(&store_trace, store_trace.duration_ns());
     let _ = engine.finish_run();
     drop(engine);
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The highest-sequence `.wal` segment in `dir`, if any.
-fn newest_wal_segment(dir: &Path) -> Option<std::path::PathBuf> {
-    let mut segments: Vec<_> = std::fs::read_dir(dir)
-        .ok()?
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "wal"))
-        .collect();
-    segments.sort();
-    segments.pop()
 }
 
 fn print_cmd() -> i32 {
