@@ -29,6 +29,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 
+use memutil::codec::Io;
 use memutil::json::Json;
 
 /// The JSON schema identifier of serialized plans.
@@ -479,28 +480,34 @@ impl FaultSession {
         self.injected
     }
 
-    /// Per-site decision tallies, indexed like [`Site::ALL`] — together
-    /// with [`injected_counts`](Self::injected_counts) this is the
-    /// session's full persistable position in its decision streams.
-    #[must_use]
-    pub fn decision_counts(&self) -> [u64; N_SITES] {
-        self.decisions
-    }
-
-    /// Rebuilds a session mid-stream from persisted tallies, so a
-    /// recovered engine resumes drawing the *same* decision sequence an
-    /// uninterrupted run would have drawn.
-    #[must_use]
-    pub fn restore(
-        plan: Arc<FaultPlan>,
-        decisions: [u64; N_SITES],
-        injected: [u64; N_SITES],
-    ) -> FaultSession {
-        FaultSession {
+    /// The session's field list (see [`memutil::codec`]): the plan, then
+    /// both per-site tallies, its full position in its decision streams.
+    /// A restored session draws the *same* decision sequence the
+    /// checkpointed one would have drawn.
+    ///
+    /// # Errors
+    ///
+    /// When decoding, a malformed plan or tally.
+    pub fn fields(&mut self, io: &mut Io) -> Result<(), String> {
+        let FaultSession {
             plan,
             decisions,
             injected,
+        } = self;
+        let mut json = plan.to_json().emit();
+        io.str(&mut json)?;
+        if io.decoding() {
+            *plan = Arc::new(FaultPlan::parse(&json)?);
         }
+        io.u64s(decisions, "fault decision counts")?;
+        io.u64s(injected, "fault injected counts")
+    }
+}
+
+/// A session over an empty plan: the placeholder a restore overwrites.
+impl Default for FaultSession {
+    fn default() -> Self {
+        FaultSession::with_plan(Arc::new(FaultPlan::new(0)))
     }
 }
 
@@ -702,11 +709,10 @@ mod tests {
         let plan = Arc::new(FaultPlan::uniform(21, 0.4));
         let mut live = FaultSession::with_plan(Arc::clone(&plan));
         let first: Vec<bool> = (0..100).map(|_| live.fires(Site::StoreTornWrite)).collect();
-        let mut resumed = FaultSession::restore(
-            Arc::clone(&plan),
-            live.decision_counts(),
-            live.injected_counts(),
-        );
+        let bytes = memutil::codec::encode(&mut live, FaultSession::fields);
+        let mut resumed = FaultSession::default();
+        memutil::codec::decode(&bytes, &mut resumed, "session", FaultSession::fields).unwrap();
+        assert_eq!(*resumed.plan(), plan);
         let tail_live: Vec<bool> = (0..100).map(|_| live.fires(Site::StoreTornWrite)).collect();
         let tail_resumed: Vec<bool> = (0..100)
             .map(|_| resumed.fires(Site::StoreTornWrite))

@@ -17,10 +17,16 @@
 //! uninterrupted run. Every shard's delta cursor is its restored engine's
 //! own `live_stats()`: one image holds the whole fleet at one barrier.
 
-use memutil::codec::{Dec, Enc};
+use memutil::codec::Io;
 
 /// Fleet image payload format version (the first payload byte).
 const META_VERSION: u8 = 4;
+
+/// FNV-1a hash of a fixed image (see the `meta_layout_is_pinned` test). A
+/// change to what an image holds, or in what order, moves it: bump
+/// [`META_VERSION`] with it.
+#[cfg(test)]
+const META_LAYOUT_FNV: u64 = 0x94EA_67A8_F1D6_16E4;
 
 /// One epoch barrier's observability roll-up: the `fleet.obs.*` counter
 /// deltas plus the fleet-wide gauges sampled at that barrier.
@@ -79,7 +85,7 @@ pub fn emit_epoch_entry(entry: &EpochEntry) -> Option<telemetry::SamplePoint> {
 
 /// The fleet's barrier image: everything needed to resume a crashed
 /// fleet at an epoch barrier.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FleetMeta {
     /// Epochs completed when this image was published.
     pub epoch: u64,
@@ -92,95 +98,38 @@ pub struct FleetMeta {
 }
 
 impl FleetMeta {
-    /// Encodes the image payload.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let shard_bytes: usize = self.shards.iter().map(|s| 8 + s.len()).sum();
-        let mut e = Enc::with_capacity(32 + 96 * self.entries.len() + shard_bytes);
-        e.u8(META_VERSION);
-        e.u64(self.epoch);
-        e.u64(self.epoch_quanta);
-        e.u64(self.entries.len() as u64);
-        for entry in &self.entries {
-            e.u64(entry.epoch);
-            e.u64(entry.faults_injected);
-            e.u64(entry.aborts);
-            e.u64(entry.retries);
-            e.u64(entry.backoffs_scheduled);
-            e.u64(entry.backoff_ceiling_hits);
-            e.u64(entry.escapes);
-            e.u64(entry.pinned_pages);
-            e.u64(entry.pages);
-            e.u64(entry.pril_buffered);
-            e.u64(entry.pril_capacity);
-            e.u64(entry.shards_done);
-        }
-        e.u64(self.shards.len() as u64);
-        for shard in &self.shards {
-            e.bytes(shard);
-        }
-        e.into_bytes()
-    }
-
-    /// Decodes an image payload.
+    /// The image's field list (see [`memutil::codec`]), refusing an
+    /// unsupported version or an epoch log that disagrees with its epoch
+    /// clock (one entry per completed epoch, numbered from 1).
     ///
     /// # Errors
     ///
-    /// Returns a description when the payload is malformed, carries an
-    /// unsupported version, or holds an epoch log that disagrees with its
-    /// epoch clock (one entry per completed epoch, numbered from 1).
-    pub fn decode(payload: &[u8]) -> Result<FleetMeta, String> {
-        let mut d = Dec::new(payload);
-        let version = d.u8()?;
-        if version != META_VERSION {
-            return Err(format!(
-                "fleet meta version {version} is not supported (expected {META_VERSION})"
-            ));
-        }
-        let epoch = d.u64()?;
-        let epoch_quanta = d.u64()?;
-        let n_entries = d.u64()?;
-        if n_entries != epoch {
-            return Err(format!(
-                "the epoch log holds {n_entries} entries but the clock reads epoch {epoch}"
-            ));
-        }
-        let mut entries = Vec::with_capacity(n_entries.min(4096) as usize);
-        for i in 1..=n_entries {
-            let entry = EpochEntry {
-                epoch: d.u64()?,
-                faults_injected: d.u64()?,
-                aborts: d.u64()?,
-                retries: d.u64()?,
-                backoffs_scheduled: d.u64()?,
-                backoff_ceiling_hits: d.u64()?,
-                escapes: d.u64()?,
-                pinned_pages: d.u64()?,
-                pages: d.u64()?,
-                pril_buffered: d.u64()?,
-                pril_capacity: d.u64()?,
-                shards_done: d.u64()?,
-            };
-            if entry.epoch != i {
-                return Err(format!(
-                    "epoch log entry {i} is numbered epoch {}",
-                    entry.epoch
-                ));
-            }
-            entries.push(entry);
-        }
-        let n_shards = d.u64()?;
-        let mut shards = Vec::with_capacity(n_shards.min(4096) as usize);
-        for _ in 0..n_shards {
-            shards.push(d.bytes()?.to_vec());
-        }
-        d.finish("fleet image")?;
-        Ok(FleetMeta {
+    /// When decoding, a malformed payload or one of those refusals.
+    pub fn fields(&mut self, io: &mut Io) -> Result<(), String> {
+        let FleetMeta {
             epoch,
             epoch_quanta,
             entries,
             shards,
-        })
+        } = self;
+        io.version(META_VERSION, "fleet meta")?;
+        io.u64(epoch)?;
+        io.u64(epoch_quanta)?;
+        let mut numbered = 0;
+        io.seq(entries, 96, "epoch log length", |io, entry| {
+            numbered += 1;
+            memutil::u64_fields!(io; EpochEntry { epoch, faults_injected, aborts, retries,
+                backoffs_scheduled, backoff_ceiling_hits, escapes, pinned_pages, pages,
+                pril_buffered, pril_capacity, shards_done } = entry);
+            io.refuse(*epoch != numbered, || {
+                format!("epoch log entry {numbered} is numbered epoch {epoch}")
+            })
+        })?;
+        let logged = entries.len() as u64;
+        io.refuse(logged != *epoch, || {
+            format!("the epoch log holds {logged} entries but the clock reads epoch {epoch}")
+        })?;
+        io.seq(shards, 8, "shard count", Io::bytes)
     }
 }
 
@@ -206,6 +155,7 @@ pub struct FleetRecovery {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use memutil::codec;
 
     fn sample_meta() -> FleetMeta {
         FleetMeta {
@@ -231,27 +181,52 @@ mod tests {
         }
     }
 
+    fn encoded(mut meta: FleetMeta) -> Vec<u8> {
+        codec::encode(&mut meta, FleetMeta::fields)
+    }
+
+    fn decoded(payload: &[u8]) -> Result<FleetMeta, String> {
+        let mut meta = FleetMeta::default();
+        codec::decode(payload, &mut meta, "fleet image", FleetMeta::fields).map(|()| meta)
+    }
+
     #[test]
     fn meta_round_trips_bit_exactly() {
         let meta = sample_meta();
-        let decoded = FleetMeta::decode(&meta.encode()).unwrap();
+        let decoded = decoded(&encoded(meta.clone())).unwrap();
         assert_eq!(decoded, meta);
     }
 
     #[test]
     fn meta_rejects_malformed_payloads() {
         for version in [2, 3, 99] {
-            let mut bytes = sample_meta().encode();
+            let mut bytes = encoded(sample_meta());
             bytes[0] = version;
-            assert!(FleetMeta::decode(&bytes).is_err(), "version {version}");
+            assert!(decoded(&bytes).is_err(), "version {version}");
         }
-        let bytes = sample_meta().encode();
+        let bytes = encoded(sample_meta());
         assert!(
-            FleetMeta::decode(&bytes[..bytes.len() - 1]).is_err(),
+            decoded(&bytes[..bytes.len() - 1]).is_err(),
             "short payload is rejected"
         );
-        let mut bytes = sample_meta().encode();
+        let mut bytes = encoded(sample_meta());
         bytes.push(0); // trailing garbage
-        assert!(FleetMeta::decode(&bytes).is_err());
+        assert!(decoded(&bytes).is_err());
+    }
+
+    /// FNV-1a over bytes.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xCBF2_9CE4_8422_2325, |hash, &b| {
+            (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    }
+
+    #[test]
+    fn meta_layout_is_pinned() {
+        let hash = fnv1a(&encoded(sample_meta()));
+        assert_eq!(
+            hash, META_LAYOUT_FNV,
+            "the image layout moved ({hash:#018x}): bump META_VERSION and the hash"
+        );
     }
 }

@@ -18,6 +18,7 @@ use faultinject::FaultSession;
 use memcon::engine::{LiveStats, MemconEngine, MemconReport};
 use memcon::refreshmgr::PageState;
 use memcon::testengine::RateOracle;
+use memutil::codec;
 use memutil::par;
 use store::{Store, StoreError};
 
@@ -197,7 +198,14 @@ impl Fleet {
             ));
         };
         let (store, found) = Store::open(dir, config.durability, config.fault_plan.clone())?;
-        let meta = FleetMeta::decode(&found.snapshot.payload).map_err(StoreError::Corrupt)?;
+        let mut meta = FleetMeta::default();
+        codec::decode(
+            &found.snapshot.payload,
+            &mut meta,
+            "fleet image",
+            FleetMeta::fields,
+        )
+        .map_err(StoreError::Corrupt)?;
         if meta.shards.len() != plan.shards.len() {
             return Err(StoreError::Corrupt(format!(
                 "the image holds {} shards but the plan expands {}",
@@ -422,13 +430,13 @@ impl Fleet {
             let shard = &mut *shard;
             shard.engine.checkpoint(&shard.spec.trace)
         });
-        let image = FleetMeta {
+        let mut image = FleetMeta {
             epoch: self.epoch,
             epoch_quanta: self.epoch_quanta,
             entries: self.epoch_log.clone(),
             shards,
         };
-        if let Err(err) = store.publish_snapshot(&image.encode()) {
+        if let Err(err) = store.publish_snapshot(&codec::encode(&mut image, FleetMeta::fields)) {
             self.store_error = Some(err);
         }
     }
@@ -799,8 +807,9 @@ mod tests {
     fn an_injected_torn_publish_latches_and_the_directory_still_recovers() {
         use faultinject::{FaultPlan, Schedule, Site, SiteSpec};
         let _serial = registry_lock();
-        // The anchor is the store's decision 0, so the tear hits the
-        // epoch-2 image; every other site stays quiet.
+        // Store decisions are keyed by image sequence number, and the
+        // anchor is image 0, so the tear hits the epoch-2 image; every
+        // other site stays quiet.
         let mut config = FleetConfig::small(3, 0x7042);
         config.fault_plan = Some(Arc::new(FaultPlan::new(0x7042).with_site(
             Site::StoreTornWrite,
@@ -833,6 +842,38 @@ mod tests {
         assert!(rec.truncated_bytes > 0, "the torn temp image is discarded");
         assert_eq!(rec.snapshots_skipped, 0);
         assert_eq!(fleet.run_to_completion(1).deterministic_emit(), reference);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn store_faults_replay_across_recovery() {
+        use faultinject::{FaultPlan, Schedule, SiteSpec};
+        let _serial = registry_lock();
+        // The recovered store tears the epoch-3 image, as the store that
+        // never crashed would have: its decisions follow the image
+        // sequence number, not a count restarted at recovery.
+        let mut config = FleetConfig::small(3, 0x7043);
+        config.fault_plan = Some(Arc::new(FaultPlan::new(0x7043).with_site(
+            faultinject::Site::StoreTornWrite,
+            SiteSpec {
+                rate: 1.0,
+                schedule: Schedule::OneShot { at: 3 },
+            },
+        )));
+        let dir = store::scratch_dir("fleet-store-fault-replay");
+        config.store_dir = Some(dir.clone());
+        let plan = FleetPlan::expand(&config, 1);
+        {
+            let mut fleet = Fleet::new(&plan);
+            assert!(fleet.run_epoch(1));
+            assert!(fleet.run_epoch(1));
+            assert!(fleet.meta_store_error().is_none());
+        }
+        let (mut fleet, _) = Fleet::recover(&plan, 1).expect("fleet recovers");
+        assert_eq!(fleet.epoch(), 2);
+        assert!(fleet.run_epoch(1));
+        assert_eq!(fleet.meta_store_error(), Some(&StoreError::TornWrite));
+        drop(fleet);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -910,14 +951,23 @@ mod tests {
             assert!(fleet.run_epoch(1));
         }
         let (_, found) = Store::open(&dir, config.durability, None).unwrap();
-        let image = FleetMeta::decode(&found.snapshot.payload).unwrap();
+        let mut image = FleetMeta::default();
+        codec::decode(
+            &found.snapshot.payload,
+            &mut image,
+            "image",
+            FleetMeta::fields,
+        )
+        .unwrap();
         let mut short = image.clone();
         short.entries.pop();
         let mut renumbered = image;
         renumbered.entries.swap(0, 1);
-        for (what, bad) in [("short", short), ("renumbered", renumbered)] {
+        for (what, mut bad) in [("short", short), ("renumbered", renumbered)] {
             let (mut store, _) = Store::open(&dir, config.durability, None).unwrap();
-            store.publish_snapshot(&bad.encode()).unwrap();
+            store
+                .publish_snapshot(&codec::encode(&mut bad, FleetMeta::fields))
+                .unwrap();
             drop(store);
             assert!(
                 matches!(

@@ -1,5 +1,7 @@
 //! MEMCON engine configuration.
 
+use memutil::codec::Io;
+
 use crate::cost::{CostModel, TestMode};
 
 /// Recovery policy: how the engine reacts to aborted/ambiguous tests
@@ -136,6 +138,42 @@ impl MemconConfig {
             return Err("recovery backoff cap must be at least one quantum".into());
         }
         Ok(())
+    }
+
+    /// The configuration's field list (see [`memutil::codec`]): the head
+    /// of every engine checkpoint, from which restore rebuilds the engine.
+    ///
+    /// # Errors
+    ///
+    /// When decoding, truncated input, an unknown test mode, a capacity
+    /// past the address space, or a configuration [`Self::validate`]
+    /// refuses.
+    pub(crate) fn fields(&mut self, io: &mut Io) -> Result<(), String> {
+        let MemconConfig {
+            quantum_ms,
+            hi_ms,
+            lo_ms,
+            test_mode,
+            concurrent_tests,
+            write_buffer_capacity,
+            steady_state_start,
+            recovery:
+                RecoveryPolicy {
+                    max_attempts,
+                    backoff_cap_quanta,
+                },
+        } = self;
+        for interval in [quantum_ms, hi_ms, lo_ms] {
+            io.f64(interval)?;
+        }
+        let modes = [TestMode::ReadAndCompare, TestMode::CopyAndCompare];
+        io.tag(test_mode, &modes, "test mode")?;
+        io.u32(concurrent_tests)?;
+        io.usize(write_buffer_capacity)?;
+        io.bool(steady_state_start)?;
+        io.u32(max_attempts)?;
+        io.u32(backoff_cap_quanta)?;
+        self.validate()
     }
 }
 

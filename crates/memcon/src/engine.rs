@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use faultinject::{FaultPlan, FaultSession, Site};
 use memtrace::trace::WriteTrace;
-use memutil::codec::{Dec, Enc};
+use memutil::codec::{self, Io};
 use store::StoreError;
 
 use crate::config::MemconConfig;
@@ -45,7 +45,14 @@ pub const BACKOFF_EDGES: [u64; 5] = [1, 2, 4, 8, 16];
 pub const CANDIDATE_EDGES: [u64; 10] = [0, 1, 2, 4, 8, 16, 32, 64, 128, 256];
 
 /// Engine snapshot payload format version (the first payload byte).
-const SNAP_VERSION: u8 = 7;
+const SNAP_VERSION: u8 = 8;
+
+/// FNV-1a hashes of two fixed checkpoints, without and with a fault plan
+/// (see the `payload_layout_is_pinned` test). A change to what a
+/// checkpoint holds, or in what order, moves them: bump [`SNAP_VERSION`]
+/// with them.
+#[cfg(test)]
+const SNAP_LAYOUT_FNV: [u64; 2] = [0x5607_F8E9_3832_1A19, 0x076B_B9E4_4EB9_9583];
 
 /// Copy-and-Compare staging rows: [`STAGING_ROWS_PER_BANK`] in each bank
 /// of the paper's 8-bank module. A test holds one row exactly while it is
@@ -122,29 +129,10 @@ fn candidate_bucket(count: u64) -> usize {
         .unwrap_or(CANDIDATE_EDGES.len())
 }
 
-fn opt_u64(e: &mut Enc, v: Option<u64>) {
-    match v {
-        Some(x) => {
-            e.bool(true);
-            e.u64(x);
-        }
-        None => e.bool(false),
-    }
-}
-
-fn read_opt_u64(d: &mut Dec) -> Result<Option<u64>, String> {
-    Ok(if d.bool()? { Some(d.u64()?) } else { None })
-}
-
-fn site_counts(v: Vec<u64>, what: &str) -> Result<[u64; faultinject::N_SITES], String> {
-    v.try_into()
-        .map_err(|_| format!("{what}: expected one counter per fault site"))
-}
-
 /// Identity of the trace a checkpointed run began with. It rides in the
 /// payload's run section so [`MemconEngine::restore`] can refuse to
 /// resume a run over a trace other than the one it checkpointed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct TraceFingerprint {
     pages: u64,
     duration_ns: u64,
@@ -170,20 +158,9 @@ impl TraceFingerprint {
         }
     }
 
-    fn encode(&self, e: &mut Enc) {
-        e.u64(self.pages);
-        e.u64(self.duration_ns);
-        e.u64(self.events);
-        e.u64(self.hash);
-    }
-
-    fn decode(d: &mut Dec) -> Result<Self, String> {
-        Ok(TraceFingerprint {
-            pages: d.u64()?,
-            duration_ns: d.u64()?,
-            events: d.u64()?,
-            hash: d.u64()?,
-        })
+    fn fields(&mut self, io: &mut Io) -> Result<(), String> {
+        memutil::u64_fields!(io; TraceFingerprint { pages, duration_ns, events, hash } = self);
+        Ok(())
     }
 }
 
@@ -278,19 +255,39 @@ pub struct LiveStats {
 /// Run cursors of a stepped run between [`MemconEngine::begin_run`] and
 /// [`MemconEngine::finish_run`]. Holding the event cursor here (instead
 /// of on `run`'s stack) is what lets a fleet scheduler advance an engine
-/// one time-slice at a time.
+/// one time-slice at a time. The next quantum boundary is
+/// `(quantum_index + 1) × quantum_ns`.
 #[derive(Debug)]
 struct RunState {
     /// Cursor into `trace.events()`: events before it are consumed.
     event_idx: usize,
-    /// Next quantum boundary, ns.
-    next_quantum: u64,
     quantum_ns: u64,
     mwi_ns: u64,
+    /// The trace horizon, ns.
     duration: u64,
     /// The run's trace, fingerprinted by the run's first
     /// [`MemconEngine::checkpoint`].
     trace: Option<TraceFingerprint>,
+}
+
+impl RunState {
+    /// A run of `config` over a trace of `duration` ns, at event
+    /// `event_idx`: what `begin_run` starts, and what restore rebuilds
+    /// around a checkpoint's cursor and fingerprint.
+    fn new(
+        config: &MemconConfig,
+        duration: u64,
+        event_idx: usize,
+        trace: Option<TraceFingerprint>,
+    ) -> RunState {
+        RunState {
+            event_idx,
+            quantum_ns: (config.quantum_ms * 1e6) as u64,
+            mwi_ns: (config.min_write_interval_ms() * 1e6) as u64,
+            duration,
+            trace,
+        }
+    }
 }
 
 /// The MEMCON engine.
@@ -451,208 +448,140 @@ impl MemconEngine {
         self.run.is_some()
     }
 
-    /// Encodes the complete engine state (including the in-progress run
-    /// and the fingerprint of its trace, when one is passed) into a
-    /// checkpoint payload. The layout is private to this module and
-    /// versioned by [`SNAP_VERSION`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the failure oracle cannot persist its state (see
-    /// [`MemconEngine::checkpoint`]).
-    fn encode_state(&self, run: Option<(&RunState, TraceFingerprint)>) -> Vec<u8> {
-        let mut e = Enc::with_capacity(64 * 1024);
-        e.u8(SNAP_VERSION);
-        // Configuration: enough to rebuild an identical engine.
-        e.f64(self.config.quantum_ms);
-        e.f64(self.config.hi_ms);
-        e.f64(self.config.lo_ms);
-        e.u8(match self.config.test_mode {
-            TestMode::ReadAndCompare => 0,
-            TestMode::CopyAndCompare => 1,
-        });
-        e.u32(self.config.concurrent_tests);
-        e.u64(self.config.write_buffer_capacity as u64);
-        e.bool(self.config.steady_state_start);
-        e.u32(self.config.recovery.max_attempts);
-        e.u32(self.config.recovery.backoff_cap_quanta);
-        e.u64(self.n_pages);
-        // Oracle (tag 0 = rate oracle; the only persistable kind today).
-        e.u8(0);
-        let oracle = self
-            .tests
-            .persist_oracle()
-            // memlint: allow(no-unwrap): checkpointing a non-persistable oracle is a documented caller error
-            .expect("checkpoint of a non-persistable oracle");
-        e.bytes(&oracle);
-        // Engine-plane fault session: the plan plus both replay cursors.
-        match self.tests.fault_session() {
-            Some(s) => {
-                e.bool(true);
-                e.str(&s.plan().to_json().emit());
-                e.u64_slice(&s.decision_counts());
-                e.u64_slice(&s.injected_counts());
-            }
-            None => e.bool(false),
-        }
-        self.pril.encode_state(&mut e);
-        self.tests.encode_state(&mut e);
-        e.u64_slice(&self.generation);
-        for a in &self.lo_anchor {
-            opt_u64(&mut e, *a);
-        }
-        for a in &self.attempts {
-            e.u64(u64::from(*a));
-        }
-        for r in &self.retry_at {
-            opt_u64(&mut e, *r);
-        }
-        e.u64_slice(&self.retry_queue);
-        for c in &self.clean_gen {
-            opt_u64(&mut e, *c);
-        }
-        e.u64(self.quantum_index);
-        e.u64(self.tests_correct);
-        e.u64(self.tests_mispredicted);
-        let r = &self.recovery;
-        e.u64(r.retries);
-        e.u64(r.backoffs_scheduled);
-        e.u64(r.backoff_ceiling_hits);
-        e.u64_slice(&r.backoff_hist);
-        e.u64(r.backoff_sum_quanta);
-        e.u64(r.uncorrectable_escapes);
-        e.u64_slice(&self.candidate_hist);
-        self.mgr.encode_state(&mut e);
-        match run {
-            Some((run, fingerprint)) => {
-                e.bool(true);
-                e.u64(run.event_idx as u64);
-                e.u64(run.next_quantum);
-                e.u64(run.quantum_ns);
-                e.u64(run.mwi_ns);
-                e.u64(run.duration);
-                fingerprint.encode(&mut e);
-            }
-            None => e.bool(false),
-        }
-        e.into_bytes()
-    }
-
-    /// Rebuilds an engine from a checkpoint payload produced by
-    /// [`MemconEngine::encode_state`].
-    fn decode_state(payload: &[u8]) -> Result<MemconEngine, String> {
-        let mut d = Dec::new(payload);
-        let version = d.u8()?;
-        if version != SNAP_VERSION {
-            return Err(format!(
-                "engine snapshot version {version} is not supported (expected {SNAP_VERSION})"
-            ));
-        }
-        let mut config = MemconConfig::paper_default();
-        config.quantum_ms = d.f64()?;
-        config.hi_ms = d.f64()?;
-        config.lo_ms = d.f64()?;
-        config.test_mode = match d.u8()? {
-            0 => TestMode::ReadAndCompare,
-            1 => TestMode::CopyAndCompare,
-            t => return Err(format!("unknown test mode tag {t}")),
-        };
-        config.concurrent_tests = d.u32()?;
-        config.write_buffer_capacity = usize::try_from(d.u64()?)
-            .map_err(|_| "write buffer capacity exceeds the address space".to_string())?;
-        config.steady_state_start = d.bool()?;
-        config.recovery.max_attempts = d.u32()?;
-        config.recovery.backoff_cap_quanta = d.u32()?;
-        config.validate()?;
-        let n_pages = d.u64()?;
+    /// The engine's field list (see [`memutil::codec`]): configuration,
+    /// page count, then every component's list and the per-page state,
+    /// and last the run section. Decoding overwrites a placeholder: once
+    /// the configuration and page count are read (and refused when invalid
+    /// or larger than the payload could hold), the engine is rebuilt from
+    /// them and the remaining fields overwrite the fresh one.
+    fn fields(&mut self, io: &mut Io) -> Result<(), String> {
+        io.version(SNAP_VERSION, "engine snapshot")?;
+        let mut config = self.config;
+        config.fields(io)?;
+        let mut pages = self.n_pages;
+        io.u64(&mut pages)?;
         // Every page stores at least its 8-byte generation word, so a page
         // count the rest of the payload cannot hold is refused before the
         // per-page state is allocated.
-        if n_pages > (d.remaining() / 8) as u64 {
-            return Err(format!(
-                "page count {n_pages} exceeds what the {}-byte remainder can hold",
-                d.remaining()
-            ));
+        io.fits(pages, 8, "page count")?;
+        if io.decoding() {
+            let placeholder = Box::new(RateOracle::new(0.0, 0));
+            *self = MemconEngine::with_oracle(config, pages, placeholder);
+            // From `begin_run` on the manager covers every page, so a
+            // checkpoint taken before the first run (zero pages) is
+            // refused.
+            self.mgr = RefreshManager::new(pages, config.hi_ms, config.lo_ms);
         }
-        let oracle: Box<dyn FailureOracle> = match d.u8()? {
-            0 => Box::new(RateOracle::from_persisted(d.bytes()?)?),
-            t => return Err(format!("unknown oracle tag {t}")),
-        };
-        let mut eng = MemconEngine::with_oracle(config, n_pages, oracle);
-        if d.bool()? {
-            let plan = FaultPlan::parse(&d.str()?)?;
-            let plan = Arc::new(plan);
-            let decisions = site_counts(d.u64_vec()?, "fault decision counts")?;
-            let injected = site_counts(d.u64_vec()?, "fault injected counts")?;
-            eng.fault_plan = Some(Arc::clone(&plan));
-            eng.tests
-                .set_fault_session(Some(FaultSession::restore(plan, decisions, injected)));
+        let MemconEngine {
+            // Both written above, before the rebuild.
+            config,
+            n_pages: _,
+            // Derived from the configuration.
+            cost: _,
+            pril,
+            tests,
+            mgr,
+            generation,
+            lo_anchor,
+            tests_correct,
+            tests_mispredicted,
+            // Scratch space, empty between happenings.
+            outcome_buf: _,
+            // Restored from the fault session's plan.
+            fault_plan,
+            attempts,
+            retry_at,
+            retry_queue,
+            clean_gen,
+            quantum_index,
+            recovery,
+            run,
+            // A restored engine leaves sampling disarmed.
+            sample_every: _,
+            candidate_hist,
+        } = self;
+        tests.fields(io)?;
+        if io.decoding() {
+            *fault_plan = tests.fault_session().map(|s| Arc::clone(s.plan()));
         }
-        eng.pril.restore_state(&mut d)?;
-        eng.tests.restore_state(&mut d)?;
-        let pages = n_pages as usize;
-        let generation = d.u64_vec()?;
-        if generation.len() != pages {
-            return Err("generation vector does not match the page count".to_string());
+        pril.fields(io)?;
+        io.u64s(generation, "generation vector")?;
+        for anchor in lo_anchor.iter_mut() {
+            io.opt(anchor, Io::u64)?;
         }
-        eng.generation = generation;
-        for a in &mut eng.lo_anchor {
-            *a = read_opt_u64(&mut d)?;
+        for attempt in attempts.iter_mut() {
+            io.u32(attempt)?;
         }
-        for a in &mut eng.attempts {
-            *a = u32::try_from(d.u64()?).map_err(|_| "attempt counter exceeds u32".to_string())?;
+        for due in retry_at.iter_mut() {
+            io.opt(due, Io::u64)?;
         }
-        for r in &mut eng.retry_at {
-            *r = read_opt_u64(&mut d)?;
+        io.seq(retry_queue, 8, "retry queue length", |io, page| {
+            io.u64(page)?;
+            io.refuse(*page >= pages, || {
+                format!("retry queue page {page} out of range ({pages} pages)")
+            })
+        })?;
+        for clean in clean_gen.iter_mut() {
+            io.opt(clean, Io::u64)?;
         }
-        eng.retry_queue = d.u64_vec()?;
-        if let Some(page) = eng.retry_queue.iter().find(|&&p| p >= n_pages) {
-            return Err(format!(
-                "retry queue page {page} out of range ({n_pages} pages)"
-            ));
+        for v in [quantum_index, tests_correct, tests_mispredicted] {
+            io.u64(v)?;
         }
-        for c in &mut eng.clean_gen {
-            *c = read_opt_u64(&mut d)?;
+        let RecoveryCounters {
+            retries,
+            backoffs_scheduled,
+            backoff_ceiling_hits,
+            backoff_hist,
+            backoff_sum_quanta,
+            uncorrectable_escapes,
+        } = recovery;
+        for v in [retries, backoffs_scheduled, backoff_ceiling_hits] {
+            io.u64(v)?;
         }
-        eng.quantum_index = d.u64()?;
-        eng.tests_correct = d.u64()?;
-        eng.tests_mispredicted = d.u64()?;
-        eng.recovery.retries = d.u64()?;
-        eng.recovery.backoffs_scheduled = d.u64()?;
-        eng.recovery.backoff_ceiling_hits = d.u64()?;
-        eng.recovery.backoff_hist = d
-            .u64_vec()?
-            .try_into()
-            .map_err(|_| "backoff histogram bucket count mismatch".to_string())?;
-        eng.recovery.backoff_sum_quanta = d.u64()?;
-        eng.recovery.uncorrectable_escapes = d.u64()?;
-        eng.candidate_hist = d
-            .u64_vec()?
-            .try_into()
-            .map_err(|_| "candidate histogram bucket count mismatch".to_string())?;
-        // From `begin_run` on the manager covers every page, so a
-        // checkpoint taken before the first run (zero pages) is refused.
-        eng.mgr = RefreshManager::new(n_pages, eng.config.hi_ms, eng.config.lo_ms);
-        eng.mgr.restore_state(&mut d)?;
-        if d.bool()? {
-            let event_idx = usize::try_from(d.u64()?)
-                .map_err(|_| "event cursor exceeds the address space".to_string())?;
-            let next_quantum = d.u64()?;
-            let quantum_ns = d.u64()?;
-            let mwi_ns = d.u64()?;
-            let duration = d.u64()?;
-            let trace = Some(TraceFingerprint::decode(&mut d)?);
-            eng.run = Some(RunState {
-                event_idx,
-                next_quantum,
-                quantum_ns,
-                mwi_ns,
-                duration,
-                trace,
+        io.u64s(backoff_hist, "backoff histogram")?;
+        for v in [backoff_sum_quanta, uncorrectable_escapes] {
+            io.u64(v)?;
+        }
+        io.u64s(candidate_hist, "candidate histogram")?;
+        mgr.fields(io)?;
+        // The run section: the event cursor and the trace's fingerprint.
+        // Restore rebuilds the quantum, the MWI and the horizon from the
+        // configuration and the fingerprint as `begin_run` builds them;
+        // the next boundary follows from `quantum_index`.
+        let mut section = run
+            .as_ref()
+            .map(|r| (r.event_idx, r.trace.unwrap_or_default()));
+        io.opt(&mut section, |io, (cursor, trace)| {
+            io.usize(cursor)?;
+            trace.fields(io)?;
+            io.refuse(*cursor as u64 > trace.events, || {
+                format!(
+                    "event cursor {cursor} is past the trace's {} events",
+                    trace.events
+                )
+            })
+        })?;
+        if io.decoding() {
+            *run = section.map(|(cursor, trace)| {
+                RunState::new(config, trace.duration_ns, cursor, Some(trace))
             });
         }
-        d.finish("engine snapshot")?;
-        Ok(eng)
+        Ok(())
+    }
+
+    /// Decodes a checkpoint payload into an engine, refusing what does not
+    /// decode; [`MemconEngine::restore`] adds the checks that need the
+    /// whole state and the trace.
+    fn from_payload(payload: &[u8]) -> Result<MemconEngine, String> {
+        let placeholder = Box::new(RateOracle::new(0.0, 0));
+        let mut engine = MemconEngine::with_oracle(MemconConfig::paper_default(), 0, placeholder);
+        codec::decode(
+            payload,
+            &mut engine,
+            "engine snapshot",
+            MemconEngine::fields,
+        )?;
+        Ok(engine)
     }
 
     /// Encodes the engine's current state, run cursors included, as a
@@ -668,11 +597,10 @@ impl MemconEngine {
     /// Panics if the failure oracle cannot persist its state (e.g. the
     /// content oracle's simulated chip).
     pub fn checkpoint(&mut self, trace: &WriteTrace) -> Vec<u8> {
-        let fingerprint = self
-            .run
-            .as_mut()
-            .map(|run| *run.trace.get_or_insert_with(|| TraceFingerprint::of(trace)));
-        self.encode_state(self.run.as_ref().zip(fingerprint))
+        if let Some(run) = &mut self.run {
+            run.trace.get_or_insert_with(|| TraceFingerprint::of(trace));
+        }
+        codec::encode(self, MemconEngine::fields)
     }
 
     /// Rebuilds an engine exactly as it stood when `payload` was encoded
@@ -688,10 +616,11 @@ impl MemconEngine {
     ///
     /// [`StoreError::Corrupt`] when the payload does not decode, breaks a
     /// PRIL or refresh-manager invariant, holds a page at Testing with no
-    /// test in flight or a test on a page not at Testing, or its run began
-    /// with a trace other than `trace`.
+    /// test in flight or a test on a page not at Testing, its run began
+    /// with a trace other than `trace`, or its run cannot resume (see
+    /// `check_clock`).
     pub fn restore(payload: &[u8], trace: &WriteTrace) -> Result<MemconEngine, StoreError> {
-        let engine = Self::decode_state(payload).map_err(StoreError::Corrupt)?;
+        let engine = Self::from_payload(payload).map_err(StoreError::Corrupt)?;
         engine
             .pril
             .check_invariants()
@@ -706,8 +635,54 @@ impl MemconEngine {
                     run.trace
                 )));
             }
+            engine.check_clock(run, trace).map_err(|e| {
+                StoreError::Corrupt(format!("the snapshot's run cannot resume: {e}"))
+            })?;
         }
         Ok(engine)
+    }
+
+    /// Checks that a restored run can resume: no time the state has
+    /// already reached (the last consumed write, any page's last
+    /// transition, any LO-REF anchor, any in-flight test's start, the last
+    /// boundary crossed) is later than a pending happening (the write at
+    /// the cursor, the next boundary, any pending completion) or the trace
+    /// horizon. Equal times pass: a run checkpointed right after
+    /// `begin_run` has reached t = 0 with writes at t = 0 still pending.
+    /// A run whose refresh manager has closed its books cannot resume
+    /// either.
+    ///
+    /// # Errors
+    ///
+    /// Names the latest time reached and the earliest pending one.
+    fn check_clock(&self, run: &RunState, trace: &WriteTrace) -> Result<(), String> {
+        if self.mgr.is_finalized() {
+            return Err("its refresh manager is already finalized".to_string());
+        }
+        let events = trace.events();
+        let at = |i: usize| events.get(i).map(|e| e.time_ns);
+        let crossed = self.quantum_index.saturating_mul(run.quantum_ns);
+        let reached = [
+            run.event_idx.checked_sub(1).and_then(at),
+            Some(self.mgr.last_transition_ns()),
+            self.lo_anchor.iter().flatten().max().copied(),
+            self.tests.latest_start_ns(),
+            Some(crossed),
+        ];
+        let pending = [
+            at(run.event_idx),
+            Some(crossed.saturating_add(run.quantum_ns)),
+            self.tests.next_completion_ns(),
+            Some(run.duration),
+        ];
+        let reached = reached.into_iter().flatten().max().unwrap_or(0);
+        let pending = pending.into_iter().flatten().min().unwrap_or(run.duration);
+        if reached > pending {
+            return Err(format!(
+                "it has reached {reached} ns, past its next happening or horizon at {pending} ns"
+            ));
+        }
+        Ok(())
     }
 
     /// Checks that the pages in flight in the test engine are exactly the
@@ -852,16 +827,7 @@ impl MemconEngine {
                 }
             }
         }
-        let quantum_ns = (self.config.quantum_ms * 1e6) as u64;
-        let run = RunState {
-            event_idx: 0,
-            next_quantum: quantum_ns,
-            quantum_ns,
-            mwi_ns: (self.config.min_write_interval_ms() * 1e6) as u64,
-            duration: trace.duration_ns(),
-            trace: None,
-        };
-        self.run = Some(run);
+        self.run = Some(RunState::new(&self.config, trace.duration_ns(), 0, None));
     }
 
     /// Advances the stepped run through every happening (test completion,
@@ -882,7 +848,8 @@ impl MemconEngine {
         let events = trace.events();
         loop {
             let t_test = self.tests.next_completion_ns();
-            let t_quantum = (run.next_quantum <= run.duration).then_some(run.next_quantum);
+            let next_quantum = (self.quantum_index + 1) * run.quantum_ns;
+            let t_quantum = (next_quantum <= run.duration).then_some(next_quantum);
             let horizon = [t_test, t_quantum].into_iter().flatten().min();
             // Drain the writes before the next completion or boundary. At
             // equal times the order is completion, then boundary, then
@@ -906,7 +873,6 @@ impl MemconEngine {
                 continue;
             }
             self.handle_quantum(now, run.mwi_ns);
-            run.next_quantum += run.quantum_ns;
         }
         self.run = Some(run);
     }
@@ -1780,11 +1746,11 @@ mod tests {
         let trace = WorkloadProfile::netflix().scaled(0.02).generate(9);
         let (e, payload) = half_run_payload(&trace);
         drop(e);
-        assert!(MemconEngine::decode_state(&payload).is_ok());
-        for version in [2u8, 3, 4, 5, 6] {
+        assert!(MemconEngine::from_payload(&payload).is_ok());
+        for version in [2u8, 3, 4, 5, 6, 7] {
             let mut old = payload.clone();
             old[0] = version;
-            let Err(err) = MemconEngine::decode_state(&old) else {
+            let Err(err) = MemconEngine::from_payload(&old) else {
                 panic!("a version-{version} payload must be refused");
             };
             assert!(err.contains(&format!("version {version}")), "{err}");
@@ -1825,7 +1791,7 @@ mod tests {
             (in_flight, format!("in-flight page {past_end} out of range")),
             (retry, format!("retry queue page {past_end} out of range")),
         ] {
-            let Err(err) = MemconEngine::decode_state(&payload) else {
+            let Err(err) = MemconEngine::from_payload(&payload) else {
                 panic!("a payload with an out-of-range page must be refused: {refusal}");
             };
             assert!(err.contains(&refusal), "{err}");
@@ -1845,9 +1811,7 @@ mod tests {
         // HI-REF.
         let trace = WorkloadProfile::netflix().scaled(0.02).generate(9);
         let (mut e, payload) = half_run_payload(&trace);
-        let mut section = Enc::new();
-        e.mgr.encode_state(&mut section);
-        let section = section.into_bytes();
+        let section = codec::encode(&mut e.mgr, RefreshManager::fields);
         let at = payload
             .windows(section.len())
             .position(|w| w == section.as_slice())
@@ -1883,7 +1847,7 @@ mod tests {
                 format!("page {hi} has a test in flight but sits at HiRef"),
             ),
         ] {
-            assert!(MemconEngine::decode_state(&payload).is_ok());
+            assert!(MemconEngine::from_payload(&payload).is_ok());
             assert!(matches!(
                 restore_payload(&trace, &payload),
                 Err(StoreError::Corrupt(msg)) if msg.contains(&broken)
@@ -1908,6 +1872,61 @@ mod tests {
         assert_eq!(restored.recovery_stats(), e.recovery_stats());
         assert_eq!(restored.live_stats(), e.live_stats());
         restored.verify_refresh_correctness().unwrap();
+    }
+
+    #[test]
+    fn restore_refuses_a_run_whose_clock_cannot_resume() {
+        // A cursor or boundary count rewound behind what the state has
+        // reached would replay the past: the next write would land before
+        // a page's last transition (the resume used to panic).
+        let trace = WorkloadProfile::netflix().scaled(0.02).generate(9);
+        let (mut e, payload) = half_run_payload(&trace);
+        assert!(restore_payload(&trace, &payload).is_ok());
+        let run = e.run.as_mut().expect("the half run is in progress");
+        let cursor = std::mem::replace(&mut run.event_idx, 0);
+        let rewound_cursor = e.checkpoint(&trace);
+        e.run.as_mut().expect("still in progress").event_idx = cursor;
+        let crossed = e.quantum_index;
+        e.quantum_index = crossed / 2;
+        let rewound_boundaries = e.checkpoint(&trace);
+        e.quantum_index = crossed;
+        assert!(e.checkpoint(&trace) == payload);
+        drop(e);
+        for (what, payload) in [
+            ("event cursor", rewound_cursor),
+            ("boundary count", rewound_boundaries),
+        ] {
+            assert!(
+                matches!(
+                    restore_payload(&trace, &payload),
+                    Err(StoreError::Corrupt(msg)) if msg.contains("cannot resume")
+                ),
+                "a rewound {what} must be refused"
+            );
+        }
+    }
+
+    /// FNV-1a over bytes, as [`TraceFingerprint`] hashes its words.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xCBF2_9CE4_8422_2325, |hash, &b| {
+            (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    }
+
+    #[test]
+    fn payload_layout_is_pinned() {
+        let trace = WorkloadProfile::netflix().scaled(0.02).generate(3);
+        let hashes = [None, Some(engine_plan(3))].map(|plan| {
+            let mut e = MemconEngine::new(cfg(), trace.n_pages());
+            e.set_fault_plan(plan);
+            e.begin_run(&trace);
+            e.advance_until(&trace, trace.duration_ns() / 2);
+            fnv1a(&e.checkpoint(&trace))
+        });
+        assert_eq!(
+            hashes, SNAP_LAYOUT_FNV,
+            "the checkpoint layout moved ({hashes:#018x?}): bump SNAP_VERSION and the hashes"
+        );
     }
 
     #[test]

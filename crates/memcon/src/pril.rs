@@ -42,7 +42,7 @@
 //! `cfg(test)` or the `slow-reference` feature) and pinned bit-identical by
 //! seeded equivalence property tests.
 
-use memutil::codec::{Dec, Enc};
+use memutil::codec::Io;
 
 /// Page identifier (8 KB granularity).
 pub type PageId = u64;
@@ -219,57 +219,28 @@ impl Pril {
         }
     }
 
-    fn encode_tracker(t: &QuantumTracker, e: &mut Enc) {
-        e.u64_slice(&t.map);
-        e.u64_slice(&t.buf);
-        e.u64(t.len as u64);
-    }
-
-    fn restore_tracker(t: &mut QuantumTracker, n_words: usize, d: &mut Dec) -> Result<(), String> {
-        let map = d.u64_vec()?;
-        let buf = d.u64_vec()?;
-        if map.len() != n_words || buf.len() != n_words {
-            return Err(format!(
-                "pril: snapshot bitmap width {}/{} does not match configured {n_words}",
-                map.len(),
-                buf.len()
-            ));
+    /// PRIL's field list (see [`memutil::codec`]): both quantum trackers
+    /// and the statistics block. Restore builds the tracker from the
+    /// engine's configuration first, so the bitmaps already have their
+    /// width.
+    pub(crate) fn fields(&mut self, io: &mut Io) -> Result<(), String> {
+        let Pril {
+            current,
+            previous,
+            // Configuration: the engine's config section carries them.
+            capacity: _,
+            n_pages: _,
+            n_words: _,
+            policy: _,
+            stats,
+        } = self;
+        for QuantumTracker { map, buf, len } in [current, previous] {
+            io.u64s(map, "pril write-map")?;
+            io.u64s(buf, "pril write-buffer")?;
+            io.usize(len)?;
         }
-        t.map = map;
-        t.buf = buf;
-        t.len = usize::try_from(d.u64()?).map_err(|_| "pril: occupancy overflow".to_string())?;
-        Ok(())
-    }
-
-    /// Serializes the tracker's dynamic state (both quantum bitmaps and the
-    /// statistics block) for a durability snapshot. Capacity, policy, and
-    /// page count are configuration and travel with the engine's config
-    /// section instead.
-    pub(crate) fn encode_state(&self, e: &mut Enc) {
-        Self::encode_tracker(&self.current, e);
-        Self::encode_tracker(&self.previous, e);
-        e.u64(self.stats.writes);
-        e.u64(self.stats.inserted);
-        e.u64(self.stats.evicted_repeat);
-        e.u64(self.stats.evicted_previous);
-        e.u64(self.stats.overflowed);
-        e.u64(self.stats.candidates);
-        e.u64(self.stats.quanta);
-    }
-
-    /// Restores state captured by [`encode_state`](Self::encode_state) into
-    /// a tracker built with the same configuration.
-    pub(crate) fn restore_state(&mut self, d: &mut Dec) -> Result<(), String> {
-        let n_words = self.n_words;
-        Self::restore_tracker(&mut self.current, n_words, d)?;
-        Self::restore_tracker(&mut self.previous, n_words, d)?;
-        self.stats.writes = d.u64()?;
-        self.stats.inserted = d.u64()?;
-        self.stats.evicted_repeat = d.u64()?;
-        self.stats.evicted_previous = d.u64()?;
-        self.stats.overflowed = d.u64()?;
-        self.stats.candidates = d.u64()?;
-        self.stats.quanta = d.u64()?;
+        memutil::u64_fields!(io; PrilStats { writes, inserted, evicted_repeat, evicted_previous,
+            overflowed, candidates, quanta } = stats);
         Ok(())
     }
 

@@ -12,7 +12,12 @@
 //! (paper Fig. 17) all follow. That accounting is *analytic*: closed-form
 //! over time-in-state.
 
+use memutil::codec::Io;
+
 use crate::pril::PageId;
+
+/// The bins in the order of their snapshot tags.
+const BINS: [PageState; 3] = [PageState::HiRef, PageState::Testing, PageState::LoRef];
 
 /// Refresh state of one page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,85 +124,52 @@ impl RefreshManager {
         self.pins
     }
 
-    /// Serializes the manager's dynamic state (per-page bins, pins, and
-    /// time-in-state accumulators) for a durability snapshot. The
-    /// intervals `hi_ms`/`lo_ms` travel with the engine's config section.
-    pub(crate) fn encode_state(&self, e: &mut memutil::codec::Enc) {
-        let tags: Vec<u8> = self
-            .states
-            .iter()
-            .map(|s| match s {
-                PageState::HiRef => 0u8,
-                PageState::Testing => 1,
-                PageState::LoRef => 2,
-            })
-            .collect();
-        e.bytes(&tags);
-        e.u64_slice(&self.since_ns);
-        let pins: Vec<u8> = self.pinned.iter().map(|&p| u8::from(p)).collect();
-        e.bytes(&pins);
-        e.f64(self.hi_time_ns);
-        e.f64(self.testing_time_ns);
-        e.f64(self.lo_time_ns);
-        match self.finalized_at_ns {
-            Some(t) => {
-                e.bool(true);
-                e.u64(t);
-            }
-            None => e.bool(false),
+    /// The manager's field list (see [`memutil::codec`]): per-page bins,
+    /// since-times and pins, then the time-in-state accumulators. Restore
+    /// builds the manager for the checkpoint's page count first.
+    pub(crate) fn fields(&mut self, io: &mut Io) -> Result<(), String> {
+        let RefreshManager {
+            // The intervals travel with the engine's config section.
+            hi_ms: _,
+            lo_ms: _,
+            states,
+            since_ns,
+            pinned,
+            hi_time_ns,
+            testing_time_ns,
+            lo_time_ns,
+            finalized_at_ns,
+            transitions,
+            pins,
+            pinned_n,
+        } = self;
+        io.len(states.len(), "refresh manager bins")?;
+        for state in states.iter_mut() {
+            io.tag(state, &BINS, "bin")?;
         }
-        for t in self.transitions {
-            e.u64(t);
+        io.u64s(since_ns, "refresh manager since-times")?;
+        io.len(pinned.len(), "refresh manager pins")?;
+        for pin in pinned.iter_mut() {
+            io.bool(pin)?;
         }
-        e.u64(self.pins);
-        e.u64(self.pinned_n);
+        for time in [hi_time_ns, testing_time_ns, lo_time_ns] {
+            io.f64(time)?;
+        }
+        io.opt(finalized_at_ns, Io::u64)?;
+        for count in transitions.iter_mut().chain([pins, pinned_n]) {
+            io.u64(count)?;
+        }
+        Ok(())
     }
 
-    /// Restores state captured by [`encode_state`](Self::encode_state) into
-    /// a manager built with the same page count and intervals.
-    pub(crate) fn restore_state(&mut self, d: &mut memutil::codec::Dec) -> Result<(), String> {
-        let n = self.states.len();
-        let tags = d.bytes()?;
-        if tags.len() != n {
-            return Err(format!(
-                "refresh manager: snapshot covers {} pages, configured {n}",
-                tags.len()
-            ));
-        }
-        for (state, &tag) in self.states.iter_mut().zip(tags) {
-            *state = match tag {
-                0 => PageState::HiRef,
-                1 => PageState::Testing,
-                2 => PageState::LoRef,
-                other => return Err(format!("refresh manager: unknown bin tag {other}")),
-            };
-        }
-        let since = d.u64_vec()?;
-        if since.len() != n {
-            return Err("refresh manager: since-time vector length mismatch".to_string());
-        }
-        self.since_ns = since;
-        let pins = d.bytes()?;
-        if pins.len() != n {
-            return Err("refresh manager: pin vector length mismatch".to_string());
-        }
-        for (pinned, &raw) in self.pinned.iter_mut().zip(pins) {
-            *pinned = match raw {
-                0 => false,
-                1 => true,
-                other => return Err(format!("refresh manager: invalid pin byte {other}")),
-            };
-        }
-        self.hi_time_ns = d.f64()?;
-        self.testing_time_ns = d.f64()?;
-        self.lo_time_ns = d.f64()?;
-        self.finalized_at_ns = if d.bool()? { Some(d.u64()?) } else { None };
-        for t in &mut self.transitions {
-            *t = d.u64()?;
-        }
-        self.pins = d.u64()?;
-        self.pinned_n = d.u64()?;
-        Ok(())
+    /// The latest time any page last changed bins (0 with no pages).
+    pub(crate) fn last_transition_ns(&self) -> u64 {
+        self.since_ns.iter().copied().max().unwrap_or(0)
+    }
+
+    /// Whether [`Self::finalize`] has closed the books.
+    pub(crate) fn is_finalized(&self) -> bool {
+        self.finalized_at_ns.is_some()
     }
 
     /// Number of pages tracked.

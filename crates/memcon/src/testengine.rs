@@ -18,7 +18,7 @@
 use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, HashSet};
 
-use memutil::codec::{Dec, Enc};
+use memutil::codec::Io;
 use memutil::rng::SmallRng;
 use memutil::rng::{Rng, SeedableRng};
 
@@ -50,12 +50,21 @@ pub trait FailureOracle: std::fmt::Debug + Send {
         self.page_fails(page, generation)
     }
 
-    /// Serializes the oracle's mutable state for a durability snapshot, or
-    /// `None` when the oracle cannot be persisted (e.g. [`ContentOracle`],
-    /// whose simulated-chip state is far too large to snapshot). Engines
-    /// refuse to attach a durable store over a non-persistable oracle.
-    fn persist_state(&self) -> Option<Vec<u8>> {
-        None
+    /// The oracle's field list (see [`memutil::codec`]): its mutable state
+    /// in an engine checkpoint, overwriting a [`RateOracle`] placeholder
+    /// when restored. The default refuses: an oracle without a field list
+    /// (e.g. [`ContentOracle`], whose simulated chip is far too large to
+    /// snapshot) cannot be persisted, and
+    /// [`MemconEngine::checkpoint`](crate::engine::MemconEngine::checkpoint)
+    /// panics on one.
+    ///
+    /// # Errors
+    ///
+    /// Always, unless the oracle overrides it; when decoding, malformed
+    /// state.
+    fn fields(&mut self, io: &mut Io) -> Result<(), String> {
+        let _ = io;
+        Err("the failure oracle has no field list, so it cannot be persisted".to_string())
     }
 }
 
@@ -82,28 +91,6 @@ impl RateOracle {
             rng: SmallRng::seed_from_u64(seed),
         }
     }
-
-    /// Rebuilds an oracle from a [`persist_state`](FailureOracle::persist_state)
-    /// blob captured by a durability snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description when the blob is malformed or encodes an
-    /// invalid rate or RNG state.
-    pub fn from_persisted(blob: &[u8]) -> Result<Self, String> {
-        let mut d = Dec::new(blob);
-        let rate = d.f64()?;
-        let state_vec = d.u64_vec()?;
-        d.finish("rate oracle state")?;
-        if !(0.0..=1.0).contains(&rate) {
-            return Err(format!("rate oracle: rate {rate} outside [0, 1]"));
-        }
-        let state: [u64; 4] = state_vec
-            .try_into()
-            .map_err(|_| "rate oracle: rng state must be 4 words".to_string())?;
-        let rng = SmallRng::from_state(state)?;
-        Ok(RateOracle { rate, rng })
-    }
 }
 
 impl FailureOracle for RateOracle {
@@ -111,11 +98,18 @@ impl FailureOracle for RateOracle {
         self.rng.gen::<f64>() < self.rate
     }
 
-    fn persist_state(&self) -> Option<Vec<u8>> {
-        let mut e = Enc::with_capacity(48);
-        e.f64(self.rate);
-        e.u64_slice(&self.rng.state());
-        Some(e.into_bytes())
+    fn fields(&mut self, io: &mut Io) -> Result<(), String> {
+        let RateOracle { rate, rng } = self;
+        io.f64(rate)?;
+        io.refuse(!(0.0..=1.0).contains(rate), || {
+            format!("rate oracle: rate {rate} outside [0, 1]")
+        })?;
+        let mut state = rng.state();
+        io.u64s(&mut state, "rate oracle rng state")?;
+        if io.decoding() {
+            *rng = SmallRng::from_state(state)?;
+        }
+        Ok(())
     }
 }
 
@@ -285,11 +279,13 @@ pub struct TestEngineStats {
     pub ecc_uncorrectable: u64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A pending completion. Every test runs the same window, so its end is
+/// `start_ns` plus the engine's `duration_ns`, and start order is end
+/// order.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct InFlight {
-    end_ns: u64,
-    page: PageId,
     start_ns: u64,
+    page: PageId,
     generation: u64,
 }
 
@@ -297,8 +293,8 @@ impl Ord for InFlight {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // Reverse: earliest end first out of the max-heap.
         other
-            .end_ns
-            .cmp(&self.end_ns)
+            .start_ns
+            .cmp(&self.start_ns)
             .then(other.page.cmp(&self.page))
     }
 }
@@ -408,102 +404,95 @@ impl TestEngine {
         self.oracle.as_mut()
     }
 
-    /// The oracle's persisted state, if it supports durability snapshots
-    /// ([`FailureOracle::persist_state`]).
-    #[must_use]
-    pub fn persist_oracle(&self) -> Option<Vec<u8>> {
-        self.oracle.persist_state()
-    }
-
-    /// Serializes the engine's dynamic state (in-flight tests and
-    /// statistics) for a durability snapshot. The oracle, fault session,
-    /// and constructor-derived configuration travel separately.
-    pub(crate) fn encode_state(&self, e: &mut Enc) {
-        // Heap entries in a canonical order; stale (aborted/superseded)
-        // entries are included because lazy discard still pops them.
-        let mut flights: Vec<InFlight> = self.in_flight.iter().copied().collect();
-        flights.sort_unstable_by_key(|f| (f.end_ns, f.page, f.start_ns, f.generation));
-        e.u64(flights.len() as u64);
-        for f in &flights {
-            e.u64(f.end_ns);
-            e.u64(f.page);
-            e.u64(f.start_ns);
-            e.u64(f.generation);
-        }
-        // Ascending page order is part of the snapshot format.
-        e.u64(self.live_count as u64);
-        for (page, generation) in self.live.iter().enumerate() {
-            if let Some(g) = generation {
-                e.u64(page as u64);
-                e.u64(*g);
-            }
-        }
-        e.u64(self.stats.started);
-        e.u64(self.stats.completed);
-        e.u64(self.stats.failed);
-        e.u64(self.stats.aborted);
-        e.u64(self.stats.rejected);
-        e.u64(self.stats.ambiguous);
-        e.u64(self.stats.ecc_corrected);
-        e.u64(self.stats.ecc_uncorrectable);
-    }
-
-    /// Restores state captured by [`encode_state`](Self::encode_state) into
-    /// an engine built with the same configuration, refusing any test of a
-    /// page past the engine's page count and any live test with no pending
-    /// heap entry of the same page and generation (it would never complete).
-    pub(crate) fn restore_state(&mut self, d: &mut Dec) -> Result<(), String> {
-        let n_pages = self.live.len() as u64;
-        let page_in_range = |page: PageId| {
-            if page < n_pages {
-                Ok(page)
-            } else {
-                Err(format!(
-                    "test engine: in-flight page {page} out of range ({n_pages} pages)"
-                ))
-            }
+    /// The test engine's field list (see [`memutil::codec`]): the oracle,
+    /// the fault session with its replay cursors, the pending completions
+    /// (aborted ones included: the event loop still pops them), the live
+    /// tests and the statistics. Restore runs it over an engine built from
+    /// the checkpoint's configuration and page count, refusing a test of a
+    /// page past the table, a test whose completion time overflows, a live
+    /// test with no pending completion of its page and generation (it
+    /// would never complete), and more live tests than the budget.
+    pub(crate) fn fields(&mut self, io: &mut Io) -> Result<(), String> {
+        let TestEngine {
+            oracle,
+            // Built from the configuration.
+            duration_ns,
+            budget,
+            in_flight,
+            live,
+            // Counted from `live` below.
+            live_count,
+            faults,
+            stats,
+        } = self;
+        // Oracle kind: 0 is the rate oracle, the only one with a field
+        // list; restore builds one to overwrite.
+        let mut kind = 0;
+        io.u8(&mut kind)?;
+        io.refuse(kind != 0, || format!("unknown oracle tag {kind}"))?;
+        oracle.fields(io)?;
+        io.opt(faults, |io, session| session.fields(io))?;
+        let pages = live.len() as u64;
+        let in_range = |io: &Io, page: PageId| {
+            io.refuse(page >= pages, || {
+                format!("test engine: in-flight page {page} out of range ({pages} pages)")
+            })
         };
-        self.cancel_all();
-        let n = d.u64()?;
-        for _ in 0..n {
-            let end_ns = d.u64()?;
-            let page = page_in_range(d.u64()?)?;
-            let start_ns = d.u64()?;
-            let generation = d.u64()?;
-            self.in_flight.push(InFlight {
-                end_ns,
-                page,
-                start_ns,
-                generation,
-            });
-        }
-        let pending: HashSet<(PageId, u64)> = self
-            .in_flight
+        // Completions in end (that is, start) order, then by page and
+        // generation, so equal states encode to equal bytes.
+        let mut pending: Vec<InFlight> = in_flight.iter().copied().collect();
+        pending.sort_unstable_by_key(|f| (f.start_ns, f.page, f.generation));
+        let window = *duration_ns;
+        io.seq(&mut pending, 24, "pending completion count", |io, f| {
+            memutil::u64_fields!(io; InFlight { start_ns, page, generation } = f);
+            io.refuse(start_ns.checked_add(window).is_none(), || {
+                format!("test engine: a test started at {start_ns} ns never ends")
+            })?;
+            in_range(io, *page)
+        })?;
+        // Live tests in ascending page order.
+        let mut tested: Vec<(PageId, u64)> = live
             .iter()
-            .map(|f| (f.page, f.generation))
+            .enumerate()
+            .filter_map(|(page, g)| g.map(|g| (page as PageId, g)))
             .collect();
-        let n = d.u64()?;
-        for _ in 0..n {
-            let page = page_in_range(d.u64()?)?;
-            let generation = d.u64()?;
-            if !pending.contains(&(page, generation)) {
-                return Err(format!(
-                    "test engine: in-flight page {page} (generation {generation}) has no \
-                     pending completion"
-                ));
-            }
-            if self.live[page as usize].replace(generation).is_none() {
-                self.live_count += 1;
+        // Built only when decoding: refusals never fire while encoding.
+        let completes: HashSet<(PageId, u64)> = if io.decoding() {
+            pending.iter().map(|f| (f.page, f.generation)).collect()
+        } else {
+            HashSet::new()
+        };
+        io.seq(
+            &mut tested,
+            16,
+            "live test count",
+            |io, (page, generation)| {
+                io.u64(page)?;
+                in_range(io, *page)?;
+                io.u64(generation)?;
+                io.refuse(!completes.contains(&(*page, *generation)), || {
+                    format!(
+                        "test engine: in-flight page {page} (generation {generation}) has no \
+                         pending completion"
+                    )
+                })
+            },
+        )?;
+        if io.decoding() {
+            *in_flight = BinaryHeap::from(pending);
+            live.fill(None);
+            *live_count = 0;
+            for (page, generation) in tested {
+                if live[page as usize].replace(generation).is_none() {
+                    *live_count += 1;
+                }
             }
         }
-        self.stats.started = d.u64()?;
-        self.stats.completed = d.u64()?;
-        self.stats.failed = d.u64()?;
-        self.stats.aborted = d.u64()?;
-        self.stats.rejected = d.u64()?;
-        self.stats.ambiguous = d.u64()?;
-        self.stats.ecc_corrected = d.u64()?;
-        self.stats.ecc_uncorrectable = d.u64()?;
+        io.refuse(*live_count > *budget, || {
+            format!("test engine: {live_count} live tests exceed the budget of {budget}")
+        })?;
+        memutil::u64_fields!(io; TestEngineStats { started, completed, failed, aborted, rejected,
+            ambiguous, ecc_corrected, ecc_uncorrectable } = stats);
         Ok(())
     }
 
@@ -530,9 +519,8 @@ impl TestEngine {
         *slot = Some(generation);
         self.live_count += 1;
         self.in_flight.push(InFlight {
-            end_ns: now_ns + self.duration_ns,
-            page,
             start_ns: now_ns,
+            page,
             generation,
         });
         self.stats.started += 1;
@@ -576,7 +564,7 @@ impl TestEngine {
         out.clear();
         loop {
             let t = match self.in_flight.peek_mut() {
-                Some(top) if top.end_ns <= now_ns => PeekMut::pop(top),
+                Some(top) if top.start_ns + self.duration_ns <= now_ns => PeekMut::pop(top),
                 _ => break,
             };
             // Lazily drop aborted (or superseded) entries.
@@ -599,7 +587,7 @@ impl TestEngine {
                 ecc,
                 generation: t.generation,
                 start_ns: t.start_ns,
-                end_ns: t.end_ns,
+                end_ns: t.start_ns + self.duration_ns,
             });
         }
     }
@@ -679,18 +667,25 @@ impl TestEngine {
         }
     }
 
+    /// The latest start among the pending completions (aborted tests
+    /// included), if any.
+    pub(crate) fn latest_start_ns(&self) -> Option<u64> {
+        self.in_flight.iter().map(|f| f.start_ns).max()
+    }
+
     /// Earliest pending completion time, if any test is in flight.
     #[must_use]
     pub fn next_completion_ns(&self) -> Option<u64> {
         // The heap may hold stale (aborted) entries; they only make this
         // bound conservative (earlier), which is harmless for scheduling.
-        self.in_flight.peek().map(|t| t.end_ns)
+        self.in_flight.peek().map(|t| t.start_ns + self.duration_ns)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use memutil::codec;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
@@ -781,24 +776,56 @@ mod tests {
         assert_eq!(done[0].start_ns, 10 * MS);
     }
 
+    /// Decodes a test-engine section over `e`.
+    fn restored(bytes: &[u8], e: &mut TestEngine) -> Result<(), String> {
+        codec::decode(bytes, e, "test engine", TestEngine::fields)
+    }
+
+    #[test]
+    fn restore_refuses_more_live_tests_than_the_budget() {
+        // A restored engine over budget would keep starting no test until
+        // enough of them end, and the budget is what bounds the staging
+        // rows a Copy-and-Compare test holds.
+        let mut e = engine(3);
+        for page in [2, 5, 9] {
+            assert!(e.try_start(page, 0, 0));
+        }
+        let bytes = codec::encode(&mut e, TestEngine::fields);
+        assert!(restored(&bytes, &mut engine(3)).is_ok());
+        let err = restored(&bytes, &mut engine(2)).unwrap_err();
+        assert!(err.contains("3 live tests exceed the budget of 2"), "{err}");
+    }
+
+    #[test]
+    fn restored_tests_complete_as_they_would_have() {
+        // A restore rebuilds each completion time from its start and the
+        // window, and keeps an aborted test's pending entry.
+        let mut e = engine(4);
+        assert!(e.try_start(1, 0, 5 * MS));
+        assert!(e.try_start(2, 0, 0));
+        assert!(e.abort(2));
+        let bytes = codec::encode(&mut e, TestEngine::fields);
+        let mut back = engine(4);
+        restored(&bytes, &mut back).unwrap();
+        assert_eq!(back.next_completion_ns(), Some(64 * MS));
+        assert_eq!(codec::encode(&mut back, TestEngine::fields), bytes);
+        assert_eq!(back.poll(200 * MS), e.poll(200 * MS));
+    }
+
     #[test]
     fn restore_refuses_a_live_test_with_no_pending_completion() {
         // A live test with no heap entry of its page and generation would
         // never complete, leaving its page unrefreshed for good.
-        let payload = |e: &TestEngine| {
-            let mut enc = Enc::new();
-            e.encode_state(&mut enc);
-            enc.into_bytes()
-        };
+        let payload = |e: &mut TestEngine| codec::encode(e, TestEngine::fields);
         let mut e = engine(4);
         assert!(e.try_start(7, 3, 0));
-        assert!(engine(4).restore_state(&mut Dec::new(&payload(&e))).is_ok());
+        assert!(restored(&payload(&mut e), &mut engine(4)).is_ok());
         e.live[7] = Some(4);
-        let stale_generation = payload(&e);
+        let stale_generation = payload(&mut e);
         e.in_flight.clear();
-        let no_entry = payload(&e);
+        let no_entry = payload(&mut e);
         for bytes in [stale_generation, no_entry] {
-            let err = engine(4).restore_state(&mut Dec::new(&bytes)).unwrap_err();
+            let err = restored(&bytes, &mut engine(4)).unwrap_err();
             assert!(
                 err.contains("in-flight page 7 (generation 4) has no pending completion"),
                 "{err}"

@@ -17,8 +17,9 @@
 //! * [`par`] — a scoped work-stealing thread pool with deterministic
 //!   ordered reduction (the rayon-free parallel substrate for the failure
 //!   model, chip tester, and experiments suite),
-//! * [`codec`] — a little-endian binary encoder/decoder used by the durable
-//!   state store (`crates/store`) and the engine snapshot serializers.
+//! * [`codec`] — a little-endian binary decoder for the durable state
+//!   store (`crates/store`) and the two-way field lists that encode and
+//!   decode every persisted struct with one definition each.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

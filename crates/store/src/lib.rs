@@ -26,7 +26,11 @@
 //! Fault injection: publishing consults the `store.torn_write` and
 //! `store.corrupt_record` sites of an attached [`FaultSession`], and
 //! opening consults `store.short_read`, so every fallback branch can be
-//! driven deterministically.
+//! driven deterministically. Each decision is keyed by the image's
+//! sequence number rather than drawn from the session's running count, so
+//! a store reopened after a crash makes the same decision for the same
+//! image as the store that never stopped (a `OneShot { at }` schedule
+//! names image `at`).
 //!
 //! Telemetry: `store.snap.published` and `store.recovery.truncated_bytes`
 //! — both [`telemetry::Class::Deterministic`] (counts of deterministic
@@ -191,7 +195,7 @@ impl Store {
             let len = bytes.len() as u64;
             if faults
                 .as_mut()
-                .is_some_and(|s| s.fires(Site::StoreShortRead))
+                .is_some_and(|s| s.fires_keyed(Site::StoreShortRead, seq))
             {
                 bytes.truncate(bytes.len() / 2);
             }
@@ -249,9 +253,9 @@ impl Store {
         let mut image = snapshot::encode(self.snap_seq, payload);
         let mut written = image.len();
         if let Some(session) = self.faults.as_mut() {
-            if session.fires(Site::StoreTornWrite) {
+            if session.fires_keyed(Site::StoreTornWrite, self.snap_seq) {
                 written /= 2;
-            } else if session.fires(Site::StoreCorruptRecord) {
+            } else if session.fires_keyed(Site::StoreCorruptRecord, self.snap_seq) {
                 let mid = image.len() / 2;
                 image[mid] ^= 0x01;
             }
@@ -346,7 +350,7 @@ mod tests {
         let _ = fs::remove_dir_all(dir);
     }
 
-    /// A plan firing `site` exactly once, at its `at`-th decision.
+    /// A plan firing `site` exactly once, on image `at`.
     fn one_shot(site: Site, at: u64) -> Arc<FaultPlan> {
         Arc::new(FaultPlan::new(0xF00D).with_site(
             site,
@@ -522,7 +526,7 @@ mod tests {
             DurabilityMode::Buffered,
             &[b"image-0", b"image-1"],
         ));
-        let plan = one_shot(Site::StoreShortRead, 0);
+        let plan = one_shot(Site::StoreShortRead, 1);
         let (_, rec) = Store::open(&dir, DurabilityMode::Buffered, Some(plan)).unwrap();
         assert_eq!(rec.snapshot.payload, b"image-0");
         assert_eq!(rec.snapshots_skipped, 1);

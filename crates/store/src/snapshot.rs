@@ -14,7 +14,7 @@
 //! so a crash at any point leaves either the old snapshot set or the old
 //! set plus one new complete file — never a half-written current snapshot.
 
-use memutil::codec::{Dec, Enc};
+use memutil::codec::Dec;
 
 /// `MCSNAP02` in ASCII: identifies (and versions) snapshot files. The
 /// `MCSNAP01` format carried a third header word, so its images fail the
@@ -82,12 +82,11 @@ fn image_crc(seq: u64, payload: &[u8]) -> u32 {
 /// the magic, so any flipped bit there is caught at decode.
 #[must_use]
 pub fn encode(seq: u64, payload: &[u8]) -> Vec<u8> {
-    let mut e = Enc::with_capacity(HEADER + payload.len());
-    e.u64(SNAP_MAGIC);
-    e.u64(seq);
-    e.u64(payload.len() as u64);
-    e.u32(image_crc(seq, payload));
-    let mut out = e.into_bytes();
+    let mut out = Vec::with_capacity(HEADER + payload.len());
+    for word in [SNAP_MAGIC, seq, payload.len() as u64] {
+        out.extend_from_slice(&word.to_le_bytes());
+    }
+    out.extend_from_slice(&image_crc(seq, payload).to_le_bytes());
     out.extend_from_slice(payload);
     out
 }
@@ -179,20 +178,15 @@ mod tests {
         // The previous header: MCSNAP01, seq, a since-dropped bound word,
         // len, then a checksum over those three words and the payload.
         let payload = b"old state";
-        let mut covered = Enc::new();
-        covered.u64(1);
-        covered.u64(2);
-        covered.u64(payload.len() as u64);
-        let mut covered = covered.into_bytes();
-        covered.extend_from_slice(payload);
-        let mut old = Enc::new();
-        old.u64(0x4D43_534E_4150_3031);
-        old.u64(1);
-        old.u64(2);
-        old.u64(payload.len() as u64);
-        old.u32(crc32(&covered));
-        let mut old = old.into_bytes();
-        old.extend_from_slice(payload);
+        let words =
+            |words: &[u64]| -> Vec<u8> { words.iter().flat_map(|w| w.to_le_bytes()).collect() };
+        let covered = [words(&[1, 2, payload.len() as u64]), payload.to_vec()].concat();
+        let old = [
+            words(&[0x4D43_534E_4150_3031, 1, 2, payload.len() as u64]),
+            crc32(&covered).to_le_bytes().to_vec(),
+            payload.to_vec(),
+        ]
+        .concat();
         let err = decode(&old).unwrap_err();
         assert!(err.contains("bad magic"), "{err}");
     }

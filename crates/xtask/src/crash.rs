@@ -271,8 +271,8 @@ fn corrupt_checksum_leg(plan: &FleetPlan, reference: &Outcome, epochs: u64) -> R
 /// before the tear to the same result.
 fn injected_torn_write_leg(reference: &Outcome, epochs: u64) -> Result<(), String> {
     let dir = store::scratch_dir("xtask-crash-injected");
-    // The anchor image is the store's decision 0, so decision `torn_at`
-    // publishes the image of barrier `torn_at`.
+    // Store decisions are keyed by image sequence number, and the anchor
+    // is image 0, so image `torn_at` is the one of barrier `torn_at`.
     let torn_at = epochs / 2;
     let armed = engine_faults().with_site(
         Site::StoreTornWrite,

@@ -103,8 +103,8 @@ pub fn lint_cmd(update_ratchet: bool, json: Option<&str>) -> i32 {
 /// alert latency, flight-record dump), the quick crash-recovery soak
 /// ([`crash::crash_cmd`]), the fleet smoke gate
 /// ([`fleet::fleet_cmd`] with `--smoke`), `cargo test --workspace -q`
-/// (every crate's unit, property and integration tests), the `memcon`
-/// and `memsim` tests again with their `strict-invariants` checks
+/// (every crate's unit, property and integration tests), the `memcon`,
+/// `memsim` and `fleet` tests again with the `strict-invariants` checks
 /// compiled in, the perfbench self-tests, and — when `bench` is set —
 /// the `bench compare` regression gate plus the `obs` and `chaos`
 /// overhead gates (run through `cargo run --release` so the fresh medians
@@ -206,8 +206,9 @@ pub fn ci_cmd(bench: bool) -> i32 {
     }
 
     // The invariant checks behind `strict-invariants` compile in no
-    // other step.
-    println!("ci: cargo test -q -p memcon -p memsim (strict-invariants)");
+    // other step. The fleet's tests step restored engines, so they run
+    // with the engine's checks compiled in too.
+    println!("ci: cargo test -q -p memcon -p memsim -p fleet (strict-invariants)");
     if let Some(code) = run_step(
         &root,
         &[
@@ -217,6 +218,8 @@ pub fn ci_cmd(bench: bool) -> i32 {
             "memcon",
             "-p",
             "memsim",
+            "-p",
+            "fleet",
             "--features",
             "memcon/strict-invariants,memsim/strict-invariants",
         ],

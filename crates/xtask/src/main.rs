@@ -62,8 +62,9 @@ fn usage() {
          \x20                           determinism gate (output also pinned\n\
          \x20                           to EXPERIMENTS_quick_expected.txt),\n\
          \x20                           obs --check, a quick 3-plan chaos soak,\n\
-         \x20                           cargo test --workspace -q, the memcon\n\
-         \x20                           and memsim tests with strict-invariants,\n\
+         \x20                           cargo test --workspace -q, the memcon,\n\
+         \x20                           memsim and fleet tests with\n\
+         \x20                           strict-invariants,\n\
          \x20                           the perfbench self-tests; --bench\n\
          \x20                           additionally runs `bench compare`,\n\
          \x20                           `obs overhead`, and `chaos overhead`\n\
