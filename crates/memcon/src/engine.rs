@@ -618,7 +618,7 @@ impl MemconEngine {
     /// PRIL or refresh-manager invariant, holds a page at Testing with no
     /// test in flight or a test on a page not at Testing, its run began
     /// with a trace other than `trace`, or its run cannot resume (see
-    /// `check_clock`).
+    /// `check_clock` and `check_generations`).
     pub fn restore(payload: &[u8], trace: &WriteTrace) -> Result<MemconEngine, StoreError> {
         let engine = Self::from_payload(payload).map_err(StoreError::Corrupt)?;
         engine
@@ -635,9 +635,12 @@ impl MemconEngine {
                     run.trace
                 )));
             }
-            engine.check_clock(run, trace).map_err(|e| {
-                StoreError::Corrupt(format!("the snapshot's run cannot resume: {e}"))
-            })?;
+            engine
+                .check_clock(run, trace)
+                .and_then(|()| engine.check_generations(run))
+                .map_err(|e| {
+                    StoreError::Corrupt(format!("the snapshot's run cannot resume: {e}"))
+                })?;
         }
         Ok(engine)
     }
@@ -683,6 +686,28 @@ impl MemconEngine {
             ));
         }
         Ok(())
+    }
+
+    /// Checks that no page's content generation is above what the run can
+    /// have reached. `begin_run` zeroes them, and only a write bumps one:
+    /// once per consumed write, and at most once per boundary crossed (an
+    /// injected preemption lands as a write). So no generation exceeds the
+    /// event cursor plus the boundaries crossed, and the next write cannot
+    /// overflow one.
+    ///
+    /// # Errors
+    ///
+    /// Names the lowest page above the bound.
+    fn check_generations(&self, run: &RunState) -> Result<(), String> {
+        let bound = (run.event_idx as u64).saturating_add(self.quantum_index);
+        match self.generation.iter().position(|&g| g > bound) {
+            Some(page) => Err(format!(
+                "page {page} is at generation {}, above the {bound} writes and boundaries \
+                 its run has consumed",
+                self.generation[page]
+            )),
+            None => Ok(()),
+        }
     }
 
     /// Checks that the pages in flight in the test engine are exactly the
@@ -1904,6 +1929,31 @@ mod tests {
                 "a rewound {what} must be refused"
             );
         }
+    }
+
+    #[test]
+    fn restore_refuses_a_generation_its_run_cannot_have_reached() {
+        // A generation no run of this length can reach: at u64::MAX the
+        // next write to the page would overflow the counter.
+        let trace = WorkloadProfile::netflix().scaled(0.02).generate(9);
+        let (mut e, payload) = half_run_payload(&trace);
+        assert!(restore_payload(&trace, &payload).is_ok());
+        let cursor = e
+            .run
+            .as_ref()
+            .expect("the half run is in progress")
+            .event_idx;
+        let page = trace.events()[cursor].page as usize;
+        e.generation[page] = u64::MAX;
+        let corrupt = e.checkpoint(&trace);
+        assert!(
+            matches!(
+                restore_payload(&trace, &corrupt),
+                Err(StoreError::Corrupt(msg))
+                    if msg.contains("cannot resume") && msg.contains("generation")
+            ),
+            "a generation above the writes consumed must be refused"
+        );
     }
 
     /// FNV-1a over bytes, as [`TraceFingerprint`] hashes its words.

@@ -23,7 +23,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use dram::bank::Bank;
+use dram::bank::{Bank, BURST_CYCLES};
 use dram::command::DramCommand;
 use dram::timing::TimingParams;
 use faultinject::{FaultSession, Site};
@@ -123,21 +123,36 @@ enum ActBlock {
     Tfaw,
 }
 
+/// One bank's request queue, with the number of its requests that hit the
+/// bank's open row (zero while the bank is precharged), so the scheduler
+/// scans a queue for hits only when there is one.
+#[derive(Debug, Default)]
+struct BankQueue {
+    reqs: VecDeque<MemRequest>,
+    open_hits: usize,
+}
+
 /// The memory controller for one rank-set of DDR3 banks.
 #[derive(Debug)]
 pub struct MemoryController {
     timing: TimingParams,
     banks: Vec<Bank>,
-    queues: Vec<VecDeque<MemRequest>>,
+    queues: Vec<BankQueue>,
     capacity: usize,
-    /// Cycle at which the last scheduled data burst leaves the bus; a new
-    /// column command may issue once its own data window starts after this.
-    bus_data_end: u64,
+    /// First cycle at which a column command may issue: its data burst
+    /// (`tCL` after issue) then starts no earlier than the end of the last
+    /// one (`tCL` + [`BURST_CYCLES`] after its issue).
+    bus_free: u64,
     refresh: RefreshScheduler,
     refresh_in_progress_until: u64,
     rr_start: usize,
     /// Recent `ACT` cycles on the rank (at most 4 kept), for `tRRD`/`tFAW`.
     act_history: VecDeque<u64>,
+    /// First cycle at which `tRRD` admits the next `ACT`, set at each one.
+    trrd_end: u64,
+    /// First cycle at which `tFAW` admits the next `ACT`: the fourth most
+    /// recent one plus `tFAW` (0 before the fourth).
+    tfaw_end: u64,
     /// Fault-injection session (None when no plan is installed); the
     /// controller owns its decision streams, so parallel harnesses stay
     /// deterministic per controller.
@@ -169,13 +184,15 @@ impl MemoryController {
         MemoryController {
             timing: config.timing,
             banks: (0..n_banks).map(|_| Bank::new()).collect(),
-            queues: (0..n_banks).map(|_| VecDeque::new()).collect(),
+            queues: (0..n_banks).map(|_| BankQueue::default()).collect(),
             capacity: config.queue_capacity,
-            bus_data_end: 0,
+            bus_free: 0,
             refresh,
             refresh_in_progress_until: 0,
             rr_start: 0,
             act_history: VecDeque::new(),
+            trrd_end: 0,
+            tfaw_end: 0,
             faults: FaultSession::begin(),
             recorder: None,
             #[cfg(feature = "strict-invariants")]
@@ -215,8 +232,10 @@ impl MemoryController {
     }
 
     /// Routes one bank command through the single issue choke point: the
-    /// bank automaton applies it, the recorder and (under
-    /// `strict-invariants`) the online protocol auditor observe it.
+    /// bank automaton applies it, the bank's open-row hit count follows an
+    /// `ACT` or `PRE`, and the recorder and (under `strict-invariants`) the
+    /// online protocol auditor observe it. A column command's caller takes
+    /// its request, and that request's hit, off the queue first.
     ///
     /// Returns `None` if the bank rejected a command the scheduler believed
     /// legal — a scheduler bug, surfaced loudly in debug builds and skipped
@@ -224,8 +243,28 @@ impl MemoryController {
     fn issue_checked(&mut self, bank: usize, cmd: DramCommand, row: u32, now: u64) -> Option<u64> {
         match self.banks[bank].issue(cmd, row, now, &self.timing) {
             Ok(done) => {
+                let queue = &mut self.queues[bank];
+                match cmd {
+                    DramCommand::Activate => {
+                        queue.open_hits = queue.reqs.iter().filter(|r| r.row == row).count();
+                    }
+                    DramCommand::Precharge => queue.open_hits = 0,
+                    _ => {}
+                }
                 #[cfg(feature = "strict-invariants")]
-                if let Err(e) = self.banks[bank].check_invariants() {
+                if let Err(e) = self.banks[bank].check_invariants().and_then(|()| {
+                    let queue = &self.queues[bank];
+                    let open = self.banks[bank].open_row();
+                    let hits = queue.reqs.iter().filter(|r| Some(r.row) == open).count();
+                    if hits == queue.open_hits {
+                        Ok(())
+                    } else {
+                        Err(format!(
+                            "{hits} queued open-row hits counted as {}",
+                            queue.open_hits
+                        ))
+                    }
+                }) {
                     // memlint: allow (deliberate strict-invariants abort)
                     panic!("bank {bank} invariant violation after {cmd} at cycle {now}: {e}");
                 }
@@ -253,26 +292,25 @@ impl MemoryController {
     /// Which rank-level activate constraint (`tRRD` minimum spacing or the
     /// `tFAW` four-activate window) blocks an `ACT` at `now`, if any.
     fn rank_act_blocked(&self, now: u64) -> Option<ActBlock> {
-        if let Some(&last) = self.act_history.back() {
-            if now < last + self.timing.trrd_cycles() {
-                return Some(ActBlock::Trrd);
-            }
+        if now < self.trrd_end {
+            Some(ActBlock::Trrd)
+        } else if now < self.tfaw_end {
+            Some(ActBlock::Tfaw)
+        } else {
+            None
         }
-        let window_start = now.saturating_sub(self.timing.tfaw_cycles() - 1);
-        let recent = self
-            .act_history
-            .iter()
-            .filter(|&&c| c >= window_start)
-            .count();
-        (recent >= 4).then_some(ActBlock::Tfaw)
     }
 
     /// Records an `ACT` in the rank activate history (only the last four
-    /// matter for `tRRD`/`tFAW`).
+    /// matter) and the cycles from which `tRRD` and `tFAW` admit the next.
     fn note_act(&mut self, now: u64) {
         self.act_history.push_back(now);
         while self.act_history.len() > 4 {
             self.act_history.pop_front();
+        }
+        self.trrd_end = now + self.timing.trrd_cycles();
+        if self.act_history.len() == 4 {
+            self.tfaw_end = self.act_history[0] + self.timing.tfaw_cycles();
         }
     }
 
@@ -285,13 +323,38 @@ impl MemoryController {
     /// Whether bank `bank` can accept another request.
     #[must_use]
     pub fn can_accept(&self, bank: usize) -> bool {
-        self.queues[bank].len() < self.capacity
+        self.queues[bank].reqs.len() < self.capacity
     }
 
     /// Total queued requests across banks.
     #[must_use]
     pub fn queued(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).sum()
+        self.queues.iter().map(|q| q.reqs.len()).sum()
+    }
+
+    /// The cycle at which the refresh blackout in progress ends (at or
+    /// before any cycle already ticked when none is).
+    #[must_use]
+    pub(crate) fn blackout_end(&self) -> u64 {
+        self.refresh_in_progress_until
+    }
+
+    /// Ticks cycles `from..to` at once. All of them must lie inside the
+    /// refresh blackout in progress, where a tick only counts a blackout
+    /// cycle.
+    pub(crate) fn tick_blackout(&mut self, from: u64, to: u64) {
+        debug_assert!(from <= to && to <= self.refresh_in_progress_until);
+        self.stats.refresh_blackout_cycles += to - from;
+    }
+
+    /// Appends `req` to its bank's queue, counting it if it hits the open
+    /// row.
+    fn push(&mut self, req: MemRequest) {
+        let queue = &mut self.queues[req.bank];
+        if self.banks[req.bank].open_row() == Some(req.row) {
+            queue.open_hits += 1;
+        }
+        queue.reqs.push_back(req);
     }
 
     /// Replaces the fault-injection session (tests and harnesses that
@@ -324,16 +387,16 @@ impl MemoryController {
             }
             if faults.fires(Site::SimCmdDup)
                 && req.requester == Requester::TestEngine
-                && self.queues[req.bank].len() + 2 <= self.capacity
+                && self.queues[req.bank].reqs.len() + 2 <= self.capacity
             {
                 self.stats.faults_duplicated += 1;
-                self.queues[req.bank].push_back(req);
-                self.queues[req.bank].push_back(req);
+                self.push(req);
+                self.push(req);
                 return Ok(());
             }
         }
         if self.can_accept(req.bank) {
-            self.queues[req.bank].push_back(req);
+            self.push(req);
             Ok(())
         } else {
             self.stats.rejected += 1;
@@ -341,9 +404,10 @@ impl MemoryController {
         }
     }
 
-    /// Drains the completions produced so far.
-    pub fn drain_completions(&mut self) -> Vec<Completion> {
-        std::mem::take(&mut self.completions)
+    /// Drains the completions produced so far; the buffer keeps its
+    /// capacity for the next ones.
+    pub fn drain_completions(&mut self) -> std::vec::Drain<'_, Completion> {
+        self.completions.drain(..)
     }
 
     /// Refresh-operation count so far.
@@ -352,11 +416,15 @@ impl MemoryController {
         self.refresh.issued
     }
 
+    /// Issues the column command of queued request `queue_idx`, an
+    /// open-row hit.
     fn issue_column(&mut self, bank: usize, queue_idx: usize, now: u64) {
-        let Some(req) = self.queues[bank].remove(queue_idx) else {
+        let queue = &mut self.queues[bank];
+        let Some(req) = queue.reqs.remove(queue_idx) else {
             debug_assert!(false, "column issue with stale queue index {queue_idx}");
             return;
         };
+        queue.open_hits -= 1;
         let cmd = if req.is_write {
             DramCommand::Write
         } else {
@@ -365,10 +433,12 @@ impl MemoryController {
         let Some(done) = self.issue_checked(bank, cmd, req.row, now) else {
             // Unreachable by construction (the scheduler checked legality);
             // requeue at the front so the request is not lost.
-            self.queues[bank].push_front(req);
+            let queue = &mut self.queues[bank];
+            queue.reqs.push_front(req);
+            queue.open_hits += 1;
             return;
         };
-        self.bus_data_end = done;
+        self.bus_free = now + BURST_CYCLES;
         self.stats.column_accesses += 1;
         if req.is_write {
             self.stats.writes += 1;
@@ -441,7 +511,7 @@ impl MemoryController {
         // Bus model: a burst occupies [issue+CL, issue+CL+BURST); a new
         // column command may issue when its data window starts at or after
         // the previous burst's end.
-        if now + self.timing.tcl_cycles() < self.bus_data_end {
+        if now < self.bus_free {
             // No column command can go this cycle; ACT/PRE still can.
             self.act_or_pre_pass(now);
             return;
@@ -449,23 +519,29 @@ impl MemoryController {
         // Pass 1: oldest row-hit column command anywhere. Banks whose
         // oldest request has starved past the limit stop accepting younger
         // hits so pass 2 can precharge toward the starved row.
-        for i in 0..n {
-            let bank = (self.rr_start + i) % n;
+        let mut next = self.rr_start;
+        for _ in 0..n {
+            let bank = next;
+            next = if next + 1 == n { 0 } else { next + 1 };
+            if self.queues[bank].open_hits == 0 {
+                continue;
+            }
             let Some(open) = self.banks[bank].open_row() else {
                 continue;
             };
             if self.front_is_starved(bank, open, now) {
                 continue;
             }
-            if let Some(idx) = self.queues[bank].iter().position(|r| r.row == open) {
-                let cmd = if self.queues[bank][idx].is_write {
+            let reqs = &self.queues[bank].reqs;
+            if let Some(idx) = reqs.iter().position(|r| r.row == open) {
+                let cmd = if reqs[idx].is_write {
                     DramCommand::Write
                 } else {
                     DramCommand::Read
                 };
                 if self.banks[bank].check(cmd, now).is_ok() {
                     self.issue_column(bank, idx, now);
-                    self.rr_start = (bank + 1) % n;
+                    self.rr_start = next;
                     return;
                 }
             }
@@ -480,9 +556,11 @@ impl MemoryController {
     /// row open while hits remain).
     fn act_or_pre_pass(&mut self, now: u64) {
         let n = self.banks.len();
-        for i in 0..n {
-            let bank = (self.rr_start + i) % n;
-            let Some(head) = self.queues[bank].front().copied() else {
+        let mut next = self.rr_start;
+        for _ in 0..n {
+            let bank = next;
+            next = if next + 1 == n { 0 } else { next + 1 };
+            let Some(head) = self.queues[bank].reqs.front().copied() else {
                 continue;
             };
             match self.banks[bank].open_row() {
@@ -522,18 +600,18 @@ impl MemoryController {
                                     self.issue_checked(bank, DramCommand::Activate, head.row, now);
                                 self.note_act(now);
                                 self.stats.acts += 1;
-                                self.rr_start = (bank + 1) % n;
+                                self.rr_start = next;
                                 return;
                             }
                         }
                     }
                 }
                 Some(open) => {
-                    let any_hit = self.queues[bank].iter().any(|r| r.row == open);
-                    let drain = !any_hit || self.front_is_starved(bank, open, now);
+                    let drain =
+                        self.queues[bank].open_hits == 0 || self.front_is_starved(bank, open, now);
                     if drain && self.banks[bank].check(DramCommand::Precharge, now).is_ok() {
                         let _ = self.issue_checked(bank, DramCommand::Precharge, 0, now);
-                        self.rr_start = (bank + 1) % n;
+                        self.rr_start = next;
                         return;
                     }
                 }
@@ -544,7 +622,7 @@ impl MemoryController {
     /// Whether `bank`'s oldest request targets a different row and has
     /// waited past the starvation limit.
     fn front_is_starved(&self, bank: usize, open_row: u32, now: u64) -> bool {
-        self.queues[bank].front().is_some_and(|front| {
+        self.queues[bank].reqs.front().is_some_and(|front| {
             front.row != open_row
                 && now.saturating_sub(front.arrive_cycle) > STARVATION_LIMIT_CYCLES
         })

@@ -7,7 +7,7 @@
 //! window entry per instruction; runs of non-memory instructions are stored
 //! run-length-encoded.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use memtrace::cpu::{AccessTraceGenerator, CpuAccess};
 
@@ -19,8 +19,9 @@ use crate::request::{MemRequest, RequestId, Requester};
 enum RobEntry {
     /// A run of non-memory instructions.
     NonMem(u64),
-    /// A load; retires only once its request completes.
-    Read(RequestId),
+    /// A load and whether its request has completed; it retires only once
+    /// it has.
+    Read(RequestId, bool),
     /// A store; retires immediately (write buffer).
     Write,
 }
@@ -65,15 +66,10 @@ pub struct OooCore {
     gap_remaining: u64,
     /// The memory access waiting to be fetched/issued.
     pending: Option<CpuAccess>,
-    completed_reads: HashSet<RequestId>,
     retired: u64,
     target: u64,
     /// DRAM cycle at which the retirement target was reached.
     pub finished_at: Option<u64>,
-    /// Total reads issued.
-    pub reads_issued: u64,
-    /// Total writes issued.
-    pub writes_issued: u64,
 }
 
 impl OooCore {
@@ -96,12 +92,9 @@ impl OooCore {
             rob_occupancy: 0,
             gap_remaining: 0,
             pending: None,
-            completed_reads: HashSet::new(),
             retired: 0,
             target,
             finished_at: None,
-            reads_issued: 0,
-            writes_issued: 0,
         };
         core.advance_access();
         core
@@ -125,25 +118,49 @@ impl OooCore {
         self.finished_at.is_some()
     }
 
-    /// Notifies the core that read `id` completed.
+    /// Notifies the core that read `id` completed: its window entry is
+    /// marked done. A load stays in the window until it retires, so only
+    /// a load fetched by an earlier run's core has no entry.
     pub fn on_completion(&mut self, id: RequestId) {
-        self.completed_reads.insert(id);
+        let entry = self
+            .rob
+            .iter_mut()
+            .find(|e| matches!(e, RobEntry::Read(r, _) if *r == id));
+        if let Some(RobEntry::Read(_, done)) = entry {
+            *done = true;
+        }
+    }
+
+    /// Whether a [`OooCore::step`] would change nothing until a load
+    /// completes: the load at the window head is outstanding, and fetch can
+    /// place nothing, because the window is full or the next access's bank
+    /// queue is.
+    #[must_use]
+    pub(crate) fn quiescent(&self, controller: &MemoryController) -> bool {
+        if !matches!(self.rob.front(), Some(RobEntry::Read(_, false))) {
+            return false;
+        }
+        if self.rob_occupancy >= self.window {
+            return true;
+        }
+        self.gap_remaining == 0
+            && self
+                .pending
+                .is_some_and(|a| !controller.can_accept(self.map.map(a.row).0))
     }
 
     /// Fetch + retire for one DRAM cycle. `budget` is the instruction budget
     /// (width × CPU cycles per DRAM cycle). `next_id` supplies fresh request
-    /// ids; returns the number consumed.
+    /// ids.
     pub fn step(
         &mut self,
         now: u64,
         budget: u64,
         controller: &mut MemoryController,
         next_id: &mut RequestId,
-    ) -> u64 {
-        let ids_before = *next_id;
+    ) {
         self.fetch(now, budget, controller, next_id);
         self.retire(now, budget);
-        *next_id - ids_before
     }
 
     fn fetch(
@@ -197,13 +214,11 @@ impl OooCore {
                 *next_id -= 1;
                 return;
             }
-            if access.is_write {
-                self.writes_issued += 1;
-                self.rob.push_back(RobEntry::Write);
+            self.rob.push_back(if access.is_write {
+                RobEntry::Write
             } else {
-                self.reads_issued += 1;
-                self.rob.push_back(RobEntry::Read(id));
-            }
+                RobEntry::Read(id, false)
+            });
             self.rob_occupancy += 1;
             budget -= 1;
             self.advance_access();
@@ -225,19 +240,13 @@ impl OooCore {
                         self.rob.pop_front();
                     }
                 }
-                Some(RobEntry::Write) => {
+                Some(RobEntry::Write | RobEntry::Read(_, true)) => {
                     self.rob.pop_front();
                     self.rob_occupancy -= 1;
                     budget -= 1;
                     self.bump_retired(1, now);
                 }
-                Some(RobEntry::Read(id)) if self.completed_reads.remove(id) => {
-                    self.rob.pop_front();
-                    self.rob_occupancy -= 1;
-                    budget -= 1;
-                    self.bump_retired(1, now);
-                }
-                Some(RobEntry::Read(_)) => return, // head load outstanding
+                Some(RobEntry::Read(_, false)) => return, // head load outstanding
             }
         }
     }

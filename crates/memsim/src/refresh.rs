@@ -17,8 +17,6 @@ pub struct RefreshScheduler {
     next_due: u64,
     /// Number of refresh commands issued.
     pub issued: u64,
-    /// Cycles spent with the rank blacked out by refresh.
-    pub blackout_cycles: u64,
 }
 
 impl RefreshScheduler {
@@ -30,7 +28,6 @@ impl RefreshScheduler {
             trefi_cycles: trefi,
             next_due: trefi.unwrap_or(u64::MAX),
             issued: 0,
-            blackout_cycles: 0,
         }
     }
 
@@ -57,7 +54,6 @@ impl RefreshScheduler {
             .trefi_cycles
             .expect("cannot start refresh with refresh disabled");
         self.issued += 1;
-        self.blackout_cycles += trfc_cycles;
         // Schedule strictly from the previous due point so a late refresh
         // does not slip the long-run rate (DDR3 allows bounded postponement).
         self.next_due = self.next_due.max(now.saturating_sub(8 * trefi)) + trefi;
@@ -111,7 +107,6 @@ mod tests {
             "issued {} vs expected {expected}",
             s.issued
         );
-        assert_eq!(s.blackout_cycles, s.issued * trfc);
     }
 
     #[test]

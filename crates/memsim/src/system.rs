@@ -4,13 +4,20 @@
 //! controller cycles; each covers 5 CPU cycles at Table-2 clocks) until
 //! every core retires its instruction target, then reports per-core cycle
 //! counts and IPC plus the DRAM statistics the experiments aggregate.
+//!
+//! The one exception is the rest of a refresh blackout in which nothing
+//! can act: every core waits on an outstanding load at its window head
+//! with nothing it can fetch, no completion or test emission falls due
+//! before the blackout ends, and no rejected test request waits for
+//! retry. Each of those cycles would only count a blackout cycle, so the
+//! loop credits them in one step and resumes at the blackout's end.
 
 use memtrace::cpu::{AccessTraceGenerator, CpuWorkloadProfile};
 
 use crate::config::SystemConfig;
 use crate::controller::{CtrlStats, MemoryController};
 use crate::core::{AddressMap, OooCore};
-use crate::request::Requester;
+use crate::request::{Completion, Requester};
 use crate::testinject::{TestInjectConfig, TestTrafficInjector};
 
 /// Results of one simulation run.
@@ -114,6 +121,12 @@ impl System {
         &self.config
     }
 
+    /// The memory controller, e.g. to install a fault session or record
+    /// its command bus before a run.
+    pub fn controller_mut(&mut self) -> &mut MemoryController {
+        &mut self.controller
+    }
+
     fn build_cores(&mut self, instructions_per_core: u64) {
         let n_banks = self.controller.n_banks();
         let rows = self.config.geometry.rows_per_bank;
@@ -163,7 +176,7 @@ impl System {
         let mut now = 0u64;
         // Completions carry a future done_cycle (data-return time); hold
         // them until then so loads observe their real latency.
-        let mut in_flight: Vec<crate::request::Completion> = Vec::new();
+        let mut in_flight: Vec<Completion> = Vec::new();
         while now < max_cycles {
             self.controller.tick(now);
             in_flight.extend(self.controller.drain_completions());
@@ -189,7 +202,13 @@ impl System {
             if all_done {
                 break;
             }
-            now += 1;
+            let end = self.controller.blackout_end().min(max_cycles);
+            if now + 1 < end && self.idle_before(end, &in_flight) {
+                self.controller.tick_blackout(now + 1, end);
+                now = end;
+            } else {
+                now += 1;
+            }
         }
         assert!(
             self.cores.iter().all(OooCore::done),
@@ -221,6 +240,15 @@ impl System {
             total_cycles: now,
             test_requests,
         }
+    }
+
+    /// Whether every cycle from the next one up to `end` would change
+    /// nothing: each core is quiescent, no completion in `in_flight` falls
+    /// due, and the injector has nothing to emit or retry.
+    fn idle_before(&self, end: u64, in_flight: &[Completion]) -> bool {
+        self.cores.iter().all(|c| c.quiescent(&self.controller))
+            && in_flight.iter().all(|c| c.done_cycle >= end)
+            && self.injector.as_ref().is_none_or(|i| i.idle_before(end))
     }
 }
 
@@ -395,6 +423,168 @@ mod tests {
     fn profile_count_must_match_cores() {
         let config = SystemConfig::four_core_baseline();
         let _ = System::new(config, vec![spec_tpc_pool()[0]], 0);
+    }
+
+    /// FNV-1a over the little-endian bytes of `words`, continuing `hash`.
+    fn fnv1a(hash: u64, words: impl IntoIterator<Item = u64>) -> u64 {
+        words
+            .into_iter()
+            .flat_map(u64::to_le_bytes)
+            .fold(hash, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+            })
+    }
+
+    const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+
+    fn stats_hash(s: &SimStats) -> u64 {
+        let CtrlStats {
+            reads,
+            writes,
+            acts,
+            column_accesses,
+            refreshes,
+            refresh_blackout_cycles,
+            rejected,
+            trrd_stalls,
+            tfaw_stalls,
+            faults_dropped,
+            faults_duplicated,
+            faults_timing,
+            faults_refresh_overrun_cycles,
+        } = s.ctrl;
+        let h = fnv1a(FNV_OFFSET, s.per_core_cycles.iter().copied());
+        let h = fnv1a(h, s.per_core_ipc.iter().map(|ipc| ipc.to_bits()));
+        fnv1a(
+            h,
+            [
+                reads,
+                writes,
+                acts,
+                column_accesses,
+                refreshes,
+                refresh_blackout_cycles,
+                rejected,
+                trrd_stalls,
+                tfaw_stalls,
+                faults_dropped,
+                faults_duplicated,
+                faults_timing,
+                faults_refresh_overrun_cycles,
+                s.total_cycles,
+                s.test_requests,
+            ],
+        )
+    }
+
+    fn commands_hash(trace: &[crate::protocol::CmdRecord]) -> u64 {
+        trace.iter().fold(FNV_OFFSET, |h, r| {
+            let bank = r.bank.map_or(u64::MAX, |b| b as u64);
+            fnv1a(h, [r.cycle, bank, u64::from(r.row), r.command as u64])
+        })
+    }
+
+    /// `(SimStats, command stream)` FNV-1a hashes of every case of
+    /// `simulated_outputs_are_pinned`, in its loop order: the outputs of a
+    /// loop that ticks every cycle and rescans every queue, which the
+    /// blackout skip and the cached scheduling state must reproduce.
+    const PINNED: [(u64, u64); 28] = [
+        (0xB7E29D482A6AD1EC, 0x5CA3CBB0A6EE1B21),
+        (0x9DA41E69387B7CEE, 0x8A12B4249581F040),
+        (0xAD8224AB77357828, 0xBF106B6052C08AEA),
+        (0x81F7152F28A93B49, 0x0EC43CD4FDE96A51),
+        (0x972B89C090C24797, 0x81BA84DD2FC4589A),
+        (0xC3CC6B3086A72ED1, 0xDDCF522740888CE2),
+        (0x89E2F98AFD04A53E, 0xE80B7197DE0DCF86),
+        (0x9154245CE57BB8BF, 0x384A5652C911380E),
+        (0x336BA538635FDDB0, 0xEBFCA4CB2A5F1E96),
+        (0x471F099F4D43190F, 0xCD43BE18DDB0333F),
+        (0xC478D5D8FABDF193, 0xDC7056302DA42280),
+        (0x7C6CCC7852448568, 0xD6FF6CE66BC5FB9B),
+        (0xDA562AA6BCCE3DC9, 0x120C65B44E16EC57),
+        (0x9159530516B04B37, 0x47CC5CBD8EC9A6BC),
+        (0xD1059A2B469B74FA, 0xE654937F9C39E2A8),
+        (0x6E5B21E825F2FECB, 0x99769FAB485BA1A3),
+        (0x9A07ECC0CFDC5441, 0xF7A9F80290422996),
+        (0x9EC127EB0B26234D, 0x393B9347903EC986),
+        (0xE8AE39088BEA948E, 0xA7BCBC4789DAC19A),
+        (0x38077144CC395E84, 0x410006AE1F79DD56),
+        (0x4C3E1FADB6DB3E62, 0xAEAA88878C64936C),
+        (0xB944B7F09DED0B81, 0x8E482F053AA00A4B),
+        (0x43193903D7C646D4, 0x4718E7A6610CB9EC),
+        (0x37901A87696F262E, 0x73A0FD2B67569479),
+        (0xDF95A0C37B2CC9EC, 0x1CDAD3495924719C),
+        (0x57C0EB3A382C55B1, 0x68C5E600F3DC5BF4),
+        (0x23FF80E1A9CDA531, 0x82417E8C121197AB),
+        (0x39AA5136FE00AB59, 0x8F66BEC978EA33AB),
+    ];
+
+    #[test]
+    fn simulated_outputs_are_pinned() {
+        use crate::testinject::TestInjectConfig;
+        use faultinject::{FaultPlan, FaultSession, Site, SiteSpec};
+        use std::sync::Arc;
+
+        // Every site the controller draws in both builds (the timing
+        // violation site is compiled out under strict invariants).
+        let plan = Arc::new(
+            FaultPlan::new(0x5EED)
+                .with_site(Site::SimCmdDrop, SiteSpec::rate(0.05))
+                .with_site(Site::SimCmdDup, SiteSpec::rate(0.5))
+                .with_site(Site::SimRefreshOverrun, SiteSpec::rate(0.20)),
+        );
+        let reduced = RefreshPolicy::Reduced {
+            baseline_interval_ms: 16.0,
+            reduction: 0.75,
+        };
+        let mut cases = Vec::new();
+        for density in [ChipDensity::Gb8, ChipDensity::Gb32] {
+            for (policy, tests) in [
+                (RefreshPolicy::baseline_16ms(), None),
+                (reduced, Some(TestInjectConfig::read_and_compare(256))),
+                (reduced, Some(TestInjectConfig::copy_and_compare(1024))),
+            ] {
+                cases.push((SystemConfig::new(4, density, policy), tests));
+            }
+        }
+        // Eight rows per bank: test requests, drawn uniformly over the rows,
+        // now land on an open row, so duplicated ones are open-row hits.
+        let mut small = SystemConfig::new(4, ChipDensity::Gb8, reduced);
+        small.geometry.rows_per_bank = 8;
+        cases.push((small, Some(TestInjectConfig::copy_and_compare(1024))));
+        let pool = spec_tpc_pool();
+        let mut got = Vec::new();
+        for (config, tests) in cases {
+            for seed in [3, 1009] {
+                for faulted in [false, true] {
+                    let mix = vec![pool[0], pool[5], pool[10], pool[15]];
+                    let mut sys = System::new(config.clone(), mix, seed);
+                    if let Some(tests) = tests {
+                        sys = sys.with_test_injection(tests);
+                    }
+                    if faulted {
+                        let session = FaultSession::with_plan(Arc::clone(&plan));
+                        sys.controller.set_fault_session(Some(session));
+                    }
+                    sys.controller.record_commands(true);
+                    let stats = sys.run(100_000);
+                    assert!(stats.ctrl.refreshes >= 6, "{config:?}");
+                    let c = &stats.ctrl;
+                    assert_eq!(
+                        faulted,
+                        c.faults_dropped > 0
+                            && (tests.is_none() || c.faults_duplicated > 0)
+                            && c.faults_refresh_overrun_cycles > 0,
+                        "the plan must fire on every armed site"
+                    );
+                    let trace = sys.controller.take_command_trace();
+                    got.push((stats_hash(&stats), commands_hash(&trace)));
+                }
+            }
+        }
+        for (i, (got, want)) in got.iter().zip(&PINNED).enumerate() {
+            assert_eq!(got, want, "case {i}: (stats, commands) hashes moved");
+        }
     }
 
     #[test]

@@ -112,6 +112,14 @@ impl TestTrafficInjector {
         &self.config
     }
 
+    /// Whether [`TestTrafficInjector::step`] would do nothing at every
+    /// cycle before `end`: no rejected request is held for retry and the
+    /// next emission falls due at `end` or later.
+    #[must_use]
+    pub(crate) fn idle_before(&self, end: u64) -> bool {
+        self.held.is_none() && self.next_emit > end.saturating_sub(1) as f64
+    }
+
     /// Injects due test requests at cycle `now`.
     ///
     /// Queue rejections come back as typed

@@ -11,9 +11,12 @@
 //!   every engine, the plan actually fired, and both the per-engine
 //!   recovery results and the telemetry `deterministic` sections are
 //!   byte-identical across worker counts.
-//! * **memsim leg** — a controller under dense test traffic with the same
-//!   plan, its command bus recorded and replayed through the offline
-//!   [`memsim::protocol::ProtocolChecker::audit`]. A faults-off control
+//! * **memsim leg** — a controller under dense test traffic, and a
+//!   4-core [`memsim::system::System`] mix (32 Gb, 75 % refresh
+//!   reduction, 256 injected tests) whose cores, injector and
+//!   refresh-blackout skip run as in the figures, each with the same plan,
+//!   its command bus recorded and replayed through the offline
+//!   [`memsim::protocol::ProtocolChecker::audit`]. Each faults-off control
 //!   run must audit clean; every injected `tRRD`/`tFAW` violation must be
 //!   flagged by the audit (detection completeness).
 //!
@@ -37,6 +40,7 @@ use faultinject::{FaultPlan, FaultSession, Site, SiteSpec};
 use memcon::config::MemconConfig;
 use memcon::engine::{MemconEngine, RecoveryStats};
 use memcon::refreshmgr::PageState;
+use memsim::protocol::ProtocolViolation;
 use memtrace::workload::WorkloadProfile;
 use memutil::json::Json;
 
@@ -230,14 +234,22 @@ fn soak_plan(seed: u64, quick: bool) -> Result<String, String> {
     ))
 }
 
-/// Drives a faulted controller under dense test traffic and audits the
-/// recorded command bus offline; a faults-off control run must stay clean.
+/// Drives a faulted controller under dense test traffic, and a faulted
+/// 4-core system, and audits each recorded command bus offline; the
+/// faults-off control runs must stay clean.
 fn memsim_leg(plan: &Arc<FaultPlan>, quick: bool) -> Result<String, String> {
     use dram::geometry::ChipDensity;
     use memsim::config::{RefreshPolicy, SystemConfig};
     use memsim::controller::MemoryController;
     use memsim::protocol::ProtocolChecker;
+    use memsim::system::System;
     use memsim::testinject::{TestInjectConfig, TestTrafficInjector};
+    use memtrace::cpu::spec_tpc_pool;
+
+    let audit = |ctrl: &mut MemoryController| {
+        let trace = ctrl.take_command_trace();
+        ProtocolChecker::audit(*ctrl.timing(), ctrl.n_banks(), ctrl.trefi_cycles(), &trace)
+    };
 
     let cycles: u64 = if quick { 120_000 } else { 400_000 };
     let cfg = SystemConfig::new(1, ChipDensity::Gb8, RefreshPolicy::baseline_16ms());
@@ -266,35 +278,69 @@ fn memsim_leg(plan: &Arc<FaultPlan>, quick: bool) -> Result<String, String> {
             let _ = ctrl.drain_completions();
             injector.step(now, &mut ctrl, &mut next_id);
         }
-        let trace = ctrl.take_command_trace();
-        let violations =
-            ProtocolChecker::audit(*ctrl.timing(), ctrl.n_banks(), ctrl.trefi_cycles(), &trace);
-        (ctrl.stats, violations)
+        (ctrl.stats, audit(&mut ctrl))
+    };
+    let instructions: u64 = if quick { 100_000 } else { 200_000 };
+    let run_system = |session: Option<FaultSession>| {
+        let pool = spec_tpc_pool();
+        let config = SystemConfig::new(
+            4,
+            ChipDensity::Gb32,
+            RefreshPolicy::Reduced {
+                baseline_interval_ms: 16.0,
+                reduction: 0.75,
+            },
+        );
+        let mut sys = System::new(config, vec![pool[0], pool[5], pool[10], pool[15]], 11)
+            .with_test_injection(TestInjectConfig::read_and_compare(256));
+        let ctrl = sys.controller_mut();
+        ctrl.set_fault_session(session);
+        ctrl.record_commands(true);
+        let stats = sys.run(instructions).ctrl;
+        (stats, audit(sys.controller_mut()))
     };
 
-    let (_, control_violations) = drive(None);
+    let controller = memsim_gate("controller", plan, drive)?;
+    let system = memsim_gate("system", plan, run_system)?;
+    Ok(format!("memsim: {controller}; {system}"))
+}
+
+/// Runs one memsim leg without faults and under `plan`: the control run
+/// must audit clean, the plan must fire, and the audit must flag every
+/// forced-through `ACT`.
+fn memsim_gate(
+    what: &str,
+    plan: &Arc<FaultPlan>,
+    run: impl Fn(Option<FaultSession>) -> (memsim::controller::CtrlStats, Vec<ProtocolViolation>),
+) -> Result<String, String> {
+    let (_, control_violations) = run(None);
     if let Some(v) = control_violations.first() {
-        return Err(format!("faults-off control run failed the audit: {v}"));
+        return Err(format!(
+            "memsim {what}: faults-off control run failed the audit: {v}"
+        ));
     }
-    let (stats, violations) = drive(Some(FaultSession::with_plan(Arc::clone(plan))));
+    let (stats, violations) = run(Some(FaultSession::with_plan(Arc::clone(plan))));
     let injected = stats.faults_dropped
         + stats.faults_duplicated
         + stats.faults_timing
         + u64::from(stats.faults_refresh_overrun_cycles > 0);
     if injected == 0 {
-        return Err("plan never fired in the memsim leg (soak proved nothing)".to_string());
+        return Err(format!(
+            "plan never fired in the memsim {what} run (soak proved nothing)"
+        ));
     }
     // Detection completeness: every forced-through ACT broke a rank
     // constraint at issue time, so the offline audit must flag each one.
     if (violations.len() as u64) < stats.faults_timing {
         return Err(format!(
-            "injected {} tRRD/tFAW violations but the offline audit flagged only {}",
+            "memsim {what}: injected {} tRRD/tFAW violations but the offline audit flagged \
+             only {}",
             stats.faults_timing,
             violations.len()
         ));
     }
     Ok(format!(
-        "memsim: {} dropped, {} duplicated, {} timing faults ({} flagged by audit), \
+        "{what} {} dropped, {} duplicated, {} timing faults ({} flagged by audit), \
          {} overrun cycles",
         stats.faults_dropped,
         stats.faults_duplicated,
