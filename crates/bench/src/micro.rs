@@ -79,12 +79,13 @@ fn bench_fleet(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_failure_model(c: &mut Criterion) {
-    let mut g = c.benchmark_group("failure_model");
-    // One bank of paper-sized (8 KB) rows with random content: the shape of
-    // every ChipTester sweep and Fig. 3/4 data point. The kernel caches
-    // nothing derived from content, so once the chip's cell cache is warm a
-    // repeated sweep costs what a sweep of fresh content does.
+/// The module the `failure_model/evaluate_module_1bank` benchmark sweeps:
+/// one bank of 512 paper-sized (8 KB) rows with seeded random content, the
+/// shape of every ChipTester sweep and Fig. 3/4 data point. The telemetry
+/// and fault-injection overhead gates (`xtask obs overhead`, `xtask chaos
+/// overhead`) time the same kernel on it.
+#[must_use]
+pub fn failure_model_module() -> DramModule {
     let geometry = DramGeometry {
         ranks: 1,
         chips_per_rank: 1,
@@ -98,6 +99,16 @@ fn bench_failure_model(c: &mut Criterion) {
     let words = geometry.words_per_row();
     let mut rng = SmallRng::seed_from_u64(9);
     module.fill_with(|_| RowContent::from_words((0..words).map(|_| rng.gen()).collect()));
+    module
+}
+
+fn bench_failure_model(c: &mut Criterion) {
+    let mut g = c.benchmark_group("failure_model");
+    // The kernel caches nothing derived from content, so once the chip's
+    // cell cache is warm a repeated sweep costs what a sweep of fresh
+    // content does.
+    let module = failure_model_module();
+    let geometry = *module.geometry();
     let model = CouplingFailureModel::default();
 
     g.throughput(Throughput::Elements(u64::from(geometry.rows_per_bank)));

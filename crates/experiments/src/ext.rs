@@ -21,7 +21,7 @@ use dram::geometry::{ChipDensity, DramGeometry};
 use faultinject::{FaultPlan, Site, SiteSpec};
 use memcon::config::MemconConfig;
 use memcon::cost::{CostModel, TestMode};
-use memcon::engine::{MemconEngine, MemconReport, RecoveryStats};
+use memcon::engine::{EngineStats, MemconEngine, MemconReport};
 use memcon::overhead::storage_overhead;
 use memsim::config::{RefreshPolicy, SystemConfig};
 use memsim::energy::EnergyReport;
@@ -80,8 +80,8 @@ pub struct FaultOverheadRow {
     pub rate: f64,
     /// The engine's report at that rate.
     pub report: MemconReport,
-    /// Recovery accounting at that rate.
-    pub recovery: RecoveryStats,
+    /// Everything the run counted at that rate, recovery included.
+    pub stats: EngineStats,
 }
 
 /// Sweeps the netflix trace through MEMCON at rising fault rates.
@@ -112,7 +112,7 @@ pub fn compute_fault_overhead(opts: &RunOptions) -> Vec<FaultOverheadRow> {
             FaultOverheadRow {
                 rate,
                 report,
-                recovery: engine.recovery_stats(),
+                stats: engine.stats(),
             }
         })
         .collect()
@@ -230,9 +230,9 @@ pub fn render(opts: &RunOptions) -> String {
             format!("{:.2}", r.rate),
             format!("{:.4}", r.report.normalized_refresh_and_test_time()),
             pct(r.report.lo_coverage),
-            r.recovery.faults_injected.iter().sum::<u64>().to_string(),
-            r.recovery.retries.to_string(),
-            r.recovery.degraded_rows.to_string(),
+            r.stats.faults_injected.iter().sum::<u64>().to_string(),
+            r.stats.counters.retries.to_string(),
+            r.stats.pin_events.to_string(),
         ]);
     }
     out.push_str("\nMEMCON overhead vs injected fault rate (netflix):\n");
@@ -306,9 +306,9 @@ mod tests {
         assert_eq!(rows.len(), FAULT_RATES.len());
         let first = &rows[0];
         let last = rows.last().unwrap();
-        assert_eq!(first.recovery.faults_injected.iter().sum::<u64>(), 0);
-        assert!(last.recovery.faults_injected.iter().sum::<u64>() > 0);
-        assert!(last.recovery.degraded_rows > 0, "no row was ever pinned");
+        assert_eq!(first.stats.faults_injected.iter().sum::<u64>(), 0);
+        assert!(last.stats.faults_injected.iter().sum::<u64>() > 0);
+        assert!(last.stats.pin_events > 0, "no row was ever pinned");
         // More faults mean more retry/pin work and less LO-REF residency.
         assert!(
             last.report.lo_coverage < first.report.lo_coverage,
@@ -323,7 +323,7 @@ mod tests {
         );
         // Nothing must ever escape, at any rate.
         for r in &rows {
-            assert_eq!(r.recovery.uncorrectable_escapes, 0);
+            assert_eq!(r.stats.counters.uncorrectable_escapes, 0);
         }
     }
 

@@ -15,7 +15,8 @@
 //! path the live barriers use — so the `fleet.obs.*` counters and the
 //! registry's time-series ring come back byte-identical to an
 //! uninterrupted run. Every shard's delta cursor is its restored engine's
-//! own `live_stats()`: one image holds the whole fleet at one barrier.
+//! own `MemconEngine::stats()`: one image holds the whole fleet at one
+//! barrier.
 
 use memutil::codec::Io;
 

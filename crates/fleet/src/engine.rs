@@ -15,7 +15,7 @@
 use std::sync::{Arc, Mutex};
 
 use faultinject::FaultSession;
-use memcon::engine::{LiveStats, MemconEngine, MemconReport};
+use memcon::engine::{EngineStats, MemconEngine, MemconReport};
 use memcon::refreshmgr::PageState;
 use memcon::testengine::RateOracle;
 use memutil::codec;
@@ -41,16 +41,16 @@ struct Shard {
     done_epoch: Option<u64>,
     /// Wall-clock nanoseconds of each epoch step (timing class only).
     step_latency_ns: Vec<u64>,
-    /// Live-stats snapshot at the previous epoch boundary, so the
+    /// The engine's stats at the previous epoch barrier, so the
     /// post-barrier observability flush emits per-epoch deltas.
-    last_live: LiveStats,
+    last_stats: EngineStats,
 }
 
 impl Shard {
     fn new(spec: &ShardSpec, engine: MemconEngine) -> Shard {
         Shard {
             spec: spec.clone(),
-            last_live: engine.live_stats(),
+            last_stats: engine.stats(),
             engine,
             report: None,
             done_epoch: None,
@@ -354,7 +354,7 @@ impl Fleet {
     }
 
     /// Post-epoch barrier bookkeeping, in deterministic shard order:
-    /// folds every shard's [`LiveStats`] delta since the previous epoch
+    /// folds every shard's [`EngineStats`] delta since the previous epoch
     /// into an [`EpochEntry`], emits it through the `fleet.obs.*` counters
     /// and the registry's time-series ring (tick = epoch), evaluates the
     /// armed health monitor (if any) against the fresh point, and — on a
@@ -375,24 +375,20 @@ impl Fleet {
         for slot in &self.shards {
             // memlint: allow(no-unwrap): poisoned shard lock means an engine panicked — propagate
             let mut shard = slot.lock().expect("shard engine panicked");
-            let live = shard.engine.live_stats();
-            let prev = &shard.last_live;
-            entry.faults_injected += live.faults_injected.saturating_sub(prev.faults_injected);
-            entry.aborts += live.aborts.saturating_sub(prev.aborts);
-            entry.retries += live.retries.saturating_sub(prev.retries);
-            entry.backoffs_scheduled += live
-                .backoffs_scheduled
-                .saturating_sub(prev.backoffs_scheduled);
-            entry.backoff_ceiling_hits += live
-                .backoff_ceiling_hits
-                .saturating_sub(prev.backoff_ceiling_hits);
-            entry.escapes += live.escapes.saturating_sub(prev.escapes);
-            entry.pinned_pages += live.pinned_pages;
-            entry.pages += live.pages;
-            entry.pril_buffered += live.pril_buffered;
-            entry.pril_capacity += live.pril_capacity;
+            let now = shard.engine.stats();
+            let prev = std::mem::replace(&mut shard.last_stats, now);
+            let delta = |count: fn(&EngineStats) -> u64| count(&now).saturating_sub(count(&prev));
+            entry.faults_injected += delta(|s| s.faults_injected.iter().sum());
+            entry.aborts += delta(|s| s.tests.aborted);
+            entry.retries += delta(|s| s.counters.retries);
+            entry.backoffs_scheduled += delta(|s| s.counters.backoffs_scheduled);
+            entry.backoff_ceiling_hits += delta(|s| s.counters.backoff_ceiling_hits);
+            entry.escapes += delta(|s| s.counters.uncorrectable_escapes);
+            entry.pinned_pages += now.pinned_pages;
+            entry.pages += shard.spec.trace.n_pages();
+            entry.pril_buffered += now.pril_buffered;
+            entry.pril_capacity += shard.engine.config().write_buffer_capacity as u64;
             entry.shards_done += u64::from(shard.report.is_some());
-            shard.last_live = live;
         }
         if telemetry::enabled() {
             let point = durable::emit_epoch_entry(&entry);
@@ -464,8 +460,7 @@ impl Fleet {
             let shard = slot.lock().expect("shard engine panicked");
             latencies.extend_from_slice(&shard.step_latency_ns);
             let Some(report) = shard.report else { continue };
-            let internals = shard.engine.internals();
-            let recovery = shard.engine.recovery_stats();
+            let stats = shard.engine.stats();
             let final_hi = shard
                 .engine
                 .final_states()
@@ -481,12 +476,12 @@ impl Fleet {
                 lo_coverage: report.lo_coverage,
                 refresh_ops: report.refresh_ops,
                 baseline_ops: report.baseline_ops,
-                tests_correct: report.tests_correct,
-                tests_mispredicted: report.tests_mispredicted,
-                failing_tests: internals.tests.failed,
+                tests_correct: stats.counters.tests_correct,
+                tests_mispredicted: stats.counters.tests_mispredicted,
+                failing_tests: stats.tests.failed,
                 final_hi_pages: final_hi,
-                faults_injected: recovery.faults_injected.iter().sum(),
-                uncorrectable_escapes: recovery.uncorrectable_escapes,
+                faults_injected: stats.faults_injected.iter().sum(),
+                uncorrectable_escapes: stats.counters.uncorrectable_escapes,
             });
         }
         latencies.sort_unstable();
@@ -548,16 +543,8 @@ pub fn run_fleet(config: &crate::FleetConfig, jobs: usize) -> FleetReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::registry_lock;
     use crate::FleetConfig;
-
-    /// `telemetry::install` swaps a process-global registry, and a stepped
-    /// fleet counts into whichever enabled registry is current, so every
-    /// test that steps a fleet serializes on this lock.
-    fn registry_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
 
     #[test]
     fn epoch_stepping_matches_whole_runs() {
@@ -578,10 +565,11 @@ mod tests {
                 )),
             );
             let solo = engine.run(&spec.trace);
+            let counters = engine.stats().counters;
             assert_eq!(summary.refresh_reduction, solo.refresh_reduction);
             assert_eq!(summary.lo_coverage, solo.lo_coverage);
-            assert_eq!(summary.tests_correct, solo.tests_correct);
-            assert_eq!(summary.tests_mispredicted, solo.tests_mispredicted);
+            assert_eq!(summary.tests_correct, counters.tests_correct);
+            assert_eq!(summary.tests_mispredicted, counters.tests_mispredicted);
         }
         assert!(fleet.is_done());
         assert!(!fleet.run_epoch(1), "done fleet refuses further epochs");
@@ -936,6 +924,76 @@ mod tests {
             assert_eq!(&got, want, "{name}");
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn epoch_telemetry_sums_the_shards_final_stats() {
+        let _serial = registry_lock();
+        // Each barrier emits every shard's stats delta since the last one,
+        // so the `fleet.obs.*` totals are the shards' final views summed,
+        // and the last epoch's gauges are the final gauges summed. An
+        // 8 ms quantum puts boundaries inside every 64 ms test window, so
+        // injected preemptions abort tests.
+        let mut config = FleetConfig::small(6, 0x0B5E);
+        config.engine = config.engine.with_quantum_ms(8.0);
+        config.fault_plan = Some(engine_plan(0x0B5E, 0.05));
+        for jobs in [1, 4] {
+            let plan = FleetPlan::expand(&config, jobs);
+            let (registry, guard) = fresh_registry();
+            let mut fleet = Fleet::new(&plan);
+            let _ = fleet.run_to_completion(jobs);
+            drop(guard);
+            let stats: Vec<EngineStats> = fleet
+                .shards
+                .iter()
+                .map(|slot| slot.lock().unwrap().engine.stats())
+                .collect();
+            let sum = |field: fn(&EngineStats) -> u64| stats.iter().map(field).sum::<u64>();
+            assert!(sum(|s| s.tests.aborted) > 0, "jobs {jobs}: no test aborted");
+            assert!(sum(|s| s.counters.retries) > 0, "jobs {jobs}: no retry");
+            for (name, want) in [
+                (
+                    "fleet.obs.faults_injected",
+                    sum(|s| s.faults_injected.iter().sum()),
+                ),
+                ("fleet.obs.aborts", sum(|s| s.tests.aborted)),
+                ("fleet.obs.retries", sum(|s| s.counters.retries)),
+                (
+                    "fleet.obs.backoffs_scheduled",
+                    sum(|s| s.counters.backoffs_scheduled),
+                ),
+                (
+                    "fleet.obs.backoff_ceiling_hits",
+                    sum(|s| s.counters.backoff_ceiling_hits),
+                ),
+                (
+                    "fleet.obs.escapes",
+                    sum(|s| s.counters.uncorrectable_escapes),
+                ),
+            ] {
+                let got = registry
+                    .counter(name, telemetry::Class::Deterministic)
+                    .get();
+                assert_eq!(got, want, "jobs {jobs}: {name}");
+            }
+            let shards = plan.shards.len() as u64;
+            for (name, want) in [
+                ("fleet.gauge.pinned_pages", sum(|s| s.pinned_pages)),
+                (
+                    "fleet.gauge.pages",
+                    plan.shards.iter().map(|s| s.trace.n_pages()).sum(),
+                ),
+                ("fleet.gauge.pril_buffered", sum(|s| s.pril_buffered)),
+                (
+                    "fleet.gauge.pril_capacity",
+                    shards * config.engine.write_buffer_capacity as u64,
+                ),
+                ("fleet.gauge.shards_done", shards),
+            ] {
+                let last = registry.series(name).last().copied();
+                assert_eq!(last, Some((fleet.epoch(), want)), "jobs {jobs}: {name}");
+            }
+        }
     }
 
     #[test]

@@ -214,6 +214,16 @@ impl FleetPlan {
 mod tests {
     use super::*;
 
+    /// `telemetry::install` swaps a process-global registry, and a stepped
+    /// fleet counts into whichever enabled registry is current, so every
+    /// unit test that installs a registry or steps a fleet serializes on
+    /// this lock.
+    pub(crate) fn registry_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn plan_expansion_is_jobs_invariant() {
         let config = FleetConfig::small(12, 0xF1EE7);

@@ -19,15 +19,15 @@ fn main() {
             let cfg = MemconConfig::paper_default().with_quantum_ms(quantum);
             let mut engine = MemconEngine::new(cfg, trace.n_pages());
             let r = engine.run(&trace);
-            let ti = engine.internals();
+            let stats = engine.stats();
             println!(
                 "{:<12} red {:>5.1}%  cov {:>5.1}%  tests {:>5} ok {:>5} mis {:>4} norm_t {:>6.4}",
                 w.name,
                 r.refresh_reduction * 100.0,
                 r.lo_coverage * 100.0,
-                ti.tests.started,
-                r.tests_correct,
-                r.tests_mispredicted,
+                stats.tests.started,
+                stats.counters.tests_correct,
+                stats.counters.tests_mispredicted,
                 r.normalized_refresh_and_test_time(),
             );
             reds.push(r.refresh_reduction);

@@ -59,19 +59,18 @@ const SNAP_LAYOUT_FNV: [u64; 2] = [0x5607_F8E9_3832_1A19, 0x076B_B9E4_4EB9_9583]
 /// in flight, so the region caps the concurrent-test budget.
 const STAGING_ROWS: u64 = STAGING_ROWS_PER_BANK * 8;
 
-/// Run-level recovery accounting: what the fault injector did to the run
-/// and how the abort/retry/degradation machinery responded. A view built
-/// by [`MemconEngine::recovery_stats`] from the test-engine statistics,
-/// the refresh manager's pin count, the fault session and the engine's
-/// own retry counters. All values derive from simulation state, so the
-/// whole struct is bit-reproducible for a fixed trace and [`FaultPlan`].
+/// The engine's own per-run counters, kept in one persisted block: the
+/// Fig. 18 prediction split, the abort/retry machinery's counts and the
+/// per-quantum PRIL candidate distribution. What the components count
+/// stays in the components; [`EngineStats`] reads both.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RecoveryStats {
-    /// Faults injected per site, indexed like [`Site::ALL`]; all zero when
-    /// no plan is active.
-    pub faults_injected: [u64; faultinject::N_SITES],
-    /// Tests aborted by (real or injected) preempting writes.
-    pub aborts: u64,
+pub struct EngineCounters {
+    /// Completed tests whose LO-REF residency amortized the cost (no
+    /// write within MinWriteInterval), plus detected failures.
+    pub tests_correct: u64,
+    /// Tests whose page was rewritten too soon, including aborted tests
+    /// and ambiguous verdicts.
+    pub tests_mispredicted: u64,
     /// Tests restarted from the backoff queue.
     pub retries: u64,
     /// Backoffs scheduled (one per aborted/ambiguous attempt).
@@ -88,31 +87,68 @@ pub struct RecoveryStats {
     /// Sum of all scheduled backoff lengths in quanta (the histogram's
     /// exact sum, flushed to telemetry with the bucket counts).
     pub backoff_sum_quanta: u64,
-    /// Pages pinned to the high-refresh bin by the fail-safe degradation
-    /// rule (pin events; a page unpinned by a clean test and pinned again
-    /// counts twice).
-    pub degraded_rows: u64,
-    /// Completed tests with an ambiguous verdict.
-    pub ambiguous: u64,
-    /// Single-bit ECC corrections during read-backs.
-    pub ecc_corrected: u64,
-    /// Uncorrectable ECC errors during read-backs.
-    pub ecc_uncorrectable: u64,
     /// Uncorrectable ECC errors that did **not** leave their page pinned —
     /// must stay 0 (asserted by the chaos gate).
     pub uncorrectable_escapes: u64,
+    /// Per-quantum PRIL candidate-count distribution, bucketed by
+    /// [`CANDIDATE_EDGES`]; flushed as one merged histogram at run end.
+    pub candidate_hist: [u64; 11],
 }
 
-/// The recovery counters only the engine keeps; [`RecoveryStats`] reads
-/// the rest from their sources.
+impl EngineCounters {
+    fn fields(&mut self, io: &mut Io) -> Result<(), String> {
+        let EngineCounters {
+            tests_correct,
+            tests_mispredicted,
+            retries,
+            backoffs_scheduled,
+            backoff_ceiling_hits,
+            backoff_hist,
+            backoff_sum_quanta,
+            uncorrectable_escapes,
+            candidate_hist,
+        } = self;
+        for v in [tests_correct, tests_mispredicted] {
+            io.u64(v)?;
+        }
+        for v in [retries, backoffs_scheduled, backoff_ceiling_hits] {
+            io.u64(v)?;
+        }
+        io.u64s(backoff_hist, "backoff histogram")?;
+        for v in [backoff_sum_quanta, uncorrectable_escapes] {
+            io.u64(v)?;
+        }
+        io.u64s(candidate_hist, "candidate histogram")
+    }
+}
+
+/// Everything an engine run has counted, as one view
+/// ([`MemconEngine::stats`]): the engine's [`EngineCounters`], the
+/// components' statistics, the fault session's per-site tallies and the
+/// refresh manager's pins. Readable after a run or between
+/// [`MemconEngine::advance_until`] slices; totals are cumulative for the
+/// current run, `pinned_pages` and `pril_buffered` are gauges. Every
+/// value derives from simulation state, so the view is bit-reproducible
+/// for a fixed trace and [`FaultPlan`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct RecoveryCounters {
-    retries: u64,
-    backoffs_scheduled: u64,
-    backoff_ceiling_hits: u64,
-    backoff_hist: [u64; 6],
-    backoff_sum_quanta: u64,
-    uncorrectable_escapes: u64,
+pub struct EngineStats {
+    /// The engine's own counters.
+    pub counters: EngineCounters,
+    /// PRIL statistics.
+    pub pril: PrilStats,
+    /// Test-engine statistics: starts, aborts, verdicts, ECC events.
+    pub tests: TestEngineStats,
+    /// Faults injected per site, indexed like [`Site::ALL`]; all zero when
+    /// no plan is active.
+    pub faults_injected: [u64; faultinject::N_SITES],
+    /// Pages pinned to the high-refresh bin by the fail-safe degradation
+    /// rule (pin events; a page unpinned by a clean test and pinned again
+    /// counts twice).
+    pub pin_events: u64,
+    /// Pages pinned to HI-REF now (gauge).
+    pub pinned_pages: u64,
+    /// PRIL write-buffer occupancy now (gauge).
+    pub pril_buffered: u64,
 }
 
 fn backoff_bucket(quanta: u64) -> usize {
@@ -179,11 +215,6 @@ pub struct MemconReport {
     pub refresh_ops: f64,
     /// Refresh operations the baseline would have performed.
     pub baseline_ops: f64,
-    /// Completed tests whose LO-REF residency amortized the cost
-    /// (no write within MinWriteInterval).
-    pub tests_correct: u64,
-    /// Tests whose page was rewritten too soon (including aborts).
-    pub tests_mispredicted: u64,
     /// Latency spent on refresh operations, ns.
     pub refresh_time_ns: f64,
     /// Latency the baseline would spend on refresh, ns.
@@ -209,47 +240,6 @@ impl MemconReport {
         (self.refresh_time_ns + self.test_time_correct_ns + self.test_time_mispredicted_ns)
             / self.baseline_refresh_time_ns
     }
-}
-
-/// Combined statistics (report + component internals) for diagnostics.
-#[derive(Debug, Clone, Copy)]
-pub struct EngineInternals {
-    /// PRIL statistics.
-    pub pril: PrilStats,
-    /// Test-engine statistics.
-    pub tests: TestEngineStats,
-    /// Recovery statistics of the last run.
-    pub recovery: RecoveryStats,
-}
-
-/// Instantaneous observability snapshot of an engine, readable between
-/// [`MemconEngine::advance_until`] slices (the fleet scheduler reads one
-/// per shard per epoch, post-barrier) or after a finished run. Totals are
-/// cumulative for the current run; `pinned_pages` and `pril_buffered` are
-/// gauges. All values derive from simulation state — deterministic for a
-/// fixed trace and plan.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LiveStats {
-    /// Faults injected so far, summed across sites.
-    pub faults_injected: u64,
-    /// Tests aborted so far.
-    pub aborts: u64,
-    /// Tests restarted from the backoff queue so far.
-    pub retries: u64,
-    /// Backoffs scheduled so far.
-    pub backoffs_scheduled: u64,
-    /// Backoffs clamped at the policy cap so far.
-    pub backoff_ceiling_hits: u64,
-    /// Uncorrectable ECC escapes so far (must stay 0).
-    pub escapes: u64,
-    /// Pages currently pinned to HI-REF (gauge).
-    pub pinned_pages: u64,
-    /// PRIL write-buffer occupancy (gauge).
-    pub pril_buffered: u64,
-    /// PRIL write-buffer capacity.
-    pub pril_capacity: u64,
-    /// Pages the engine tracks.
-    pub pages: u64,
 }
 
 /// Run cursors of a stepped run between [`MemconEngine::begin_run`] and
@@ -306,8 +296,6 @@ pub struct MemconEngine {
     /// Pending amortization anchor: Some(test start) while the page sits at
     /// LO-REF un-rewritten.
     lo_anchor: Vec<Option<u64>>,
-    tests_correct: u64,
-    tests_mispredicted: u64,
     /// Reused completion buffer for [`TestEngine::poll_into`] — the event
     /// loop polls at every pending completion, so a fresh `Vec` per poll
     /// would dominate allocations.
@@ -327,14 +315,12 @@ pub struct MemconEngine {
     clean_gen: Vec<Option<u64>>,
     /// Quantum boundaries crossed this run.
     quantum_index: u64,
-    recovery: RecoveryCounters,
+    /// The engine's own counters of this run.
+    counters: EngineCounters,
     /// In-progress stepped run, if any.
     run: Option<RunState>,
     /// Quantum-window time-series sampling period (quanta), when armed.
     sample_every: Option<u64>,
-    /// Per-quantum PRIL candidate-count distribution, bucketed by
-    /// [`CANDIDATE_EDGES`]; flushed as one merged histogram at run end.
-    candidate_hist: [u64; 11],
 }
 
 impl MemconEngine {
@@ -374,8 +360,6 @@ impl MemconEngine {
             n_pages,
             generation: vec![0; n_pages as usize],
             lo_anchor: vec![None; n_pages as usize],
-            tests_correct: 0,
-            tests_mispredicted: 0,
             outcome_buf: Vec::new(),
             fault_plan: None,
             attempts: vec![0; n_pages as usize],
@@ -383,10 +367,9 @@ impl MemconEngine {
             retry_queue: Vec::new(),
             clean_gen: vec![None; n_pages as usize],
             quantum_index: 0,
-            recovery: RecoveryCounters::default(),
+            counters: EngineCounters::default(),
             run: None,
             sample_every: None,
-            candidate_hist: [0; 11],
             config,
         }
     }
@@ -405,27 +388,21 @@ impl MemconEngine {
         self.fault_plan = plan;
     }
 
-    /// Recovery statistics of the current or most recent run.
+    /// Everything the current or most recent run has counted (see
+    /// [`EngineStats`]).
     #[must_use]
-    pub fn recovery_stats(&self) -> RecoveryStats {
-        let t = &self.tests.stats;
-        let r = &self.recovery;
-        RecoveryStats {
+    pub fn stats(&self) -> EngineStats {
+        EngineStats {
+            counters: self.counters,
+            pril: self.pril.stats,
+            tests: self.tests.stats,
             faults_injected: self
                 .tests
                 .fault_session()
                 .map_or([0; faultinject::N_SITES], FaultSession::injected_counts),
-            aborts: t.aborted,
-            retries: r.retries,
-            backoffs_scheduled: r.backoffs_scheduled,
-            backoff_ceiling_hits: r.backoff_ceiling_hits,
-            backoff_hist: r.backoff_hist,
-            backoff_sum_quanta: r.backoff_sum_quanta,
-            degraded_rows: self.mgr.pin_events(),
-            ambiguous: t.ambiguous,
-            ecc_corrected: t.ecc_corrected,
-            ecc_uncorrectable: t.ecc_uncorrectable,
-            uncorrectable_escapes: r.uncorrectable_escapes,
+            pin_events: self.mgr.pin_events(),
+            pinned_pages: self.mgr.pinned_count(),
+            pril_buffered: self.pril.buffer_len() as u64,
         }
     }
 
@@ -483,8 +460,6 @@ impl MemconEngine {
             mgr,
             generation,
             lo_anchor,
-            tests_correct,
-            tests_mispredicted,
             // Scratch space, empty between happenings.
             outcome_buf: _,
             // Restored from the fault session's plan.
@@ -494,11 +469,10 @@ impl MemconEngine {
             retry_queue,
             clean_gen,
             quantum_index,
-            recovery,
+            counters,
             run,
             // A restored engine leaves sampling disarmed.
             sample_every: _,
-            candidate_hist,
         } = self;
         tests.fields(io)?;
         if io.decoding() {
@@ -524,25 +498,8 @@ impl MemconEngine {
         for clean in clean_gen.iter_mut() {
             io.opt(clean, Io::u64)?;
         }
-        for v in [quantum_index, tests_correct, tests_mispredicted] {
-            io.u64(v)?;
-        }
-        let RecoveryCounters {
-            retries,
-            backoffs_scheduled,
-            backoff_ceiling_hits,
-            backoff_hist,
-            backoff_sum_quanta,
-            uncorrectable_escapes,
-        } = recovery;
-        for v in [retries, backoffs_scheduled, backoff_ceiling_hits] {
-            io.u64(v)?;
-        }
-        io.u64s(backoff_hist, "backoff histogram")?;
-        for v in [backoff_sum_quanta, uncorrectable_escapes] {
-            io.u64(v)?;
-        }
-        io.u64s(candidate_hist, "candidate histogram")?;
+        io.u64(quantum_index)?;
+        counters.fields(io)?;
         mgr.fields(io)?;
         // The run section: the event cursor and the trace's fingerprint.
         // Restore rebuilds the quantum, the MWI and the horizon from the
@@ -737,25 +694,6 @@ impl MemconEngine {
         Ok(())
     }
 
-    /// Instantaneous observability snapshot (see [`LiveStats`]), read from
-    /// [`MemconEngine::recovery_stats`] and the refresh manager.
-    #[must_use]
-    pub fn live_stats(&self) -> LiveStats {
-        let r = self.recovery_stats();
-        LiveStats {
-            faults_injected: r.faults_injected.iter().sum(),
-            aborts: r.aborts,
-            retries: r.retries,
-            backoffs_scheduled: r.backoffs_scheduled,
-            backoff_ceiling_hits: r.backoff_ceiling_hits,
-            escapes: r.uncorrectable_escapes,
-            pinned_pages: self.mgr.pinned_count(),
-            pril_buffered: self.pril.buffer_len() as u64,
-            pril_capacity: self.config.write_buffer_capacity as u64,
-            pages: self.n_pages,
-        }
-    }
-
     /// Checks the refresh-correctness invariant over the last run's final
     /// state: every page left at LO-REF must have a clean passing test of
     /// its **current** content generation, and must not be pinned by the
@@ -820,15 +758,12 @@ impl MemconEngine {
         self.tests.stats = TestEngineStats::default();
         self.generation.iter_mut().for_each(|g| *g = 0);
         self.lo_anchor.iter_mut().for_each(|a| *a = None);
-        self.tests_correct = 0;
-        self.tests_mispredicted = 0;
         self.attempts.iter_mut().for_each(|a| *a = 0);
         self.retry_at.iter_mut().for_each(|r| *r = None);
         self.retry_queue.clear();
         self.clean_gen.iter_mut().for_each(|c| *c = None);
         self.quantum_index = 0;
-        self.recovery = RecoveryCounters::default();
-        self.candidate_hist = [0; 11];
+        self.counters = EngineCounters::default();
         // A fresh session per run: the decision streams replay, so the same
         // trace and plan reproduce the same faults bit-for-bit.
         let session = self
@@ -931,7 +866,7 @@ impl MemconEngine {
         // early rewrite is actually observed.
         for anchor in &mut self.lo_anchor {
             if anchor.take().is_some() {
-                self.tests_correct += 1;
+                self.counters.tests_correct += 1;
             }
         }
 
@@ -956,12 +891,10 @@ impl MemconEngine {
             testing_fraction: mgr.testing_fraction(),
             refresh_ops,
             baseline_ops,
-            tests_correct: self.tests_correct,
-            tests_mispredicted: self.tests_mispredicted,
             refresh_time_ns: refresh_ops * self.cost.refresh_op_ns,
             baseline_refresh_time_ns: baseline_ops * self.cost.refresh_op_ns,
-            test_time_correct_ns: self.tests_correct as f64 * test_cost,
-            test_time_mispredicted_ns: self.tests_mispredicted as f64 * test_cost,
+            test_time_correct_ns: self.counters.tests_correct as f64 * test_cost,
+            test_time_mispredicted_ns: self.counters.tests_mispredicted as f64 * test_cost,
             duration_ns: duration,
             n_pages: self.n_pages,
         }
@@ -975,22 +908,12 @@ impl MemconEngine {
         self.mgr.states()
     }
 
-    /// Post-run component statistics.
-    #[must_use]
-    pub fn internals(&self) -> EngineInternals {
-        EngineInternals {
-            pril: self.pril.stats,
-            tests: self.tests.stats,
-            recovery: self.recovery_stats(),
-        }
-    }
-
     fn handle_write(&mut self, page: PageId, now: u64, mwi_ns: u64) {
         self.generation[page as usize] += 1;
         if self.tests.abort(page) {
             // The content under test changed before the verdict: the test
             // can never be amortized.
-            self.tests_mispredicted += 1;
+            self.counters.tests_mispredicted += 1;
             self.mgr.transition(page, PageState::HiRef, now);
             self.note_failed_attempt(page, now, false);
         } else {
@@ -998,9 +921,9 @@ impl MemconEngine {
                 PageState::LoRef => {
                     if let Some(start) = self.lo_anchor[page as usize].take() {
                         if now - start >= mwi_ns {
-                            self.tests_correct += 1;
+                            self.counters.tests_correct += 1;
                         } else {
-                            self.tests_mispredicted += 1;
+                            self.counters.tests_mispredicted += 1;
                         }
                     }
                     self.mgr.transition(page, PageState::HiRef, now);
@@ -1036,15 +959,15 @@ impl MemconEngine {
         }
         let backoff =
             (1u64 << u64::from((attempts - 1).min(31))).min(u64::from(policy.backoff_cap_quanta));
-        self.recovery.backoffs_scheduled += 1;
+        self.counters.backoffs_scheduled += 1;
         if backoff == u64::from(policy.backoff_cap_quanta) {
-            self.recovery.backoff_ceiling_hits += 1;
+            self.counters.backoff_ceiling_hits += 1;
         }
         // Accumulated in engine state (not observed mid-run) so that the
         // telemetry flush at run end is a pure function of the final state —
         // a crashed-and-recovered run reports bit-identically.
-        self.recovery.backoff_hist[backoff_bucket(backoff)] += 1;
-        self.recovery.backoff_sum_quanta += backoff;
+        self.counters.backoff_hist[backoff_bucket(backoff)] += 1;
+        self.counters.backoff_sum_quanta += backoff;
         if self.retry_at[page as usize].is_none() {
             self.retry_queue.push(page);
         }
@@ -1060,12 +983,20 @@ impl MemconEngine {
         self.mgr.release_pin(page);
     }
 
-    /// Folds one run's component statistics into the current telemetry
-    /// registry. All values derive from simulation state, so they are
-    /// deterministic; called once at the end of [`MemconEngine::run`] rather
-    /// than per-event to keep the hot loop telemetry-free.
+    /// Folds one run's [`EngineStats`] and refresh-bin counts into the
+    /// current telemetry registry. All values derive from simulation
+    /// state, so they are deterministic; called once at the end of
+    /// [`MemconEngine::run`] rather than per-event to keep the hot loop
+    /// telemetry-free.
     fn flush_telemetry(&self) {
-        let p = self.pril.stats;
+        let EngineStats {
+            counters: c,
+            pril: p,
+            tests: t,
+            faults_injected,
+            pin_events,
+            ..
+        } = self.stats();
         telemetry::count("memcon.pril.writes", p.writes);
         telemetry::count("memcon.pril.inserted", p.inserted);
         telemetry::count("memcon.pril.evicted_repeat", p.evicted_repeat);
@@ -1081,19 +1012,18 @@ impl MemconEngine {
             telemetry::observe_merged(
                 "memcon.pril.quantum_candidates",
                 &CANDIDATE_EDGES,
-                &self.candidate_hist,
+                &c.candidate_hist,
                 p.quanta,
                 p.candidates,
             );
         }
-        let t = self.tests.stats;
         telemetry::count("memcon.tests.started", t.started);
         telemetry::count("memcon.tests.completed", t.completed);
         telemetry::count("memcon.tests.failed", t.failed);
         telemetry::count("memcon.tests.aborted", t.aborted);
         telemetry::count("memcon.tests.rejected", t.rejected);
-        telemetry::count("memcon.engine.tests_correct", self.tests_correct);
-        telemetry::count("memcon.engine.tests_mispredicted", self.tests_mispredicted);
+        telemetry::count("memcon.engine.tests_correct", c.tests_correct);
+        telemetry::count("memcon.engine.tests_mispredicted", c.tests_mispredicted);
         let (to_hi, to_testing, to_lo) = self.mgr.transition_counts();
         telemetry::count("memcon.refresh.to_hi", to_hi);
         telemetry::count("memcon.refresh.to_testing", to_testing);
@@ -1112,35 +1042,34 @@ impl MemconEngine {
         // Fault-injection and recovery counters. Zero-valued fault.* entries
         // are emitted even with no plan installed so the report shape stays
         // stable across chaos and plain runs.
-        let r = self.recovery_stats();
         for site in Site::ALL {
             telemetry::count(
                 &format!("fault.{}", site.name()),
-                r.faults_injected[site as usize],
+                faults_injected[site as usize],
             );
         }
-        telemetry::count("memcon.recovery.aborts", r.aborts);
-        telemetry::count("memcon.recovery.retries", r.retries);
-        telemetry::count("memcon.recovery.backoffs_scheduled", r.backoffs_scheduled);
+        telemetry::count("memcon.recovery.aborts", t.aborted);
+        telemetry::count("memcon.recovery.retries", c.retries);
+        telemetry::count("memcon.recovery.backoffs_scheduled", c.backoffs_scheduled);
         telemetry::count(
             "memcon.recovery.backoff_ceiling_hits",
-            r.backoff_ceiling_hits,
+            c.backoff_ceiling_hits,
         );
-        telemetry::count("memcon.recovery.degraded_rows", r.degraded_rows);
-        telemetry::count("memcon.recovery.ambiguous", r.ambiguous);
-        telemetry::count("memcon.recovery.ecc_corrected", r.ecc_corrected);
-        telemetry::count("memcon.recovery.ecc_uncorrectable", r.ecc_uncorrectable);
+        telemetry::count("memcon.recovery.degraded_rows", pin_events);
+        telemetry::count("memcon.recovery.ambiguous", t.ambiguous);
+        telemetry::count("memcon.recovery.ecc_corrected", t.ecc_corrected);
+        telemetry::count("memcon.recovery.ecc_uncorrectable", t.ecc_uncorrectable);
         telemetry::count(
             "memcon.recovery.uncorrectable_escapes",
-            r.uncorrectable_escapes,
+            c.uncorrectable_escapes,
         );
-        if r.backoffs_scheduled > 0 {
+        if c.backoffs_scheduled > 0 {
             telemetry::observe_merged(
                 "memcon.recovery.backoff_quanta",
                 &BACKOFF_EDGES,
-                &r.backoff_hist,
-                r.backoffs_scheduled,
-                r.backoff_sum_quanta,
+                &c.backoff_hist,
+                c.backoffs_scheduled,
+                c.backoff_sum_quanta,
             );
         }
     }
@@ -1172,7 +1101,7 @@ impl MemconEngine {
             let generation = self.generation[page as usize];
             if self.tests.try_start(page, generation, now) {
                 self.retry_at[page as usize] = None;
-                self.recovery.retries += 1;
+                self.counters.retries += 1;
                 self.mgr.transition(page, PageState::Testing, now);
                 if telemetry::enabled() {
                     telemetry::annotate("memcon.test_retry", page);
@@ -1185,7 +1114,7 @@ impl MemconEngine {
         let candidates = self.pril.end_quantum();
         // Accumulated (not observed) so the run-end flush is a pure
         // function of final engine state — see `flush_telemetry`.
-        self.candidate_hist[candidate_bucket(candidates.len() as u64)] += 1;
+        self.counters.candidate_hist[candidate_bucket(candidates.len() as u64)] += 1;
         for page in candidates {
             // A nominated page can be mid-retry-backoff or already under a
             // retry test started above; the retry machinery owns it.
@@ -1223,14 +1152,15 @@ impl MemconEngine {
     }
 
     /// Takes a quantum-window time-series sample (see
-    /// [`MemconEngine::set_sample_every`]): engine gauges read from the
-    /// live refresh manager, tick = quantum index.
+    /// [`MemconEngine::set_sample_every`]): the gauges of
+    /// [`EngineStats`], tick = quantum index.
     fn sample_quantum(&self) {
+        let stats = self.stats();
         telemetry::sample_point(
             self.quantum_index,
             &[
-                ("memcon.gauge.pinned_pages", self.mgr.pinned_count()),
-                ("memcon.gauge.pril_buffered", self.pril.buffer_len() as u64),
+                ("memcon.gauge.pinned_pages", stats.pinned_pages),
+                ("memcon.gauge.pril_buffered", stats.pril_buffered),
                 (
                     "memcon.gauge.pril_capacity",
                     self.config.write_buffer_capacity as u64,
@@ -1252,7 +1182,7 @@ impl MemconEngine {
                     self.mgr.transition(page, PageState::HiRef, end);
                     // A detected failure is a *correct* engagement of the
                     // mechanism: the test did its protective job.
-                    self.tests_correct += 1;
+                    self.counters.tests_correct += 1;
                 }
                 Verdict::Pass => {
                     self.clear_attempts(page);
@@ -1264,13 +1194,13 @@ impl MemconEngine {
                     // Torn read-back, oracle disagreement, or uncorrectable
                     // ECC: no verdict about the content — the conservative
                     // response is HI-REF plus a backed-off retry.
-                    self.tests_mispredicted += 1;
+                    self.counters.tests_mispredicted += 1;
                     self.mgr.transition(page, PageState::HiRef, end);
                     self.note_failed_attempt(page, end, outcome.ecc == EccEvent::Uncorrectable);
                 }
             }
             if outcome.ecc == EccEvent::Uncorrectable && !self.mgr.is_pinned(page) {
-                self.recovery.uncorrectable_escapes += 1;
+                self.counters.uncorrectable_escapes += 1;
             }
         }
         self.outcome_buf = outcomes;
@@ -1307,15 +1237,15 @@ mod tests {
         // misprediction, not an abort.
         let trace = WriteTrace::new(vec![ev(0, 0), ev(2100, 1), ev(2112, 0)], 8192 * MS, 2);
         let mut e = clean_engine(2);
-        let r = e.run(&trace);
-        assert_eq!(e.internals().tests.aborted, 0);
-        assert_eq!(r.tests_mispredicted, 1);
+        let _ = e.run(&trace);
+        assert_eq!(e.stats().tests.aborted, 0);
+        assert_eq!(e.stats().counters.tests_mispredicted, 1);
         // A page-0 write at the 2048 ms boundary comes after the boundary
         // starts the test, so it aborts it.
         let trace = WriteTrace::new(vec![ev(0, 0), ev(2040, 1), ev(2048, 0)], 8192 * MS, 2);
         let mut e = clean_engine(2);
         e.run(&trace);
-        assert_eq!(e.internals().tests.aborted, 1);
+        assert_eq!(e.stats().tests.aborted, 1);
     }
 
     #[test]
@@ -1333,8 +1263,8 @@ mod tests {
             "coverage {}",
             r.lo_coverage
         );
-        assert_eq!(r.tests_correct, 1);
-        assert_eq!(r.tests_mispredicted, 0);
+        assert_eq!(e.stats().counters.tests_correct, 1);
+        assert_eq!(e.stats().counters.tests_mispredicted, 0);
         assert!(r.refresh_reduction > 0.6);
         assert!(r.refresh_reduction < r.upper_bound);
     }
@@ -1347,7 +1277,7 @@ mod tests {
         let mut e = clean_engine(1);
         let r = e.run(&trace);
         assert_eq!(r.lo_coverage, 0.0);
-        assert_eq!(e.internals().tests.started, 0);
+        assert_eq!(e.stats().tests.started, 0);
         assert!(r.refresh_reduction.abs() < 1e-9);
     }
 
@@ -1357,7 +1287,7 @@ mod tests {
         let mut e = MemconEngine::with_oracle(cfg(), 1, Box::new(RateOracle::new(1.0, 0)));
         let r = e.run(&trace);
         assert_eq!(r.lo_coverage, 0.0);
-        assert_eq!(e.internals().tests.failed, 1);
+        assert_eq!(e.stats().tests.failed, 1);
         // Testing time (64 ms of 20480) is unrefreshed, so reduction is
         // marginally positive but tiny.
         assert!(r.refresh_reduction < 0.01);
@@ -1370,11 +1300,11 @@ mod tests {
         // the test started.
         let trace = WriteTrace::new(vec![ev(0, 0), ev(2200, 0)], 4096 * MS, 1);
         let mut e = clean_engine(1);
-        let r = e.run(&trace);
-        assert_eq!(r.tests_mispredicted, 1);
+        let _ = e.run(&trace);
+        assert_eq!(e.stats().counters.tests_mispredicted, 1);
         // The rewrite re-qualifies the page: written once in quantum
         // (2048..3072], idle in (3072..4096] => re-tested at 4096 = horizon.
-        assert_eq!(r.tests_correct, 0);
+        assert_eq!(e.stats().counters.tests_correct, 0);
     }
 
     #[test]
@@ -1383,17 +1313,20 @@ mod tests {
         let trace = WriteTrace::new(vec![ev(0, 0), ev(2080, 0)], 8192 * MS, 1);
         let mut e = clean_engine(1);
         let r = e.run(&trace);
-        assert_eq!(e.internals().tests.aborted, 1);
-        assert_eq!(r.tests_mispredicted, 1);
+        assert_eq!(e.stats().tests.aborted, 1);
+        assert_eq!(e.stats().counters.tests_mispredicted, 1);
         // The abort arms a retry, but the preempting write resets PRIL
         // idleness, so the retry waits for a full idle quantum: re-tested
         // at the 4096 ms boundary, passing at 4160 ms, LO-REF for the
         // remaining 4032 ms of the 8192 ms window.
-        let rec = e.recovery_stats();
-        assert_eq!(rec.aborts, 1);
-        assert_eq!(rec.backoffs_scheduled, 1);
-        assert_eq!(rec.backoff_hist[0], 1, "first attempt backs off 1 quantum");
-        assert_eq!(rec.retries, 1);
+        let rec = e.stats();
+        assert_eq!(rec.tests.aborted, 1);
+        assert_eq!(rec.counters.backoffs_scheduled, 1);
+        assert_eq!(
+            rec.counters.backoff_hist[0], 1,
+            "first attempt backs off 1 quantum"
+        );
+        assert_eq!(rec.counters.retries, 1);
         assert!(
             (r.lo_coverage - 4032.0 / 8192.0).abs() < 1e-9,
             "coverage {}",
@@ -1407,9 +1340,9 @@ mod tests {
         // Rewrite 5 s after the test: well past MinWriteInterval.
         let trace = WriteTrace::new(vec![ev(0, 0), ev(7000, 0)], 8192 * MS, 1);
         let mut e = clean_engine(1);
-        let r = e.run(&trace);
-        assert_eq!(r.tests_correct, 1);
-        assert_eq!(r.tests_mispredicted, 0);
+        let _ = e.run(&trace);
+        assert_eq!(e.stats().counters.tests_correct, 1);
+        assert_eq!(e.stats().counters.tests_mispredicted, 0);
     }
 
     #[test]
@@ -1421,7 +1354,7 @@ mod tests {
         let trace = WriteTrace::new(events, 4096 * MS, 10);
         let mut e = MemconEngine::with_oracle(config, 10, Box::new(RateOracle::new(0.0, 0)));
         let _ = e.run(&trace);
-        let t = e.internals().tests;
+        let t = e.stats().tests;
         assert_eq!(t.started, 2, "only two slots at the 2048 ms boundary");
         assert!(t.rejected >= 8);
     }
@@ -1444,7 +1377,7 @@ mod tests {
             config.write_buffer_capacity = 8_192;
             let mut e = MemconEngine::with_oracle(config, pages, Box::new(RateOracle::new(0.0, 0)));
             let _ = e.run(&trace);
-            let t = e.internals().tests;
+            let t = e.stats().tests;
             assert_eq!((t.started, t.rejected), (started, rejected), "{mode:?}");
         }
     }
@@ -1536,7 +1469,7 @@ mod tests {
         let r_stepped = stepped.finish_run();
         assert_eq!(r_whole, r_stepped);
         assert_eq!(whole.final_states(), stepped.final_states());
-        assert_eq!(whole.recovery_stats(), stepped.recovery_stats());
+        assert_eq!(whole.stats(), stepped.stats());
         stepped.verify_refresh_correctness().unwrap();
     }
 
@@ -1573,11 +1506,15 @@ mod tests {
         let mut e = MemconEngine::with_oracle(config, 1, Box::new(RateOracle::new(0.0, 0)));
         e.set_fault_plan(Some(plan_with(Site::TestPreempt, SiteSpec::rate(1.0))));
         let r = e.run(&trace);
-        let rec = e.recovery_stats();
+        let rec = e.stats();
         assert!(rec.faults_injected[Site::TestPreempt as usize] > 0);
-        assert!(rec.aborts >= 3, "aborts {}", rec.aborts);
-        assert!(rec.retries >= 2, "retries {}", rec.retries);
-        assert_eq!(rec.degraded_rows, 1, "page pinned exactly once");
+        assert!(rec.tests.aborted >= 3, "aborts {}", rec.tests.aborted);
+        assert!(
+            rec.counters.retries >= 2,
+            "retries {}",
+            rec.counters.retries
+        );
+        assert_eq!(rec.pin_events, 1, "page pinned exactly once");
         assert_eq!(r.lo_coverage, 0.0, "a never-verified page never drops");
         e.verify_refresh_correctness().unwrap();
     }
@@ -1588,13 +1525,17 @@ mod tests {
         let mut e = clean_engine(1);
         e.set_fault_plan(Some(plan_with(Site::TornRead, SiteSpec::rate(1.0))));
         let r = e.run(&trace);
-        let rec = e.recovery_stats();
-        assert!(rec.ambiguous >= 3, "ambiguous {}", rec.ambiguous);
-        assert_eq!(rec.degraded_rows, 1);
+        let rec = e.stats();
+        assert!(
+            rec.tests.ambiguous >= 3,
+            "ambiguous {}",
+            rec.tests.ambiguous
+        );
+        assert_eq!(rec.pin_events, 1);
         assert_eq!(r.lo_coverage, 0.0);
         // Backoff doubles per attempt up to the cap: the histogram must
         // populate multiple buckets.
-        assert!(rec.backoff_hist.iter().filter(|&&c| c > 0).count() >= 2);
+        assert!(rec.counters.backoff_hist.iter().filter(|&&c| c > 0).count() >= 2);
         e.verify_refresh_correctness().unwrap();
     }
 
@@ -1604,10 +1545,10 @@ mod tests {
         let mut e = clean_engine(1);
         e.set_fault_plan(Some(plan_with(Site::EccUncorrectable, SiteSpec::rate(1.0))));
         let _ = e.run(&trace);
-        let rec = e.recovery_stats();
-        assert!(rec.ecc_uncorrectable >= 1);
-        assert_eq!(rec.degraded_rows, 1, "pinned on the very first attempt");
-        assert_eq!(rec.uncorrectable_escapes, 0);
+        let rec = e.stats();
+        assert!(rec.tests.ecc_uncorrectable >= 1);
+        assert_eq!(rec.pin_events, 1, "pinned on the very first attempt");
+        assert_eq!(rec.counters.uncorrectable_escapes, 0);
         e.verify_refresh_correctness().unwrap();
     }
 
@@ -1629,10 +1570,10 @@ mod tests {
             },
         )));
         let r = e.run(&trace);
-        let rec = e.recovery_stats();
-        assert_eq!(rec.ambiguous, 2);
-        assert_eq!(rec.retries, 2);
-        assert_eq!(rec.degraded_rows, 1, "pinned once, then released");
+        let rec = e.stats();
+        assert_eq!(rec.tests.ambiguous, 2);
+        assert_eq!(rec.counters.retries, 2);
+        assert_eq!(rec.pin_events, 1, "pinned once, then released");
         assert_eq!(e.final_states()[0], PageState::LoRef);
         assert!(r.lo_coverage > 0.7, "coverage {}", r.lo_coverage);
         e.verify_refresh_correctness().unwrap();
@@ -1652,7 +1593,7 @@ mod tests {
             e.set_fault_plan(Some(Arc::clone(plan)));
             let report = e.run(&trace);
             e.verify_refresh_correctness().unwrap();
-            (report, e.recovery_stats(), e.final_states().to_vec())
+            (report, e.stats(), e.final_states().to_vec())
         };
         let (r1, rec1, states1) = run(&plan);
         let (r2, rec2, states2) = run(&plan);
@@ -1677,11 +1618,11 @@ mod tests {
         config: MemconConfig,
         trace: &WriteTrace,
         plan: Option<&Arc<FaultPlan>>,
-    ) -> (MemconReport, RecoveryStats, Vec<PageState>) {
+    ) -> (MemconReport, EngineStats, Vec<PageState>) {
         let mut e = MemconEngine::new(config, trace.n_pages());
         e.set_fault_plan(plan.cloned());
         let report = e.run(trace);
-        (report, e.recovery_stats(), e.final_states().to_vec())
+        (report, e.stats(), e.final_states().to_vec())
     }
 
     #[test]
@@ -1692,7 +1633,7 @@ mod tests {
         let trace = WriteTrace::new(vec![ev(0, 0)], 20_480 * MS, 1);
         let plan = plan_with(Site::TornRead, SiteSpec::rate(1.0));
         let (r_ref, rec_ref, states_ref) = reference_run(cfg(), &trace, Some(&plan));
-        assert_eq!(rec_ref.degraded_rows, 1, "the reference run pins the page");
+        assert_eq!(rec_ref.pin_events, 1, "the reference run pins the page");
 
         let mut e = MemconEngine::new(cfg(), 1);
         e.set_fault_plan(Some(Arc::clone(&plan)));
@@ -1702,14 +1643,14 @@ mod tests {
         drop(e);
         let mut e = MemconEngine::restore(&payload, &trace).unwrap();
         assert_eq!(
-            e.live_stats().pinned_pages,
+            e.stats().pinned_pages,
             1,
             "pin restored from the checkpoint"
         );
         e.advance_until(&trace, trace.duration_ns());
         let r = e.finish_run();
         assert_eq!(r, r_ref);
-        assert_eq!(e.recovery_stats(), rec_ref);
+        assert_eq!(e.stats(), rec_ref);
         assert_eq!(e.final_states(), states_ref.as_slice());
         e.verify_refresh_correctness().unwrap();
     }
@@ -1746,7 +1687,7 @@ mod tests {
         let mut e = MemconEngine::restore(&payload, &trace).unwrap();
         e.advance_until(&trace, trace.duration_ns());
         assert_eq!(e.finish_run(), r_ref);
-        assert_eq!(e.recovery_stats(), rec_ref);
+        assert_eq!(e.stats(), rec_ref);
         assert_eq!(e.final_states(), states_ref.as_slice());
     }
 
@@ -1889,13 +1830,12 @@ mod tests {
         let mut e = MemconEngine::new(cfg(), trace.n_pages());
         e.set_fault_plan(Some(plan_with(Site::EccUncorrectable, SiteSpec::rate(0.5))));
         let _ = e.run(&trace);
-        assert!(e.live_stats().pinned_pages > 0, "the run ends with pins");
+        assert!(e.stats().pinned_pages > 0, "the run ends with pins");
         let payload = e.checkpoint(&trace);
         let restored = MemconEngine::restore(&payload, &trace).unwrap();
         assert!(!restored.mid_run());
         assert_eq!(restored.final_states(), e.final_states());
-        assert_eq!(restored.recovery_stats(), e.recovery_stats());
-        assert_eq!(restored.live_stats(), e.live_stats());
+        assert_eq!(restored.stats(), e.stats());
         restored.verify_refresh_correctness().unwrap();
     }
 
@@ -2006,11 +1946,7 @@ mod tests {
                         resumed.advance_until(&trace, horizon);
                         let report = resumed.finish_run();
                         assert_eq!(
-                            (
-                                report,
-                                resumed.recovery_stats(),
-                                resumed.final_states().to_vec()
-                            ),
+                            (report, resumed.stats(), resumed.final_states().to_vec()),
                             reference,
                             "{what}"
                         );

@@ -29,7 +29,8 @@
 //!   accounting (paper Figs. 14, 17, 18). Under an active
 //!   [`faultinject::FaultPlan`] it also runs the recovery machinery —
 //!   abort/retry with capped exponential backoff, fail-safe high-refresh
-//!   degradation — and reports it as [`engine::RecoveryStats`],
+//!   degradation — and reports everything a run counts, recovery
+//!   included, as one view, [`engine::EngineStats`],
 //! * [`raidr`] — the RAIDR baseline (Liu et al., ISCA 2012): Bloom-filter
 //!   multi-rate refresh from an exhaustive profiling pass (paper Fig. 16).
 //!
@@ -62,5 +63,5 @@ pub mod testengine;
 
 pub use config::MemconConfig;
 pub use cost::{CostModel, TestMode};
-pub use engine::{MemconEngine, MemconReport, RecoveryStats};
+pub use engine::{EngineStats, MemconEngine, MemconReport};
 pub use pril::Pril;

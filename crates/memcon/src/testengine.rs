@@ -547,19 +547,9 @@ impl TestEngine {
     }
 
     /// Pops every test whose idle window has elapsed by `now_ns` and asks
-    /// the oracle for its verdict.
-    ///
-    /// Allocates a fresh `Vec` per call; hot callers should prefer
-    /// [`TestEngine::poll_into`] with a reused buffer.
-    pub fn poll(&mut self, now_ns: u64) -> Vec<TestOutcome> {
-        let mut out = Vec::new();
-        self.poll_into(now_ns, &mut out);
-        out
-    }
-
-    /// [`TestEngine::poll`] into a caller-owned buffer: `out` is cleared,
-    /// then filled with the completed tests in end-time order. Lets the
-    /// engine's event loop reuse one allocation across polls.
+    /// the oracle for its verdict: `out` is cleared, then filled with the
+    /// completed tests in end-time order. The buffer is the caller's, so
+    /// the engine's event loop reuses one allocation across polls.
     pub fn poll_into(&mut self, now_ns: u64, out: &mut Vec<TestOutcome>) {
         out.clear();
         loop {
@@ -695,13 +685,20 @@ mod tests {
         TestEngine::new(Box::new(RateOracle::new(0.0, 0)), 64.0, budget, 16)
     }
 
+    /// The tests of `e` completed by `now_ns`, in a fresh buffer.
+    fn poll(e: &mut TestEngine, now_ns: u64) -> Vec<TestOutcome> {
+        let mut out = Vec::new();
+        e.poll_into(now_ns, &mut out);
+        out
+    }
+
     #[test]
     fn test_lifecycle_clean() {
         let mut e = engine(4);
         assert!(e.try_start(5, 0, 0));
         assert!(e.is_testing(5));
-        assert!(e.poll(63 * MS).is_empty(), "window not elapsed");
-        let done = e.poll(64 * MS);
+        assert!(poll(&mut e, 63 * MS).is_empty(), "window not elapsed");
+        let done = poll(&mut e, 64 * MS);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].page, 5);
         assert_eq!(done[0].verdict, Verdict::Pass);
@@ -713,7 +710,7 @@ mod tests {
     fn failing_oracle_reports_failure() {
         let mut e = TestEngine::new(Box::new(RateOracle::new(1.0, 0)), 64.0, 4, 16);
         assert!(e.try_start(1, 0, 0));
-        let done = e.poll(64 * MS);
+        let done = poll(&mut e, 64 * MS);
         assert_eq!(done[0].verdict, Verdict::Fail);
         assert_eq!(e.stats.failed, 1);
     }
@@ -726,7 +723,7 @@ mod tests {
         assert!(!e.try_start(3, 0, 0));
         assert_eq!(e.stats.rejected, 1);
         // After completion, slots free up.
-        let _ = e.poll(64 * MS);
+        let _ = poll(&mut e, 64 * MS);
         assert!(e.try_start(3, 0, 64 * MS));
     }
 
@@ -747,7 +744,10 @@ mod tests {
             assert!(!e.abort(past_end), "a page past the table is never tested");
             assert!(!e.is_testing(past_end));
         }
-        assert!(e.poll(64 * MS).is_empty(), "aborted test must not complete");
+        assert!(
+            poll(&mut e, 64 * MS).is_empty(),
+            "aborted test must not complete"
+        );
         assert_eq!(e.stats.aborted, 1);
         assert_eq!(e.stats.completed, 0);
     }
@@ -771,7 +771,7 @@ mod tests {
         assert!(e.try_start(7, 0, 0));
         assert!(e.abort(7));
         assert!(e.try_start(7, 1, 10 * MS));
-        let done = e.poll(100 * MS);
+        let done = poll(&mut e, 100 * MS);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].start_ns, 10 * MS);
     }
@@ -809,7 +809,7 @@ mod tests {
         restored(&bytes, &mut back).unwrap();
         assert_eq!(back.next_completion_ns(), Some(64 * MS));
         assert_eq!(codec::encode(&mut back, TestEngine::fields), bytes);
-        assert_eq!(back.poll(200 * MS), e.poll(200 * MS));
+        assert_eq!(poll(&mut back, 200 * MS), poll(&mut e, 200 * MS));
     }
 
     #[test]
@@ -838,7 +838,7 @@ mod tests {
         let mut e = engine(8);
         assert!(e.try_start(1, 0, 10 * MS));
         assert!(e.try_start(2, 0, 0));
-        let done = e.poll(200 * MS);
+        let done = poll(&mut e, 200 * MS);
         assert_eq!(done.len(), 2);
         assert!(done[0].end_ns <= done[1].end_ns);
         assert_eq!(done[0].page, 2);
@@ -862,16 +862,11 @@ mod tests {
     }
 
     #[test]
-    fn poll_into_matches_poll_and_reuses_buffer() {
-        let setup = || {
-            let mut e = engine(8);
-            assert!(e.try_start(1, 0, 10 * MS));
-            assert!(e.try_start(2, 0, 0));
-            assert!(e.try_start(3, 0, 5 * MS));
-            e
-        };
-        let mut a = setup();
-        let mut b = setup();
+    fn poll_into_clears_and_reuses_the_buffer() {
+        let mut e = engine(8);
+        assert!(e.try_start(1, 0, 10 * MS));
+        assert!(e.try_start(2, 0, 0));
+        assert!(e.try_start(3, 0, 5 * MS));
         let mut buf = vec![TestOutcome {
             page: 99,
             verdict: Verdict::Fail,
@@ -880,10 +875,15 @@ mod tests {
             start_ns: 0,
             end_ns: 0,
         }];
-        b.poll_into(200 * MS, &mut buf);
-        assert_eq!(a.poll(200 * MS), buf, "poll_into must match poll");
-        assert_eq!(a.stats, b.stats);
-        b.poll_into(300 * MS, &mut buf);
+        e.poll_into(200 * MS, &mut buf);
+        let pages: Vec<PageId> = buf.iter().map(|o| o.page).collect();
+        assert_eq!(
+            pages,
+            [2, 3, 1],
+            "the stale outcome goes, completions follow in end order"
+        );
+        assert_eq!(e.stats.completed, 3);
+        e.poll_into(300 * MS, &mut buf);
         assert!(buf.is_empty(), "poll_into must clear stale outcomes");
     }
 
@@ -1000,7 +1000,7 @@ mod tests {
     fn torn_read_is_ambiguous_and_skips_the_oracle() {
         let (mut e, calls) = counted_engine(Site::TornRead);
         assert!(e.try_start(1, 0, 0));
-        let done = e.poll(64 * MS);
+        let done = poll(&mut e, 64 * MS);
         assert_eq!(done[0].verdict, Verdict::Ambiguous);
         assert_eq!(e.stats.ambiguous, 1);
         assert_eq!(
@@ -1014,7 +1014,7 @@ mod tests {
     fn oracle_disagreement_is_ambiguous() {
         let (mut e, calls) = counted_engine(Site::OracleDisagree);
         assert!(e.try_start(9, 2, 0));
-        let done = e.poll(64 * MS);
+        let done = poll(&mut e, 64 * MS);
         assert_eq!(done[0].verdict, Verdict::Ambiguous);
         assert_eq!(done[0].generation, 2);
         assert_eq!(
@@ -1028,7 +1028,7 @@ mod tests {
     fn vrt_toggles_the_observed_verdict() {
         let (mut e, calls) = counted_engine(Site::DramVrt);
         assert!(e.try_start(4, 0, 0));
-        let done = e.poll(64 * MS);
+        let done = poll(&mut e, 64 * MS);
         assert_eq!(
             done[0].verdict,
             Verdict::Fail,
@@ -1045,7 +1045,7 @@ mod tests {
     fn ecc_sites_exercise_the_real_secded_path() {
         let mut e = faulted_engine(Box::new(RateOracle::new(0.0, 0)), Site::EccCorrectable);
         assert!(e.try_start(1, 0, 0));
-        let done = e.poll(64 * MS);
+        let done = poll(&mut e, 64 * MS);
         assert_eq!(done[0].ecc, EccEvent::Corrected);
         assert_eq!(
             done[0].verdict,
@@ -1056,7 +1056,7 @@ mod tests {
 
         let mut e = faulted_engine(Box::new(RateOracle::new(0.0, 0)), Site::EccUncorrectable);
         assert!(e.try_start(2, 5, 0));
-        let done = e.poll(64 * MS);
+        let done = poll(&mut e, 64 * MS);
         assert_eq!(done[0].ecc, EccEvent::Uncorrectable);
         assert_eq!(
             done[0].verdict,

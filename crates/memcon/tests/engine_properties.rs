@@ -72,9 +72,10 @@ fn report_is_internally_consistent() {
         let implied = 1.0 - r.refresh_ops / r.baseline_ops;
         assert!((implied - r.refresh_reduction).abs() < 1e-9);
         // Classified tests never exceed finished engagements.
-        let t = engine.internals().tests;
+        let stats = engine.stats();
+        let t = stats.tests;
         assert_eq!(
-            r.tests_correct + r.tests_mispredicted,
+            stats.counters.tests_correct + stats.counters.tests_mispredicted,
             t.completed + t.aborted
         );
         assert!(t.failed <= t.completed);

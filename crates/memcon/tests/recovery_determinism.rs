@@ -2,8 +2,8 @@
 //!
 //! The chaos gate's core contract, stated as a property: for any plan
 //! seed, fanning a workload fleet across the worker pool must leave
-//! [`RecoveryStats`] and the final refresh-bin distribution bit-identical
-//! at any worker count, because every engine owns its plan and therefore
+//! every engine's [`EngineStats`] and the final refresh-bin distribution
+//! bit-identical at any worker count, because every engine owns its plan and therefore
 //! its fault-decision streams (`MemconEngine::set_fault_plan`), never a
 //! shared global one.
 
@@ -11,23 +11,23 @@ use std::sync::Arc;
 
 use faultinject::{FaultPlan, Site, SiteSpec};
 use memcon::config::MemconConfig;
-use memcon::engine::{MemconEngine, RecoveryStats};
+use memcon::engine::{EngineStats, MemconEngine};
 use memcon::refreshmgr::PageState;
 use memtrace::workload::WorkloadProfile;
 
 /// Runs one engine per workload at the given worker count and returns
-/// each engine's recovery stats and final refresh bins, in fleet order.
+/// each engine's stats and final refresh bins, in fleet order.
 fn run_fleet(
     plan: &Arc<FaultPlan>,
     traces: &[memtrace::trace::WriteTrace],
     jobs: usize,
-) -> Vec<(RecoveryStats, Vec<PageState>)> {
+) -> Vec<(EngineStats, Vec<PageState>)> {
     memutil::par::ordered_map_with(jobs, traces.len(), |i| {
         let mut engine = MemconEngine::new(MemconConfig::paper_default(), traces[i].n_pages());
         engine.set_fault_plan(Some(Arc::clone(plan)));
         let _ = engine.run(&traces[i]);
         engine.verify_refresh_correctness().unwrap();
-        (engine.recovery_stats(), engine.final_states().to_vec())
+        (engine.stats(), engine.final_states().to_vec())
     })
 }
 

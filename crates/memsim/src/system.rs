@@ -68,7 +68,6 @@ pub struct System {
     cores: Vec<OooCore>,
     injector: Option<TestTrafficInjector>,
     next_id: u64,
-    instructions_per_core: u64,
     seed: u64,
     profiles: Vec<CpuWorkloadProfile>,
 }
@@ -94,7 +93,6 @@ impl System {
             cores: Vec::new(),
             injector: None,
             next_id: 0,
-            instructions_per_core: 0,
             seed,
             profiles,
             config,
@@ -155,21 +153,26 @@ impl System {
                 )
             })
             .collect();
-        self.instructions_per_core = instructions_per_core;
     }
 
     /// Runs until every core retires `instructions_per_core` instructions.
+    /// A system simulates one run: the clock starts at cycle 0 over the
+    /// controller's fresh state, so a second run needs a fresh system.
+    /// The system stays borrowable afterwards, e.g. to audit its recorded
+    /// command bus.
     ///
     /// # Panics
     ///
-    /// Panics if the run exceeds a generous safety bound (pathological IPC
-    /// below ~0.01), indicating a deadlock bug rather than a slow workload.
+    /// Panics if the system has already run, or if the run exceeds a
+    /// generous safety bound (pathological IPC below ~0.01), indicating a
+    /// deadlock bug rather than a slow workload.
     pub fn run(&mut self, instructions_per_core: u64) -> SimStats {
+        assert!(
+            self.cores.is_empty(),
+            "a System runs once: its controller state is stamped with the first run's cycles, \
+             so build a fresh System for each run"
+        );
         let _run_span = telemetry::tree_span("memsim.run");
-        // Controller statistics accumulate across runs on the same system;
-        // snapshot them so telemetry reports this run's delta.
-        let ctrl_before = self.controller.stats;
-        let injected_before = self.injector.as_ref().map_or(0, |i| i.injected);
         self.build_cores(instructions_per_core);
         let budget = self.config.retire_budget_per_dram_cycle();
         let max_cycles = instructions_per_core.max(1_000) * 120;
@@ -226,12 +229,7 @@ impl System {
             .collect();
         let test_requests = self.injector.as_ref().map_or(0, |i| i.injected);
         if telemetry::enabled() {
-            flush_ctrl_telemetry(
-                &self.controller.stats,
-                &ctrl_before,
-                now,
-                test_requests.saturating_sub(injected_before),
-            );
+            flush_ctrl_telemetry(&self.controller.stats, now, test_requests);
         }
         SimStats {
             per_core_cycles,
@@ -252,59 +250,33 @@ impl System {
     }
 }
 
-/// Folds one run's controller-statistics delta into the current telemetry
+/// Folds one run's controller statistics into the current telemetry
 /// registry. Everything here derives from simulated cycles, so the values
 /// are deterministic; called once per [`System::run`] to keep the per-cycle
 /// loop telemetry-free.
-fn flush_ctrl_telemetry(after: &CtrlStats, before: &CtrlStats, cycles: u64, injected: u64) {
-    for (name, a, b) in [
-        ("memsim.ctrl.reads", after.reads, before.reads),
-        ("memsim.ctrl.writes", after.writes, before.writes),
-        ("memsim.ctrl.acts", after.acts, before.acts),
-        (
-            "memsim.ctrl.column_accesses",
-            after.column_accesses,
-            before.column_accesses,
-        ),
-        ("memsim.ctrl.refreshes", after.refreshes, before.refreshes),
+fn flush_ctrl_telemetry(stats: &CtrlStats, cycles: u64, injected: u64) {
+    for (name, value) in [
+        ("memsim.ctrl.reads", stats.reads),
+        ("memsim.ctrl.writes", stats.writes),
+        ("memsim.ctrl.acts", stats.acts),
+        ("memsim.ctrl.column_accesses", stats.column_accesses),
+        ("memsim.ctrl.refreshes", stats.refreshes),
         (
             "memsim.ctrl.refresh_blackout_cycles",
-            after.refresh_blackout_cycles,
-            before.refresh_blackout_cycles,
+            stats.refresh_blackout_cycles,
         ),
-        ("memsim.ctrl.rejected", after.rejected, before.rejected),
-        (
-            "memsim.ctrl.trrd_stalls",
-            after.trrd_stalls,
-            before.trrd_stalls,
-        ),
-        (
-            "memsim.ctrl.tfaw_stalls",
-            after.tfaw_stalls,
-            before.tfaw_stalls,
-        ),
-        (
-            "fault.memsim.cmd_drop",
-            after.faults_dropped,
-            before.faults_dropped,
-        ),
-        (
-            "fault.memsim.cmd_dup",
-            after.faults_duplicated,
-            before.faults_duplicated,
-        ),
-        (
-            "fault.memsim.timing_violation",
-            after.faults_timing,
-            before.faults_timing,
-        ),
+        ("memsim.ctrl.rejected", stats.rejected),
+        ("memsim.ctrl.trrd_stalls", stats.trrd_stalls),
+        ("memsim.ctrl.tfaw_stalls", stats.tfaw_stalls),
+        ("fault.memsim.cmd_drop", stats.faults_dropped),
+        ("fault.memsim.cmd_dup", stats.faults_duplicated),
+        ("fault.memsim.timing_violation", stats.faults_timing),
         (
             "fault.memsim.refresh_overrun",
-            after.faults_refresh_overrun_cycles,
-            before.faults_refresh_overrun_cycles,
+            stats.faults_refresh_overrun_cycles,
         ),
     ] {
-        telemetry::count(name, a.saturating_sub(b));
+        telemetry::count(name, value);
     }
     telemetry::count("memsim.sim.cycles", cycles);
     telemetry::count("memsim.sim.test_requests", injected);
@@ -416,6 +388,15 @@ mod tests {
         let a = run_with(RefreshPolicy::baseline_16ms(), ChipDensity::Gb8, 2);
         let b = run_with(RefreshPolicy::baseline_16ms(), ChipDensity::Gb8, 2);
         assert_eq!(a.per_core_cycles, b.per_core_cycles);
+    }
+
+    #[test]
+    #[should_panic(expected = "a System runs once")]
+    fn a_second_run_panics() {
+        let config = SystemConfig::new(1, ChipDensity::Gb8, RefreshPolicy::baseline_16ms());
+        let mut sys = System::new(config, vec![spec_tpc_pool()[0]], 7);
+        let _ = sys.run(10_000);
+        let _ = sys.run(10_000);
     }
 
     #[test]

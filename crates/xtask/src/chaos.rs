@@ -9,8 +9,8 @@
 //!   telemetry registries. The gate asserts: no panic, zero
 //!   `uncorrectable_escapes`, the refresh-correctness invariant holds on
 //!   every engine, the plan actually fired, and both the per-engine
-//!   recovery results and the telemetry `deterministic` sections are
-//!   byte-identical across worker counts.
+//!   stats and the telemetry `deterministic` sections are byte-identical
+//!   across worker counts.
 //! * **memsim leg** — a controller under dense test traffic, and a
 //!   4-core [`memsim::system::System`] mix (32 Gb, 75 % refresh
 //!   reduction, 256 injected tests) whose cores, injector and
@@ -38,7 +38,7 @@ use std::sync::Arc;
 
 use faultinject::{FaultPlan, FaultSession, Site, SiteSpec};
 use memcon::config::MemconConfig;
-use memcon::engine::{MemconEngine, RecoveryStats};
+use memcon::engine::{EngineStats, MemconEngine};
 use memcon::refreshmgr::PageState;
 use memsim::protocol::ProtocolViolation;
 use memtrace::workload::WorkloadProfile;
@@ -46,10 +46,6 @@ use memutil::json::Json;
 
 /// Base seed of soak plan `i` (plan seed = base + i).
 const PLAN_SEED_BASE: u64 = 0xC4A0_5000;
-
-/// Overhead the installed-but-idle injector may add to the evaluation
-/// kernel (same limit as the telemetry gate in `obs overhead`).
-const OVERHEAD_LIMIT: f64 = 0.02;
 
 /// Entry point for `xtask chaos <args>`; returns a process exit code.
 #[must_use]
@@ -155,7 +151,7 @@ fn chaos_plan(seed: u64) -> Arc<FaultPlan> {
 }
 
 /// What one engine run contributes to the cross-jobs comparison.
-type EngineOutcome = (Result<(), String>, RecoveryStats, Vec<PageState>);
+type EngineOutcome = (Result<(), String>, EngineStats, Vec<PageState>);
 
 /// Runs both soak legs for one plan; `Ok` carries a one-line summary.
 fn soak_plan(seed: u64, quick: bool) -> Result<String, String> {
@@ -179,7 +175,7 @@ fn soak_plan(seed: u64, quick: bool) -> Result<String, String> {
             let _ = engine.run(&traces[i]);
             (
                 engine.verify_refresh_correctness(),
-                engine.recovery_stats(),
+                engine.stats(),
                 engine.final_states().to_vec(),
             )
         });
@@ -204,7 +200,7 @@ fn soak_plan(seed: u64, quick: bool) -> Result<String, String> {
     }
     if seq != par {
         return Err(
-            "recovery stats / final refresh bins diverge between --jobs 1 and --jobs 4".to_string(),
+            "engine stats / final refresh bins diverge between --jobs 1 and --jobs 4".to_string(),
         );
     }
     if det_seq != det_par {
@@ -219,13 +215,16 @@ fn soak_plan(seed: u64, quick: bool) -> Result<String, String> {
     if injected == 0 {
         return Err("plan never fired in the MEMCON leg (soak proved nothing)".to_string());
     }
-    let escapes: u64 = seq.iter().map(|(_, r, _)| r.uncorrectable_escapes).sum();
+    let escapes: u64 = seq
+        .iter()
+        .map(|(_, r, _)| r.counters.uncorrectable_escapes)
+        .sum();
     if escapes != 0 {
         return Err(format!(
             "{escapes} uncorrectable ECC error(s) escaped without pinning their page"
         ));
     }
-    let degraded: u64 = seq.iter().map(|(_, r, _)| r.degraded_rows).sum();
+    let degraded: u64 = seq.iter().map(|(_, r, _)| r.pin_events).sum();
 
     let memsim = memsim_leg(&plan, quick)?;
     Ok(format!(
@@ -508,97 +507,18 @@ fn health_soak(serve: Option<&str>) -> Result<String, String> {
     ))
 }
 
-/// Measures `evaluate_module_1bank` with no fault plan against a zero-rate
-/// plan installed, in alternating rounds; fails only when every round
-/// shows both the median and the minimum above [`OVERHEAD_LIMIT`] (the
-/// same best-round verdict as `obs overhead` — a real regression
-/// reproduces in every round, a scheduling stall does not).
+/// Gates the installed-but-idle injector on the `evaluate_module_1bank`
+/// kernel (see `kernel_overhead_gate`): a plan that arms the evaluation's
+/// site at rate 0, so the gate check and the per-row keyed draw both run
+/// and nothing ever fires — the injector's worst idle case.
 fn overhead_cmd() -> i32 {
-    use dram::cell::RowContent;
-    use dram::geometry::{ChipDensity, DramGeometry};
-    use dram::module::DramModule;
-    use dram::timing::TimingParams;
-    use memutil::rng::{Rng, SeedableRng, SmallRng};
-
-    if cfg!(debug_assertions) {
-        println!(
-            "chaos: NOTE: measuring a debug build; prefer `cargo run --release -p xtask -- chaos overhead`"
-        );
-    }
-    // The benchmark module from `bench_suite::micro::bench_failure_model`.
-    let geometry = DramGeometry {
-        ranks: 1,
-        chips_per_rank: 1,
-        banks: 1,
-        rows_per_bank: 512,
-        row_bytes: 8192,
-        block_bytes: 64,
-        density: ChipDensity::Gb8,
-    };
-    let mut module = DramModule::new(geometry, TimingParams::ddr3_1600(), 0xFA11);
-    let words = geometry.words_per_row();
-    let mut rng = SmallRng::seed_from_u64(9);
-    module.fill_with(|_| RowContent::from_words((0..words).map(|_| rng.gen()).collect()));
-    let model = failure_model::model::CouplingFailureModel::default();
-    // Warm the vulnerable-cell cache so both arms measure the steady state.
-    let _ = model.evaluate_module_with_jobs(&module, 328.0, 1);
-
-    // A plan that arms the evaluation site at rate 0: the gate check and
-    // the per-row keyed draw both run, nothing ever fires.
     let idle_plan =
         Arc::new(FaultPlan::new(0xC4A0).with_site(Site::DramBitFlip, SiteSpec::rate(0.0)));
-
-    let measure = |c: &mut memutil::bench::Criterion, name: String| {
-        c.bench_function(&name, |b| {
-            b.iter(|| {
-                std::hint::black_box(model.evaluate_module_with_jobs(&module, 328.0, 1).len())
-            })
-        });
+    let idle = |measure: &mut dyn FnMut()| {
+        let _guard = faultinject::install(Arc::clone(&idle_plan));
+        measure();
     };
-    const ROUNDS: usize = 3;
-    let mut criterion = memutil::bench::Criterion::default()
-        .measurement_time(std::time::Duration::from_millis(600));
-    for round in 0..ROUNDS {
-        measure(&mut criterion, format!("faults_off_r{round}"));
-        let guard = faultinject::install(Arc::clone(&idle_plan));
-        measure(&mut criterion, format!("faults_idle_r{round}"));
-        drop(guard);
-    }
-    let results = criterion.final_summary();
-    let find = |name: String| results.iter().find(|r| r.name == name);
-    let mut any_round_ok = false;
-    for round in 0..ROUNDS {
-        let (Some(off), Some(idle)) = (
-            find(format!("faults_off_r{round}")),
-            find(format!("faults_idle_r{round}")),
-        ) else {
-            eprintln!("chaos: overhead benchmarks produced no samples");
-            return 1;
-        };
-        let median_delta = (idle.median_ns - off.median_ns) / off.median_ns;
-        let min_delta = (idle.min_ns - off.min_ns) / off.min_ns;
-        let ok = median_delta <= OVERHEAD_LIMIT || min_delta <= OVERHEAD_LIMIT;
-        any_round_ok |= ok;
-        println!(
-            "chaos: injector overhead on evaluate_module_1bank, round {}/{ROUNDS}: \
-             median {:+.2}%, min {:+.2}% (limit {:.0}%) {}",
-            round + 1,
-            median_delta * 100.0,
-            min_delta * 100.0,
-            OVERHEAD_LIMIT * 100.0,
-            if ok { "ok" } else { "over" }
-        );
-    }
-    if any_round_ok {
-        0
-    } else {
-        eprintln!(
-            "chaos: FAILED: an installed-but-idle fault plan costs more than {:.0}% \
-             on the evaluation kernel in every round",
-            OVERHEAD_LIMIT * 100.0
-        );
-        1
-    }
+    crate::kernel_overhead_gate("chaos", "injector", &[("idle", &idle)])
 }
 
 #[cfg(test)]

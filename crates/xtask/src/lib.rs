@@ -740,6 +740,91 @@ fn run_step_with_env(root: &Path, args: &[&str], env: &[(&str, &str)]) -> Option
     }
 }
 
+/// Overhead an instrumented arm may add to the failure-model kernel in
+/// the `obs overhead` and `chaos overhead` gates.
+const OVERHEAD_LIMIT: f64 = 0.02;
+
+/// An instrumented arm of [`kernel_overhead_gate`]: its name, and a
+/// function that runs the measurement it is handed inside the arm's
+/// instrumentation.
+type OverheadArm<'a> = (&'a str, &'a dyn Fn(&mut dyn FnMut()));
+
+/// Times the `failure_model/evaluate_module_1bank` micro-benchmark kernel
+/// on its module ([`bench_suite::micro::failure_model_module`]) bare and
+/// under each of `arms`, in three alternating rounds, and returns a
+/// process exit code: 0 when every arm passes. An arm passes when, in some
+/// round, its median or its minimum is within [`OVERHEAD_LIMIT`] of that
+/// round's bare run. A real overhead regression reproduces in every round;
+/// a host-scheduling stall poisons at most the rounds it overlaps, so
+/// interleaving plus the best-round verdict keeps the gate stable on busy
+/// machines (the same noise philosophy as the bench regression gate's
+/// dual criterion). `tool` prefixes each line, `what` names the
+/// instrumentation.
+fn kernel_overhead_gate(tool: &str, what: &str, arms: &[OverheadArm]) -> i32 {
+    const ROUNDS: usize = 3;
+    if cfg!(debug_assertions) {
+        println!(
+            "{tool}: NOTE: measuring a debug build; prefer `cargo run --release -p xtask -- {tool} overhead`"
+        );
+    }
+    let module = bench_suite::micro::failure_model_module();
+    let model = failure_model::model::CouplingFailureModel::default();
+    // Warm the vulnerable-cell cache so every arm measures the steady state.
+    let _ = model.evaluate_module_with_jobs(&module, 328.0, 1);
+    let measure = |c: &mut memutil::bench::Criterion, name: String| {
+        c.bench_function(&name, |b| {
+            b.iter(|| {
+                std::hint::black_box(model.evaluate_module_with_jobs(&module, 328.0, 1).len())
+            })
+        });
+    };
+    let mut criterion = memutil::bench::Criterion::default()
+        .measurement_time(std::time::Duration::from_millis(600));
+    for round in 0..ROUNDS {
+        measure(&mut criterion, format!("bare_r{round}"));
+        for (arm, instrument) in arms {
+            instrument(&mut || measure(&mut criterion, format!("{arm}_r{round}")));
+        }
+    }
+    let results = criterion.final_summary();
+    let find = |name: String| results.iter().find(|r| r.name == name);
+    let mut failed = false;
+    for (arm, _) in arms {
+        let mut passed = false;
+        for round in 0..ROUNDS {
+            let (Some(bare), Some(on)) = (
+                find(format!("bare_r{round}")),
+                find(format!("{arm}_r{round}")),
+            ) else {
+                eprintln!("{tool}: overhead benchmarks produced no samples");
+                return 1;
+            };
+            let median_delta = (on.median_ns - bare.median_ns) / bare.median_ns;
+            let min_delta = (on.min_ns - bare.min_ns) / bare.min_ns;
+            let ok = median_delta <= OVERHEAD_LIMIT || min_delta <= OVERHEAD_LIMIT;
+            passed |= ok;
+            println!(
+                "{tool}: {what} {arm} overhead on evaluate_module_1bank, round {}/{ROUNDS}: \
+                 median {:+.2}%, min {:+.2}% (limit {:.0}%) {}",
+                round + 1,
+                median_delta * 100.0,
+                min_delta * 100.0,
+                OVERHEAD_LIMIT * 100.0,
+                if ok { "ok" } else { "over" }
+            );
+        }
+        if !passed {
+            eprintln!(
+                "{tool}: FAILED: {what} {arm} costs more than {:.0}% on the evaluation kernel \
+                 in every round",
+                OVERHEAD_LIMIT * 100.0
+            );
+            failed = true;
+        }
+    }
+    i32::from(failed)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

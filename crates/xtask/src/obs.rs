@@ -37,10 +37,6 @@ use memutil::json::Json;
 /// Golden file name at the workspace root.
 pub const EXPECTED_FILE: &str = "TELEMETRY_expected.json";
 
-/// Overhead the enabled-but-idle telemetry path may add to the
-/// `evaluate_module_1bank` kernel.
-const OVERHEAD_LIMIT: f64 = 0.02;
-
 /// Entry point for `xtask obs <args>`; returns a process exit code.
 #[must_use]
 pub fn obs_cmd(args: &[String]) -> i32 {
@@ -68,8 +64,7 @@ pub fn obs_cmd(args: &[String]) -> i32 {
 /// Runs the reference workload under a fresh, enabled, scoped registry and
 /// returns `{schema, deterministic}` — the comparable part of the report.
 fn reference_deterministic() -> Json {
-    let registry = Arc::new(telemetry::Registry::new());
-    registry.set_enabled(true);
+    let registry = enabled_registry();
     let guard = telemetry::install(Arc::clone(&registry));
     run_reference_workload();
     drop(guard);
@@ -334,112 +329,34 @@ fn pretty(j: &Json, depth: usize) -> String {
     }
 }
 
-/// Measures the `evaluate_module_1bank` kernel with telemetry disabled and
-/// with an enabled registry installed, in several alternating rounds, and
-/// fails only when **every** round shows both the median and the minimum
-/// more than [`OVERHEAD_LIMIT`] above the disabled baseline. A real
-/// overhead regression reproduces in every round; a host-scheduling stall
-/// poisons at most the rounds it overlaps, so interleaving plus the
-/// best-round verdict keeps the gate stable on busy machines (the same
-/// noise philosophy as the bench regression gate's dual criterion).
+/// Gates the telemetry overhead on the `evaluate_module_1bank` kernel
+/// (see `kernel_overhead_gate`) in two arms: an enabled registry
+/// installed, and the live observability plane armed on top — a primed
+/// time-series ring and an open tree span over the measurement. The
+/// kernel itself never samples, so an armed sampler must cost the same as
+/// plain enabled telemetry.
 fn overhead_cmd() -> i32 {
-    use dram::cell::RowContent;
-    use dram::geometry::{ChipDensity, DramGeometry};
-    use dram::module::DramModule;
-    use dram::timing::TimingParams;
-    use memutil::rng::{Rng, SeedableRng, SmallRng};
-
-    if cfg!(debug_assertions) {
-        println!(
-            "obs: NOTE: measuring a debug build; prefer `cargo run --release -p xtask -- obs overhead`"
-        );
-    }
-    // The benchmark module from `bench_suite::micro::bench_failure_model`.
-    let geometry = DramGeometry {
-        ranks: 1,
-        chips_per_rank: 1,
-        banks: 1,
-        rows_per_bank: 512,
-        row_bytes: 8192,
-        block_bytes: 64,
-        density: ChipDensity::Gb8,
+    let enabled = |measure: &mut dyn FnMut()| {
+        let _guard = telemetry::install(enabled_registry());
+        measure();
     };
-    let mut module = DramModule::new(geometry, TimingParams::ddr3_1600(), 0xFA11);
-    let words = geometry.words_per_row();
-    let mut rng = SmallRng::seed_from_u64(9);
-    module.fill_with(|_| RowContent::from_words((0..words).map(|_| rng.gen()).collect()));
-    let model = failure_model::model::CouplingFailureModel::default();
-    // Warm the vulnerable-cell cache so both arms measure the steady state.
-    let _ = model.evaluate_module_with_jobs(&module, 328.0, 1);
-
-    let measure = |c: &mut memutil::bench::Criterion, name: String| {
-        c.bench_function(&name, |b| {
-            b.iter(|| {
-                std::hint::black_box(model.evaluate_module_with_jobs(&module, 328.0, 1).len())
-            })
-        });
-    };
-    const ROUNDS: usize = 3;
-    let mut criterion = memutil::bench::Criterion::default()
-        .measurement_time(std::time::Duration::from_millis(600));
-    for round in 0..ROUNDS {
-        measure(&mut criterion, format!("telemetry_disabled_r{round}"));
-        let registry = Arc::new(telemetry::Registry::new());
-        registry.set_enabled(true);
-        let guard = telemetry::install(Arc::clone(&registry));
-        measure(&mut criterion, format!("telemetry_enabled_r{round}"));
-        // Third arm: the live observability plane armed — a primed
-        // time-series ring and an open tree span over the measurement.
-        // The kernel itself never samples, so an armed sampler must cost
-        // the same as plain enabled telemetry.
+    let sampled = |measure: &mut dyn FnMut()| {
+        let registry = enabled_registry();
+        let _guard = telemetry::install(Arc::clone(&registry));
         let _ = registry.sample_point(0, &[("obs.armed", 1)]);
-        let root = telemetry::tree_span("obs.overhead");
-        measure(&mut criterion, format!("telemetry_sampled_r{round}"));
-        drop(root);
-        drop(guard);
-    }
-    let results = criterion.final_summary();
-    let find = |name: String| results.iter().find(|r| r.name == name);
-    let mut enabled_ok = false;
-    let mut sampled_ok = false;
-    for round in 0..ROUNDS {
-        let Some(off) = find(format!("telemetry_disabled_r{round}")) else {
-            eprintln!("obs: overhead benchmarks produced no samples");
-            return 1;
-        };
-        for (arm, ok_flag) in [("enabled", &mut enabled_ok), ("sampled", &mut sampled_ok)] {
-            let Some(on) = find(format!("telemetry_{arm}_r{round}")) else {
-                eprintln!("obs: overhead benchmarks produced no samples");
-                return 1;
-            };
-            let median_delta = (on.median_ns - off.median_ns) / off.median_ns;
-            let min_delta = (on.min_ns - off.min_ns) / off.min_ns;
-            let ok = median_delta <= OVERHEAD_LIMIT || min_delta <= OVERHEAD_LIMIT;
-            *ok_flag |= ok;
-            println!(
-                "obs: telemetry {arm} overhead on evaluate_module_1bank, round {}/{ROUNDS}: \
-                 median {:+.2}%, min {:+.2}% (limit {:.0}%) {}",
-                round + 1,
-                median_delta * 100.0,
-                min_delta * 100.0,
-                OVERHEAD_LIMIT * 100.0,
-                if ok { "ok" } else { "over" }
-            );
-        }
-    }
-    if enabled_ok && sampled_ok {
-        0
-    } else {
-        eprintln!(
-            "obs: FAILED: telemetry ({}) costs more than {:.0}% on the evaluation kernel \
-             in every round",
-            if enabled_ok {
-                "sampler armed"
-            } else {
-                "enabled"
-            },
-            OVERHEAD_LIMIT * 100.0
-        );
-        1
-    }
+        let _root = telemetry::tree_span("obs.overhead");
+        measure();
+    };
+    crate::kernel_overhead_gate(
+        "obs",
+        "telemetry",
+        &[("enabled", &enabled), ("sampled", &sampled)],
+    )
+}
+
+/// A fresh registry with recording switched on.
+fn enabled_registry() -> Arc<telemetry::Registry> {
+    let registry = Arc::new(telemetry::Registry::new());
+    registry.set_enabled(true);
+    registry
 }

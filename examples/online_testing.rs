@@ -68,7 +68,7 @@ fn main() {
     let oracle = Page3Fails(RateOracle::new(0.0, 0));
     let mut engine = MemconEngine::with_oracle(config, 4, Box::new(oracle));
     let report = engine.run(&trace);
-    let internals = engine.internals();
+    let stats = engine.stats();
 
     println!("Trace: 10.24 s, 4 pages with distinct behaviours");
     println!("  page 0: written every 100 ms  -> never a PRIL candidate");
@@ -79,15 +79,15 @@ fn main() {
     println!("Engine outcome:");
     println!(
         "  PRIL: {} writes seen, {} candidates",
-        internals.pril.writes, internals.pril.candidates
+        stats.pril.writes, stats.pril.candidates
     );
     println!(
         "  tests: {} started, {} failed, {} aborted",
-        internals.tests.started, internals.tests.failed, internals.tests.aborted
+        stats.tests.started, stats.tests.failed, stats.tests.aborted
     );
     println!(
         "  verdicts: {} correct, {} mispredicted",
-        report.tests_correct, report.tests_mispredicted
+        stats.counters.tests_correct, stats.counters.tests_mispredicted
     );
     println!(
         "  LO-REF coverage {:.1}%, refresh reduction {:.1}% (bound {:.0}%)",
@@ -96,6 +96,9 @@ fn main() {
         report.upper_bound * 100.0
     );
 
-    assert_eq!(internals.tests.failed, 1, "page 3 must fail its test");
-    assert!(report.tests_mispredicted >= 1, "page 2 must mispredict");
+    assert_eq!(stats.tests.failed, 1, "page 3 must fail its test");
+    assert!(
+        stats.counters.tests_mispredicted >= 1,
+        "page 2 must mispredict"
+    );
 }

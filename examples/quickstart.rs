@@ -55,7 +55,7 @@ fn main() {
 
     let mut engine = MemconEngine::new(config, trace.n_pages());
     let report = engine.run(&trace);
-    let internals = engine.internals();
+    let stats = engine.stats();
 
     println!("\nResults:");
     println!(
@@ -69,7 +69,7 @@ fn main() {
     );
     println!(
         "  tests             : {} started, {} correct, {} mispredicted",
-        internals.tests.started, report.tests_correct, report.tests_mispredicted
+        stats.tests.started, stats.counters.tests_correct, stats.counters.tests_mispredicted
     );
     println!(
         "  refresh+test time : {:.1}% of the 16 ms baseline's refresh time",

@@ -94,10 +94,10 @@ fn report_arithmetic_is_consistent() {
     // Time = ops x 39 ns.
     assert!((r.refresh_time_ns - r.refresh_ops * 39.0).abs() < 1.0);
     // Test accounting: correct + mispredicted equals completed + aborted.
-    let internals = engine.internals();
+    let stats = engine.stats();
     assert_eq!(
-        r.tests_correct + r.tests_mispredicted,
-        internals.tests.completed + internals.tests.aborted,
+        stats.counters.tests_correct + stats.counters.tests_mispredicted,
+        stats.tests.completed + stats.tests.aborted,
         "every finished or aborted test must be classified"
     );
 }
