@@ -235,8 +235,6 @@ fn bench_bank_fsm(c: &mut Criterion) {
 }
 
 fn bench_telemetry(c: &mut Criterion) {
-    use std::sync::Arc;
-
     // Each iteration performs a batch of operations: the single-op cost is
     // a few ns — below the harness/timer floor on a busy host — so per-op
     // numbers are derived (ns ÷ OPS) and the gate compares µs-scale
@@ -279,19 +277,6 @@ fn bench_telemetry(c: &mut Criterion) {
             for _ in 0..OPS {
                 v = (v + 97) % 8192;
                 hist.record(std::hint::black_box(v));
-            }
-        })
-    });
-    g.bench_function("trace_record_enabled_512", |b| {
-        let registry = Arc::new(telemetry::Registry::new());
-        registry.set_enabled(true);
-        let mut i = 0u64;
-        b.iter(|| {
-            for _ in 0..OPS {
-                i += 1;
-                registry
-                    .trace()
-                    .record("bench.event", std::hint::black_box(i));
             }
         })
     });

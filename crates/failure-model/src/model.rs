@@ -108,13 +108,9 @@ pub struct CellFailure {
 }
 
 fn row_seed(chip_seed: u64, rank: u8, bank: u8, internal_row: u32) -> u64 {
-    // splitmix64-style mixing of the coordinates.
-    let mut z =
-        chip_seed ^ (u64::from(rank) << 56) ^ (u64::from(bank) << 48) ^ u64::from(internal_row);
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    memutil::rng::mix64(
+        chip_seed ^ (u64::from(rank) << 56) ^ (u64::from(bank) << 48) ^ u64::from(internal_row),
+    )
 }
 
 /// Samples the vulnerable cells of one internal row, in generation order.

@@ -31,6 +31,7 @@ use std::sync::{Arc, PoisonError, RwLock};
 
 use memutil::codec::Io;
 use memutil::json::Json;
+use memutil::rng::mix64;
 
 /// The JSON schema identifier of serialized plans.
 pub const SCHEMA: &str = "memcon-faultplan/v1";
@@ -183,15 +184,6 @@ impl SiteSpec {
             schedule: Schedule::Always,
         }
     }
-}
-
-/// SplitMix64 finalizer: the avalanche mix underlying the per-decision
-/// hash. Identical constants to `memutil::rng::SplitMix64`.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// A seeded, serializable fault plan: which sites inject, how often, when.

@@ -37,7 +37,7 @@ struct Shard {
     engine: MemconEngine,
     /// Set once the shard's trace horizon is reached and its run finished.
     report: Option<MemconReport>,
-    /// Epoch at which the shard finished (cross-shard roll-up state).
+    /// Epoch whose step finished the shard's run.
     done_epoch: Option<u64>,
     /// Wall-clock nanoseconds of each epoch step (timing class only).
     step_latency_ns: Vec<u64>,
@@ -298,8 +298,8 @@ impl Fleet {
     }
 
     /// Advances every shard one epoch across `jobs` workers (`0` =
-    /// resolve automatically), then applies cross-shard bookkeeping in
-    /// shard order. Returns `true` while work remains.
+    /// resolve automatically), then runs the epoch barrier in shard
+    /// order. Returns `true` while work remains.
     ///
     /// Shard advancement commutes (disjoint state; telemetry adds are
     /// atomic), so results are byte-identical at any `jobs` value.
@@ -315,11 +315,11 @@ impl Fleet {
         let _epoch_span = telemetry::tree_span("fleet.epoch");
         telemetry::annotate("epoch", self.epoch);
         let limit = self.epoch.saturating_mul(self.epoch_ns);
-        let finished: Vec<bool> = par::ordered_map_with(jobs, self.shards.len(), |i| {
+        par::ordered_map_with(jobs, self.shards.len(), |i| {
             let mut shard = self.shards[i].lock().expect("shard engine panicked");
             let shard = &mut *shard;
             if shard.report.is_some() {
-                return true;
+                return;
             }
             // Nested under `fleet.epoch` at jobs=1 (same thread); a root
             // span on pool workers — tree shape is timing-class data.
@@ -329,6 +329,7 @@ impl Fleet {
                 shard.engine.advance_until(&shard.spec.trace, limit);
                 if limit >= shard.spec.trace.duration_ns() {
                     shard.report = Some(shard.engine.finish_run());
+                    shard.done_epoch = Some(self.epoch);
                 }
             });
             shard.step_latency_ns.push(elapsed_ns);
@@ -337,18 +338,7 @@ impl Fleet {
                 &STEP_LATENCY_EDGES_US,
                 elapsed_ns / 1_000,
             );
-            shard.report.is_some()
         });
-        // Cross-shard work, deterministically in shard order: stamp the
-        // completion epoch of every shard that finished this batch.
-        for (i, done) in finished.iter().enumerate() {
-            if *done {
-                let mut shard = self.shards[i].lock().expect("shard engine panicked");
-                if shard.done_epoch.is_none() {
-                    shard.done_epoch = Some(self.epoch);
-                }
-            }
-        }
         self.epoch_barrier(jobs);
         !self.is_done()
     }
@@ -393,14 +383,11 @@ impl Fleet {
         if telemetry::enabled() {
             let point = durable::emit_epoch_entry(&entry);
             if let (Some(monitor), Some(point)) = (&self.health, point) {
-                let fired = monitor
+                monitor
                     .lock()
                     // memlint: allow(no-unwrap): a poisoned monitor must fail the run, not go silent
                     .expect("health monitor poisoned")
                     .evaluate(&point);
-                if fired > 0 {
-                    telemetry::trace_event("fleet.alerts_fired", fired as u64);
-                }
             }
         }
         if self.store.is_some() {
@@ -543,46 +530,49 @@ pub fn run_fleet(config: &crate::FleetConfig, jobs: usize) -> FleetReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tests::registry_lock;
     use crate::FleetConfig;
+    use telemetry::collect;
+
+    // A stepped fleet counts into whichever registry is current, so every
+    // test here steps its fleets (and engines) inside `collect`, which
+    // serializes them.
 
     #[test]
     fn epoch_stepping_matches_whole_runs() {
-        let _serial = registry_lock();
         // The fleet's epoch-sliced engines must report exactly what one
         // whole-trace run of the same engine reports.
         let config = FleetConfig::small(6, 42);
         let plan = FleetPlan::expand(&config, 1);
-        let mut fleet = Fleet::new(&plan);
-        let fleet_report = fleet.run_to_completion(1);
-        for (spec, summary) in plan.shards.iter().zip(&fleet_report.shards) {
-            let mut engine = MemconEngine::with_oracle(
-                config.engine,
-                spec.trace.n_pages(),
-                Box::new(RateOracle::new(
-                    memcon::engine::DEFAULT_FAIL_RATE,
-                    spec.chip_seed,
-                )),
-            );
-            let solo = engine.run(&spec.trace);
-            let counters = engine.stats().counters;
-            assert_eq!(summary.refresh_reduction, solo.refresh_reduction);
-            assert_eq!(summary.lo_coverage, solo.lo_coverage);
-            assert_eq!(summary.tests_correct, counters.tests_correct);
-            assert_eq!(summary.tests_mispredicted, counters.tests_mispredicted);
-        }
-        assert!(fleet.is_done());
-        assert!(!fleet.run_epoch(1), "done fleet refuses further epochs");
-        fleet.verify_refresh_correctness().unwrap();
+        let _ = collect(|| {
+            let mut fleet = Fleet::new(&plan);
+            let fleet_report = fleet.run_to_completion(1);
+            for (spec, summary) in plan.shards.iter().zip(&fleet_report.shards) {
+                let mut engine = MemconEngine::with_oracle(
+                    config.engine,
+                    spec.trace.n_pages(),
+                    Box::new(RateOracle::new(
+                        memcon::engine::DEFAULT_FAIL_RATE,
+                        spec.chip_seed,
+                    )),
+                );
+                let solo = engine.run(&spec.trace);
+                let counters = engine.stats().counters;
+                assert_eq!(summary.refresh_reduction, solo.refresh_reduction);
+                assert_eq!(summary.lo_coverage, solo.lo_coverage);
+                assert_eq!(summary.tests_correct, counters.tests_correct);
+                assert_eq!(summary.tests_mispredicted, counters.tests_mispredicted);
+            }
+            assert!(fleet.is_done());
+            assert!(!fleet.run_epoch(1), "done fleet refuses further epochs");
+            fleet.verify_refresh_correctness().unwrap();
+        });
     }
 
     #[test]
     fn step_latencies_are_recorded_per_epoch() {
-        let _serial = registry_lock();
         let config = FleetConfig::small(3, 5);
         let plan = FleetPlan::expand(&config, 1);
-        let mut fleet = Fleet::new(&plan);
-        let report = fleet.run_to_completion(1);
+        let (report, _) = collect(|| Fleet::new(&plan).run_to_completion(1));
         assert!(
             report.step_latency.samples >= 3,
             "one sample per shard-epoch"
@@ -624,24 +614,19 @@ mod tests {
         images.pop().expect("the store holds an image")
     }
 
-    /// An enabled registry, installed until the guard drops.
-    fn fresh_registry() -> (Arc<telemetry::Registry>, telemetry::ScopeGuard) {
-        let registry = Arc::new(telemetry::Registry::new());
-        registry.set_enabled(true);
-        let guard = telemetry::install(Arc::clone(&registry));
-        (registry, guard)
+    /// The deterministic report of `plan` run to completion at jobs 1.
+    fn reference_emit(plan: &FleetPlan) -> String {
+        collect(|| Fleet::new(plan).run_to_completion(1))
+            .0
+            .deterministic_emit()
     }
 
     #[test]
     fn recovered_fleet_is_jobs_invariant_and_matches_uninterrupted() {
-        let _serial = registry_lock();
         // Reference: the same fleet with no store at all.
         let mut config = FleetConfig::small(4, 99);
         config.fault_plan = Some(engine_plan(0xF1EE7, 0.05));
-        let reference = {
-            let plan = FleetPlan::expand(&config, 1);
-            Fleet::new(&plan).run_to_completion(1).deterministic_emit()
-        };
+        let reference = reference_emit(&FleetPlan::expand(&config, 1));
         let mut det_sections: Vec<String> = Vec::new();
         let mut crash_images: Vec<Vec<u8>> = Vec::new();
         for jobs in [1usize, 2, 8] {
@@ -649,37 +634,29 @@ mod tests {
             let mut durable = config.clone();
             durable.store_dir = Some(dir.clone());
             let plan = FleetPlan::expand(&durable, jobs);
-            {
-                // Pre-crash phase under a throwaway registry: the process
-                // that crashes takes its registry with it.
-                let _scope = fresh_registry();
+            // Pre-crash phase under a throwaway registry: the process that
+            // crashes takes its registry with it.
+            let _ = collect(|| {
                 let mut fleet = Fleet::new(&plan);
                 assert!(fleet.run_epoch(jobs));
                 assert!(fleet.run_epoch(jobs));
                 // Crash at the barrier: drop the fleet mid-run.
-            }
+            });
             crash_images.push(std::fs::read(newest_image(&dir)).unwrap());
-            let (registry, guard) = fresh_registry();
-            let (mut fleet, rec) = Fleet::recover(&plan, jobs).expect("fleet recovers");
-            assert_eq!(fleet.epoch(), 2, "fleet resumes at the crashed barrier");
-            assert_eq!(rec.shards_recovered, 4);
-            assert_eq!(rec.epochs_replayed, 2);
-            assert!(fleet.meta_store_error().is_none());
-            let report = fleet.run_to_completion(jobs);
+            let (report, registry) = collect(|| {
+                let (mut fleet, rec) = Fleet::recover(&plan, jobs).expect("fleet recovers");
+                assert_eq!(fleet.epoch(), 2, "fleet resumes at the crashed barrier");
+                assert_eq!(rec.shards_recovered, 4);
+                assert_eq!(rec.epochs_replayed, 2);
+                assert!(fleet.meta_store_error().is_none());
+                fleet.run_to_completion(jobs)
+            });
             assert_eq!(
                 report.deterministic_emit(),
                 reference,
                 "resumed fleet must report exactly what an uninterrupted storeless run does"
             );
-            drop(guard);
-            det_sections.push(
-                registry
-                    .report()
-                    .get("deterministic")
-                    .cloned()
-                    .unwrap_or_else(memutil::json::Json::obj)
-                    .emit(),
-            );
+            det_sections.push(registry.deterministic().emit());
             let _ = std::fs::remove_dir_all(&dir);
         }
         assert_eq!(
@@ -698,30 +675,25 @@ mod tests {
 
     #[test]
     fn fleet_recovers_from_a_crash_before_the_first_barrier() {
-        let _serial = registry_lock();
         let mut config = FleetConfig::small(2, 31);
-        let reference = {
-            let plan = FleetPlan::expand(&config, 1);
-            Fleet::new(&plan).run_to_completion(1).deterministic_emit()
-        };
+        let reference = reference_emit(&FleetPlan::expand(&config, 1));
         let dir = store::scratch_dir("fleet-recover-epoch0");
         config.store_dir = Some(dir.clone());
         let plan = FleetPlan::expand(&config, 1);
-        {
-            let _fleet = Fleet::new(&plan); // crash before any epoch runs
-        }
-        let (mut fleet, rec) = Fleet::recover(&plan, 1).expect("anchor snapshot recovers");
-        assert_eq!(fleet.epoch(), 0);
-        assert_eq!(rec.epochs_replayed, 0);
-        assert_eq!(rec.shards_recovered, 2);
-        let report = fleet.run_to_completion(1);
+        let (report, _) = collect(|| {
+            drop(Fleet::new(&plan)); // crash before any epoch runs
+            let (mut fleet, rec) = Fleet::recover(&plan, 1).expect("anchor snapshot recovers");
+            assert_eq!(fleet.epoch(), 0);
+            assert_eq!(rec.epochs_replayed, 0);
+            assert_eq!(rec.shards_recovered, 2);
+            fleet.run_to_completion(1)
+        });
         assert_eq!(report.deterministic_emit(), reference);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn durable_fleets_write_only_barrier_images() {
-        let _serial = registry_lock();
         // Whatever the epoch length, the fleet store publishes the anchor
         // and one image per barrier, and its directory holds nothing else.
         for epoch_quanta in [1, 2] {
@@ -730,12 +702,13 @@ mod tests {
             let dir = store::scratch_dir(&format!("fleet-images-only-q{epoch_quanta}"));
             config.store_dir = Some(dir.clone());
             let plan = FleetPlan::expand(&config, 1);
-            let (registry, guard) = fresh_registry();
-            let mut fleet = Fleet::new(&plan);
-            for _ in 0..3 {
-                assert!(fleet.run_epoch(2));
-            }
-            drop(guard);
+            let (fleet, registry) = collect(|| {
+                let mut fleet = Fleet::new(&plan);
+                for _ in 0..3 {
+                    assert!(fleet.run_epoch(2));
+                }
+                fleet
+            });
             assert!(fleet.meta_store_error().is_none());
             let count = |name| {
                 registry
@@ -757,44 +730,44 @@ mod tests {
 
     #[test]
     fn a_corrupt_newest_image_resumes_from_the_barrier_before() {
-        let _serial = registry_lock();
         let mut config = FleetConfig::small(3, 0xC0DE);
         let plan = FleetPlan::expand(&config, 1);
-        let mut reference = Fleet::new(&plan);
-        assert!(reference.run_epoch(1));
-        let at_epoch_1 = checkpoints(&reference);
-        let reference = reference.run_to_completion(1).deterministic_emit();
         let dir = store::scratch_dir("fleet-corrupt-image");
-        config.store_dir = Some(dir.clone());
-        let plan = FleetPlan::expand(&config, 1);
-        {
-            let mut fleet = Fleet::new(&plan);
-            assert!(fleet.run_epoch(1));
-            assert!(fleet.run_epoch(1));
-        }
-        let newest = newest_image(&dir);
-        let mut bytes = std::fs::read(&newest).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x01;
-        std::fs::write(&newest, bytes).unwrap();
-        let (mut fleet, rec) = Fleet::recover(&plan, 1).expect("the epoch-1 image recovers");
-        assert_eq!(rec.snapshots_skipped, 1);
-        assert_eq!(rec.epochs_replayed, 1);
-        assert_eq!(fleet.epoch(), 1);
-        assert_eq!(
-            checkpoints(&fleet),
-            at_epoch_1,
-            "every shard resumes at epoch 1"
-        );
-        let report = fleet.run_to_completion(1);
-        assert_eq!(report.deterministic_emit(), reference);
+        let _ = collect(|| {
+            let mut reference = Fleet::new(&plan);
+            assert!(reference.run_epoch(1));
+            let at_epoch_1 = checkpoints(&reference);
+            let reference = reference.run_to_completion(1).deterministic_emit();
+            config.store_dir = Some(dir.clone());
+            let plan = FleetPlan::expand(&config, 1);
+            {
+                let mut fleet = Fleet::new(&plan);
+                assert!(fleet.run_epoch(1));
+                assert!(fleet.run_epoch(1));
+            }
+            let newest = newest_image(&dir);
+            let mut bytes = std::fs::read(&newest).unwrap();
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0x01;
+            std::fs::write(&newest, bytes).unwrap();
+            let (mut fleet, rec) = Fleet::recover(&plan, 1).expect("the epoch-1 image recovers");
+            assert_eq!(rec.snapshots_skipped, 1);
+            assert_eq!(rec.epochs_replayed, 1);
+            assert_eq!(fleet.epoch(), 1);
+            assert_eq!(
+                checkpoints(&fleet),
+                at_epoch_1,
+                "every shard resumes at epoch 1"
+            );
+            let report = fleet.run_to_completion(1);
+            assert_eq!(report.deterministic_emit(), reference);
+        });
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn an_injected_torn_publish_latches_and_the_directory_still_recovers() {
         use faultinject::{FaultPlan, Schedule, Site, SiteSpec};
-        let _serial = registry_lock();
         // Store decisions are keyed by image sequence number, and the
         // anchor is image 0, so the tear hits the epoch-2 image; every
         // other site stays quiet.
@@ -806,37 +779,36 @@ mod tests {
                 schedule: Schedule::OneShot { at: 2 },
             },
         )));
-        let reference = Fleet::new(&FleetPlan::expand(&config, 1))
-            .run_to_completion(1)
-            .deterministic_emit();
+        let reference = reference_emit(&FleetPlan::expand(&config, 1));
         let dir = store::scratch_dir("fleet-torn-publish");
         config.store_dir = Some(dir.clone());
         let plan = FleetPlan::expand(&config, 1);
-        let mut fleet = Fleet::new(&plan);
-        let report = fleet.run_to_completion(1);
-        assert_eq!(fleet.meta_store_error(), Some(&StoreError::TornWrite));
-        assert_eq!(
-            report.deterministic_emit(),
-            reference,
-            "store faults stay on the durability plane"
-        );
-        drop(fleet);
-        let (mut fleet, rec) = Fleet::recover(&plan, 1).expect("the image before the tear");
-        assert_eq!(
-            fleet.epoch(),
-            1,
-            "resumes at the last image published whole"
-        );
-        assert!(rec.truncated_bytes > 0, "the torn temp image is discarded");
-        assert_eq!(rec.snapshots_skipped, 0);
-        assert_eq!(fleet.run_to_completion(1).deterministic_emit(), reference);
+        let _ = collect(|| {
+            let mut fleet = Fleet::new(&plan);
+            let report = fleet.run_to_completion(1);
+            assert_eq!(fleet.meta_store_error(), Some(&StoreError::TornWrite));
+            assert_eq!(
+                report.deterministic_emit(),
+                reference,
+                "store faults stay on the durability plane"
+            );
+            drop(fleet);
+            let (mut fleet, rec) = Fleet::recover(&plan, 1).expect("the image before the tear");
+            assert_eq!(
+                fleet.epoch(),
+                1,
+                "resumes at the last image published whole"
+            );
+            assert!(rec.truncated_bytes > 0, "the torn temp image is discarded");
+            assert_eq!(rec.snapshots_skipped, 0);
+            assert_eq!(fleet.run_to_completion(1).deterministic_emit(), reference);
+        });
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn store_faults_replay_across_recovery() {
         use faultinject::{FaultPlan, Schedule, SiteSpec};
-        let _serial = registry_lock();
         // The recovered store tears the epoch-3 image, as the store that
         // never crashed would have: its decisions follow the image
         // sequence number, not a count restarted at recovery.
@@ -851,23 +823,23 @@ mod tests {
         let dir = store::scratch_dir("fleet-store-fault-replay");
         config.store_dir = Some(dir.clone());
         let plan = FleetPlan::expand(&config, 1);
-        {
-            let mut fleet = Fleet::new(&plan);
+        let _ = collect(|| {
+            {
+                let mut fleet = Fleet::new(&plan);
+                assert!(fleet.run_epoch(1));
+                assert!(fleet.run_epoch(1));
+                assert!(fleet.meta_store_error().is_none());
+            }
+            let (mut fleet, _) = Fleet::recover(&plan, 1).expect("fleet recovers");
+            assert_eq!(fleet.epoch(), 2);
             assert!(fleet.run_epoch(1));
-            assert!(fleet.run_epoch(1));
-            assert!(fleet.meta_store_error().is_none());
-        }
-        let (mut fleet, _) = Fleet::recover(&plan, 1).expect("fleet recovers");
-        assert_eq!(fleet.epoch(), 2);
-        assert!(fleet.run_epoch(1));
-        assert_eq!(fleet.meta_store_error(), Some(&StoreError::TornWrite));
-        drop(fleet);
+            assert_eq!(fleet.meta_store_error(), Some(&StoreError::TornWrite));
+        });
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn recovered_fleet_telemetry_matches_an_uninterrupted_run() {
-        let _serial = registry_lock();
         // The first resumed epoch's `fleet.obs.*` deltas start from the
         // restored engines' cursors, so the crash must follow the first
         // injected faults.
@@ -893,11 +865,8 @@ mod tests {
                 })
                 .collect()
         };
-        let reference = {
-            let (registry, _guard) = fresh_registry();
-            let _ = Fleet::new(&FleetPlan::expand(&config, 1)).run_to_completion(1);
-            observed(&registry)
-        };
+        let plan = FleetPlan::expand(&config, 1);
+        let reference = observed(&collect(|| Fleet::new(&plan).run_to_completion(1)).1);
         let faults = &reference[0].1;
         assert!(
             faults
@@ -908,18 +877,17 @@ mod tests {
         let dir = store::scratch_dir("fleet-recover-telemetry");
         config.store_dir = Some(dir.clone());
         let plan = FleetPlan::expand(&config, 1);
-        {
-            let _scope = fresh_registry();
+        let _ = collect(|| {
             let mut fleet = Fleet::new(&plan);
             for _ in 0..CRASH_EPOCH {
                 assert!(fleet.run_epoch(1));
             }
-        }
-        let (registry, guard) = fresh_registry();
-        let (mut fleet, _) = Fleet::recover(&plan, 1).expect("fleet recovers");
-        assert_eq!(fleet.epoch(), CRASH_EPOCH);
-        let _ = fleet.run_to_completion(1);
-        drop(guard);
+        });
+        let ((), registry) = collect(|| {
+            let (mut fleet, _) = Fleet::recover(&plan, 1).expect("fleet recovers");
+            assert_eq!(fleet.epoch(), CRASH_EPOCH);
+            let _ = fleet.run_to_completion(1);
+        });
         for (name, (want, got)) in OBS.iter().zip(reference.iter().zip(observed(&registry))) {
             assert_eq!(&got, want, "{name}");
         }
@@ -928,7 +896,6 @@ mod tests {
 
     #[test]
     fn epoch_telemetry_sums_the_shards_final_stats() {
-        let _serial = registry_lock();
         // Each barrier emits every shard's stats delta since the last one,
         // so the `fleet.obs.*` totals are the shards' final views summed,
         // and the last epoch's gauges are the final gauges summed. An
@@ -939,10 +906,11 @@ mod tests {
         config.fault_plan = Some(engine_plan(0x0B5E, 0.05));
         for jobs in [1, 4] {
             let plan = FleetPlan::expand(&config, jobs);
-            let (registry, guard) = fresh_registry();
-            let mut fleet = Fleet::new(&plan);
-            let _ = fleet.run_to_completion(jobs);
-            drop(guard);
+            let (fleet, registry) = collect(|| {
+                let mut fleet = Fleet::new(&plan);
+                let _ = fleet.run_to_completion(jobs);
+                fleet
+            });
             let stats: Vec<EngineStats> = fleet
                 .shards
                 .iter()
@@ -998,61 +966,59 @@ mod tests {
 
     #[test]
     fn recover_refuses_an_epoch_log_that_disagrees_with_the_clock() {
-        let _serial = registry_lock();
         let mut config = FleetConfig::small(2, 0x106);
         let dir = store::scratch_dir("fleet-bad-epoch-log");
         config.store_dir = Some(dir.clone());
         let plan = FleetPlan::expand(&config, 1);
-        {
-            let mut fleet = Fleet::new(&plan);
-            assert!(fleet.run_epoch(1));
-            assert!(fleet.run_epoch(1));
-        }
-        let (_, found) = Store::open(&dir, config.durability, None).unwrap();
-        let mut image = FleetMeta::default();
-        codec::decode(
-            &found.snapshot.payload,
-            &mut image,
-            "image",
-            FleetMeta::fields,
-        )
-        .unwrap();
-        let mut short = image.clone();
-        short.entries.pop();
-        let mut renumbered = image;
-        renumbered.entries.swap(0, 1);
-        for (what, mut bad) in [("short", short), ("renumbered", renumbered)] {
-            let (mut store, _) = Store::open(&dir, config.durability, None).unwrap();
-            store
-                .publish_snapshot(&codec::encode(&mut bad, FleetMeta::fields))
-                .unwrap();
-            drop(store);
-            assert!(
-                matches!(
-                    Fleet::recover(&plan, 1),
-                    Err(StoreError::Corrupt(msg)) if msg.contains("epoch log")
-                ),
-                "a {what} epoch log must be refused"
-            );
-        }
+        // The store counts its opens and publishes too.
+        let _ = collect(|| {
+            {
+                let mut fleet = Fleet::new(&plan);
+                assert!(fleet.run_epoch(1));
+                assert!(fleet.run_epoch(1));
+            }
+            let (_, found) = Store::open(&dir, config.durability, None).unwrap();
+            let mut image = FleetMeta::default();
+            codec::decode(
+                &found.snapshot.payload,
+                &mut image,
+                "image",
+                FleetMeta::fields,
+            )
+            .unwrap();
+            let mut short = image.clone();
+            short.entries.pop();
+            let mut renumbered = image;
+            renumbered.entries.swap(0, 1);
+            for (what, mut bad) in [("short", short), ("renumbered", renumbered)] {
+                let (mut store, _) = Store::open(&dir, config.durability, None).unwrap();
+                store
+                    .publish_snapshot(&codec::encode(&mut bad, FleetMeta::fields))
+                    .unwrap();
+                drop(store);
+                assert!(
+                    matches!(
+                        Fleet::recover(&plan, 1),
+                        Err(StoreError::Corrupt(msg)) if msg.contains("epoch log")
+                    ),
+                    "a {what} epoch log must be refused"
+                );
+            }
+        });
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn recover_refuses_a_plan_other_than_the_checkpointed_one() {
-        let _serial = registry_lock();
         let mut config = FleetConfig::small(3, 0x5EED);
-        let reference = {
-            let plan = FleetPlan::expand(&config, 1);
-            Fleet::new(&plan).run_to_completion(1).deterministic_emit()
-        };
+        let reference = reference_emit(&FleetPlan::expand(&config, 1));
         let dir = store::scratch_dir("fleet-recover-changed-plan");
         config.store_dir = Some(dir.clone());
         let plan = FleetPlan::expand(&config, 1);
-        {
+        let _ = collect(|| {
             let mut fleet = Fleet::new(&plan);
             assert!(fleet.run_epoch(1));
-        }
+        });
         let mut quantum = config.clone();
         quantum.engine = quantum.engine.with_quantum_ms(512.0);
         let mut epoch = config.clone();
@@ -1072,20 +1038,24 @@ mod tests {
         ] {
             let changed = FleetPlan::expand(&changed, 1);
             assert!(
-                matches!(Fleet::recover(&changed, 1), Err(StoreError::Corrupt(_))),
+                matches!(
+                    collect(|| Fleet::recover(&changed, 1)).0,
+                    Err(StoreError::Corrupt(_))
+                ),
                 "a changed {what} must be refused"
             );
         }
-        let (mut fleet, rec) = Fleet::recover(&plan, 1).expect("the matching plan recovers");
-        assert_eq!(rec.shards_recovered, 3);
-        let report = fleet.run_to_completion(1);
+        let (report, _) = collect(|| {
+            let (mut fleet, rec) = Fleet::recover(&plan, 1).expect("the matching plan recovers");
+            assert_eq!(rec.shards_recovered, 3);
+            fleet.run_to_completion(1)
+        });
         assert_eq!(report.deterministic_emit(), reference);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn recover_refuses_a_storeless_config_and_a_finished_fleet() {
-        let _serial = registry_lock();
         let mut config = FleetConfig::small(2, 8);
         let plan = FleetPlan::expand(&config, 1);
         assert!(matches!(
@@ -1095,9 +1065,12 @@ mod tests {
         let dir = store::scratch_dir("fleet-recover-finished");
         config.store_dir = Some(dir.clone());
         let plan = FleetPlan::expand(&config, 1);
-        let _ = Fleet::new(&plan).run_to_completion(1);
+        let (recovered, _) = collect(|| {
+            let _ = Fleet::new(&plan).run_to_completion(1);
+            Fleet::recover(&plan, 1)
+        });
         assert!(
-            matches!(Fleet::recover(&plan, 1), Err(StoreError::Unsupported(_))),
+            matches!(recovered, Err(StoreError::Unsupported(_))),
             "a finished fleet must refuse to resume"
         );
         let _ = std::fs::remove_dir_all(&dir);

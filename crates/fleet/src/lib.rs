@@ -52,15 +52,7 @@ use memcon::config::MemconConfig;
 use memtrace::trace::WriteTrace;
 use memtrace::workload::WorkloadProfile;
 use memutil::par;
-
-/// SplitMix64 finalizer (identical constants to `memutil`'s PRNG) — the
-/// seed-derivation mix for per-node traces and chip identities.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
+use memutil::rng::mix64;
 
 /// Configuration of a simulated fleet.
 #[derive(Debug, Clone)]
@@ -213,16 +205,6 @@ impl FleetPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// `telemetry::install` swaps a process-global registry, and a stepped
-    /// fleet counts into whichever enabled registry is current, so every
-    /// unit test that installs a registry or steps a fleet serializes on
-    /// this lock.
-    pub(crate) fn registry_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
 
     #[test]
     fn plan_expansion_is_jobs_invariant() {

@@ -345,10 +345,6 @@ mod tests {
 
     #[test]
     fn flush_records_rollup_counters() {
-        let _serial = crate::tests::registry_lock();
-        let registry = std::sync::Arc::new(telemetry::Registry::new());
-        registry.set_enabled(true);
-        let guard = telemetry::install(std::sync::Arc::clone(&registry));
         let report = FleetReport::new(
             2,
             7,
@@ -357,8 +353,7 @@ mod tests {
             vec![shard(0, 100.0, 400.0), shard(1, 50.0, 400.0)],
             LatencySummary::default(),
         );
-        report.flush_telemetry();
-        drop(guard);
+        let ((), registry) = telemetry::collect(|| report.flush_telemetry());
         assert_eq!(
             registry
                 .counter("fleet.rollup.shards", telemetry::Class::Deterministic)

@@ -6,36 +6,18 @@
 //! fault plan armed. These tests pin that over fleet sizes {4, 64},
 //! multiple seeds, jobs {1, 2, 8}, and three chaos fault plans.
 
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
-use faultinject::{FaultPlan, Site, SiteSpec};
+use faultinject::FaultPlan;
 use fleet::engine::run_fleet;
 use fleet::FleetConfig;
 
-/// `telemetry::install` swaps a process-global registry; tests in this
-/// binary run on parallel threads, so runs that compare registry contents
-/// serialize on this lock.
-fn registry_lock() -> &'static Mutex<()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-}
-
-/// Runs the fleet once at `jobs` under a fresh enabled registry, returning
-/// the byte-stable pair the contract is defined over: (fleet report
+/// Runs the fleet once at `jobs` under `telemetry::collect`, returning the
+/// byte-stable pair the contract is defined over: (fleet report
 /// deterministic section, telemetry deterministic section).
 fn run_once(config: &FleetConfig, jobs: usize) -> (String, String) {
-    let _serial = registry_lock().lock().unwrap();
-    let registry = Arc::new(telemetry::Registry::new());
-    registry.set_enabled(true);
-    let guard = telemetry::install(Arc::clone(&registry));
-    let report = run_fleet(config, jobs);
-    drop(guard);
-    let telemetry_det = registry
-        .report()
-        .get("deterministic")
-        .expect("report has a deterministic section")
-        .emit();
-    (report.deterministic_emit(), telemetry_det)
+    let (report, registry) = telemetry::collect(|| run_fleet(config, jobs));
+    (report.deterministic_emit(), registry.deterministic().emit())
 }
 
 fn assert_jobs_invariant(config: &FleetConfig, label: &str) {
@@ -76,12 +58,11 @@ fn chaos_fleets_are_jobs_invariant() {
     // streams derive from (plan seed, node), never from thread schedule.
     const PLAN_SEED_BASE: u64 = 0xF1EE_7C4A_0500_0000;
     for plan_idx in 0..3u64 {
-        let mut plan = FaultPlan::new(PLAN_SEED_BASE + plan_idx);
-        for site in Site::ALL {
-            plan = plan.with_site(site, SiteSpec::rate(0.05));
-        }
         let mut config = FleetConfig::small(4, 0xBAD5EED + plan_idx);
-        config.fault_plan = Some(Arc::new(plan));
+        config.fault_plan = Some(Arc::new(FaultPlan::uniform(
+            PLAN_SEED_BASE + plan_idx,
+            0.05,
+        )));
         assert_jobs_invariant(&config, &format!("chaos plan {plan_idx}"));
     }
 }
@@ -90,14 +71,9 @@ fn chaos_fleets_are_jobs_invariant() {
 fn faults_actually_fire_under_chaos_config() {
     // Guard against the chaos variant silently degenerating into the
     // fault-free case (e.g. a plan that never fires).
-    let mut plan = FaultPlan::new(0xD15EA5E);
-    for site in Site::ALL {
-        plan = plan.with_site(site, SiteSpec::rate(0.2));
-    }
     let mut config = FleetConfig::small(4, 0xBAD5EED);
-    config.fault_plan = Some(Arc::new(plan));
-    let _serial = registry_lock().lock().unwrap();
-    let report = run_fleet(&config, 2);
+    config.fault_plan = Some(Arc::new(FaultPlan::uniform(0xD15EA5E, 0.2)));
+    let (report, _) = telemetry::collect(|| run_fleet(&config, 2));
     assert!(
         report.faults_injected > 0,
         "chaos config must inject faults somewhere in the fleet"

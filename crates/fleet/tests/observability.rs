@@ -5,19 +5,12 @@
 //! alerts must fire promptly once a seeded fault plan starts injecting,
 //! and both the series and the alert log must be jobs-invariant.
 
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
-use faultinject::{FaultPlan, Site, SiteSpec};
+use faultinject::FaultPlan;
 use fleet::engine::Fleet;
 use fleet::{FleetConfig, FleetPlan};
 use telemetry::health::{HealthMonitor, Rule, Severity};
-
-/// `telemetry::install` swaps a process-global registry; tests in this
-/// binary run on parallel threads, so runs serialize on this lock.
-fn registry_lock() -> &'static Mutex<()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-}
 
 /// Everything one observed fleet run produces that the contract covers.
 struct Observed {
@@ -34,24 +27,12 @@ struct Observed {
 }
 
 fn chaos_config() -> FleetConfig {
-    let mut plan = FaultPlan::new(0x0B5E_7FA0);
-    for site in Site::ALL {
-        plan = plan.with_site(site, SiteSpec::rate(0.2));
-    }
     let mut config = FleetConfig::small(4, 0x0B5E_C061);
-    config.fault_plan = Some(Arc::new(plan));
+    config.fault_plan = Some(Arc::new(FaultPlan::uniform(0x0B5E_7FA0, 0.2)));
     config
 }
 
 fn run_observed(config: &FleetConfig, jobs: usize) -> Observed {
-    let _serial = registry_lock().lock().unwrap();
-    let registry = Arc::new(telemetry::Registry::new());
-    registry.set_enabled(true);
-    registry.set_timeseries_capacity(1024);
-    let guard = telemetry::install(Arc::clone(&registry));
-
-    let plan = FleetPlan::expand(config, jobs);
-    let mut fleet = Fleet::new(&plan);
     let mut monitor = HealthMonitor::with_default_rules();
     monitor.add_rule(Rule::delta_above(
         "fault-activity",
@@ -60,15 +41,18 @@ fn run_observed(config: &FleetConfig, jobs: usize) -> Observed {
         0,
     ));
     let monitor = Arc::new(Mutex::new(monitor));
-    fleet.set_health_monitor(Arc::clone(&monitor));
-    let _report = fleet.run_to_completion(jobs);
-    let epochs = fleet.epoch();
-    drop(guard);
+    let (epochs, registry) = telemetry::collect(|| {
+        telemetry::current().set_timeseries_capacity(1024);
+        let plan = FleetPlan::expand(config, jobs);
+        let mut fleet = Fleet::new(&plan);
+        fleet.set_health_monitor(Arc::clone(&monitor));
+        let _report = fleet.run_to_completion(jobs);
+        fleet.epoch()
+    });
 
     let series_emit = registry
-        .report()
-        .get("deterministic")
-        .and_then(|d| d.get("timeseries"))
+        .deterministic()
+        .get("timeseries")
         .expect("deterministic section carries the timeseries")
         .emit();
     let fault_series = registry.series("fleet.obs.faults_injected");

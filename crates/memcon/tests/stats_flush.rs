@@ -4,7 +4,8 @@
 //! `memcon.refresh.*` counters read the refresh bins, not the view.
 //!
 //! One test per binary: the registry slot is process-global, so an engine
-//! run on another thread would count into the installed registry.
+//! run on another thread outside `telemetry::collect` would count into
+//! this test's registry.
 
 use std::sync::Arc;
 
@@ -23,11 +24,7 @@ fn run_end_flush_emits_the_stats_view() {
     let config = MemconConfig::paper_default().with_quantum_ms(8.0);
     let mut engine = MemconEngine::new(config, trace.n_pages());
     engine.set_fault_plan(Some(Arc::new(FaultPlan::uniform(0x5EED, 0.05))));
-    let registry = Arc::new(telemetry::Registry::new());
-    registry.set_enabled(true);
-    let guard = telemetry::install(Arc::clone(&registry));
-    let _ = engine.run(&trace);
-    drop(guard);
+    let (_, registry) = telemetry::collect(|| engine.run(&trace));
 
     let stats = engine.stats();
     let (c, p, t) = (stats.counters, stats.pril, stats.tests);

@@ -89,7 +89,7 @@ const INTERIOR_MUT_TYPES: [&str; 18] = [
 ];
 
 /// Files exempt from `global-mut-state`: the two sanctioned install-guard
-/// registries, whose statics *are* the feature (guarded by install/reset
+/// registries, whose statics *are* the feature (guarded by install
 /// discipline and covered by their own tests).
 const GLOBAL_STATE_REGISTRIES: [&str; 2] = [
     "crates/telemetry/src/registry.rs",

@@ -214,6 +214,18 @@ impl<T> SliceRandom for [T] {
     }
 }
 
+/// The SplitMix64 output function of state `x`: a golden-ratio step, then
+/// a bijective avalanche mix. The seed-derivation and keyed-hash mix of
+/// every crate that needs one, and [`SplitMix64`]'s output.
+#[inline]
+#[must_use]
+pub fn mix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// `SplitMix64` (Steele, Lea, Flood): one 64-bit word of state, equidistant
 /// jumps through a bijective mix. Used for seeding and cheap seed streams.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -231,11 +243,9 @@ impl SplitMix64 {
 
 impl RngCore for SplitMix64 {
     fn next_u64(&mut self) -> u64 {
+        let out = mix64(self.state);
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        out
     }
 }
 
@@ -316,6 +326,7 @@ mod tests {
         assert_eq!(first[0], 6457827717110365317);
         assert_eq!(first[1], 3203168211198807973);
         assert_eq!(first[2], 9817491932198370423);
+        assert_eq!(mix64(1234567), first[0], "the output of state 1234567");
     }
 
     #[test]

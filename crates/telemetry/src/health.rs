@@ -6,12 +6,12 @@
 //! and gauges from the point, so evaluation is jobs-invariant: the same
 //! workload raises byte-identical alerts at `--jobs 1` and `--jobs 4`.
 //!
-//! When a rule fires, the monitor records a typed [`Alert`]. The caller
-//! (see `xtask chaos health`) then captures a **flight recorder** dump via
-//! [`flight_record`]: the last N epochs of time-series, the event-trace
-//! tail, and the currently active span tree — the "what was happening
-//! around the anomaly" bundle, written as a `memcon-flightrec/v1`
-//! artifact.
+//! When a rule fires, the monitor records a typed [`Alert`] with its
+//! epoch. The caller (see `xtask chaos health`) then captures a **flight
+//! recorder** dump via [`flight_record`]: the monitor's alert log, the
+//! last N epochs of time-series, and the currently active span tree — the
+//! "what was happening around the anomaly" bundle, written as a
+//! `memcon-flightrec/v1` artifact.
 //!
 //! The default rule set ([`default_rules`]) watches the failure modes the
 //! MEMCON paper's mitigation machinery can actually exhibit: escape burn,
@@ -311,26 +311,14 @@ impl HealthMonitor {
     }
 }
 
-/// Builds a flight-recorder dump: monitor state plus the last
-/// `last_n_epochs` time-series points, the event-trace tail, and the
-/// currently active spans of `registry`. The caller writes it to disk;
-/// telemetry stays I/O-free.
+/// Builds a flight-recorder dump: monitor state (alerts included) plus the
+/// last `last_n_epochs` time-series points and the currently active spans
+/// of `registry`. The caller writes it to disk; telemetry stays I/O-free.
 #[must_use]
 pub fn flight_record(registry: &Registry, monitor: &HealthMonitor, last_n_epochs: usize) -> Json {
     let mut points = Json::arr();
     for p in registry.timeseries_tail(last_n_epochs) {
         points = points.push(p.to_json());
-    }
-
-    let trace = registry.trace();
-    let mut events = Json::arr();
-    for e in trace.snapshot() {
-        events = events.push(
-            Json::obj()
-                .field("seq", e.seq)
-                .field("label", e.label.as_str())
-                .field("value", e.value),
-        );
     }
 
     let tree = registry.tree();
@@ -347,13 +335,6 @@ pub fn flight_record(registry: &Registry, monitor: &HealthMonitor, last_n_epochs
             Json::obj()
                 .field("last_n_epochs", last_n_epochs as u64)
                 .field("points", points),
-        )
-        .field(
-            "trace",
-            Json::obj()
-                .field("events", events)
-                .field("recorded", trace.recorded())
-                .field("dropped_events", trace.dropped()),
         )
         .field("active_spans", active)
 }
@@ -444,12 +425,11 @@ mod tests {
     }
 
     #[test]
-    fn flight_record_bundles_health_series_trace_and_spans() {
+    fn flight_record_bundles_health_series_and_spans() {
         let r = Registry::new();
         r.set_enabled(true);
         r.counter("a.b.c", crate::Class::Deterministic).add(3);
         r.sample_point(1, &[("g.x", 7)]);
-        r.trace().record("evt", 1);
         let _open = r.tree().open("t.active");
         let mut m =
             HealthMonitor::new(vec![Rule::delta_above("r", Severity::Critical, "a.b.c", 0)]);

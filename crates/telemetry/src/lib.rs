@@ -1,5 +1,5 @@
-//! Deterministic telemetry: counters, histograms, causal span trees, and
-//! a bounded event trace, exported as structured JSON.
+//! Deterministic telemetry: counters, histograms, causal span trees and
+//! an epoch-aligned time series, exported as structured JSON.
 //!
 //! The subsystem exists to answer "why was this sweep slow / this
 //! prediction wrong" without perturbing the reproduction's core contract:
@@ -12,21 +12,25 @@
 //!   themselves deterministic, so these sections of a report are
 //!   byte-identical across worker counts and are byte-diffed by the
 //!   `xtask` determinism gate.
-//! * [`Class::Timing`] — wall-clock span durations, pool scheduling
-//!   counters ([`memutil::par::pool_stats`]), and the event trace. These
-//!   legitimately vary run to run and live in a separate `timing` report
-//!   section that the gate ignores.
+//! * [`Class::Timing`] — wall-clock span durations and pool scheduling
+//!   counters ([`memutil::par::pool_stats`]). These legitimately vary run
+//!   to run and live in a separate `timing` report section that the gate
+//!   ignores.
 //!
 //! # Registry model
 //!
 //! Metrics live in a [`Registry`]. A lazily created process [`global`]
-//! registry backs the default path; [`install`] swaps in a scoped registry
-//! (restored when the returned guard drops) so tests and the experiments
-//! CLI can collect into a private registry without touching global state
-//! left behind by other code. Instrumentation sites use either the free
+//! registry backs the default path (the experiments CLI enables it).
+//! [`collect`] runs a piece of work with a fresh, enabled registry
+//! installed and hands that registry back; every harness and test that
+//! scopes telemetry to its own work goes through it, and compares
+//! [`Registry::deterministic`]. Calls serialize on one process-wide lock,
+//! because the current-registry slot is process-wide. [`install`] is the
+//! unserialized primitive underneath, for a single-threaded driver that
+//! keeps its own registry. Instrumentation sites use either the free
 //! helpers ([`count`], [`observe`], [`observe_merged`], [`observe_timing`],
-//! [`tree_span`], [`annotate`], [`trace_event`], [`sample_point`]) or bind
-//! `Arc` metric handles once and update them directly on hot-ish paths.
+//! [`tree_span`], [`annotate`], [`sample_point`]) or bind `Arc` metric
+//! handles once and update them directly on hot-ish paths.
 //! Work is timed in one of two ways: [`tree_span`] opens a causal span,
 //! or [`time_ns`] times a closure whose duration the caller files with
 //! [`observe_timing`].
@@ -56,7 +60,7 @@
 //!
 //! Metric names follow `crate.component.metric`, e.g.
 //! `memsim.ctrl.trrd_stalls` or `memcon.pril.candidates`. Tree span
-//! names use two segments (`fleet.epoch`, `memcon.run`).
+//! names use two segments (`fleet.epoch`, `fleet.shard_step`).
 
 #![warn(missing_docs)]
 
@@ -65,15 +69,13 @@ mod metrics;
 mod registry;
 mod scrape;
 mod timeseries;
-mod trace;
 mod trees;
 
 pub use health::{flight_record, HealthMonitor, FLIGHTREC_SCHEMA};
 pub use metrics::{Counter, Histogram};
-pub use registry::{current, global, install, Registry, ScopeGuard};
+pub use registry::{collect, current, global, install, Registry, ScopeGuard};
 pub use scrape::{respond, ScrapeServer};
 pub use timeseries::{SamplePoint, TIMESERIES_SCHEMA};
-pub use trace::{Event, EventTrace};
 pub use trees::{SpanNode, SpanTree, TreeGuard};
 
 /// Determinism class of a metric — decides which report section it lands
@@ -157,15 +159,6 @@ pub fn time_ns<R>(f: impl FnOnce() -> R) -> (R, u64) {
     (result, start.elapsed().as_nanos() as u64)
 }
 
-/// Appends an event to the current registry's bounded trace ring
-/// ([`Class::Timing`] data). No-op when telemetry is disabled.
-pub fn trace_event(label: &str, value: u64) {
-    let r = registry::current();
-    if r.is_enabled() {
-        r.trace().record(label, value);
-    }
-}
-
 /// Opens a causal span in the current registry's span tree, nested under
 /// this thread's innermost open tree span ([`Class::Timing`] data). The
 /// node closes when the returned guard drops. Inert when disabled.
@@ -201,42 +194,30 @@ pub fn sample_point(tick: u64, gauges: &[(&str, u64)]) -> Option<SamplePoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-
-    /// [`install`] swaps the process-global current registry, and a test
-    /// that installs one asserts on what it records, so every test in this
-    /// crate that installs a registry serializes on this lock.
-    pub(crate) fn registry_lock() -> MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-    }
+    use memutil::json::Json;
 
     #[test]
     fn free_helpers_are_noops_when_disabled() {
-        let _serial = registry_lock();
-        let r = Arc::new(Registry::new());
-        let _scope = install(Arc::clone(&r));
-        assert!(!enabled());
-        count("t.free.counter", 5);
-        observe("t.free.hist", &[1, 2], 1);
-        trace_event("t.free.event", 1);
-        let report = r.report();
-        let det = report.get("deterministic").expect("section");
-        assert_eq!(det.get("counters"), Some(&memutil::json::Json::obj()));
+        let ((), r) = collect(|| {
+            current().set_enabled(false);
+            assert!(!enabled());
+            count("t.free.counter", 5);
+            observe("t.free.hist", &[1, 2], 1);
+        });
+        let det = r.deterministic();
+        assert_eq!(det.get("counters"), Some(&Json::obj()));
+        assert_eq!(det.get("histograms"), Some(&Json::obj()));
     }
 
     #[test]
     fn free_helpers_record_on_the_installed_registry() {
-        let _serial = registry_lock();
-        let r = Arc::new(Registry::new());
-        r.set_enabled(true);
-        let _scope = install(Arc::clone(&r));
-        assert!(enabled());
-        count("t.free.counter", 2);
-        count("t.free.counter", 3);
-        count("t.free.zero", 0);
-        observe("t.free.hist", &[10, 20], 15);
-        trace_event("t.free.event", 9);
+        let ((), r) = collect(|| {
+            assert!(enabled());
+            count("t.free.counter", 2);
+            count("t.free.counter", 3);
+            count("t.free.zero", 0);
+            observe("t.free.hist", &[10, 20], 15);
+        });
         assert_eq!(r.counter("t.free.counter", Class::Deterministic).get(), 5);
         // Zero-value counters still register (stable report shape).
         assert_eq!(r.counter("t.free.zero", Class::Deterministic).get(), 0);
@@ -245,6 +226,5 @@ mod tests {
                 .count(),
             1
         );
-        assert_eq!(r.trace().snapshot().len(), 1);
     }
 }

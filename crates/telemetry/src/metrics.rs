@@ -49,10 +49,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
-
-    pub(crate) fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
-    }
 }
 
 /// A fixed-bucket histogram over `u64` samples.
@@ -153,14 +149,6 @@ impl Histogram {
     pub fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
     }
-
-    pub(crate) fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
@@ -232,16 +220,6 @@ mod tests {
         assert_eq!(c.get(), u64::MAX);
         c.incr();
         assert_eq!(c.get(), u64::MAX, "incr at ceiling stays saturated");
-    }
-
-    #[test]
-    fn counter_reset_reopens_headroom_after_saturation() {
-        let c = Counter::new(on());
-        c.add(u64::MAX);
-        c.reset();
-        assert_eq!(c.get(), 0);
-        c.add(7);
-        assert_eq!(c.get(), 7);
     }
 
     #[test]

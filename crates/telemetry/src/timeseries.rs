@@ -157,12 +157,6 @@ impl TimeSeries {
             .map(|p| (p.tick, p.value(name)))
             .collect()
     }
-
-    pub(crate) fn clear(&mut self) {
-        self.last_snapshot.clear();
-        self.points.clear();
-        self.dropped = 0;
-    }
 }
 
 #[cfg(test)]
@@ -224,17 +218,5 @@ mod tests {
         let tail = ts.last_points(2);
         assert_eq!(tail.iter().map(|p| p.tick).collect::<Vec<_>>(), vec![4, 5]);
         assert_eq!(ts.last_points(100).len(), 6);
-    }
-
-    #[test]
-    fn clear_resets_baseline_and_dropped() {
-        let mut ts = TimeSeries::new(1);
-        ts.sample(1, snap(&[("a", 9)]), &[]);
-        ts.sample(2, snap(&[("a", 9)]), &[]);
-        assert_eq!(ts.dropped(), 1);
-        ts.clear();
-        assert_eq!(ts.dropped(), 0);
-        let p = ts.sample(1, snap(&[("a", 9)]), &[]);
-        assert_eq!(p.value("a"), 9, "baseline snapshot cleared too");
     }
 }

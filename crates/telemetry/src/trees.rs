@@ -60,12 +60,6 @@ impl SpanNode {
     }
 }
 
-#[derive(Default)]
-struct Nodes {
-    list: Vec<SpanNode>,
-    generation: u64,
-}
-
 /// Bounded store of [`SpanNode`]s sharing the owning registry's enabled
 /// flag.
 pub struct SpanTree {
@@ -73,14 +67,14 @@ pub struct SpanTree {
     anchor: Instant,
     capacity: usize,
     dropped: AtomicU64,
-    nodes: Mutex<Nodes>,
+    nodes: Mutex<Vec<SpanNode>>,
 }
 
 thread_local! {
-    /// Innermost-open-span stack of this thread: `(tree identity, node id,
-    /// generation)` triples. Tree identity keys entries to one registry's
-    /// tree so nested `install` scopes cannot cross-link spans.
-    static SPAN_STACK: RefCell<Vec<(usize, u64, u64)>> = const { RefCell::new(Vec::new()) };
+    /// Innermost-open-span stack of this thread: `(tree identity, node id)`
+    /// pairs. Tree identity keys entries to one registry's tree so nested
+    /// `install` scopes cannot cross-link spans.
+    static SPAN_STACK: RefCell<Vec<(usize, u64)>> = const { RefCell::new(Vec::new()) };
 }
 
 impl SpanTree {
@@ -90,7 +84,7 @@ impl SpanTree {
             anchor: Instant::now(),
             capacity: capacity.max(1),
             dropped: AtomicU64::new(0),
-            nodes: Mutex::new(Nodes::default()),
+            nodes: Mutex::new(Vec::new()),
         }
     }
 
@@ -98,8 +92,19 @@ impl SpanTree {
         Arc::as_ptr(self) as usize
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Nodes> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<SpanNode>> {
         self.nodes.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// This thread's innermost open span of the tree with `identity`.
+    fn innermost(identity: usize) -> Option<u64> {
+        SPAN_STACK.with(|s| {
+            s.borrow()
+                .iter()
+                .rev()
+                .find(|(t, _)| *t == identity)
+                .map(|(_, id)| *id)
+        })
     }
 
     /// Opens a span named `name` under this thread's innermost open span.
@@ -112,21 +117,14 @@ impl SpanTree {
         let identity = self.identity();
         let start_ns = self.anchor.elapsed().as_nanos() as u64;
         let mut nodes = self.lock();
-        if nodes.list.len() >= self.capacity {
+        if nodes.len() >= self.capacity {
             drop(nodes);
             self.dropped.fetch_add(1, Ordering::Relaxed);
             return TreeGuard { slot: None };
         }
-        let generation = nodes.generation;
-        let id = nodes.list.len() as u64;
-        let parent = SPAN_STACK.with(|s| {
-            s.borrow()
-                .iter()
-                .rev()
-                .find(|(t, _, g)| *t == identity && *g == generation)
-                .map(|(_, id, _)| *id)
-        });
-        nodes.list.push(SpanNode {
+        let id = nodes.len() as u64;
+        let parent = Self::innermost(identity);
+        nodes.push(SpanNode {
             id,
             parent,
             name: name.to_string(),
@@ -135,12 +133,11 @@ impl SpanTree {
             notes: Vec::new(),
         });
         drop(nodes);
-        SPAN_STACK.with(|s| s.borrow_mut().push((identity, id, generation)));
+        SPAN_STACK.with(|s| s.borrow_mut().push((identity, id)));
         TreeGuard {
             slot: Some(OpenSlot {
                 tree: Arc::clone(self),
                 id,
-                generation,
                 opened: Instant::now(),
             }),
         }
@@ -152,37 +149,21 @@ impl SpanTree {
         if !self.enabled.load(Ordering::Relaxed) {
             return;
         }
-        let identity = self.identity();
-        let mut nodes = self.lock();
-        let generation = nodes.generation;
-        let top = SPAN_STACK.with(|s| {
-            s.borrow()
-                .iter()
-                .rev()
-                .find(|(t, _, g)| *t == identity && *g == generation)
-                .map(|(_, id, _)| *id)
-        });
-        if let Some(id) = top {
-            if let Some(node) = nodes.list.get_mut(id as usize) {
-                node.notes.push((key.to_string(), value));
-            }
+        let Some(id) = Self::innermost(self.identity()) else {
+            return;
+        };
+        if let Some(node) = self.lock().get_mut(id as usize) {
+            node.notes.push((key.to_string(), value));
         }
     }
 
-    fn close(&self, identity: usize, id: u64, generation: u64, dur_ns: u64) {
-        let mut nodes = self.lock();
-        if nodes.generation == generation {
-            if let Some(node) = nodes.list.get_mut(id as usize) {
-                node.dur_ns = Some(dur_ns);
-            }
+    fn close(&self, identity: usize, id: u64, dur_ns: u64) {
+        if let Some(node) = self.lock().get_mut(id as usize) {
+            node.dur_ns = Some(dur_ns);
         }
-        drop(nodes);
         SPAN_STACK.with(|s| {
             let mut stack = s.borrow_mut();
-            if let Some(pos) = stack
-                .iter()
-                .rposition(|(t, i, g)| *t == identity && *i == id && *g == generation)
-            {
+            if let Some(pos) = stack.iter().rposition(|e| *e == (identity, id)) {
                 stack.remove(pos);
             }
         });
@@ -191,7 +172,7 @@ impl SpanTree {
     /// All retained nodes, in open order.
     #[must_use]
     pub fn snapshot(&self) -> Vec<SpanNode> {
-        self.lock().list.clone()
+        self.lock().clone()
     }
 
     /// Nodes still open (no duration yet) — the "active spans" view the
@@ -199,7 +180,6 @@ impl SpanTree {
     #[must_use]
     pub fn active(&self) -> Vec<SpanNode> {
         self.lock()
-            .list
             .iter()
             .filter(|n| n.dur_ns.is_none())
             .cloned()
@@ -211,19 +191,11 @@ impl SpanTree {
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
-
-    pub(crate) fn clear(&self) {
-        let mut nodes = self.lock();
-        nodes.list.clear();
-        nodes.generation += 1;
-        self.dropped.store(0, Ordering::Relaxed);
-    }
 }
 
 struct OpenSlot {
     tree: Arc<SpanTree>,
     id: u64,
-    generation: u64,
     opened: Instant,
 }
 
@@ -246,7 +218,7 @@ impl Drop for TreeGuard {
         if let Some(slot) = self.slot.take() {
             let dur = slot.opened.elapsed().as_nanos() as u64;
             let identity = Arc::as_ptr(&slot.tree) as usize;
-            slot.tree.close(identity, slot.id, slot.generation, dur);
+            slot.tree.close(identity, slot.id, dur);
         }
     }
 }
@@ -308,22 +280,6 @@ mod tests {
             t.annotate("k", 1);
         }
         assert!(t.snapshot().is_empty());
-    }
-
-    #[test]
-    fn guard_straddling_clear_does_not_corrupt_new_nodes() {
-        let t = tree(8);
-        let g = t.open("old");
-        t.clear();
-        let _fresh = t.open("fresh");
-        drop(g);
-        let nodes = t.snapshot();
-        assert_eq!(nodes.len(), 1);
-        assert_eq!(nodes[0].name, "fresh");
-        assert!(
-            nodes[0].dur_ns.is_none(),
-            "stale guard must not close the reused node id"
-        );
     }
 
     #[test]

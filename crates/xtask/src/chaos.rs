@@ -56,71 +56,24 @@ pub fn chaos_cmd(args: &[String]) -> i32 {
     if args.first().map(String::as_str) == Some("health") {
         return health_cmd(&args[1..]);
     }
-    let mut plans = 3usize;
-    let mut quick = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--quick" {
-            quick = true;
-        } else if arg == "--plans" {
-            let Some(n) = it.next().and_then(|v| v.parse().ok()) else {
-                eprintln!("chaos: --plans expects a number");
-                return 2;
-            };
-            plans = n;
-        } else if let Some(v) = arg.strip_prefix("--plans=") {
-            let Ok(n) = v.parse() else {
-                eprintln!("chaos: --plans expects a number, got '{v}'");
-                return 2;
-            };
-            plans = n;
-        } else {
-            eprintln!(
-                "chaos: unknown argument {arg:?} (expected --plans N, --quick, health, overhead)"
-            );
-            return 2;
-        }
-    }
-    if plans == 0 {
-        eprintln!("chaos: --plans must be at least 1");
-        return 2;
-    }
-
-    let mut failed = false;
-    for i in 0..plans {
-        let seed = PLAN_SEED_BASE + i as u64;
-        // A panic anywhere in the soak is itself a gate failure ("no
-        // panic"), so it must be caught and reported, not abort xtask.
-        let outcome =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| soak_plan(seed, quick)));
-        match outcome {
-            Ok(Ok(summary)) => {
-                println!("chaos: plan {}/{plans} (seed {seed:#x}): {summary}", i + 1);
-            }
-            Ok(Err(e)) => {
-                eprintln!("chaos: plan {}/{plans} (seed {seed:#x}) FAILED: {e}", i + 1);
-                failed = true;
-            }
-            Err(panic) => {
-                let msg = panic
-                    .downcast_ref::<String>()
-                    .map(String::as_str)
-                    .or_else(|| panic.downcast_ref::<&str>().copied())
-                    .unwrap_or("<non-string panic payload>");
-                eprintln!(
-                    "chaos: plan {}/{plans} (seed {seed:#x}) PANICKED: {msg}",
-                    i + 1
-                );
-                failed = true;
-            }
-        }
-    }
-    if failed {
-        eprintln!("chaos: FAILED");
-        1
-    } else {
+    let (plans, flags) = match crate::parse_plans(
+        "chaos",
+        args,
+        &["--quick"],
+        "--plans N, --quick, health, overhead",
+    ) {
+        Ok(parsed) => parsed,
+        Err(code) => return code,
+    };
+    let quick = !flags.is_empty();
+    if crate::run_plans("chaos", "plan", plans, PLAN_SEED_BASE, |seed| {
+        soak_plan(seed, quick)
+    }) {
         println!("chaos: all {plans} plan(s) passed");
         0
+    } else {
+        eprintln!("chaos: FAILED");
+        1
     }
 }
 
@@ -166,27 +119,20 @@ fn soak_plan(seed: u64, quick: bool) -> Result<String, String> {
     // decision streams), fanned across the pool. The registry is fresh per
     // worker count so the deterministic sections compare exactly.
     let run_fleet = |jobs: usize| -> (String, Vec<EngineOutcome>) {
-        let registry = Arc::new(telemetry::Registry::new());
-        registry.set_enabled(true);
-        let guard = telemetry::install(Arc::clone(&registry));
-        let results = memutil::par::ordered_map_with(jobs, traces.len(), |i| {
-            let mut engine = MemconEngine::new(MemconConfig::paper_default(), traces[i].n_pages());
-            engine.set_fault_plan(Some(Arc::clone(&plan)));
-            let _ = engine.run(&traces[i]);
-            (
-                engine.verify_refresh_correctness(),
-                engine.stats(),
-                engine.final_states().to_vec(),
-            )
+        let (results, registry) = telemetry::collect(|| {
+            memutil::par::ordered_map_with(jobs, traces.len(), |i| {
+                let mut engine =
+                    MemconEngine::new(MemconConfig::paper_default(), traces[i].n_pages());
+                engine.set_fault_plan(Some(Arc::clone(&plan)));
+                let _ = engine.run(&traces[i]);
+                (
+                    engine.verify_refresh_correctness(),
+                    engine.stats(),
+                    engine.final_states().to_vec(),
+                )
+            })
         });
-        drop(guard);
-        let det = registry
-            .report()
-            .get("deterministic")
-            .cloned()
-            .unwrap_or_else(Json::obj)
-            .emit();
-        (det, results)
+        (registry.deterministic().emit(), results)
     };
     let (det_seq, seq) = run_fleet(1);
     let (det_par, par) = run_fleet(4);
@@ -406,51 +352,44 @@ fn health_soak(serve: Option<&str>) -> Result<String, String> {
     config.fault_plan = Some(plan);
 
     let run = |jobs: usize| -> Result<HealthRun, String> {
-        let registry = Arc::new(telemetry::Registry::new());
-        registry.set_enabled(true);
-        registry.set_timeseries_capacity(1024);
-        let guard = telemetry::install(Arc::clone(&registry));
-        let fleet_plan = ::fleet::FleetPlan::expand(&config, jobs);
-        let mut fleet = ::fleet::Fleet::new(&fleet_plan);
-        let mut monitor = telemetry::HealthMonitor::with_default_rules();
-        monitor.add_rule(telemetry::health::Rule::delta_above(
-            "fault-activity",
-            telemetry::health::Severity::Warning,
-            "fleet.obs.faults_injected",
-            0,
-        ));
-        let monitor = Arc::new(std::sync::Mutex::new(monitor));
-        fleet.set_health_monitor(Arc::clone(&monitor));
-        // Live scrape endpoint over this run's registry + monitor; only
-        // meaningful on the serial leg (the jobs-4 leg reruns the same
-        // deterministic soak).
-        let server = match (serve, jobs) {
-            (Some(addr), 1) => {
-                let s = telemetry::ScrapeServer::start(
-                    Arc::clone(&registry),
-                    Some(Arc::clone(&monitor)),
-                    addr,
-                )
-                .map_err(|e| format!("scrape endpoint: {e}"))?;
-                println!(
-                    "chaos: scrape endpoint live at {} (METRICS | HEALTH | SERIES <name>)",
-                    s.local_addr()
-                );
-                Some(s)
+        let (monitor, registry) = telemetry::collect(|| {
+            let registry = telemetry::current();
+            registry.set_timeseries_capacity(1024);
+            let fleet_plan = ::fleet::FleetPlan::expand(&config, jobs);
+            let mut fleet = ::fleet::Fleet::new(&fleet_plan);
+            let mut monitor = telemetry::HealthMonitor::with_default_rules();
+            monitor.add_rule(telemetry::health::Rule::delta_above(
+                "fault-activity",
+                telemetry::health::Severity::Warning,
+                "fleet.obs.faults_injected",
+                0,
+            ));
+            let monitor = Arc::new(std::sync::Mutex::new(monitor));
+            fleet.set_health_monitor(Arc::clone(&monitor));
+            // Live scrape endpoint over this run's registry + monitor; only
+            // meaningful on the serial leg (the jobs-4 leg reruns the same
+            // deterministic soak).
+            let server = match (serve, jobs) {
+                (Some(addr), 1) => {
+                    let s =
+                        telemetry::ScrapeServer::start(registry, Some(Arc::clone(&monitor)), addr)
+                            .map_err(|e| format!("scrape endpoint: {e}"))?;
+                    println!(
+                        "chaos: scrape endpoint live at {} (METRICS | HEALTH | SERIES <name>)",
+                        s.local_addr()
+                    );
+                    Some(s)
+                }
+                _ => None,
+            };
+            let _ = fleet.run_to_completion(jobs);
+            if let Some(s) = server {
+                s.shutdown();
             }
-            _ => None,
-        };
-        let _ = fleet.run_to_completion(jobs);
-        drop(guard);
-        if let Some(s) = server {
-            s.shutdown();
-        }
-        let det = registry
-            .report()
-            .get("deterministic")
-            .cloned()
-            .unwrap_or_else(Json::obj)
-            .emit();
+            Ok::<_, String>(monitor)
+        });
+        let monitor = monitor?;
+        let det = registry.deterministic().emit();
         let first_fault_epoch = registry
             .series("fleet.obs.faults_injected")
             .iter()

@@ -118,20 +118,11 @@ fn durable(plan: &FleetPlan, dir: &Path) -> FleetPlan {
     plan
 }
 
-/// Runs `f` under a fresh enabled registry; returns its result and the
+/// Runs `f` under [`telemetry::collect`]; returns its result and the
 /// registry's deterministic section with every `store.*` key removed.
 fn observed<T>(f: impl FnOnce() -> T) -> (T, String) {
-    let registry = Arc::new(telemetry::Registry::new());
-    registry.set_enabled(true);
-    let guard = telemetry::install(Arc::clone(&registry));
-    let out = f();
-    drop(guard);
-    let det = registry
-        .report()
-        .get("deterministic")
-        .cloned()
-        .unwrap_or_else(Json::obj);
-    (out, without_store_keys(&det).emit())
+    let (out, registry) = telemetry::collect(f);
+    (out, without_store_keys(&registry.deterministic()).emit())
 }
 
 /// `j` with every object field named `store.*` removed, at any depth —

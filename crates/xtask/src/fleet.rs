@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use ::fleet::engine::run_fleet;
 use ::fleet::{FleetConfig, FleetReport};
-use faultinject::{FaultPlan, Site, SiteSpec};
+use faultinject::FaultPlan;
 
 /// Base seed of fleet soak plan `i` (plan seed = base + i).
 const PLAN_SEED_BASE: u64 = 0xF1EE_7000;
@@ -51,24 +51,13 @@ pub fn fleet_cmd(args: &[String]) -> i32 {
     }
 }
 
-/// Runs `config` at `jobs` under a fresh enabled telemetry registry and
-/// returns the report plus the byte-stable pair the determinism gates
-/// compare: (fleet report deterministic section, telemetry deterministic
-/// section).
+/// Runs `config` at `jobs` under [`telemetry::collect`] and returns the
+/// report plus the byte-stable pair the determinism gates compare: (fleet
+/// report deterministic section, telemetry deterministic section).
 fn run_instrumented(config: &FleetConfig, jobs: usize) -> (FleetReport, String, String) {
-    let registry = Arc::new(telemetry::Registry::new());
-    registry.set_enabled(true);
-    let guard = telemetry::install(Arc::clone(&registry));
-    let report = run_fleet(config, jobs);
-    drop(guard);
-    let telemetry_det = registry
-        .report()
-        .get("deterministic")
-        .cloned()
-        .unwrap_or_else(memutil::json::Json::obj)
-        .emit();
+    let (report, registry) = telemetry::collect(|| run_fleet(config, jobs));
     let report_det = report.deterministic_emit();
-    (report, report_det, telemetry_det)
+    (report, report_det, registry.deterministic().emit())
 }
 
 fn print_summary(report: &FleetReport) {
@@ -164,13 +153,9 @@ fn run_cmd(args: &[String]) -> i32 {
     0
 }
 
-/// An all-sites fault plan at moderate rates (the chaos-soak shape).
+/// An all-sites fault plan at a moderate rate (the chaos-soak shape).
 fn soak_plan(seed: u64) -> Arc<FaultPlan> {
-    let mut plan = FaultPlan::new(seed);
-    for site in Site::ALL {
-        plan = plan.with_site(site, SiteSpec::rate(0.05));
-    }
-    Arc::new(plan)
+    Arc::new(FaultPlan::uniform(seed, 0.05))
 }
 
 /// The quick CI leg: a small fleet byte-diffed at jobs 1 vs 4, fault-free
@@ -327,68 +312,16 @@ fn write_bench_report(ns_1: u64, ns_4: u64, speedup: f64, cpus: usize, gate: &st
 }
 
 fn soak_cmd(args: &[String]) -> i32 {
-    let mut plans = 3usize;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--plans" {
-            let Some(n) = it.next().and_then(|v| v.parse().ok()) else {
-                eprintln!("fleet: --plans expects a number");
-                return 2;
-            };
-            plans = n;
-        } else if let Some(v) = arg.strip_prefix("--plans=") {
-            let Ok(n) = v.parse() else {
-                eprintln!("fleet: --plans expects a number, got '{v}'");
-                return 2;
-            };
-            plans = n;
-        } else {
-            eprintln!("fleet: unknown argument {arg:?} (expected --plans N)");
-            return 2;
-        }
-    }
-    if plans == 0 {
-        eprintln!("fleet: --plans must be at least 1");
-        return 2;
-    }
-    let mut failed = false;
-    for i in 0..plans {
-        let seed = PLAN_SEED_BASE + i as u64;
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| soak_one(seed)));
-        match outcome {
-            Ok(Ok(summary)) => {
-                println!(
-                    "fleet: soak plan {}/{plans} (seed {seed:#x}): {summary}",
-                    i + 1
-                );
-            }
-            Ok(Err(e)) => {
-                eprintln!(
-                    "fleet: soak plan {}/{plans} (seed {seed:#x}) FAILED: {e}",
-                    i + 1
-                );
-                failed = true;
-            }
-            Err(panic) => {
-                let msg = panic
-                    .downcast_ref::<String>()
-                    .map(String::as_str)
-                    .or_else(|| panic.downcast_ref::<&str>().copied())
-                    .unwrap_or("<non-string panic payload>");
-                eprintln!(
-                    "fleet: soak plan {}/{plans} (seed {seed:#x}) PANICKED: {msg}",
-                    i + 1
-                );
-                failed = true;
-            }
-        }
-    }
-    if failed {
-        eprintln!("fleet: soak FAILED");
-        1
-    } else {
+    let (plans, _) = match crate::parse_plans("fleet", args, &[], "--plans N") {
+        Ok(parsed) => parsed,
+        Err(code) => return code,
+    };
+    if crate::run_plans("fleet", "soak plan", plans, PLAN_SEED_BASE, soak_one) {
         println!("fleet: soak passed ({plans} plan(s))");
         0
+    } else {
+        eprintln!("fleet: soak FAILED");
+        1
     }
 }
 
@@ -434,7 +367,7 @@ mod tests {
     #[test]
     fn soak_plan_arms_every_site() {
         let plan = soak_plan(PLAN_SEED_BASE);
-        for site in Site::ALL {
+        for site in faultinject::Site::ALL {
             assert!(plan.site(site).is_some(), "{} not armed", site.name());
         }
     }

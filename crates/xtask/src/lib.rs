@@ -825,6 +825,82 @@ fn kernel_overhead_gate(tool: &str, what: &str, arms: &[OverheadArm]) -> i32 {
     i32::from(failed)
 }
 
+/// `--plans N` or `--plans=N` (default 3, at least 1) from the arguments
+/// of a seeded-plan soak (`chaos`, `fleet soak`), plus the ones of `flags`
+/// that appear. Any other argument is refused with a usage line listing
+/// `expected`. `Err` carries the exit code.
+fn parse_plans<'a>(
+    tool: &str,
+    args: &'a [String],
+    flags: &[&str],
+    expected: &str,
+) -> Result<(usize, Vec<&'a str>), i32> {
+    let mut plans = 3usize;
+    let mut set = Vec::new();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        if flags.contains(&arg.as_str()) {
+            set.push(arg.as_str());
+        } else if arg == "--plans" {
+            let Some(n) = it.next().and_then(|v| v.parse().ok()) else {
+                eprintln!("{tool}: --plans expects a number");
+                return Err(2);
+            };
+            plans = n;
+        } else if let Some(v) = arg.strip_prefix("--plans=") {
+            let Ok(n) = v.parse() else {
+                eprintln!("{tool}: --plans expects a number, got '{v}'");
+                return Err(2);
+            };
+            plans = n;
+        } else {
+            eprintln!("{tool}: unknown argument {arg:?} (expected {expected})");
+            return Err(2);
+        }
+    }
+    if plans == 0 {
+        eprintln!("{tool}: --plans must be at least 1");
+        return Err(2);
+    }
+    Ok((plans, set))
+}
+
+/// Runs `soak` on the plan seeds `base`, `base + 1`, … of `plans` plans
+/// and prints one line per plan, `{tool}: {label} i/plans (seed …)`
+/// followed by its summary, `FAILED` or `PANICKED`. A panic is itself a
+/// gate failure, so it is caught and reported rather than aborting xtask.
+/// Returns whether every plan passed.
+fn run_plans(
+    tool: &str,
+    label: &str,
+    plans: usize,
+    base: u64,
+    soak: impl Fn(u64) -> Result<String, String>,
+) -> bool {
+    let mut passed = true;
+    for i in 0..plans {
+        let seed = base + i as u64;
+        let line = format!("{tool}: {label} {}/{plans} (seed {seed:#x})", i + 1);
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| soak(seed))) {
+            Ok(Ok(summary)) => println!("{line}: {summary}"),
+            Ok(Err(e)) => {
+                eprintln!("{line} FAILED: {e}");
+                passed = false;
+            }
+            Err(panic) => {
+                let msg = panic
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| panic.downcast_ref::<&str>().copied())
+                    .unwrap_or("<non-string panic payload>");
+                eprintln!("{line} PANICKED: {msg}");
+                passed = false;
+            }
+        }
+    }
+    passed
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -843,5 +919,52 @@ mod tests {
         );
         let msg = golden_mismatch(&golden, &golden[..10]).expect("a truncation is a mismatch");
         assert!(msg.contains("at byte 10"), "{msg}");
+    }
+
+    #[test]
+    fn parse_plans_takes_a_count_and_known_flags_only() {
+        let args = |a: &[&str]| a.iter().map(|s| (*s).to_string()).collect::<Vec<_>>();
+        let quick = args(&["--plans", "2", "--quick"]);
+        assert_eq!(
+            parse_plans("t", &quick, &["--quick"], ""),
+            Ok((2, vec!["--quick"]))
+        );
+        assert_eq!(
+            parse_plans("t", &args(&["--plans=5"]), &[], ""),
+            Ok((5, vec![]))
+        );
+        assert_eq!(parse_plans("t", &[], &[], ""), Ok((3, vec![])));
+        for bad in [
+            &["--plans"][..],
+            &["--plans", "x"],
+            &["--plans=0"],
+            &["--quick"],
+        ] {
+            assert_eq!(parse_plans("t", &args(bad), &[], ""), Err(2), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn run_plans_fails_on_an_error_or_a_panic_and_runs_every_seed() {
+        let seen = std::sync::Mutex::new(Vec::new());
+        let log = &seen;
+        let soak = |fail: Option<u64>, panic: Option<u64>| {
+            move |seed: u64| {
+                log.lock().unwrap().push(seed);
+                assert_ne!(Some(seed), panic, "soak panicked");
+                if Some(seed) == fail {
+                    Err("bad".to_string())
+                } else {
+                    Ok("fine".to_string())
+                }
+            }
+        };
+        assert!(run_plans("t", "plan", 3, 10, soak(None, None)));
+        assert!(!run_plans("t", "plan", 3, 20, soak(Some(21), None)));
+        assert!(!run_plans("t", "plan", 3, 30, soak(None, Some(30))));
+        assert_eq!(
+            *seen.lock().unwrap(),
+            vec![10, 11, 12, 20, 21, 22, 30, 31, 32]
+        );
     }
 }

@@ -30,7 +30,6 @@
 //! recovery counters).
 
 use std::path::Path;
-use std::sync::Arc;
 
 use memutil::json::Json;
 
@@ -61,18 +60,13 @@ pub fn obs_cmd(args: &[String]) -> i32 {
     }
 }
 
-/// Runs the reference workload under a fresh, enabled, scoped registry and
-/// returns `{schema, deterministic}` — the comparable part of the report.
+/// Runs the reference workload under [`telemetry::collect`] and returns
+/// `{schema, deterministic}` — the comparable part of the report.
 fn reference_deterministic() -> Json {
-    let registry = enabled_registry();
-    let guard = telemetry::install(Arc::clone(&registry));
-    run_reference_workload();
-    drop(guard);
-    let full = registry.report();
-    let det = full.get("deterministic").cloned().unwrap_or_else(Json::obj);
+    let ((), registry) = telemetry::collect(run_reference_workload);
     Json::obj()
         .field("schema", telemetry::SCHEMA)
-        .field("deterministic", det)
+        .field("deterministic", registry.deterministic())
 }
 
 /// A small deterministic workload exercising every instrumented layer.
@@ -337,26 +331,18 @@ fn pretty(j: &Json, depth: usize) -> String {
 /// plain enabled telemetry.
 fn overhead_cmd() -> i32 {
     let enabled = |measure: &mut dyn FnMut()| {
-        let _guard = telemetry::install(enabled_registry());
-        measure();
+        let _ = telemetry::collect(measure);
     };
     let sampled = |measure: &mut dyn FnMut()| {
-        let registry = enabled_registry();
-        let _guard = telemetry::install(Arc::clone(&registry));
-        let _ = registry.sample_point(0, &[("obs.armed", 1)]);
-        let _root = telemetry::tree_span("obs.overhead");
-        measure();
+        let _ = telemetry::collect(|| {
+            let _ = telemetry::sample_point(0, &[("obs.armed", 1)]);
+            let _root = telemetry::tree_span("obs.overhead");
+            measure();
+        });
     };
     crate::kernel_overhead_gate(
         "obs",
         "telemetry",
         &[("enabled", &enabled), ("sampled", &sampled)],
     )
-}
-
-/// A fresh registry with recording switched on.
-fn enabled_registry() -> Arc<telemetry::Registry> {
-    let registry = Arc::new(telemetry::Registry::new());
-    registry.set_enabled(true);
-    registry
 }

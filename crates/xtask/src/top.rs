@@ -9,6 +9,14 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::time::Duration;
+
+/// How long one read of a reply may wait for bytes (the server's own
+/// request read timeout).
+const READ_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Longest reply read, in bytes; a longer one is refused, not buffered.
+const MAX_REPLY_BYTES: u64 = 1 << 20;
 
 /// Entry point for `xtask top <args>`; returns a process exit code.
 #[must_use]
@@ -90,16 +98,25 @@ fn snapshot(addr: &str, series: &[String]) -> Result<String, String> {
 }
 
 /// Sends one command and returns the reply body (the `END` terminator
-/// stripped, `ERR` replies surfaced as errors).
+/// stripped, `ERR` replies surfaced as errors). An endpoint that stalls
+/// for [`READ_TIMEOUT`] before closing, or replies with more than
+/// [`MAX_REPLY_BYTES`], is an error.
 fn scrape_one(addr: &str, command: &str) -> Result<String, String> {
     let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
+    stream
+        .set_read_timeout(Some(READ_TIMEOUT))
+        .map_err(|e| format!("connect: {e}"))?;
     stream
         .write_all(format!("{command}\n").as_bytes())
         .map_err(|e| format!("send: {e}"))?;
     let mut reply = String::new();
     stream
+        .take(MAX_REPLY_BYTES + 1)
         .read_to_string(&mut reply)
         .map_err(|e| format!("read: {e}"))?;
+    if reply.len() as u64 > MAX_REPLY_BYTES {
+        return Err(format!("reply longer than {MAX_REPLY_BYTES} bytes"));
+    }
     let mut body = String::new();
     for line in reply.lines() {
         if line == "END" {
@@ -135,6 +152,48 @@ mod tests {
         assert!(text.contains("series t.top.hits"));
         assert!(text.contains("point 1 3"));
         server.shutdown();
+    }
+
+    /// A loopback endpoint that reads the command and hands the connection
+    /// to `reply`; returns its address and the serving thread.
+    fn misbehaving_endpoint(
+        reply: impl FnOnce(TcpStream) + Send + 'static,
+    ) -> (String, std::thread::JoinHandle<()>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            let mut byte = [0u8; 1];
+            while conn.read(&mut byte).is_ok_and(|n| n == 1) && byte[0] != b'\n' {}
+            reply(conn);
+        });
+        (addr, server)
+    }
+
+    #[test]
+    fn an_endpoint_that_never_ends_its_reply_times_out() {
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+        let (addr, server) = misbehaving_endpoint(move |mut conn| {
+            let _ = conn.write_all(b"counter a.b.c 1\n");
+            // Hold the connection open, without END, until the client gave up.
+            let _ = done_rx.recv();
+        });
+        let err = scrape_one(&addr, "METRICS").expect_err("a stalled reply must fail");
+        assert!(err.starts_with("read: "), "{err}");
+        done_tx.send(()).unwrap();
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn an_oversized_reply_is_refused() {
+        let (addr, server) = misbehaving_endpoint(|mut conn| {
+            // Fails part way once the client stops reading.
+            let _ = conn.write_all(&b"x\n".repeat(MAX_REPLY_BYTES as usize));
+            let _ = conn.write_all(b"END\n");
+        });
+        let err = scrape_one(&addr, "METRICS").expect_err("an oversized reply must fail");
+        assert!(err.contains("longer than"), "{err}");
+        server.join().unwrap();
     }
 
     #[test]

@@ -4,10 +4,8 @@
 //! any worker count.
 //!
 //! The registry's `CURRENT` slot is process-global (so pool workers resolve
-//! the same registry as the installer); tests that install scoped
-//! registries therefore serialize on a mutex.
-
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+//! the same registry as the installer); every workload here runs inside
+//! `telemetry::collect`, which serializes the scoped registries.
 
 use memcon_suite::dram::cell::RowContent;
 use memcon_suite::dram::geometry::{ChipDensity, DramGeometry};
@@ -20,29 +18,10 @@ use memcon_suite::memtrace::workload::WorkloadProfile;
 use memcon_suite::telemetry;
 use memutil::rng::{Rng, SeedableRng, SmallRng};
 
-/// Serializes registry installation across the test binary's threads.
-fn install_lock() -> &'static Mutex<()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-}
-
-/// Runs `workload` under a fresh enabled scoped registry and returns the
-/// canonical emission of the report's `deterministic` section.
+/// Runs `workload` under `telemetry::collect` and returns the canonical
+/// emission of the registry's `deterministic` section.
 fn deterministic_section(workload: impl FnOnce()) -> String {
-    let _serial = install_lock()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
-    let registry = Arc::new(telemetry::Registry::new());
-    registry.set_enabled(true);
-    let guard = telemetry::install(Arc::clone(&registry));
-    workload();
-    drop(guard);
-    registry
-        .report()
-        .get("deterministic")
-        .cloned()
-        .expect("report has a deterministic section")
-        .emit()
+    telemetry::collect(workload).1.deterministic().emit()
 }
 
 fn filled_module() -> DramModule {
@@ -134,7 +113,7 @@ fn combined_workload_identical_across_jobs() {
 #[test]
 fn disabled_registry_records_nothing() {
     let section = deterministic_section(|| {
-        // Installed but never enabled — overwrite the enabled flag.
+        // Collected, but switched off before anything records.
         telemetry::current().set_enabled(false);
         let module = filled_module();
         let model = CouplingFailureModel::default();
