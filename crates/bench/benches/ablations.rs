@@ -3,20 +3,24 @@
 //! the concurrent-test budget. Each sweep reports the quality metric in
 //! stderr once and benches the run time per point.
 
+use std::sync::Arc;
+
 use memutil::bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use memcon::config::MemconConfig;
 use memcon::cost::TestMode;
 use memcon::engine::MemconEngine;
+use memtrace::trace::WriteTrace;
 use memtrace::workload::WorkloadProfile;
 
-fn trace() -> memtrace::trace::WriteTrace {
-    WorkloadProfile::netflix().scaled(0.1).generate(0xAB1A)
+fn trace() -> Arc<WriteTrace> {
+    Arc::new(WorkloadProfile::netflix().scaled(0.1).generate(0xAB1A))
 }
 
-fn run(config: MemconConfig, trace: &memtrace::trace::WriteTrace) -> f64 {
-    let mut engine = MemconEngine::new(config, trace.n_pages());
-    engine.run(trace).refresh_reduction
+fn run(config: MemconConfig, trace: &Arc<WriteTrace>) -> f64 {
+    MemconEngine::new(config, Arc::clone(trace))
+        .run()
+        .refresh_reduction
 }
 
 fn ablate_buffer_capacity(c: &mut Criterion) {

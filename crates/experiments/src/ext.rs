@@ -96,7 +96,7 @@ pub fn compute_fault_overhead(opts: &RunOptions) -> Vec<FaultOverheadRow> {
     FAULT_RATES
         .iter()
         .map(|&rate| {
-            let mut engine = MemconEngine::new(MemconConfig::paper_default(), trace.n_pages());
+            let mut engine = MemconEngine::new(MemconConfig::paper_default(), Arc::clone(&trace));
             if rate > 0.0 {
                 // The sites that exercise the recovery machinery: aborts,
                 // torn read-backs, and ECC errors (uncorrectables kept an
@@ -108,7 +108,7 @@ pub fn compute_fault_overhead(opts: &RunOptions) -> Vec<FaultOverheadRow> {
                     .with_site(Site::EccUncorrectable, SiteSpec::rate(rate / 10.0));
                 engine.set_fault_plan(Some(Arc::new(plan)));
             }
-            let report = engine.run(&trace);
+            let report = engine.run();
             FaultOverheadRow {
                 rate,
                 report,

@@ -5,6 +5,8 @@
 //! 64.7–74.5 % against the 16 ms baseline — close to the 75 % upper bound —
 //! and the result is insensitive to the CIL choice.
 
+use std::sync::Arc;
+
 use memcon::config::MemconConfig;
 use memcon::engine::{MemconEngine, MemconReport};
 use memtrace::workload::WorkloadProfile;
@@ -93,8 +95,7 @@ fn compute_uncached(opts: &RunOptions) -> Fig14 {
             .iter()
             .map(|&quantum| {
                 let config = MemconConfig::paper_default().with_quantum_ms(quantum);
-                let mut engine = MemconEngine::new(config, trace.n_pages());
-                let report = engine.run(&trace);
+                let report = MemconEngine::new(config, Arc::clone(&trace)).run();
                 EngineRun {
                     workload: w.name.clone(),
                     quantum_ms: quantum,

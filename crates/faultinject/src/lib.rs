@@ -61,8 +61,11 @@ pub enum Site {
     /// `dram`: a VRT-style flip-flopping cell — the verdict for the same
     /// content toggles between evaluations.
     DramVrt = 5,
-    /// `memcon`: an in-flight test is preempted by a (synthetic) write
-    /// mid-quantum.
+    /// `memcon`: an in-flight test is preempted by a (synthetic) write.
+    /// The site draws at each quantum boundary that finds a test in
+    /// flight. Every test starts at a boundary and lasts one LO-REF window
+    /// (64 ms by default), so it draws only when the quantum is shorter
+    /// than that window: never at the paper's 1024 ms.
     TestPreempt = 6,
     /// `memcon`: a torn/partial read-back — the test completes without a
     /// usable verdict.

@@ -1,11 +1,13 @@
 //! The epoch-batched fleet scheduler.
 //!
-//! A [`Fleet`] owns one [`MemconEngine`] per shard, each mid-way through a
-//! stepped run (`begin_run` / `advance_until` / `finish_run`). Every
-//! [`Fleet::run_epoch`] call advances **all** shards to the next epoch
-//! boundary — `epoch × epoch_quanta × quantum` on the shared fleet clock —
-//! fanning the per-shard work across the [`memutil::par`] pool, then
-//! applies cross-shard bookkeeping in deterministic shard order.
+//! A [`Fleet`] owns one [`MemconEngine`] per shard, each one run over its
+//! shard's trace: construction starts it, [`MemconEngine::advance_until`]
+//! steps it, and [`MemconEngine::run`] finishes it at the step whose epoch
+//! limit reaches the trace horizon. Every [`Fleet::run_epoch`] call
+//! advances **all** shards to the next epoch boundary — `epoch ×
+//! epoch_quanta × quantum` on the shared fleet clock — fanning the
+//! per-shard work across the [`memutil::par`] pool, then applies
+//! cross-shard bookkeeping in deterministic shard order.
 //!
 //! Shards live behind per-shard mutexes so the pool's `Fn` closures can
 //! step them; `ordered_map_with` hands each index to exactly one worker
@@ -86,7 +88,7 @@ pub struct Fleet {
 }
 
 impl Fleet {
-    /// Instantiates engines for every shard of `plan` and begins their
+    /// Instantiates engines for every shard of `plan`, which starts their
     /// runs. Cheap relative to [`FleetPlan::expand`]: traces are shared by
     /// `Arc`, and each shard engine runs the rate oracle at
     /// [`memcon::engine::DEFAULT_FAIL_RATE`], seeded by its chip seed. A
@@ -109,11 +111,10 @@ impl Fleet {
                 let oracle = RateOracle::new(memcon::engine::DEFAULT_FAIL_RATE, spec.chip_seed);
                 let mut engine = MemconEngine::with_oracle(
                     config.engine,
-                    spec.trace.n_pages(),
+                    Arc::clone(&spec.trace),
                     Box::new(oracle),
                 );
                 engine.set_fault_plan(spec.fault_plan.clone());
-                engine.begin_run(&spec.trace);
                 Mutex::new(Shard::new(spec, engine))
             })
             .collect();
@@ -221,7 +222,7 @@ impl Fleet {
         }
         let restored: Vec<Result<MemconEngine, StoreError>> =
             par::ordered_map_with(jobs, plan.shards.len(), |i| {
-                MemconEngine::restore(&meta.shards[i], &plan.shards[i].trace)
+                MemconEngine::restore(&meta.shards[i], Arc::clone(&plan.shards[i].trace))
             });
         let mut shards = Vec::with_capacity(plan.shards.len());
         for (i, (result, spec)) in restored.into_iter().zip(&plan.shards).enumerate() {
@@ -326,10 +327,11 @@ impl Fleet {
             let _step_span = telemetry::tree_span("fleet.shard_step");
             telemetry::annotate("shard", i as u64);
             let ((), elapsed_ns) = telemetry::time_ns(|| {
-                shard.engine.advance_until(&shard.spec.trace, limit);
                 if limit >= shard.spec.trace.duration_ns() {
-                    shard.report = Some(shard.engine.finish_run());
+                    shard.report = Some(shard.engine.run());
                     shard.done_epoch = Some(self.epoch);
+                } else {
+                    shard.engine.advance_until(limit);
                 }
             });
             shard.step_latency_ns.push(elapsed_ns);
@@ -410,8 +412,7 @@ impl Fleet {
         let shards = par::ordered_map_with(jobs, self.shards.len(), |i| {
             // memlint: allow(no-unwrap): poisoned shard lock means an engine panicked — propagate
             let mut shard = self.shards[i].lock().expect("shard engine panicked");
-            let shard = &mut *shard;
-            shard.engine.checkpoint(&shard.spec.trace)
+            shard.engine.checkpoint()
         });
         let mut image = FleetMeta {
             epoch: self.epoch,
@@ -549,13 +550,13 @@ mod tests {
             for (spec, summary) in plan.shards.iter().zip(&fleet_report.shards) {
                 let mut engine = MemconEngine::with_oracle(
                     config.engine,
-                    spec.trace.n_pages(),
+                    Arc::clone(&spec.trace),
                     Box::new(RateOracle::new(
                         memcon::engine::DEFAULT_FAIL_RATE,
                         spec.chip_seed,
                     )),
                 );
-                let solo = engine.run(&spec.trace);
+                let solo = engine.run();
                 let counters = engine.stats().counters;
                 assert_eq!(summary.refresh_reduction, solo.refresh_reduction);
                 assert_eq!(summary.lo_coverage, solo.lo_coverage);
@@ -596,11 +597,7 @@ mod tests {
         fleet
             .shards
             .iter()
-            .map(|slot| {
-                let mut shard = slot.lock().unwrap();
-                let shard = &mut *shard;
-                shard.engine.checkpoint(&shard.spec.trace)
-            })
+            .map(|slot| slot.lock().unwrap().engine.checkpoint())
             .collect()
     }
 

@@ -17,8 +17,8 @@ fn main() {
         for w in WorkloadProfile::all() {
             let trace = w.clone().scaled(scale).generate(17);
             let cfg = MemconConfig::paper_default().with_quantum_ms(quantum);
-            let mut engine = MemconEngine::new(cfg, trace.n_pages());
-            let r = engine.run(&trace);
+            let mut engine = MemconEngine::new(cfg, trace);
+            let r = engine.run();
             let stats = engine.stats();
             println!(
                 "{:<12} red {:>5.1}%  cov {:>5.1}%  tests {:>5} ok {:>5} mis {:>4} norm_t {:>6.4}",

@@ -1,7 +1,8 @@
 //! The end-to-end MEMCON engine.
 //!
-//! Feed a page-granularity write trace through [`MemconEngine::run`] and it
-//! executes the full mechanism of paper Sections 3–4 on a faithful timeline:
+//! Build a [`MemconEngine`] over a page-granularity write trace (one engine,
+//! one run) and [`MemconEngine::run`] executes the full mechanism of paper
+//! Sections 3–4 on a faithful timeline:
 //!
 //! 1. every write sends its page to HI-REF (and aborts any in-flight test of
 //!    that page — the content under test just changed),
@@ -125,9 +126,9 @@ impl EngineCounters {
 /// Everything an engine run has counted, as one view
 /// ([`MemconEngine::stats`]): the engine's [`EngineCounters`], the
 /// components' statistics, the fault session's per-site tallies and the
-/// refresh manager's pins. Readable after a run or between
-/// [`MemconEngine::advance_until`] slices; totals are cumulative for the
-/// current run, `pinned_pages` and `pril_buffered` are gauges. Every
+/// refresh manager's pins. Readable after the run or between
+/// [`MemconEngine::advance_until`] slices; totals are cumulative over the
+/// run, `pinned_pages` and `pril_buffered` are gauges. Every
 /// value derives from simulation state, so the view is bit-reproducible
 /// for a fixed trace and [`FaultPlan`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -242,55 +243,30 @@ impl MemconReport {
     }
 }
 
-/// Run cursors of a stepped run between [`MemconEngine::begin_run`] and
-/// [`MemconEngine::finish_run`]. Holding the event cursor here (instead
-/// of on `run`'s stack) is what lets a fleet scheduler advance an engine
-/// one time-slice at a time. The next quantum boundary is
-/// `(quantum_index + 1) × quantum_ns`.
-#[derive(Debug)]
-struct RunState {
-    /// Cursor into `trace.events()`: events before it are consumed.
-    event_idx: usize,
-    quantum_ns: u64,
-    mwi_ns: u64,
-    /// The trace horizon, ns.
-    duration: u64,
-    /// The run's trace, fingerprinted by the run's first
-    /// [`MemconEngine::checkpoint`].
-    trace: Option<TraceFingerprint>,
-}
-
-impl RunState {
-    /// A run of `config` over a trace of `duration` ns, at event
-    /// `event_idx`: what `begin_run` starts, and what restore rebuilds
-    /// around a checkpoint's cursor and fingerprint.
-    fn new(
-        config: &MemconConfig,
-        duration: u64,
-        event_idx: usize,
-        trace: Option<TraceFingerprint>,
-    ) -> RunState {
-        RunState {
-            event_idx,
-            quantum_ns: (config.quantum_ms * 1e6) as u64,
-            mwi_ns: (config.min_write_interval_ms() * 1e6) as u64,
-            duration,
-            trace,
-        }
-    }
-}
-
-/// The MEMCON engine.
+/// The MEMCON engine: one run over one write trace. Construction starts
+/// the run, [`MemconEngine::advance_until`] steps it, and
+/// [`MemconEngine::run`] finishes it and reports.
 #[derive(Debug)]
 pub struct MemconEngine {
     config: MemconConfig,
     cost: CostModel,
+    /// Nanoseconds per quantum: boundary `i` falls at `i × quantum_ns`.
+    quantum_ns: u64,
+    /// The configuration's MinWriteInterval, ns.
+    mwi_ns: u64,
+    /// The run's trace; it sizes every per-page structure.
+    trace: Arc<WriteTrace>,
+    /// Cursor into the trace's events: events before it are consumed.
+    event_idx: usize,
+    /// The trace's identity, taken by the run's first
+    /// [`MemconEngine::checkpoint`] (or read back by restore).
+    fingerprint: Option<TraceFingerprint>,
+    /// Set once [`MemconEngine::run`] has finished the run.
+    finished: bool,
     pril: Pril,
     tests: TestEngine,
-    /// Per-page refresh bins and pins of the current or last run; zero
-    /// pages before the first run.
+    /// Per-page refresh bins and pins.
     mgr: RefreshManager,
-    n_pages: u64,
     /// Per-page content-generation counter (bumped by every write).
     generation: Vec<u64>,
     /// Pending amortization anchor: Some(test start) while the page sits at
@@ -300,9 +276,6 @@ pub struct MemconEngine {
     /// loop polls at every pending completion, so a fresh `Vec` per poll
     /// would dominate allocations.
     outcome_buf: Vec<crate::testengine::TestOutcome>,
-    /// Explicit fault plan (takes precedence over the globally installed
-    /// one); a fresh [`FaultSession`] is created per run.
-    fault_plan: Option<Arc<FaultPlan>>,
     /// Consecutive aborted/ambiguous attempts per page, reset by a clean
     /// verdict.
     attempts: Vec<u32>,
@@ -313,62 +286,95 @@ pub struct MemconEngine {
     /// Generation of the last clean passing test per page — the evidence
     /// backing the refresh-correctness invariant.
     clean_gen: Vec<Option<u64>>,
-    /// Quantum boundaries crossed this run.
+    /// Quantum boundaries crossed.
     quantum_index: u64,
-    /// The engine's own counters of this run.
+    /// The engine's own counters.
     counters: EngineCounters,
-    /// In-progress stepped run, if any.
-    run: Option<RunState>,
     /// Quantum-window time-series sampling period (quanta), when armed.
     sample_every: Option<u64>,
 }
 
 impl MemconEngine {
-    /// Creates an engine with the default rate oracle
-    /// ([`DEFAULT_FAIL_RATE`]).
+    /// Starts a run over `trace` with the default rate oracle
+    /// ([`DEFAULT_FAIL_RATE`]); see [`MemconEngine::with_oracle`].
     ///
     /// # Panics
     ///
     /// Panics if `config` is invalid.
     #[must_use]
-    pub fn new(config: MemconConfig, n_pages: u64) -> Self {
+    pub fn new(config: MemconConfig, trace: impl Into<Arc<WriteTrace>>) -> Self {
         Self::with_oracle(
             config,
-            n_pages,
+            trace,
             Box::new(RateOracle::new(DEFAULT_FAIL_RATE, 0x5EED)),
         )
     }
 
-    /// Creates an engine with an explicit failure oracle.
+    /// Starts a run over `trace` with an explicit failure oracle: sizes
+    /// every per-page structure from the trace, arms a fault session from
+    /// the globally installed plan (if any), and performs the steady-state
+    /// pre-pass. Step the run with [`MemconEngine::advance_until`] and
+    /// finish it with [`MemconEngine::run`].
     ///
     /// # Panics
     ///
     /// Panics if `config` is invalid.
     #[must_use]
-    pub fn with_oracle(config: MemconConfig, n_pages: u64, oracle: Box<dyn FailureOracle>) -> Self {
+    pub fn with_oracle(
+        config: MemconConfig,
+        trace: impl Into<Arc<WriteTrace>>,
+        oracle: Box<dyn FailureOracle>,
+    ) -> Self {
+        let mut engine = Self::build(config, trace.into(), oracle);
+        engine.tests.set_fault_session(FaultSession::begin());
+        if engine.config.steady_state_start {
+            // The trace window opens on a long-running system: every page
+            // holding static content was tested before the window; clean
+            // pages already sit at LO-REF (failing ones stay HI-REF). These
+            // pre-window tests are not counted in this run's statistics.
+            for page in 0..engine.trace.n_pages() {
+                if !engine.tests.oracle_mut().page_fails(page, 0) {
+                    engine.mgr.transition(page, PageState::LoRef, 0);
+                    // No amortization anchor: the test cost was paid before
+                    // the window, so it never counts as a misprediction.
+                    engine.clean_gen[page as usize] = Some(0);
+                }
+            }
+        }
+        engine
+    }
+
+    /// An engine over `trace` with every structure sized and nothing run:
+    /// what [`MemconEngine::with_oracle`] starts and what decoding
+    /// overwrites.
+    fn build(config: MemconConfig, trace: Arc<WriteTrace>, oracle: Box<dyn FailureOracle>) -> Self {
         config.validate().expect("invalid MEMCON configuration");
         let cost = config.cost_model();
         let budget = match config.test_mode {
             TestMode::ReadAndCompare => u64::from(config.concurrent_tests),
             TestMode::CopyAndCompare => u64::from(config.concurrent_tests).min(STAGING_ROWS),
         };
+        let n_pages = trace.n_pages();
         MemconEngine {
+            quantum_ns: (config.quantum_ms * 1e6) as u64,
+            mwi_ns: (cost.min_write_interval_ms(config.test_mode) * 1e6) as u64,
             cost,
+            trace,
+            event_idx: 0,
+            fingerprint: None,
+            finished: false,
             pril: Pril::new(n_pages, config.write_buffer_capacity),
             tests: TestEngine::new(oracle, config.lo_ms, budget as usize, n_pages),
-            mgr: RefreshManager::new(0, config.hi_ms, config.lo_ms),
-            n_pages,
+            mgr: RefreshManager::new(n_pages, config.hi_ms, config.lo_ms),
             generation: vec![0; n_pages as usize],
             lo_anchor: vec![None; n_pages as usize],
             outcome_buf: Vec::new(),
-            fault_plan: None,
             attempts: vec![0; n_pages as usize],
             retry_at: vec![None; n_pages as usize],
             retry_queue: Vec::new(),
             clean_gen: vec![None; n_pages as usize],
             quantum_index: 0,
             counters: EngineCounters::default(),
-            run: None,
             sample_every: None,
             config,
         }
@@ -380,16 +386,29 @@ impl MemconEngine {
         &self.config
     }
 
-    /// Sets an explicit fault plan for subsequent runs (takes precedence
-    /// over a globally installed plan; `None` falls back to the global
-    /// installer). Thread-safe alternative to [`faultinject::install`] for
-    /// parallel harnesses: each engine owns its plan and session.
+    /// Arms an explicit fault plan for this run in place of the session
+    /// construction took from the globally installed plan (`None` falls
+    /// back to the global installer). Thread-safe alternative to
+    /// [`faultinject::install`] for parallel harnesses: each engine owns
+    /// its plan and session.
+    ///
+    /// # Panics
+    ///
+    /// Panics once the run has consumed a write, crossed a quantum
+    /// boundary or finished: the plan's decision streams would restart
+    /// mid-run.
     pub fn set_fault_plan(&mut self, plan: Option<Arc<FaultPlan>>) {
-        self.fault_plan = plan;
+        assert!(
+            self.event_idx == 0 && self.quantum_index == 0 && !self.finished,
+            "set_fault_plan after the run advanced: a plan's decision streams start with the run"
+        );
+        let session = plan
+            .map(FaultSession::with_plan)
+            .or_else(FaultSession::begin);
+        self.tests.set_fault_session(session);
     }
 
-    /// Everything the current or most recent run has counted (see
-    /// [`EngineStats`]).
+    /// Everything the run has counted so far (see [`EngineStats`]).
     #[must_use]
     pub fn stats(&self) -> EngineStats {
         EngineStats {
@@ -418,43 +437,45 @@ impl MemconEngine {
         self.sample_every = every.filter(|n| *n > 0);
     }
 
-    /// Whether a stepped run is currently in progress (also true for an
-    /// engine restored mid-run, awaiting resumption).
+    /// Whether the run is unfinished: true from construction (or a
+    /// mid-run restore) until [`MemconEngine::run`] returns.
     #[must_use]
     pub fn mid_run(&self) -> bool {
-        self.run.is_some()
+        !self.finished
     }
 
     /// The engine's field list (see [`memutil::codec`]): configuration,
     /// page count, then every component's list and the per-page state,
-    /// and last the run section. Decoding overwrites a placeholder: once
-    /// the configuration and page count are read (and refused when invalid
-    /// or larger than the payload could hold), the engine is rebuilt from
-    /// them and the remaining fields overwrite the fresh one.
+    /// and last the run section. Decoding overwrites a placeholder over
+    /// the resumed trace: once the configuration and page count are read
+    /// (and refused when invalid or not the trace's), the engine is
+    /// rebuilt from them and the remaining fields overwrite the fresh one.
     fn fields(&mut self, io: &mut Io) -> Result<(), String> {
         io.version(SNAP_VERSION, "engine snapshot")?;
         let mut config = self.config;
         config.fields(io)?;
-        let mut pages = self.n_pages;
+        let trace_pages = self.trace.n_pages();
+        let mut pages = trace_pages;
         io.u64(&mut pages)?;
-        // Every page stores at least its 8-byte generation word, so a page
-        // count the rest of the payload cannot hold is refused before the
-        // per-page state is allocated.
-        io.fits(pages, 8, "page count")?;
+        io.refuse(pages != trace_pages, || {
+            format!("page count {pages} is not the resumed trace's {trace_pages}")
+        })?;
         if io.decoding() {
             let placeholder = Box::new(RateOracle::new(0.0, 0));
-            *self = MemconEngine::with_oracle(config, pages, placeholder);
-            // From `begin_run` on the manager covers every page, so a
-            // checkpoint taken before the first run (zero pages) is
-            // refused.
-            self.mgr = RefreshManager::new(pages, config.hi_ms, config.lo_ms);
+            *self = MemconEngine::build(config, Arc::clone(&self.trace), placeholder);
         }
         let MemconEngine {
-            // Both written above, before the rebuild.
-            config,
-            n_pages: _,
+            // Written above, before the rebuild.
+            config: _,
+            trace: _,
             // Derived from the configuration.
             cost: _,
+            quantum_ns: _,
+            mwi_ns: _,
+            // The run section, last.
+            event_idx,
+            fingerprint,
+            finished,
             pril,
             tests,
             mgr,
@@ -462,22 +483,16 @@ impl MemconEngine {
             lo_anchor,
             // Scratch space, empty between happenings.
             outcome_buf: _,
-            // Restored from the fault session's plan.
-            fault_plan,
             attempts,
             retry_at,
             retry_queue,
             clean_gen,
             quantum_index,
             counters,
-            run,
             // A restored engine leaves sampling disarmed.
             sample_every: _,
         } = self;
         tests.fields(io)?;
-        if io.decoding() {
-            *fault_plan = tests.fault_session().map(|s| Arc::clone(s.plan()));
-        }
         pril.fields(io)?;
         io.u64s(generation, "generation vector")?;
         for anchor in lo_anchor.iter_mut() {
@@ -501,13 +516,10 @@ impl MemconEngine {
         io.u64(quantum_index)?;
         counters.fields(io)?;
         mgr.fields(io)?;
-        // The run section: the event cursor and the trace's fingerprint.
-        // Restore rebuilds the quantum, the MWI and the horizon from the
-        // configuration and the fingerprint as `begin_run` builds them;
-        // the next boundary follows from `quantum_index`.
-        let mut section = run
-            .as_ref()
-            .map(|r| (r.event_idx, r.trace.unwrap_or_default()));
+        // The run section, present while the run is unfinished: the event
+        // cursor and the trace's fingerprint. The next boundary follows
+        // from `quantum_index`.
+        let mut section = (!*finished).then(|| (*event_idx, fingerprint.unwrap_or_default()));
         io.opt(&mut section, |io, (cursor, trace)| {
             io.usize(cursor)?;
             trace.fields(io)?;
@@ -519,19 +531,21 @@ impl MemconEngine {
             })
         })?;
         if io.decoding() {
-            *run = section.map(|(cursor, trace)| {
-                RunState::new(config, trace.duration_ns, cursor, Some(trace))
-            });
+            *finished = section.is_none();
+            if let Some((cursor, trace)) = section {
+                *event_idx = cursor;
+                *fingerprint = Some(trace);
+            }
         }
         Ok(())
     }
 
-    /// Decodes a checkpoint payload into an engine, refusing what does not
+    /// Decodes a checkpoint payload over `trace`, refusing what does not
     /// decode; [`MemconEngine::restore`] adds the checks that need the
-    /// whole state and the trace.
-    fn from_payload(payload: &[u8]) -> Result<MemconEngine, String> {
+    /// whole state.
+    fn from_payload(payload: &[u8], trace: Arc<WriteTrace>) -> Result<MemconEngine, String> {
         let placeholder = Box::new(RateOracle::new(0.0, 0));
-        let mut engine = MemconEngine::with_oracle(MemconConfig::paper_default(), 0, placeholder);
+        let mut engine = MemconEngine::build(MemconConfig::paper_default(), trace, placeholder);
         codec::decode(
             payload,
             &mut engine,
@@ -543,26 +557,24 @@ impl MemconEngine {
 
     /// Encodes the engine's current state, run cursors included, as a
     /// payload [`MemconEngine::restore`] rebuilds — what a durable fleet's
-    /// barrier image holds per shard. `trace` must be the trace the
-    /// current run began with: the run's first checkpoint fingerprints it
-    /// and keeps the fingerprint in the run state, so a run pays one pass
-    /// over its trace however often it checkpoints, and a run that never
+    /// barrier image holds per shard. The first checkpoint fingerprints
+    /// the trace and keeps the fingerprint, so a run pays one pass over
+    /// its trace however often it checkpoints, and a run that never
     /// checkpoints pays none.
     ///
     /// # Panics
     ///
     /// Panics if the failure oracle cannot persist its state (e.g. the
     /// content oracle's simulated chip).
-    pub fn checkpoint(&mut self, trace: &WriteTrace) -> Vec<u8> {
-        if let Some(run) = &mut self.run {
-            run.trace.get_or_insert_with(|| TraceFingerprint::of(trace));
-        }
+    pub fn checkpoint(&mut self) -> Vec<u8> {
+        self.fingerprint
+            .get_or_insert_with(|| TraceFingerprint::of(&self.trace));
         codec::encode(self, MemconEngine::fields)
     }
 
     /// Rebuilds an engine exactly as it stood when `payload` was encoded
-    /// by [`MemconEngine::checkpoint`] — including an in-progress run,
-    /// ready to resume with `trace`. Time-series sampling stays disarmed.
+    /// by [`MemconEngine::checkpoint`] — including an unfinished run,
+    /// ready to resume over `trace`. Time-series sampling stays disarmed.
     ///
     /// Traces are not persisted, so the payload's run section carries a
     /// fingerprint of the trace the run began with, and any other trace is
@@ -571,30 +583,34 @@ impl MemconEngine {
     ///
     /// # Errors
     ///
-    /// [`StoreError::Corrupt`] when the payload does not decode, breaks a
-    /// PRIL or refresh-manager invariant, holds a page at Testing with no
-    /// test in flight or a test on a page not at Testing, its run began
-    /// with a trace other than `trace`, or its run cannot resume (see
+    /// [`StoreError::Corrupt`] when the payload does not decode or covers
+    /// a page count other than the trace's, breaks a PRIL or
+    /// refresh-manager invariant, holds a page at Testing with no test in
+    /// flight or a test on a page not at Testing, its run began with a
+    /// trace other than `trace`, or its run cannot resume (see
     /// `check_clock` and `check_generations`).
-    pub fn restore(payload: &[u8], trace: &WriteTrace) -> Result<MemconEngine, StoreError> {
-        let engine = Self::from_payload(payload).map_err(StoreError::Corrupt)?;
+    pub fn restore(
+        payload: &[u8],
+        trace: impl Into<Arc<WriteTrace>>,
+    ) -> Result<MemconEngine, StoreError> {
+        let engine = Self::from_payload(payload, trace.into()).map_err(StoreError::Corrupt)?;
         engine
             .pril
             .check_invariants()
             .and_then(|()| engine.mgr.check_invariants())
             .and_then(|()| engine.check_tests_match_bins())
             .map_err(|e| StoreError::Corrupt(format!("the snapshot breaks an invariant: {e}")))?;
-        if let Some(run) = &engine.run {
-            let resumed = TraceFingerprint::of(trace);
-            if run.trace != Some(resumed) {
+        if !engine.finished {
+            let resumed = TraceFingerprint::of(&engine.trace);
+            if engine.fingerprint != Some(resumed) {
                 return Err(StoreError::Corrupt(format!(
                     "the snapshot's run began with trace {:?}, not the resumed trace {resumed:?}",
-                    run.trace
+                    engine.fingerprint
                 )));
             }
             engine
-                .check_clock(run, trace)
-                .and_then(|()| engine.check_generations(run))
+                .check_clock()
+                .and_then(|()| engine.check_generations())
                 .map_err(|e| {
                     StoreError::Corrupt(format!("the snapshot's run cannot resume: {e}"))
                 })?;
@@ -608,35 +624,36 @@ impl MemconEngine {
     /// boundary crossed) is later than a pending happening (the write at
     /// the cursor, the next boundary, any pending completion) or the trace
     /// horizon. Equal times pass: a run checkpointed right after
-    /// `begin_run` has reached t = 0 with writes at t = 0 still pending.
+    /// construction has reached t = 0 with writes at t = 0 still pending.
     /// A run whose refresh manager has closed its books cannot resume
     /// either.
     ///
     /// # Errors
     ///
     /// Names the latest time reached and the earliest pending one.
-    fn check_clock(&self, run: &RunState, trace: &WriteTrace) -> Result<(), String> {
+    fn check_clock(&self) -> Result<(), String> {
         if self.mgr.is_finalized() {
             return Err("its refresh manager is already finalized".to_string());
         }
-        let events = trace.events();
+        let events = self.trace.events();
+        let duration = self.trace.duration_ns();
         let at = |i: usize| events.get(i).map(|e| e.time_ns);
-        let crossed = self.quantum_index.saturating_mul(run.quantum_ns);
+        let crossed = self.quantum_index.saturating_mul(self.quantum_ns);
         let reached = [
-            run.event_idx.checked_sub(1).and_then(at),
+            self.event_idx.checked_sub(1).and_then(at),
             Some(self.mgr.last_transition_ns()),
             self.lo_anchor.iter().flatten().max().copied(),
             self.tests.latest_start_ns(),
             Some(crossed),
         ];
         let pending = [
-            at(run.event_idx),
-            Some(crossed.saturating_add(run.quantum_ns)),
+            at(self.event_idx),
+            Some(crossed.saturating_add(self.quantum_ns)),
             self.tests.next_completion_ns(),
-            Some(run.duration),
+            Some(duration),
         ];
         let reached = reached.into_iter().flatten().max().unwrap_or(0);
-        let pending = pending.into_iter().flatten().min().unwrap_or(run.duration);
+        let pending = pending.into_iter().flatten().min().unwrap_or(duration);
         if reached > pending {
             return Err(format!(
                 "it has reached {reached} ns, past its next happening or horizon at {pending} ns"
@@ -646,17 +663,17 @@ impl MemconEngine {
     }
 
     /// Checks that no page's content generation is above what the run can
-    /// have reached. `begin_run` zeroes them, and only a write bumps one:
-    /// once per consumed write, and at most once per boundary crossed (an
-    /// injected preemption lands as a write). So no generation exceeds the
-    /// event cursor plus the boundaries crossed, and the next write cannot
-    /// overflow one.
+    /// have reached. The run starts them at zero, and only a write bumps
+    /// one: once per consumed write, and at most once per boundary crossed
+    /// (an injected preemption lands as a write). So no generation exceeds
+    /// the event cursor plus the boundaries crossed, and the next write
+    /// cannot overflow one.
     ///
     /// # Errors
     ///
     /// Names the lowest page above the bound.
-    fn check_generations(&self, run: &RunState) -> Result<(), String> {
-        let bound = (run.event_idx as u64).saturating_add(self.quantum_index);
+    fn check_generations(&self) -> Result<(), String> {
+        let bound = (self.event_idx as u64).saturating_add(self.quantum_index);
         match self.generation.iter().position(|&g| g > bound) {
             Some(page) => Err(format!(
                 "page {page} is at generation {}, above the {bound} writes and boundaries \
@@ -675,7 +692,7 @@ impl MemconEngine {
     ///
     /// Names the lowest page on which the two disagree.
     fn check_tests_match_bins(&self) -> Result<(), String> {
-        for page in 0..self.n_pages {
+        for page in 0..self.trace.n_pages() {
             let state = self.mgr.state(page);
             match (self.tests.is_testing(page), state == PageState::Testing) {
                 (true, false) => {
@@ -722,94 +739,22 @@ impl MemconEngine {
         Ok(())
     }
 
-    /// Runs the engine over a complete trace and reports. Equivalent to
-    /// [`MemconEngine::begin_run`], one [`MemconEngine::advance_until`] to
-    /// the trace horizon, and [`MemconEngine::finish_run`] — stepped and
-    /// whole-trace runs share one code path, so they are bit-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace pages exceed the engine's page count.
-    pub fn run(&mut self, trace: &WriteTrace) -> MemconReport {
-        let _span = telemetry::tree_span("memcon.run");
-        self.begin_run(trace);
-        self.advance_until(trace, trace.duration_ns());
-        self.finish_run()
-    }
-
-    /// Starts a stepped run: resets all per-run state, arms the fault
-    /// session, and performs the steady-state pre-pass. Follow with
-    /// [`MemconEngine::advance_until`] calls (monotone limits) and one
-    /// [`MemconEngine::finish_run`]. Any previously in-progress stepped run
-    /// is discarded, exactly as a fresh [`MemconEngine::run`] would.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace pages exceed the engine's page count.
-    pub fn begin_run(&mut self, trace: &WriteTrace) {
-        assert!(
-            trace.n_pages() <= self.n_pages,
-            "trace has more pages than the engine tracks"
-        );
-        // Each run starts fresh: clear predictor state, in-flight tests, and
-        // per-page bookkeeping left over from any previous trace.
-        self.pril = Pril::new(self.n_pages, self.config.write_buffer_capacity);
-        self.tests.cancel_all();
-        self.tests.stats = TestEngineStats::default();
-        self.generation.iter_mut().for_each(|g| *g = 0);
-        self.lo_anchor.iter_mut().for_each(|a| *a = None);
-        self.attempts.iter_mut().for_each(|a| *a = 0);
-        self.retry_at.iter_mut().for_each(|r| *r = None);
-        self.retry_queue.clear();
-        self.clean_gen.iter_mut().for_each(|c| *c = None);
-        self.quantum_index = 0;
-        self.counters = EngineCounters::default();
-        // A fresh session per run: the decision streams replay, so the same
-        // trace and plan reproduce the same faults bit-for-bit.
-        let session = self
-            .fault_plan
-            .as_ref()
-            .map(|p| FaultSession::with_plan(Arc::clone(p)))
-            .or_else(FaultSession::begin);
-        self.tests.set_fault_session(session);
-        self.mgr = RefreshManager::new(self.n_pages, self.config.hi_ms, self.config.lo_ms);
-        if self.config.steady_state_start {
-            // The trace window opens on a long-running system: every page
-            // holding static content was tested before the window; clean
-            // pages already sit at LO-REF (failing ones stay HI-REF). These
-            // pre-window tests are not counted in this run's statistics.
-            for page in 0..self.n_pages {
-                if !self.tests.oracle_mut().page_fails(page, 0) {
-                    self.mgr.transition(page, PageState::LoRef, 0);
-                    // No amortization anchor: the test cost was paid before
-                    // the window, so it never counts as a misprediction.
-                    self.clean_gen[page as usize] = Some(0);
-                }
-            }
-        }
-        self.run = Some(RunState::new(&self.config, trace.duration_ns(), 0, None));
-    }
-
-    /// Advances the stepped run through every happening (test completion,
+    /// Advances the run through every happening (test completion,
     /// quantum boundary, write event) at or before `limit_ns`, in exact
     /// timeline order. Splitting a run at arbitrary limits cannot reorder
     /// happenings: the loop always takes the globally earliest next one, so
     /// a limit only decides *when* the loop pauses, never *what* it does.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no run is in progress (call [`MemconEngine::begin_run`]).
-    pub fn advance_until(&mut self, trace: &WriteTrace, limit_ns: u64) {
-        let mut run = self
-            .run
-            .take()
-            .expect("advance_until without begin_run in progress");
-        let limit = limit_ns.min(run.duration);
+    /// Limits past the trace horizon stop at it.
+    pub fn advance_until(&mut self, limit_ns: u64) {
+        let trace = Arc::clone(&self.trace);
+        let duration = trace.duration_ns();
+        let limit = limit_ns.min(duration);
         let events = trace.events();
+        let mut cursor = self.event_idx;
         loop {
             let t_test = self.tests.next_completion_ns();
-            let next_quantum = (self.quantum_index + 1) * run.quantum_ns;
-            let t_quantum = (next_quantum <= run.duration).then_some(next_quantum);
+            let next_quantum = (self.quantum_index + 1) * self.quantum_ns;
+            let t_quantum = (next_quantum <= duration).then_some(next_quantum);
             let horizon = [t_test, t_quantum].into_iter().flatten().min();
             // Drain the writes before the next completion or boundary. At
             // equal times the order is completion, then boundary, then
@@ -818,40 +763,46 @@ impl MemconEngine {
             // content), so the drain takes only writes strictly before the
             // horizon. The horizon cannot move during the drain: a write
             // starts no test, and an abort leaves its heap entry in place.
-            while let Some(e) = events.get(run.event_idx) {
+            while let Some(e) = events.get(cursor) {
                 if e.time_ns > limit || horizon.is_some_and(|h| e.time_ns >= h) {
                     break;
                 }
-                run.event_idx += 1;
-                self.handle_write(e.page, e.time_ns, run.mwi_ns);
+                cursor += 1;
+                self.handle_write(e.page, e.time_ns);
             }
             let Some(now) = horizon.filter(|&h| h <= limit) else {
                 break;
             };
             if t_test == Some(now) {
-                self.handle_completions(now, run.duration);
+                self.handle_completions(now);
                 continue;
             }
-            self.handle_quantum(now, run.mwi_ns);
+            self.handle_quantum(now);
         }
-        self.run = Some(run);
+        self.event_idx = cursor;
     }
 
-    /// Completes a stepped run: drains horizon completions, finalizes the
-    /// refresh timeline, flushes telemetry, and reports. Happenings after
-    /// the last `advance_until` limit are **not** processed — step to the
-    /// trace horizon first.
+    /// Advances the run to the trace horizon and finishes it: drains the
+    /// tests completing at the horizon, finalizes the refresh timeline,
+    /// flushes telemetry, and reports. Whether or not
+    /// [`MemconEngine::advance_until`] stepped the run first, the result
+    /// is bit-identical: stepped and whole runs share one code path.
     ///
     /// # Panics
     ///
-    /// Panics if no run is in progress (call [`MemconEngine::begin_run`]).
-    pub fn finish_run(&mut self) -> MemconReport {
-        let RunState { duration, .. } = self
-            .run
-            .take()
-            .expect("finish_run without begin_run in progress");
+    /// Panics if the run is already finished: an engine runs once.
+    pub fn run(&mut self) -> MemconReport {
+        assert!(
+            !self.finished,
+            "a MemconEngine runs once: its state is the finished run's, \
+             so build a fresh engine for each run"
+        );
+        let _span = telemetry::tree_span("memcon.run");
+        let duration = self.trace.duration_ns();
+        self.advance_until(duration);
+        self.finished = true;
         // Drain tests completing exactly at the horizon.
-        self.handle_completions(duration, duration);
+        self.handle_completions(duration);
         self.mgr.finalize(duration);
         #[cfg(feature = "strict-invariants")]
         {
@@ -896,19 +847,19 @@ impl MemconEngine {
             test_time_correct_ns: self.counters.tests_correct as f64 * test_cost,
             test_time_mispredicted_ns: self.counters.tests_mispredicted as f64 * test_cost,
             duration_ns: duration,
-            n_pages: self.n_pages,
+            n_pages: self.trace.n_pages(),
         }
     }
 
-    /// Per-page refresh states: final after a run, live during one, empty
-    /// before the first. The reliability guarantee is that every page
-    /// reported `LoRef` here passed a content test after its last write.
+    /// Per-page refresh states: live during the run, final after it. The
+    /// reliability guarantee is that every page reported `LoRef` here
+    /// passed a content test after its last write.
     #[must_use]
     pub fn final_states(&self) -> &[PageState] {
         self.mgr.states()
     }
 
-    fn handle_write(&mut self, page: PageId, now: u64, mwi_ns: u64) {
+    fn handle_write(&mut self, page: PageId, now: u64) {
         self.generation[page as usize] += 1;
         if self.tests.abort(page) {
             // The content under test changed before the verdict: the test
@@ -920,7 +871,7 @@ impl MemconEngine {
             match self.mgr.state(page) {
                 PageState::LoRef => {
                     if let Some(start) = self.lo_anchor[page as usize].take() {
-                        if now - start >= mwi_ns {
+                        if now - start >= self.mwi_ns {
                             self.counters.tests_correct += 1;
                         } else {
                             self.counters.tests_mispredicted += 1;
@@ -1074,7 +1025,7 @@ impl MemconEngine {
         }
     }
 
-    fn handle_quantum(&mut self, now: u64, mwi_ns: u64) {
+    fn handle_quantum(&mut self, now: u64) {
         self.quantum_index += 1;
         // Injected test preemption: model a rogue write landing on whichever
         // page is under test, forcing the abort/retry path.
@@ -1084,7 +1035,7 @@ impl MemconEngine {
                 .fault_session_mut()
                 .is_some_and(|s| s.fires(Site::TestPreempt));
             if fired {
-                self.handle_write(victim, now, mwi_ns);
+                self.handle_write(victim, now);
             }
         }
         // Drain the retry queue first: backed-off pages have priority over
@@ -1165,12 +1116,13 @@ impl MemconEngine {
                     "memcon.gauge.pril_capacity",
                     self.config.write_buffer_capacity as u64,
                 ),
-                ("memcon.gauge.pages", self.n_pages),
+                ("memcon.gauge.pages", self.trace.n_pages()),
             ],
         );
     }
 
-    fn handle_completions(&mut self, now: u64, duration: u64) {
+    fn handle_completions(&mut self, now: u64) {
+        let duration = self.trace.duration_ns();
         let mut outcomes = std::mem::take(&mut self.outcome_buf);
         self.tests.poll_into(now, &mut outcomes);
         for outcome in &outcomes {
@@ -1226,8 +1178,8 @@ mod tests {
         MemconConfig::paper_default()
     }
 
-    fn clean_engine(n_pages: u64) -> MemconEngine {
-        MemconEngine::with_oracle(cfg(), n_pages, Box::new(RateOracle::new(0.0, 0)))
+    fn clean_engine(trace: WriteTrace) -> MemconEngine {
+        MemconEngine::with_oracle(cfg(), trace, Box::new(RateOracle::new(0.0, 0)))
     }
 
     #[test]
@@ -1236,15 +1188,15 @@ mod tests {
         // after the completion: the test passes, and the early rewrite is a
         // misprediction, not an abort.
         let trace = WriteTrace::new(vec![ev(0, 0), ev(2100, 1), ev(2112, 0)], 8192 * MS, 2);
-        let mut e = clean_engine(2);
-        let _ = e.run(&trace);
+        let mut e = clean_engine(trace);
+        let _ = e.run();
         assert_eq!(e.stats().tests.aborted, 0);
         assert_eq!(e.stats().counters.tests_mispredicted, 1);
         // A page-0 write at the 2048 ms boundary comes after the boundary
         // starts the test, so it aborts it.
         let trace = WriteTrace::new(vec![ev(0, 0), ev(2040, 1), ev(2048, 0)], 8192 * MS, 2);
-        let mut e = clean_engine(2);
-        e.run(&trace);
+        let mut e = clean_engine(trace);
+        e.run();
         assert_eq!(e.stats().tests.aborted, 1);
     }
 
@@ -1253,8 +1205,8 @@ mod tests {
         // One write at t=0, then 20 s of silence: tested after two quanta,
         // LO-REF for the rest.
         let trace = WriteTrace::new(vec![ev(0, 0)], 20_480 * MS, 1);
-        let mut e = clean_engine(1);
-        let r = e.run(&trace);
+        let mut e = clean_engine(trace);
+        let r = e.run();
         // Test starts at 2048 ms (first boundary after the full idle
         // quantum following the write quantum), completes at 2112 ms.
         // LO time = 20480 - 2112 = 18368 ms of 20480 => ~89.7% coverage.
@@ -1274,8 +1226,8 @@ mod tests {
         // Writes every 100 ms: never a full idle quantum, never tested.
         let events: Vec<WriteEvent> = (0..200).map(|i| ev(i * 100, 0)).collect();
         let trace = WriteTrace::new(events, 20_000 * MS, 1);
-        let mut e = clean_engine(1);
-        let r = e.run(&trace);
+        let mut e = clean_engine(trace);
+        let r = e.run();
         assert_eq!(r.lo_coverage, 0.0);
         assert_eq!(e.stats().tests.started, 0);
         assert!(r.refresh_reduction.abs() < 1e-9);
@@ -1284,8 +1236,8 @@ mod tests {
     #[test]
     fn failing_rows_stay_hi_ref() {
         let trace = WriteTrace::new(vec![ev(0, 0)], 20_480 * MS, 1);
-        let mut e = MemconEngine::with_oracle(cfg(), 1, Box::new(RateOracle::new(1.0, 0)));
-        let r = e.run(&trace);
+        let mut e = MemconEngine::with_oracle(cfg(), trace, Box::new(RateOracle::new(1.0, 0)));
+        let r = e.run();
         assert_eq!(r.lo_coverage, 0.0);
         assert_eq!(e.stats().tests.failed, 1);
         // Testing time (64 ms of 20480) is unrefreshed, so reduction is
@@ -1299,8 +1251,8 @@ mod tests {
         // rewritten at 2200 ms — far below MinWriteInterval (560 ms) after
         // the test started.
         let trace = WriteTrace::new(vec![ev(0, 0), ev(2200, 0)], 4096 * MS, 1);
-        let mut e = clean_engine(1);
-        let _ = e.run(&trace);
+        let mut e = clean_engine(trace);
+        let _ = e.run();
         assert_eq!(e.stats().counters.tests_mispredicted, 1);
         // The rewrite re-qualifies the page: written once in quantum
         // (2048..3072], idle in (3072..4096] => re-tested at 4096 = horizon.
@@ -1311,8 +1263,8 @@ mod tests {
     fn write_during_test_aborts_and_counts_mispredicted() {
         // Write at 0; tested at 2048; write at 2080 lands mid-test.
         let trace = WriteTrace::new(vec![ev(0, 0), ev(2080, 0)], 8192 * MS, 1);
-        let mut e = clean_engine(1);
-        let r = e.run(&trace);
+        let mut e = clean_engine(trace);
+        let r = e.run();
         assert_eq!(e.stats().tests.aborted, 1);
         assert_eq!(e.stats().counters.tests_mispredicted, 1);
         // The abort arms a retry, but the preempting write resets PRIL
@@ -1339,8 +1291,8 @@ mod tests {
     fn late_rewrite_counts_as_correct() {
         // Rewrite 5 s after the test: well past MinWriteInterval.
         let trace = WriteTrace::new(vec![ev(0, 0), ev(7000, 0)], 8192 * MS, 1);
-        let mut e = clean_engine(1);
-        let _ = e.run(&trace);
+        let mut e = clean_engine(trace);
+        let _ = e.run();
         assert_eq!(e.stats().counters.tests_correct, 1);
         assert_eq!(e.stats().counters.tests_mispredicted, 0);
     }
@@ -1352,8 +1304,8 @@ mod tests {
         // 10 pages all written at t=0 and idle after.
         let events: Vec<WriteEvent> = (0..10).map(|p| ev(0, p)).collect();
         let trace = WriteTrace::new(events, 4096 * MS, 10);
-        let mut e = MemconEngine::with_oracle(config, 10, Box::new(RateOracle::new(0.0, 0)));
-        let _ = e.run(&trace);
+        let mut e = MemconEngine::with_oracle(config, trace, Box::new(RateOracle::new(0.0, 0)));
+        let _ = e.run();
         let t = e.stats().tests;
         assert_eq!(t.started, 2, "only two slots at the 2048 ms boundary");
         assert!(t.rejected >= 8);
@@ -1375,8 +1327,9 @@ mod tests {
             let mut config = cfg().with_test_mode(mode);
             config.concurrent_tests = 8_192;
             config.write_buffer_capacity = 8_192;
-            let mut e = MemconEngine::with_oracle(config, pages, Box::new(RateOracle::new(0.0, 0)));
-            let _ = e.run(&trace);
+            let oracle = Box::new(RateOracle::new(0.0, 0));
+            let mut e = MemconEngine::with_oracle(config, trace.clone(), oracle);
+            let _ = e.run();
             let t = e.stats().tests;
             assert_eq!((t.started, t.rejected), (started, rejected), "{mode:?}");
         }
@@ -1388,10 +1341,10 @@ mod tests {
             let trace = WriteTrace::new(vec![ev(0, 0)], 20_480 * MS, 1);
             let mut e = MemconEngine::with_oracle(
                 cfg().with_quantum_ms(quantum),
-                1,
+                trace,
                 Box::new(RateOracle::new(0.0, 0)),
             );
-            let r = e.run(&trace);
+            let r = e.run();
             // Earlier quanta => earlier LO-REF => more coverage.
             let expected_lo_ms = 20_480.0 - (2.0 * quantum + 64.0);
             assert!(
@@ -1406,8 +1359,8 @@ mod tests {
     fn real_workload_reduction_in_paper_band() {
         // Paper Fig. 14: reductions of 64.7-74.5% against the 75% bound.
         let trace = WorkloadProfile::netflix().scaled(0.05).generate(3);
-        let mut e = MemconEngine::new(cfg(), trace.n_pages());
-        let r = e.run(&trace);
+        let mut e = MemconEngine::new(cfg(), trace);
+        let r = e.run();
         assert!(
             (0.55..0.75).contains(&r.refresh_reduction),
             "reduction {}",
@@ -1420,8 +1373,8 @@ mod tests {
     #[test]
     fn fig18_testing_time_is_negligible() {
         let trace = WorkloadProfile::ac_brotherhood().scaled(0.05).generate(5);
-        let mut e = MemconEngine::new(cfg(), trace.n_pages());
-        let r = e.run(&trace);
+        let mut e = MemconEngine::new(cfg(), trace);
+        let r = e.run();
         let test_frac =
             (r.test_time_correct_ns + r.test_time_mispredicted_ns) / r.baseline_refresh_time_ns;
         // Paper: testing is ~0.01% of baseline refresh time. Our simulated
@@ -1433,18 +1386,37 @@ mod tests {
     }
 
     #[test]
-    fn engine_is_reusable_across_runs() {
-        // A second run() must start fresh: same trace, same report, even
-        // when the first run left a test in flight at the horizon.
-        let trace = WriteTrace::new(vec![ev(0, 0), ev(2200, 0)], 4096 * MS, 1);
-        let mut e = clean_engine(1);
-        assert!(
-            e.final_states().is_empty(),
-            "no states before the first run"
-        );
-        let first = e.run(&trace);
-        let second = e.run(&trace);
-        assert_eq!(first, second);
+    #[should_panic(expected = "a MemconEngine runs once")]
+    fn a_second_run_panics() {
+        // The first run leaves a test in flight at the horizon; a second
+        // run would resume from the finished run's state.
+        let mut e = clean_engine(WriteTrace::new(vec![ev(0, 0), ev(2200, 0)], 4096 * MS, 1));
+        let _ = e.run();
+        let _ = e.run();
+    }
+
+    #[test]
+    fn set_fault_plan_panics_once_the_run_advanced() {
+        // A plan may be armed until the run's first happening: a write at
+        // 100 ms, or the 1024 ms boundary before a write at 2000 ms.
+        for (write_ms, limit_ms) in [(100, 500), (2000, 1500)] {
+            let trace = WriteTrace::new(vec![ev(write_ms, 0)], 4096 * MS, 1);
+            let mut e = clean_engine(trace);
+            e.advance_until(50 * MS);
+            e.set_fault_plan(None);
+            e.advance_until(limit_ms * MS);
+            let armed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                e.set_fault_plan(None);
+            }));
+            let Err(payload) = armed else {
+                panic!("arming after the {write_ms} ms trace's first happening must panic");
+            };
+            let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
+            assert!(
+                msg.contains("set_fault_plan after the run advanced"),
+                "{msg}"
+            );
+        }
     }
 
     #[test]
@@ -1453,40 +1425,24 @@ mod tests {
         // bit-identical to one whole-trace run — the property the fleet
         // scheduler's epoch batching rests on. Faults armed so the fault
         // decision streams are exercised across slice boundaries too.
-        let trace = WorkloadProfile::netflix().scaled(0.02).generate(7);
+        // The last slice stops short of the horizon, and `run` finishes.
+        let trace = Arc::new(WorkloadProfile::netflix().scaled(0.02).generate(7));
         let plan = Arc::new(FaultPlan::uniform(0xDEAD_BEEF, 0.05));
-        let mut whole = MemconEngine::new(cfg(), trace.n_pages());
+        let mut whole = MemconEngine::new(cfg(), Arc::clone(&trace));
         whole.set_fault_plan(Some(Arc::clone(&plan)));
-        let r_whole = whole.run(&trace);
-        let mut stepped = MemconEngine::new(cfg(), trace.n_pages());
+        let r_whole = whole.run();
+        let mut stepped = MemconEngine::new(cfg(), Arc::clone(&trace));
         stepped.set_fault_plan(Some(plan));
-        stepped.begin_run(&trace);
-        let mut limit = 0u64;
+        let mut limit = 777 * MS; // never aligned with the 1024 ms quantum
         while limit < trace.duration_ns() {
-            limit += 777 * MS; // never aligned with the 1024 ms quantum
-            stepped.advance_until(&trace, limit);
+            stepped.advance_until(limit);
+            limit += 777 * MS;
         }
-        let r_stepped = stepped.finish_run();
+        let r_stepped = stepped.run();
         assert_eq!(r_whole, r_stepped);
         assert_eq!(whole.final_states(), stepped.final_states());
         assert_eq!(whole.stats(), stepped.stats());
         stepped.verify_refresh_correctness().unwrap();
-    }
-
-    #[test]
-    #[should_panic(expected = "advance_until without begin_run")]
-    fn advance_without_begin_panics() {
-        let trace = WriteTrace::new(vec![ev(0, 0)], 100 * MS, 1);
-        let mut e = clean_engine(1);
-        e.advance_until(&trace, 50 * MS);
-    }
-
-    #[test]
-    #[should_panic(expected = "more pages than the engine")]
-    fn trace_page_bound_checked() {
-        let trace = WriteTrace::new(vec![ev(0, 5)], 100 * MS, 6);
-        let mut e = clean_engine(2);
-        let _ = e.run(&trace);
     }
 
     use faultinject::{Schedule, SiteSpec};
@@ -1503,9 +1459,9 @@ mod tests {
         // page to the high-refresh bin.
         let config = cfg().with_quantum_ms(32.0);
         let trace = WriteTrace::new(vec![ev(0, 0)], 4096 * MS, 1);
-        let mut e = MemconEngine::with_oracle(config, 1, Box::new(RateOracle::new(0.0, 0)));
+        let mut e = MemconEngine::with_oracle(config, trace, Box::new(RateOracle::new(0.0, 0)));
         e.set_fault_plan(Some(plan_with(Site::TestPreempt, SiteSpec::rate(1.0))));
-        let r = e.run(&trace);
+        let r = e.run();
         let rec = e.stats();
         assert!(rec.faults_injected[Site::TestPreempt as usize] > 0);
         assert!(rec.tests.aborted >= 3, "aborts {}", rec.tests.aborted);
@@ -1522,9 +1478,9 @@ mod tests {
     #[test]
     fn torn_reads_back_off_and_eventually_pin() {
         let trace = WriteTrace::new(vec![ev(0, 0)], 20_480 * MS, 1);
-        let mut e = clean_engine(1);
+        let mut e = clean_engine(trace);
         e.set_fault_plan(Some(plan_with(Site::TornRead, SiteSpec::rate(1.0))));
-        let r = e.run(&trace);
+        let r = e.run();
         let rec = e.stats();
         assert!(
             rec.tests.ambiguous >= 3,
@@ -1542,9 +1498,9 @@ mod tests {
     #[test]
     fn uncorrectable_ecc_pins_immediately_with_zero_escapes() {
         let trace = WriteTrace::new(vec![ev(0, 0)], 20_480 * MS, 1);
-        let mut e = clean_engine(1);
+        let mut e = clean_engine(trace);
         e.set_fault_plan(Some(plan_with(Site::EccUncorrectable, SiteSpec::rate(1.0))));
-        let _ = e.run(&trace);
+        let _ = e.run();
         let rec = e.stats();
         assert!(rec.tests.ecc_uncorrectable >= 1);
         assert_eq!(rec.pin_events, 1, "pinned on the very first attempt");
@@ -1561,7 +1517,7 @@ mod tests {
         let mut config = cfg();
         config.recovery.max_attempts = 2;
         let trace = WriteTrace::new(vec![ev(0, 0)], 20_480 * MS, 1);
-        let mut e = MemconEngine::with_oracle(config, 1, Box::new(RateOracle::new(0.0, 0)));
+        let mut e = MemconEngine::with_oracle(config, trace, Box::new(RateOracle::new(0.0, 0)));
         e.set_fault_plan(Some(plan_with(
             Site::TornRead,
             SiteSpec {
@@ -1569,7 +1525,7 @@ mod tests {
                 schedule: Schedule::Burst { start: 0, len: 2 },
             },
         )));
-        let r = e.run(&trace);
+        let r = e.run();
         let rec = e.stats();
         assert_eq!(rec.tests.ambiguous, 2);
         assert_eq!(rec.counters.retries, 2);
@@ -1583,15 +1539,13 @@ mod tests {
     fn faulted_runs_are_bit_reproducible() {
         // Two independently constructed engines with the same oracle seed,
         // trace, and plan must agree bit-for-bit — the property the chaos
-        // gate's jobs=1 vs jobs=4 byte-comparison rests on. (Re-running the
-        // *same* engine is only reproducible for stateless oracles: the
-        // rate oracle deliberately draws from one RNG stream.)
-        let trace = WorkloadProfile::netflix().scaled(0.02).generate(7);
+        // gate's jobs=1 vs jobs=4 byte-comparison rests on.
+        let trace = Arc::new(WorkloadProfile::netflix().scaled(0.02).generate(7));
         let plan = Arc::new(FaultPlan::uniform(0xDEAD_BEEF, 0.05));
         let run = |plan: &Arc<FaultPlan>| {
-            let mut e = MemconEngine::new(cfg(), trace.n_pages());
+            let mut e = MemconEngine::new(cfg(), Arc::clone(&trace));
             e.set_fault_plan(Some(Arc::clone(plan)));
-            let report = e.run(&trace);
+            let report = e.run();
             e.verify_refresh_correctness().unwrap();
             (report, e.stats(), e.final_states().to_vec())
         };
@@ -1616,12 +1570,12 @@ mod tests {
 
     fn reference_run(
         config: MemconConfig,
-        trace: &WriteTrace,
+        trace: &Arc<WriteTrace>,
         plan: Option<&Arc<FaultPlan>>,
     ) -> (MemconReport, EngineStats, Vec<PageState>) {
-        let mut e = MemconEngine::new(config, trace.n_pages());
+        let mut e = MemconEngine::new(config, Arc::clone(trace));
         e.set_fault_plan(plan.cloned());
-        let report = e.run(trace);
+        let report = e.run();
         (report, e.stats(), e.final_states().to_vec())
     }
 
@@ -1630,25 +1584,23 @@ mod tests {
         // Checkpoint while the fail-safe has a page pinned: the pin must
         // survive the restore, and the resumed run must match the
         // reference.
-        let trace = WriteTrace::new(vec![ev(0, 0)], 20_480 * MS, 1);
+        let trace = Arc::new(WriteTrace::new(vec![ev(0, 0)], 20_480 * MS, 1));
         let plan = plan_with(Site::TornRead, SiteSpec::rate(1.0));
         let (r_ref, rec_ref, states_ref) = reference_run(cfg(), &trace, Some(&plan));
         assert_eq!(rec_ref.pin_events, 1, "the reference run pins the page");
 
-        let mut e = MemconEngine::new(cfg(), 1);
+        let mut e = MemconEngine::new(cfg(), Arc::clone(&trace));
         e.set_fault_plan(Some(Arc::clone(&plan)));
-        e.begin_run(&trace);
-        e.advance_until(&trace, 18_000 * MS);
-        let payload = e.checkpoint(&trace);
+        e.advance_until(18_000 * MS);
+        let payload = e.checkpoint();
         drop(e);
-        let mut e = MemconEngine::restore(&payload, &trace).unwrap();
+        let mut e = MemconEngine::restore(&payload, trace).unwrap();
         assert_eq!(
             e.stats().pinned_pages,
             1,
             "pin restored from the checkpoint"
         );
-        e.advance_until(&trace, trace.duration_ns());
-        let r = e.finish_run();
+        let r = e.run();
         assert_eq!(r, r_ref);
         assert_eq!(e.stats(), rec_ref);
         assert_eq!(e.final_states(), states_ref.as_slice());
@@ -1657,15 +1609,14 @@ mod tests {
 
     #[test]
     fn recovery_refuses_a_trace_other_than_the_checkpointed_one() {
-        let trace = WorkloadProfile::netflix().scaled(0.02).generate(5);
+        let trace = Arc::new(WorkloadProfile::netflix().scaled(0.02).generate(5));
         let plan = engine_plan(0x5EED_F00D);
         let (r_ref, rec_ref, states_ref) = reference_run(cfg(), &trace, Some(&plan));
 
-        let mut e = MemconEngine::new(cfg(), trace.n_pages());
+        let mut e = MemconEngine::new(cfg(), Arc::clone(&trace));
         e.set_fault_plan(Some(Arc::clone(&plan)));
-        e.begin_run(&trace);
-        e.advance_until(&trace, trace.duration_ns() / 2);
-        let payload = e.checkpoint(&trace);
+        e.advance_until(trace.duration_ns() / 2);
+        let payload = e.checkpoint();
         drop(e);
         let other_seed = WorkloadProfile::netflix().scaled(0.02).generate(6);
         let events = trace.events();
@@ -1677,46 +1628,44 @@ mod tests {
         for (what, wrong) in [("different-seed", &other_seed), ("truncated", &truncated)] {
             assert!(
                 matches!(
-                    MemconEngine::restore(&payload, wrong),
+                    MemconEngine::restore(&payload, wrong.clone()),
                     Err(StoreError::Corrupt(_))
                 ),
                 "a {what} trace must be refused"
             );
         }
         // The matching trace still resumes to the uninterrupted result.
-        let mut e = MemconEngine::restore(&payload, &trace).unwrap();
-        e.advance_until(&trace, trace.duration_ns());
-        assert_eq!(e.finish_run(), r_ref);
+        let mut e = MemconEngine::restore(&payload, trace).unwrap();
+        assert_eq!(e.run(), r_ref);
         assert_eq!(e.stats(), rec_ref);
         assert_eq!(e.final_states(), states_ref.as_slice());
     }
 
     /// An engine stepped to half the trace, with its checkpoint there.
-    fn half_run_payload(trace: &WriteTrace) -> (MemconEngine, Vec<u8>) {
-        let mut e = MemconEngine::new(cfg(), trace.n_pages());
-        e.begin_run(trace);
-        e.advance_until(trace, trace.duration_ns() / 2);
-        let payload = e.checkpoint(trace);
+    fn half_run_payload(trace: &Arc<WriteTrace>) -> (MemconEngine, Vec<u8>) {
+        let mut e = MemconEngine::new(cfg(), Arc::clone(trace));
+        e.advance_until(trace.duration_ns() / 2);
+        let payload = e.checkpoint();
         (e, payload)
     }
 
     /// Restores `payload` over `trace`, dropping the engine.
-    fn restore_payload(trace: &WriteTrace, payload: &[u8]) -> Result<(), StoreError> {
-        MemconEngine::restore(payload, trace).map(drop)
+    fn restore_payload(trace: &Arc<WriteTrace>, payload: &[u8]) -> Result<(), StoreError> {
+        MemconEngine::restore(payload, Arc::clone(trace)).map(drop)
     }
 
     #[test]
     fn recovery_refuses_a_snapshot_of_the_previous_version() {
         // A payload of an earlier format has a different layout, so its
         // version byte must refuse it before any section decodes.
-        let trace = WorkloadProfile::netflix().scaled(0.02).generate(9);
+        let trace = Arc::new(WorkloadProfile::netflix().scaled(0.02).generate(9));
         let (e, payload) = half_run_payload(&trace);
         drop(e);
-        assert!(MemconEngine::from_payload(&payload).is_ok());
+        assert!(MemconEngine::from_payload(&payload, Arc::clone(&trace)).is_ok());
         for version in [2u8, 3, 4, 5, 6, 7] {
             let mut old = payload.clone();
             old[0] = version;
-            let Err(err) = MemconEngine::from_payload(&old) else {
+            let Err(err) = MemconEngine::from_payload(&old, Arc::clone(&trace)) else {
                 panic!("a version-{version} payload must be refused");
             };
             assert!(err.contains(&format!("version {version}")), "{err}");
@@ -1730,12 +1679,12 @@ mod tests {
 
     #[test]
     fn payloads_with_out_of_range_pages_are_refused() {
-        // A page count the payload cannot hold is refused before the
-        // per-page state is allocated, and restored tests and retries must
+        // A page count other than the trace's is refused before the
+        // per-page state is decoded, and restored tests and retries must
         // name pages the engine tracks.
-        let trace = WorkloadProfile::netflix().scaled(0.02).generate(9);
+        let trace = Arc::new(WorkloadProfile::netflix().scaled(0.02).generate(9));
         let (mut e, mut huge) = half_run_payload(&trace);
-        let past_end = e.n_pages;
+        let past_end = trace.n_pages();
         // Version, three f64 intervals, mode tag, test budget, write-buffer
         // capacity, steady-state flag, two recovery-policy u32s.
         const N_PAGES_AT: usize = 1 + 3 * 8 + 1 + 4 + 8 + 1 + 4 + 4;
@@ -1743,21 +1692,21 @@ mod tests {
         assert_eq!(huge[field.clone()], past_end.to_le_bytes());
         huge[field].copy_from_slice(&(1u64 << 40).to_le_bytes());
         e.retry_queue.push(past_end);
-        let retry = e.checkpoint(&trace);
+        let retry = e.checkpoint();
         e.retry_queue.pop();
         // The test table is sized to the engine's pages, so a test of the
         // page past the end comes from a test engine one page larger.
         let oracle = Box::new(RateOracle::new(0.0, 0));
         e.tests = TestEngine::new(oracle, e.config.lo_ms, 1, past_end + 1);
         assert!(e.tests.try_start(past_end, 0, 0));
-        let in_flight = e.checkpoint(&trace);
+        let in_flight = e.checkpoint();
         drop(e);
         for (payload, refusal) in [
             (huge, format!("page count {}", 1u64 << 40)),
             (in_flight, format!("in-flight page {past_end} out of range")),
             (retry, format!("retry queue page {past_end} out of range")),
         ] {
-            let Err(err) = MemconEngine::from_payload(&payload) else {
+            let Err(err) = MemconEngine::from_payload(&payload, Arc::clone(&trace)) else {
                 panic!("a payload with an out-of-range page must be refused: {refusal}");
             };
             assert!(err.contains(&refusal), "{err}");
@@ -1775,7 +1724,7 @@ mod tests {
         // pin its counter does not hold, and a HI-REF page moves to
         // Testing with no test in flight or gains a test while staying
         // HI-REF.
-        let trace = WorkloadProfile::netflix().scaled(0.02).generate(9);
+        let trace = Arc::new(WorkloadProfile::netflix().scaled(0.02).generate(9));
         let (mut e, payload) = half_run_payload(&trace);
         let section = codec::encode(&mut e.mgr, RefreshManager::fields);
         let at = payload
@@ -1783,23 +1732,23 @@ mod tests {
             .position(|w| w == section.as_slice())
             .expect("the payload holds the manager section");
         // Bin tags, then since-times, then pin bytes, each length-prefixed.
-        let pages = e.n_pages as usize;
+        let pages = trace.n_pages() as usize;
         let pin_of_page_0 = at + (8 + pages) + (8 + 8 * pages) + 8;
         let mut bad_mgr = payload.clone();
         assert_eq!(bad_mgr[pin_of_page_0], 0);
         bad_mgr[pin_of_page_0] = 1;
         e.pril.stats.inserted += 1;
-        let bad_pril = e.checkpoint(&trace);
+        let bad_pril = e.checkpoint();
         e.pril.stats.inserted -= 1;
         let now = trace.duration_ns() / 2;
-        let hi = (0..e.n_pages)
+        let hi = (0..trace.n_pages())
             .find(|&p| e.mgr.state(p) == PageState::HiRef)
             .expect("the half run holds a HI-REF page");
         e.mgr.transition(hi, PageState::Testing, now);
-        let untested = e.checkpoint(&trace);
+        let untested = e.checkpoint();
         e.mgr.transition(hi, PageState::HiRef, now);
         assert!(e.tests.try_start(hi, e.generation[hi as usize], now));
-        let unbinned = e.checkpoint(&trace);
+        let unbinned = e.checkpoint();
         drop(e);
         for (payload, broken) in [
             (bad_pril, "page conservation".to_string()),
@@ -1813,7 +1762,7 @@ mod tests {
                 format!("page {hi} has a test in flight but sits at HiRef"),
             ),
         ] {
-            assert!(MemconEngine::from_payload(&payload).is_ok());
+            assert!(MemconEngine::from_payload(&payload, Arc::clone(&trace)).is_ok());
             assert!(matches!(
                 restore_payload(&trace, &payload),
                 Err(StoreError::Corrupt(msg)) if msg.contains(&broken)
@@ -1823,16 +1772,15 @@ mod tests {
 
     #[test]
     fn recovery_after_a_clean_finish_restores_the_finished_engine() {
-        // A checkpoint after `finish_run` carries no run section: the
-        // restored engine is the finished one, final bins and pins
-        // included.
-        let trace = WorkloadProfile::netflix().scaled(0.02).generate(13);
-        let mut e = MemconEngine::new(cfg(), trace.n_pages());
+        // A checkpoint after `run` carries no run section: the restored
+        // engine is the finished one, final bins and pins included.
+        let trace = Arc::new(WorkloadProfile::netflix().scaled(0.02).generate(13));
+        let mut e = MemconEngine::new(cfg(), Arc::clone(&trace));
         e.set_fault_plan(Some(plan_with(Site::EccUncorrectable, SiteSpec::rate(0.5))));
-        let _ = e.run(&trace);
+        let _ = e.run();
         assert!(e.stats().pinned_pages > 0, "the run ends with pins");
-        let payload = e.checkpoint(&trace);
-        let restored = MemconEngine::restore(&payload, &trace).unwrap();
+        let payload = e.checkpoint();
+        let restored = MemconEngine::restore(&payload, trace).unwrap();
         assert!(!restored.mid_run());
         assert_eq!(restored.final_states(), e.final_states());
         assert_eq!(restored.stats(), e.stats());
@@ -1844,18 +1792,17 @@ mod tests {
         // A cursor or boundary count rewound behind what the state has
         // reached would replay the past: the next write would land before
         // a page's last transition (the resume used to panic).
-        let trace = WorkloadProfile::netflix().scaled(0.02).generate(9);
+        let trace = Arc::new(WorkloadProfile::netflix().scaled(0.02).generate(9));
         let (mut e, payload) = half_run_payload(&trace);
         assert!(restore_payload(&trace, &payload).is_ok());
-        let run = e.run.as_mut().expect("the half run is in progress");
-        let cursor = std::mem::replace(&mut run.event_idx, 0);
-        let rewound_cursor = e.checkpoint(&trace);
-        e.run.as_mut().expect("still in progress").event_idx = cursor;
+        let cursor = std::mem::replace(&mut e.event_idx, 0);
+        let rewound_cursor = e.checkpoint();
+        e.event_idx = cursor;
         let crossed = e.quantum_index;
         e.quantum_index = crossed / 2;
-        let rewound_boundaries = e.checkpoint(&trace);
+        let rewound_boundaries = e.checkpoint();
         e.quantum_index = crossed;
-        assert!(e.checkpoint(&trace) == payload);
+        assert!(e.checkpoint() == payload);
         drop(e);
         for (what, payload) in [
             ("event cursor", rewound_cursor),
@@ -1875,17 +1822,12 @@ mod tests {
     fn restore_refuses_a_generation_its_run_cannot_have_reached() {
         // A generation no run of this length can reach: at u64::MAX the
         // next write to the page would overflow the counter.
-        let trace = WorkloadProfile::netflix().scaled(0.02).generate(9);
+        let trace = Arc::new(WorkloadProfile::netflix().scaled(0.02).generate(9));
         let (mut e, payload) = half_run_payload(&trace);
         assert!(restore_payload(&trace, &payload).is_ok());
-        let cursor = e
-            .run
-            .as_ref()
-            .expect("the half run is in progress")
-            .event_idx;
-        let page = trace.events()[cursor].page as usize;
+        let page = trace.events()[e.event_idx].page as usize;
         e.generation[page] = u64::MAX;
-        let corrupt = e.checkpoint(&trace);
+        let corrupt = e.checkpoint();
         assert!(
             matches!(
                 restore_payload(&trace, &corrupt),
@@ -1905,13 +1847,12 @@ mod tests {
 
     #[test]
     fn payload_layout_is_pinned() {
-        let trace = WorkloadProfile::netflix().scaled(0.02).generate(3);
+        let trace = Arc::new(WorkloadProfile::netflix().scaled(0.02).generate(3));
         let hashes = [None, Some(engine_plan(3))].map(|plan| {
-            let mut e = MemconEngine::new(cfg(), trace.n_pages());
+            let mut e = MemconEngine::new(cfg(), Arc::clone(&trace));
             e.set_fault_plan(plan);
-            e.begin_run(&trace);
-            e.advance_until(&trace, trace.duration_ns() / 2);
-            fnv1a(&e.checkpoint(&trace))
+            e.advance_until(trace.duration_ns() / 2);
+            fnv1a(&e.checkpoint())
         });
         assert_eq!(
             hashes, SNAP_LAYOUT_FNV,
@@ -1925,26 +1866,25 @@ mod tests {
         // byte for byte, and the restored engine must finish the run
         // exactly as one that never stopped.
         for seed in [3, 8] {
-            let trace = WorkloadProfile::netflix().scaled(0.02).generate(seed);
+            let trace = Arc::new(WorkloadProfile::netflix().scaled(0.02).generate(seed));
             let horizon = trace.duration_ns();
             for mode in [TestMode::ReadAndCompare, TestMode::CopyAndCompare] {
                 for plan in [None, Some(engine_plan(seed))] {
                     let config = cfg().with_test_mode(mode);
                     let reference = reference_run(config, &trace, plan.as_ref());
-                    let mut e = MemconEngine::new(config, trace.n_pages());
+                    let mut e = MemconEngine::new(config, Arc::clone(&trace));
                     e.set_fault_plan(plan.clone());
-                    e.begin_run(&trace);
                     for split in [0, horizon / 7, horizon / 2, horizon * 5 / 6, horizon] {
                         let what = format!(
                             "seed {seed}, {mode:?}, plan {}, split {split}",
                             plan.is_some()
                         );
-                        e.advance_until(&trace, split);
-                        let payload = e.checkpoint(&trace);
-                        let mut resumed = MemconEngine::restore(&payload, &trace).unwrap();
-                        assert!(resumed.checkpoint(&trace) == payload, "{what}");
-                        resumed.advance_until(&trace, horizon);
-                        let report = resumed.finish_run();
+                        e.advance_until(split);
+                        let payload = e.checkpoint();
+                        let mut resumed =
+                            MemconEngine::restore(&payload, Arc::clone(&trace)).unwrap();
+                        assert!(resumed.checkpoint() == payload, "{what}");
+                        let report = resumed.run();
                         assert_eq!(
                             (report, resumed.stats(), resumed.final_states().to_vec()),
                             reference,

@@ -42,8 +42,7 @@
 //! use memtrace::workload::WorkloadProfile;
 //!
 //! let trace = WorkloadProfile::netflix().scaled(0.02).generate(1);
-//! let mut engine = MemconEngine::new(MemconConfig::paper_default(), trace.n_pages());
-//! let report = engine.run(&trace);
+//! let report = MemconEngine::new(MemconConfig::paper_default(), trace).run();
 //! // MEMCON eliminates most refreshes (upper bound 75% for 16/64 ms).
 //! assert!(report.refresh_reduction > 0.5);
 //! ```

@@ -249,14 +249,6 @@ pub struct TestOutcome {
     pub end_ns: u64,
 }
 
-impl TestOutcome {
-    /// Whether the content failed (page must stay at HI-REF).
-    #[must_use]
-    pub fn failed(&self) -> bool {
-        self.verdict == Verdict::Fail
-    }
-}
-
 /// Test-engine statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TestEngineStats {
@@ -352,7 +344,7 @@ impl TestEngine {
     }
 
     /// Arms (or disarms) fault injection for subsequent polls. The engine
-    /// installs a fresh session per run so decision streams replay.
+    /// arms its run's session before the run draws from it.
     pub fn set_fault_session(&mut self, faults: Option<FaultSession>) {
         self.faults = faults;
     }
@@ -384,12 +376,6 @@ impl TestEngine {
             .filter(|f| self.live[f.page as usize] == Some(f.generation))
             .map(|f| f.page)
             .min()
-    }
-
-    /// Tests currently in flight.
-    #[must_use]
-    pub fn in_flight(&self) -> usize {
-        self.live_count
     }
 
     /// Whether `page` is currently under test.
@@ -494,14 +480,6 @@ impl TestEngine {
         memutil::u64_fields!(io; TestEngineStats { started, completed, failed, aborted, rejected,
             ambiguous, ecc_corrected, ecc_uncorrectable } = stats);
         Ok(())
-    }
-
-    /// Cancels every in-flight test (used when the engine starts a fresh
-    /// run). Statistics are kept.
-    pub fn cancel_all(&mut self) {
-        self.in_flight.clear();
-        self.live.fill(None);
-        self.live_count = 0;
     }
 
     /// Attempts to start a test of `page` at `now_ns`. `generation` tags the
@@ -762,7 +740,7 @@ mod tests {
         assert_eq!(e.any_in_flight_page(), Some(3));
         assert!(e.abort(3));
         assert_eq!(e.any_in_flight_page(), Some(5));
-        assert_eq!(e.in_flight(), 2);
+        assert!(!e.is_testing(3) && e.is_testing(5) && e.is_testing(9));
     }
 
     #[test]

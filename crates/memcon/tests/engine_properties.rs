@@ -54,10 +54,10 @@ fn report_is_internally_consistent() {
         let fail_rate = rng.gen_range(0.0f64..0.5);
         let mut engine = MemconEngine::with_oracle(
             config,
-            trace.n_pages(),
+            trace.clone(),
             Box::new(RateOracle::new(fail_rate, 99)),
         );
-        let r = engine.run(&trace);
+        let r = engine.run();
         assert!(
             (0.0..=r.upper_bound + 1e-9).contains(&r.refresh_reduction),
             "reduction {} out of [0, {}]",
@@ -91,8 +91,8 @@ fn pages_written_in_final_quantum_are_not_lo() {
         let config = random_config(&mut rng);
         let quantum_ns = (config.quantum_ms * 1e6) as u64;
         let mut engine =
-            MemconEngine::with_oracle(config, trace.n_pages(), Box::new(RateOracle::new(0.0, 7)));
-        let _ = engine.run(&trace);
+            MemconEngine::with_oracle(config, trace.clone(), Box::new(RateOracle::new(0.0, 7)));
+        let _ = engine.run();
         // Any page whose last write falls within the final quantum cannot
         // have been re-tested (candidacy requires a full idle quantum after
         // the write quantum), so it must not sit at LO-REF — unless it was
@@ -118,8 +118,8 @@ fn all_failing_oracle_forbids_lo_everywhere() {
         let trace = random_trace(&mut rng);
         let config = random_config(&mut rng);
         let mut engine =
-            MemconEngine::with_oracle(config, trace.n_pages(), Box::new(RateOracle::new(1.0, 3)));
-        let r = engine.run(&trace);
+            MemconEngine::with_oracle(config, trace, Box::new(RateOracle::new(1.0, 3)));
+        let r = engine.run();
         assert_eq!(r.lo_coverage, 0.0);
         for (p, &s) in engine.final_states().iter().enumerate() {
             assert_ne!(s, PageState::LoRef, "page {p} at LO-REF");

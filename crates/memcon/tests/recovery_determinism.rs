@@ -23,9 +23,9 @@ fn run_fleet(
     jobs: usize,
 ) -> Vec<(EngineStats, Vec<PageState>)> {
     memutil::par::ordered_map_with(jobs, traces.len(), |i| {
-        let mut engine = MemconEngine::new(MemconConfig::paper_default(), traces[i].n_pages());
+        let mut engine = MemconEngine::new(MemconConfig::paper_default(), traces[i].clone());
         engine.set_fault_plan(Some(Arc::clone(plan)));
-        let _ = engine.run(&traces[i]);
+        let _ = engine.run();
         engine.verify_refresh_correctness().unwrap();
         (engine.stats(), engine.final_states().to_vec())
     })

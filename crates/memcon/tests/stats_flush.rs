@@ -22,9 +22,9 @@ fn run_end_flush_emits_the_stats_view() {
     // aborts, retries and backoff-ceiling hits all occur.
     let trace = WorkloadProfile::netflix().scaled(0.02).generate(7);
     let config = MemconConfig::paper_default().with_quantum_ms(8.0);
-    let mut engine = MemconEngine::new(config, trace.n_pages());
+    let mut engine = MemconEngine::new(config, trace);
     engine.set_fault_plan(Some(Arc::new(FaultPlan::uniform(0x5EED, 0.05))));
-    let (_, registry) = telemetry::collect(|| engine.run(&trace));
+    let (_, registry) = telemetry::collect(|| engine.run());
 
     let stats = engine.stats();
     let (c, p, t) = (stats.counters, stats.pril, stats.tests);

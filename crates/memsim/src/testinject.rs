@@ -3,8 +3,12 @@
 //! The paper models "256–1024 concurrent tests every 64 ms": each test reads
 //! its row into the controller twice (128 blocks per pass; Copy-and-Compare
 //! adds a 128-block write pass) and otherwise leaves the row idle. The
-//! injector spreads the resulting block accesses uniformly over the window
-//! and contends with demand traffic like any other requester.
+//! injector models the volume of that traffic, not its rows: it spreads
+//! the window's block accesses uniformly over the window and draws a
+//! fresh bank, row and block for every one, so no two accesses share a
+//! test's row and nearly every injected access is a row miss of its own,
+//! where a real test's passes over one row would mostly hit the open row.
+//! Each access contends with demand traffic like any other requester.
 
 use memutil::rng::SmallRng;
 use memutil::rng::{Rng, SeedableRng};

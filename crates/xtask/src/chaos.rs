@@ -4,13 +4,16 @@
 //! rate) driven through two independent legs:
 //!
 //! * **MEMCON leg** — the fig9-style workload set (all twelve profiles)
-//!   runs through one [`MemconEngine`] per workload, fanned out across the
-//!   [`memutil::par`] pool at `--jobs 1` and `--jobs 4` under fresh
-//!   telemetry registries. The gate asserts: no panic, zero
-//!   `uncorrectable_escapes`, the refresh-correctness invariant holds on
-//!   every engine, the plan actually fired, and both the per-engine
-//!   stats and the telemetry `deterministic` sections are byte-identical
-//!   across worker counts.
+//!   runs through one [`MemconEngine`] per workload at the paper's
+//!   1024 ms quantum, plus Netflix at an 8 ms quantum, fanned out across
+//!   the [`memutil::par`] pool at `--jobs 1` and `--jobs 4` under fresh
+//!   telemetry registries. The test-preemption site draws only at a
+//!   boundary inside a 64 ms test window, so only the 8 ms engine can
+//!   fire it. The gate asserts: no panic, zero `uncorrectable_escapes`,
+//!   the refresh-correctness invariant holds on every engine, the plan
+//!   actually fired, test preemption fired on the 8 ms engine, and both
+//!   the per-engine stats and the telemetry `deterministic` sections are
+//!   byte-identical across worker counts.
 //! * **memsim leg** — a controller under dense test traffic, and a
 //!   4-core [`memsim::system::System`] mix (32 Gb, 75 % refresh
 //!   reduction, 256 injected tests) whose cores, injector and
@@ -46,6 +49,10 @@ use memutil::json::Json;
 
 /// Base seed of soak plan `i` (plan seed = base + i).
 const PLAN_SEED_BASE: u64 = 0xC4A0_5000;
+
+/// Quantum of the soak's extra Netflix engine, ms: shorter than the 64 ms
+/// test window, so boundaries fall inside tests and preemption draws.
+const PREEMPT_QUANTUM_MS: f64 = 8.0;
 
 /// Entry point for `xtask chaos <args>`; returns a process exit code.
 #[must_use]
@@ -110,21 +117,27 @@ type EngineOutcome = (Result<(), String>, EngineStats, Vec<PageState>);
 fn soak_plan(seed: u64, quick: bool) -> Result<String, String> {
     let plan = chaos_plan(seed);
     let scale = if quick { 0.01 } else { 0.05 };
-    let traces: Vec<_> = WorkloadProfile::all()
+    let paper = MemconConfig::paper_default();
+    let mut runs: Vec<_> = WorkloadProfile::all()
         .into_iter()
-        .map(|w| w.scaled(scale).generate(seed))
+        .map(|w| (paper, Arc::new(w.scaled(scale).generate(seed))))
         .collect();
+    // Last: the engine whose boundaries fall inside tests.
+    runs.push((
+        paper.with_quantum_ms(PREEMPT_QUANTUM_MS),
+        Arc::new(WorkloadProfile::netflix().scaled(scale).generate(seed)),
+    ));
 
-    // One engine per workload, each owning its plan (and therefore its
+    // One engine per run, each owning its plan (and therefore its
     // decision streams), fanned across the pool. The registry is fresh per
     // worker count so the deterministic sections compare exactly.
     let run_fleet = |jobs: usize| -> (String, Vec<EngineOutcome>) {
         let (results, registry) = telemetry::collect(|| {
-            memutil::par::ordered_map_with(jobs, traces.len(), |i| {
-                let mut engine =
-                    MemconEngine::new(MemconConfig::paper_default(), traces[i].n_pages());
+            memutil::par::ordered_map_with(jobs, runs.len(), |i| {
+                let (config, trace) = &runs[i];
+                let mut engine = MemconEngine::new(*config, Arc::clone(trace));
                 engine.set_fault_plan(Some(Arc::clone(&plan)));
-                let _ = engine.run(&traces[i]);
+                let _ = engine.run();
                 (
                     engine.verify_refresh_correctness(),
                     engine.stats(),
@@ -161,6 +174,15 @@ fn soak_plan(seed: u64, quick: bool) -> Result<String, String> {
     if injected == 0 {
         return Err("plan never fired in the MEMCON leg (soak proved nothing)".to_string());
     }
+    let preempted = seq
+        .last()
+        .map_or(0, |(_, r, _)| r.faults_injected[Site::TestPreempt as usize]);
+    if preempted == 0 {
+        return Err(format!(
+            "site {} never fired on the {PREEMPT_QUANTUM_MS} ms Netflix engine",
+            Site::TestPreempt.name()
+        ));
+    }
     let escapes: u64 = seq
         .iter()
         .map(|(_, r, _)| r.counters.uncorrectable_escapes)
@@ -174,8 +196,8 @@ fn soak_plan(seed: u64, quick: bool) -> Result<String, String> {
 
     let memsim = memsim_leg(&plan, quick)?;
     Ok(format!(
-        "{injected} engine faults, {degraded} rows degraded, 0 escapes, \
-         jobs 1 vs 4 byte-identical; {memsim}"
+        "{injected} engine faults ({preempted} test preemptions at {PREEMPT_QUANTUM_MS} ms), \
+         {degraded} rows degraded, 0 escapes, jobs 1 vs 4 byte-identical; {memsim}"
     ))
 }
 

@@ -15,8 +15,9 @@
 //! debt that was paid but not tightened).
 //!
 //! `ci` chains the whole offline gate: rustfmt check (when rustfmt is
-//! installed), `memlint`, a release build, the parallel-engine determinism
-//! gate (`memcon-experiments --quick all` at `--jobs 1` vs `--jobs 4`,
+//! installed), `memlint`, a release build, a release run of each root
+//! example, the parallel-engine determinism gate
+//! (`memcon-experiments --quick all` at `--jobs 1` vs `--jobs 4`,
 //! byte-compared with each other and with the committed
 //! `EXPERIMENTS_quick_expected.txt`), the telemetry golden-file check, a
 //! quick fault-injection chaos soak ([`chaos`]), and the quiet test suite.
@@ -92,9 +93,10 @@ pub fn lint_cmd(update_ratchet: bool, json: Option<&str>) -> i32 {
 
 /// Runs the offline CI pipeline: fmt-check (if rustfmt is installed),
 /// `memlint`, `cargo build --workspace --release` (the determinism gate
-/// below byte-compares the freshly built experiments binary),
-/// `cargo clippy --workspace --all-targets -- -D warnings` (if clippy is
-/// installed), `cargo doc --workspace --no-deps` with
+/// below byte-compares the freshly built experiments binary), each root
+/// example through `cargo run --release --example` (a nonzero exit
+/// fails), `cargo clippy --workspace --all-targets -- -D warnings` (if
+/// clippy is installed), `cargo doc --workspace --no-deps` with
 /// `RUSTDOCFLAGS=-D warnings` (a doc link to a missing or private item
 /// fails), the determinism gate (`--quick all` at `--jobs 1` and
 /// `--jobs 4`, byte-compared with each other and with the committed
@@ -134,6 +136,15 @@ pub fn ci_cmd(bench: bool) -> i32 {
     println!("ci: cargo build --workspace --release");
     if let Some(code) = run_step(&root, &["build", "--workspace", "--release"]) {
         return code;
+    }
+
+    // `cargo test` and clippy only build the examples; running them is
+    // what checks them (`online_testing` asserts its own outcome).
+    println!("ci: cargo run --release --example <each root example>");
+    for example in ROOT_EXAMPLES {
+        if let Some(code) = run_step(&root, &["run", "--release", "--example", example]) {
+            return code;
+        }
     }
 
     if cargo_tool_available(&root, "clippy") {
@@ -271,6 +282,14 @@ pub fn ci_cmd(bench: bool) -> i32 {
     println!("ci: all steps passed");
     0
 }
+
+/// The root package's examples, each run by `ci` after the release build.
+const ROOT_EXAMPLES: [&str; 4] = [
+    "quickstart",
+    "chip_testing",
+    "online_testing",
+    "refresh_performance",
+];
 
 /// The committed `memcon-experiments --quick all` output, at the workspace
 /// root: the determinism gate pins every run to it, so an output change

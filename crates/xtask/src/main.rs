@@ -55,7 +55,10 @@ fn usage() {
          \x20                           stdout (or PATH, relative to the\n\
          \x20                           workspace root)\n\
          \x20 ci [--bench]              fmt-check (if rustfmt present), memlint,\n\
-         \x20                           cargo build --release, clippy -D warnings\n\
+         \x20                           cargo build --release, a release run of\n\
+         \x20                           each root example (quickstart,\n\
+         \x20                           chip_testing, online_testing,\n\
+         \x20                           refresh_performance), clippy -D warnings\n\
          \x20                           (if clippy present), cargo doc --no-deps\n\
          \x20                           with RUSTDOCFLAGS=-D warnings, the\n\
          \x20                           --jobs 1-vs-4 output + telemetry\n\

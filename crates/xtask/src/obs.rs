@@ -103,12 +103,10 @@ fn run_reference_workload() {
     let trace = memtrace::workload::WorkloadProfile::netflix()
         .scaled(0.02)
         .generate(3);
-    let mut engine = memcon::engine::MemconEngine::new(
-        memcon::config::MemconConfig::paper_default(),
-        trace.n_pages(),
-    );
+    let mut engine =
+        memcon::engine::MemconEngine::new(memcon::config::MemconConfig::paper_default(), trace);
     engine.set_sample_every(Some(8));
-    let _ = engine.run(&trace);
+    let _ = engine.run();
 
     // Layer 3: memsim system run (controller command mix and stalls).
     let config = memsim::config::SystemConfig::new(
@@ -130,25 +128,26 @@ fn run_reference_workload() {
     // and the engine runs to completion. Both store.* counters fire with
     // values that derive from the fixed workload alone.
     let dir = store::scratch_dir("obs-reference");
-    let store_trace = memtrace::workload::WorkloadProfile::netflix()
-        .scaled(0.01)
-        .generate(11);
+    let store_trace = std::sync::Arc::new(
+        memtrace::workload::WorkloadProfile::netflix()
+            .scaled(0.01)
+            .generate(11),
+    );
     {
         let mut engine = memcon::engine::MemconEngine::new(
             memcon::config::MemconConfig::paper_default(),
-            store_trace.n_pages(),
+            std::sync::Arc::clone(&store_trace),
         );
         let mut s = store::Store::create(&dir, store::DurabilityMode::Buffered)
             // memlint: allow(no-unwrap): a broken scratch dir must fail the tool loudly
             .expect("scratch store directory must be creatable");
-        engine.begin_run(&store_trace);
         for fifths in 0..3 {
-            engine.advance_until(&store_trace, store_trace.duration_ns() / 5 * fifths);
-            s.publish_snapshot(&engine.checkpoint(&store_trace))
+            engine.advance_until(store_trace.duration_ns() / 5 * fifths);
+            s.publish_snapshot(&engine.checkpoint())
                 // memlint: allow(no-unwrap): scratch-dir IO failures must fail the tool loudly
                 .expect("checkpoint publishes");
         }
-        // Crash: drop the engine mid-run without finish_run.
+        // Crash: drop the engine before `run` finishes its run.
     }
     let newest = dir.join("snap-00000002.snap");
     let len = std::fs::metadata(&newest)
@@ -166,11 +165,10 @@ fn run_reference_workload() {
     let (_, found) = store::Store::open(&dir, store::DurabilityMode::Buffered, None)
         // memlint: allow(no-unwrap): a torn newest image failing to fall back is exactly what the golden must catch
         .expect("the image before the tear loads");
-    let mut engine = memcon::engine::MemconEngine::restore(&found.snapshot.payload, &store_trace)
+    let mut engine = memcon::engine::MemconEngine::restore(&found.snapshot.payload, store_trace)
         // memlint: allow(no-unwrap): a checkpoint failing to restore is exactly what the golden must catch
         .expect("the checkpoint restores");
-    engine.advance_until(&store_trace, store_trace.duration_ns());
-    let _ = engine.finish_run();
+    let _ = engine.run();
     drop(engine);
     let _ = std::fs::remove_dir_all(&dir);
 }

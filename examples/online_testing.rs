@@ -66,8 +66,8 @@ fn main() {
     );
 
     let oracle = Page3Fails(RateOracle::new(0.0, 0));
-    let mut engine = MemconEngine::with_oracle(config, 4, Box::new(oracle));
-    let report = engine.run(&trace);
+    let mut engine = MemconEngine::with_oracle(config, trace, Box::new(oracle));
+    let report = engine.run();
     let stats = engine.stats();
 
     println!("Trace: 10.24 s, 4 pages with distinct behaviours");

@@ -53,8 +53,8 @@ fn main() {
             .min_write_interval_ms()
     );
 
-    let mut engine = MemconEngine::new(config, trace.n_pages());
-    let report = engine.run(&trace);
+    let mut engine = MemconEngine::new(config, trace);
+    let report = engine.run();
     let stats = engine.stats();
 
     println!("\nResults:");

@@ -26,8 +26,7 @@
 //!
 //! // Trace a Table-1 workload and run MEMCON over it.
 //! let trace = WorkloadProfile::netflix().scaled(0.05).generate(7);
-//! let mut engine = MemconEngine::new(MemconConfig::paper_default(), trace.n_pages());
-//! let report = engine.run(&trace);
+//! let report = MemconEngine::new(MemconConfig::paper_default(), trace).run();
 //! println!(
 //!     "refresh reduction: {:.1}% (upper bound {:.0}%)",
 //!     report.refresh_reduction * 100.0,

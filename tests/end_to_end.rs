@@ -36,8 +36,8 @@ fn memcon_with_physics_oracle_reduces_refreshes() {
     let (module, model) = small_chip(trace.n_pages());
     let oracle = ContentOracle::new(module, model, WorkloadProfileContent::netflix(), 64.0, 7);
     let config = MemconConfig::paper_default();
-    let mut engine = MemconEngine::with_oracle(config, trace.n_pages(), Box::new(oracle));
-    let report = engine.run(&trace);
+    let mut engine = MemconEngine::with_oracle(config, trace, Box::new(oracle));
+    let report = engine.run();
 
     assert!(
         report.refresh_reduction > 0.5,
@@ -77,8 +77,8 @@ impl WorkloadProfileContent {
 #[test]
 fn report_arithmetic_is_consistent() {
     let trace = WorkloadProfile::ac_brotherhood().scaled(0.1).generate(1);
-    let mut engine = MemconEngine::new(MemconConfig::paper_default(), trace.n_pages());
-    let r = engine.run(&trace);
+    let mut engine = MemconEngine::new(MemconConfig::paper_default(), trace);
+    let r = engine.run();
     // Shares sum to one.
     let hi_share = 1.0 - r.lo_coverage - r.testing_fraction;
     assert!((0.0..=1.0).contains(&hi_share), "hi share {hi_share}");
@@ -108,8 +108,8 @@ fn quanta_sweep_is_stable_end_to_end() {
     let mut last = None;
     for quantum in [512.0, 1024.0, 2048.0] {
         let config = MemconConfig::paper_default().with_quantum_ms(quantum);
-        let mut engine = MemconEngine::new(config, trace.n_pages());
-        let r = engine.run(&trace);
+        let mut engine = MemconEngine::new(config, trace.clone());
+        let r = engine.run();
         if let Some(prev) = last {
             let delta: f64 = r.refresh_reduction - prev;
             assert!(

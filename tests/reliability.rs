@@ -44,8 +44,8 @@ fn no_lo_ref_page_holds_failing_content() {
     let trace = WorkloadProfile::netflix().scaled(0.2).generate(77);
     let config = MemconConfig::paper_default();
     let mut engine =
-        MemconEngine::with_oracle(config, trace.n_pages(), Box::new(AuditedOracle::default()));
-    let _ = engine.run(&trace);
+        MemconEngine::with_oracle(config, trace.clone(), Box::new(AuditedOracle::default()));
+    let _ = engine.run();
 
     // Reconstruct each page's final generation from the trace.
     let mut generations: HashMap<u64, u64> = HashMap::new();
@@ -88,8 +88,8 @@ fn failing_pages_never_reach_lo_ref() {
         50,
     );
     let mut engine =
-        MemconEngine::with_oracle(MemconConfig::paper_default(), 50, Box::new(FixedBad));
-    let report = engine.run(&trace);
+        MemconEngine::with_oracle(MemconConfig::paper_default(), trace, Box::new(FixedBad));
+    let report = engine.run();
     for (page, &state) in engine.final_states().iter().enumerate() {
         if page % 10 == 0 {
             assert_eq!(
@@ -123,8 +123,8 @@ fn a_write_always_revokes_lo_ref_immediately() {
         });
     }
     let trace = WriteTrace::new(events, end, 20);
-    let mut engine = MemconEngine::new(MemconConfig::paper_default(), 20);
-    let _ = engine.run(&trace);
+    let mut engine = MemconEngine::new(MemconConfig::paper_default(), trace);
+    let _ = engine.run();
     for p in 0..10usize {
         assert_ne!(
             engine.final_states()[p],

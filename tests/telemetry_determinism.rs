@@ -74,8 +74,8 @@ fn engine_counters_identical_across_repeats() {
     let trace = WorkloadProfile::netflix().scaled(0.02).generate(5);
     let run = || {
         deterministic_section(|| {
-            let mut engine = MemconEngine::new(MemconConfig::paper_default(), trace.n_pages());
-            let _ = engine.run(&trace);
+            let mut engine = MemconEngine::new(MemconConfig::paper_default(), trace.clone());
+            let _ = engine.run();
         })
     };
     let a = run();
@@ -101,8 +101,8 @@ fn combined_workload_identical_across_jobs() {
             let module = filled_module();
             let model = CouplingFailureModel::default();
             let _ = model.evaluate_module_with_jobs(&module, 328.0, jobs);
-            let mut engine = MemconEngine::new(MemconConfig::paper_default(), trace.n_pages());
-            let _ = engine.run(&trace);
+            let mut engine = MemconEngine::new(MemconConfig::paper_default(), trace.clone());
+            let _ = engine.run();
         })
     };
     let base = section(1);
