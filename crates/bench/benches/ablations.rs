@@ -129,7 +129,7 @@ fn ablate_tracking_policy(c: &mut Criterion) {
             let quantum_ns = 1_024_000_000u64;
             let mut next_q = quantum_ns;
             let mut candidates = 0u64;
-            for e in t.events() {
+            for e in t.iter() {
                 while e.time_ns >= next_q {
                     candidates += pril.end_quantum().len() as u64;
                     next_q += quantum_ns;

@@ -87,9 +87,7 @@ impl ChipTester {
     /// for the chip's cell structure.
     #[must_use]
     pub fn with_model(module: DramModule, model: CouplingFailureModel) -> Self {
-        let golden = (0..module.geometry().total_rows())
-            .map(|id| module.read_row_id(id).clone())
-            .collect();
+        let golden = golden_image(&module);
         ChipTester {
             module,
             model,
@@ -128,23 +126,21 @@ impl ChipTester {
         &self.model
     }
 
-    fn snapshot(&mut self) {
-        for (id, slot) in self.golden.iter_mut().enumerate() {
-            *slot = self.module.read_row_id(id as u64).clone();
-        }
-    }
-
     /// Fills the module with a test pattern and snapshots it as the golden
     /// image.
     pub fn fill_pattern(&mut self, pattern: &TestPattern) {
-        pattern.fill(&mut self.module);
-        self.snapshot();
+        let words = self.module.geometry().words_per_row();
+        self.fill_with(|id| pattern.row_content(id, words));
     }
 
     /// Fills the module with arbitrary per-row content and snapshots it.
+    /// The old golden image is dropped first: the fill replaces every row,
+    /// so each old row is freed as its replacement lands instead of
+    /// outliving the fill.
     pub fn fill_with(&mut self, f: impl FnMut(u64) -> RowContent) {
+        self.golden = Vec::new();
         self.module.fill_with(f);
-        self.snapshot();
+        self.golden = golden_image(&self.module);
     }
 
     /// Lets the module sit unrefreshed for `interval_ms` of wall time at the
@@ -188,12 +184,8 @@ impl ChipTester {
     /// Restores the golden image (models refreshing/rewriting the rows
     /// before the next test).
     pub fn restore(&mut self) {
-        for (id, row) in self.golden.iter().enumerate() {
-            *self
-                .module
-                .row_mut(RowAddr::from_row_id(id as u64, self.module.geometry()))
-                .expect("golden rows are in range") = row.clone();
-        }
+        let golden = &self.golden;
+        self.module.fill_with(|id| golden[id as usize].clone());
     }
 
     /// Runs a whole pattern suite: for each pattern, fill → idle →
@@ -226,6 +218,13 @@ impl ChipTester {
         }
         out
     }
+}
+
+/// Every row of `module`, sharing each row's storage.
+fn golden_image(module: &DramModule) -> Vec<RowContent> {
+    (0..module.geometry().total_rows())
+        .map(|id| module.read_row_id(id).clone())
+        .collect()
 }
 
 #[cfg(test)]

@@ -183,7 +183,7 @@ impl TraceFingerprint {
     fn of(trace: &WriteTrace) -> Self {
         const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
         let mut hash = 0xCBF2_9CE4_8422_2325u64;
-        for e in trace.events() {
+        for e in trace.iter() {
             hash = (hash ^ e.time_ns).wrapping_mul(FNV_PRIME);
             hash = (hash ^ e.page).wrapping_mul(FNV_PRIME);
         }
@@ -635,9 +635,8 @@ impl MemconEngine {
         if self.mgr.is_finalized() {
             return Err("its refresh manager is already finalized".to_string());
         }
-        let events = self.trace.events();
         let duration = self.trace.duration_ns();
-        let at = |i: usize| events.get(i).map(|e| e.time_ns);
+        let at = |i: usize| self.trace.get(i).map(|e| e.time_ns);
         let crossed = self.quantum_index.saturating_mul(self.quantum_ns);
         let reached = [
             self.event_idx.checked_sub(1).and_then(at),
@@ -749,7 +748,6 @@ impl MemconEngine {
         let trace = Arc::clone(&self.trace);
         let duration = trace.duration_ns();
         let limit = limit_ns.min(duration);
-        let events = trace.events();
         let mut cursor = self.event_idx;
         loop {
             let t_test = self.tests.next_completion_ns();
@@ -763,12 +761,19 @@ impl MemconEngine {
             // content), so the drain takes only writes strictly before the
             // horizon. The horizon cannot move during the drain: a write
             // starts no test, and an abort leaves its heap entry in place.
-            while let Some(e) = events.get(cursor) {
-                if e.time_ns > limit || horizon.is_some_and(|h| e.time_ns >= h) {
-                    break;
+            // The drain walks the trace a segment at a time, so each write
+            // costs one comparison against the last time it may take.
+            let last = horizon.map_or(Some(limit), |h| h.checked_sub(1).map(|h| h.min(limit)));
+            if let Some(last) = last {
+                'drain: for segment in trace.segments_from(cursor) {
+                    for e in segment.iter() {
+                        if e.time_ns > last {
+                            break 'drain;
+                        }
+                        cursor += 1;
+                        self.handle_write(e.page, e.time_ns);
+                    }
                 }
-                cursor += 1;
-                self.handle_write(e.page, e.time_ns);
             }
             let Some(now) = horizon.filter(|&h| h <= limit) else {
                 break;
@@ -1201,6 +1206,31 @@ mod tests {
     }
 
     #[test]
+    fn drain_takes_writes_at_the_limit_and_just_before_the_horizon() {
+        // A page-0 write 1 ns before the 2048 ms boundary belongs to the
+        // quantum before it, so that boundary must not test the page.
+        let just_before = WriteEvent {
+            time_ns: 2048 * MS - 1,
+            page: 0,
+        };
+        let trace = WriteTrace::new(
+            vec![ev(0, 0), just_before, ev(4000, 1), ev(8192, 1)],
+            8192 * MS,
+            2,
+        );
+        let mut e = clean_engine(trace);
+        e.advance_until(4000 * MS);
+        assert_eq!(e.event_idx, 3, "the write at the limit is consumed");
+        let _ = e.run();
+        assert_eq!(e.stats().tests.aborted, 0);
+        assert_eq!(
+            e.stats().pril.writes,
+            4,
+            "the write at the horizon is consumed"
+        );
+    }
+
+    #[test]
     fn idle_page_reaches_lo_ref() {
         // One write at t=0, then 20 s of silence: tested after two quanta,
         // LO-REF for the rest.
@@ -1619,9 +1649,8 @@ mod tests {
         let payload = e.checkpoint();
         drop(e);
         let other_seed = WorkloadProfile::netflix().scaled(0.02).generate(6);
-        let events = trace.events();
         let truncated = WriteTrace::new(
-            events[..events.len() - 1].to_vec(),
+            trace.iter().take(trace.len() - 1).collect(),
             trace.duration_ns(),
             trace.n_pages(),
         );
@@ -1825,7 +1854,7 @@ mod tests {
         let trace = Arc::new(WorkloadProfile::netflix().scaled(0.02).generate(9));
         let (mut e, payload) = half_run_payload(&trace);
         assert!(restore_payload(&trace, &payload).is_ok());
-        let page = trace.events()[e.event_idx].page as usize;
+        let page = trace.get(e.event_idx).unwrap().page as usize;
         e.generation[page] = u64::MAX;
         let corrupt = e.checkpoint();
         assert!(
@@ -1843,6 +1872,48 @@ mod tests {
         bytes.iter().fold(0xCBF2_9CE4_8422_2325, |hash, &b| {
             (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
         })
+    }
+
+    /// Fingerprints recorded when traces stored 16-byte events: the
+    /// packed layout must hash the same `(time, page)` words, or every
+    /// existing checkpoint would refuse its own trace.
+    #[test]
+    fn trace_fingerprints_are_pinned() {
+        use memutil::rng::mix64;
+        const WORD: u64 = 1 << 32;
+        let netflix = WorkloadProfile::netflix().scaled(0.02).generate(5);
+        // Node 0 of the 256-DIMM fleet plan at seed 1 (×0.1, 56 s).
+        let shard = WorkloadProfile::for_node(1, 0)
+            .scaled(0.1)
+            .with_window(56.0)
+            .generate(mix64(1 ^ mix64(0)));
+        let ns = |time_ns: u64, page: u64| WriteEvent { time_ns, page };
+        let gap = WriteTrace::new(
+            vec![
+                ns(0, 0),
+                ns(MS, 1),
+                // Past a gap of more than 2^33 ns, at a high-word step.
+                ns(3 * WORD, 0),
+                ns(3 * WORD + 7, 1),
+                ns(20_000 * MS, 1),
+            ],
+            20_000 * MS,
+            2,
+        );
+        let pin = |pages, duration_ns, events, hash| TraceFingerprint {
+            pages,
+            duration_ns,
+            events,
+            hash,
+        };
+        assert_eq!(
+            [&netflix, &shard, &gap].map(TraceFingerprint::of),
+            [
+                pin(32, 60_000 * MS, 10_384, 0x45DC_991E_6ACB_21C7),
+                pin(38, 56_000 * MS, 18_145, 0x7A3A_64C3_D5B6_676D),
+                pin(2, 20_000 * MS, 5, 0x1E6F_1A6D_B60D_532D),
+            ]
+        );
     }
 
     #[test]

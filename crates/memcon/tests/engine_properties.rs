@@ -97,7 +97,7 @@ fn pages_written_in_final_quantum_are_not_lo() {
         // have been re-tested (candidacy requires a full idle quantum after
         // the write quantum), so it must not sit at LO-REF — unless it was
         // never tested at all... which also forbids LO-REF. Either way:
-        for e in trace.events() {
+        for e in trace.iter() {
             if e.time_ns + quantum_ns > trace.duration_ns() {
                 assert_ne!(
                     engine.final_states()[e.page as usize],

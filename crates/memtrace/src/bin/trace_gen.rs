@@ -125,7 +125,7 @@ fn export(profile: &WorkloadProfile, args: &Args) -> std::io::Result<()> {
             trace.duration_ns(),
             trace.len()
         )?;
-        for e in trace.events() {
+        for e in trace.iter() {
             writeln!(file, "{} {}", e.time_ns, e.page)?;
         }
     }

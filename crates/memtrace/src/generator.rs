@@ -3,9 +3,15 @@
 //! Each page writes according to an independent renewal process whose
 //! inter-write intervals come from the workload's
 //! [`WriteIntervalModel`](crate::interval::WriteIntervalModel). The first
-//! write of each page lands at a uniformly random phase within its first
-//! sampled interval, approximating a stationary start so the trace window
-//! does not begin with a synchronized write burst across all pages.
+//! write of each page lands at a uniform point of an ordinary first
+//! interval. That is not the process's stationary state, which would draw
+//! the first interval length-biased, so a window opens with more writes
+//! than it settles to. In the 256-DIMM `fleet` plan of the end-to-end
+//! benchmark (scale 0.1, 56 s, seed 1) the first 1024 ms epoch carries
+//! 689,064 events, 4.4× the 156,334 of epoch index 27, and the next four
+//! carry 398,283, 326,508, 278,241 and 257,771. That the Pareto-tailed
+//! intervals make the excess decay over many quanta is inferred from the
+//! code, not tested. Every golden rests on this start, so it stays.
 //!
 //! # Parallel synthesis (raw-speed wave 2)
 //!
@@ -96,8 +102,8 @@ fn page_events(
     let mut events = Vec::new();
     if page < hot_pages {
         events.reserve(s.hot_events_hint);
-        // Stationary-ish phase: the first write falls inside the first
-        // interval at a uniform point.
+        // The first write falls at a uniform point of an ordinary first
+        // interval (not the stationary start; see the module doc).
         let mut t_ns = (s.hot.sample_ms(&mut rng) * rng.gen::<f64>() * ns_per_ms) as u64;
         // From here the stream is pure (branch, value) pairs: block-buffer
         // the draws and evaluate the lanes straight-line.
@@ -323,7 +329,7 @@ mod tests {
         let p = small_netflix();
         let t = p.generate(3);
         assert!(!t.is_empty());
-        for e in t.events() {
+        for e in t.iter() {
             assert!(e.time_ns <= t.duration_ns());
             assert!(e.page < t.n_pages());
         }
@@ -339,7 +345,7 @@ mod tests {
         p.hot_fraction = 1.0;
         p.sim_seconds = 2.0;
         let t = p.generate(4);
-        let pages: std::collections::HashSet<_> = t.events().iter().map(|e| e.page).collect();
+        let pages: std::collections::HashSet<_> = t.iter().map(|e| e.page).collect();
         assert_eq!(pages.len(), 32);
     }
 
@@ -350,7 +356,7 @@ mod tests {
         p.hot_fraction = 0.0;
         p.sim_seconds = 60.0;
         let t = p.generate(9);
-        let pages: std::collections::HashSet<_> = t.events().iter().map(|e| e.page).collect();
+        let pages: std::collections::HashSet<_> = t.iter().map(|e| e.page).collect();
         // Cold pages idle on multi-minute scales: only some write within a
         // minute, and those write just a handful of times.
         assert!(pages.len() > 5, "only {} cold pages wrote", pages.len());

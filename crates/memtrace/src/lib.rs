@@ -11,7 +11,9 @@
 //! * [`interval`] — the bounded-Pareto + short-burst mixture interval model,
 //! * [`workload`] — one calibrated profile per Table-1 application,
 //! * [`generator`] — per-page renewal-process trace synthesis,
-//! * [`trace`] — the write-trace container and per-page interval extraction,
+//! * [`trace`] — the write-trace container, 8 bytes per event (the low
+//!   32 bits of its time and a `u32` page, beside a short index of where
+//!   the high time word steps), and per-page interval extraction,
 //! * [`stats`] — every statistic the paper's Figs. 7, 8, 9, 11, 12, and 19
 //!   compute over traces (log-bucket histograms, Pareto fits with R²,
 //!   time-weighted fractions, CIL/RIL conditionals, coverage),

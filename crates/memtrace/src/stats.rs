@@ -59,7 +59,7 @@ pub fn log2_histogram(intervals: &[Interval]) -> Vec<HistogramBucket> {
 #[must_use]
 pub fn ccdf_points(intervals: &[Interval], xs_ms: &[f64]) -> Vec<(f64, f64)> {
     let mut lens: Vec<f64> = intervals.iter().map(Interval::len_ms).collect();
-    lens.sort_by(|a, b| a.partial_cmp(b).expect("interval lengths are finite"));
+    lens.sort_by(f64::total_cmp);
     let n = lens.len().max(1) as f64;
     xs_ms
         .iter()
@@ -166,7 +166,7 @@ pub fn p_ril_gt_given_cil(intervals: &[Interval], ril_ms: f64, cils_ms: &[f64]) 
         .filter(|i| i.closed)
         .map(Interval::len_ms)
         .collect();
-    lens.sort_by(|a, b| a.partial_cmp(b).expect("interval lengths are finite"));
+    lens.sort_by(f64::total_cmp);
     cils_ms
         .iter()
         .map(|&c| {

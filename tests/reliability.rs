@@ -49,7 +49,7 @@ fn no_lo_ref_page_holds_failing_content() {
 
     // Reconstruct each page's final generation from the trace.
     let mut generations: HashMap<u64, u64> = HashMap::new();
-    for e in trace.events() {
+    for e in trace.iter() {
         *generations.entry(e.page).or_insert(0) += 1;
     }
 
