@@ -6,13 +6,16 @@
 //! limit reaches the trace horizon. Every [`Fleet::run_epoch`] call
 //! advances **all** shards to the next epoch boundary — `epoch ×
 //! epoch_quanta × quantum` on the shared fleet clock — fanning the
-//! per-shard work across the [`memutil::par`] pool, then applies
+//! per-shard work across the fleet's [`memutil::par::Pool`], then applies
 //! cross-shard bookkeeping in deterministic shard order.
 //!
-//! Shards live behind per-shard mutexes so the pool's `Fn` closures can
-//! step them; `ordered_map_with` hands each index to exactly one worker
-//! per epoch, so the locks are uncontended — they exist to satisfy the
-//! shared-reference contract, not to serialize.
+//! The pool outlives the epoch: the fleet builds it at its first fan-out
+//! and keeps its helper threads parked between epochs, rebuilding it only
+//! when the resolved `jobs` changes. Shards live in an `Arc`'d slice of
+//! per-shard mutexes, so the pool's `'static` jobs can step them; the
+//! pool claims each shard index exactly once per fan-out, so the locks are
+//! uncontended — they exist to satisfy the shared-reference contract, not
+//! to serialize.
 
 use std::sync::{Arc, Mutex};
 
@@ -59,12 +62,49 @@ impl Shard {
             step_latency_ns: Vec::new(),
         }
     }
+
+    /// Advances shard `index` to the fleet-clock `limit`, finishing its run
+    /// at `epoch` once the limit reaches its trace horizon, and times the
+    /// step. A finished shard is left alone.
+    fn step(&mut self, index: usize, epoch: u64, limit: u64) {
+        if self.report.is_some() {
+            return;
+        }
+        // The caller's share nests under `fleet.epoch` (same thread); a
+        // helper's is a root span — tree shape is timing-class data.
+        let _step_span = telemetry::tree_span("fleet.shard_step");
+        telemetry::annotate("shard", index as u64);
+        let ((), elapsed_ns) = telemetry::time_ns(|| {
+            if limit >= self.spec.trace.duration_ns() {
+                self.report = Some(self.engine.run());
+                self.done_epoch = Some(epoch);
+            } else {
+                self.engine.advance_until(limit);
+            }
+        });
+        self.step_latency_ns.push(elapsed_ns);
+        telemetry::observe_timing(
+            "fleet.step.latency_us",
+            &STEP_LATENCY_EDGES_US,
+            elapsed_ns / 1_000,
+        );
+    }
+}
+
+/// Locks a shard. A poisoned lock means its engine panicked mid-step; the
+/// panic propagates.
+fn lock(slot: &Mutex<Shard>) -> std::sync::MutexGuard<'_, Shard> {
+    // memlint: allow(no-unwrap): poisoned shard lock means an engine panicked — propagate
+    slot.lock().expect("shard engine panicked")
 }
 
 /// A running fleet: per-shard engines plus the epoch clock.
 #[derive(Debug)]
 pub struct Fleet {
-    shards: Vec<Mutex<Shard>>,
+    shards: Arc<[Mutex<Shard>]>,
+    /// The helpers of the per-epoch fan-outs: built at the first one and
+    /// rebuilt when the resolved `jobs` changes.
+    pool: Option<par::Pool>,
     /// Epochs completed so far.
     epoch: u64,
     /// Fleet-clock nanoseconds per epoch.
@@ -153,7 +193,8 @@ impl Fleet {
             .max()
             .unwrap_or(0);
         Fleet {
-            shards,
+            shards: shards.into(),
+            pool: None,
             epoch,
             epoch_ns: quantum_ns.saturating_mul(config.epoch_quanta).max(1),
             horizon_ns,
@@ -300,7 +341,8 @@ impl Fleet {
 
     /// Advances every shard one epoch across `jobs` workers (`0` =
     /// resolve automatically), then runs the epoch barrier in shard
-    /// order. Returns `true` while work remains.
+    /// order. Returns `true` while work remains. `jobs` may change from
+    /// one epoch to the next.
     ///
     /// Shard advancement commutes (disjoint state; telemetry adds are
     /// atomic), so results are byte-identical at any `jobs` value.
@@ -315,34 +357,24 @@ impl Fleet {
         self.epoch += 1;
         let _epoch_span = telemetry::tree_span("fleet.epoch");
         telemetry::annotate("epoch", self.epoch);
-        let limit = self.epoch.saturating_mul(self.epoch_ns);
-        par::ordered_map_with(jobs, self.shards.len(), |i| {
-            let mut shard = self.shards[i].lock().expect("shard engine panicked");
-            let shard = &mut *shard;
-            if shard.report.is_some() {
-                return;
-            }
-            // Nested under `fleet.epoch` at jobs=1 (same thread); a root
-            // span on pool workers — tree shape is timing-class data.
-            let _step_span = telemetry::tree_span("fleet.shard_step");
-            telemetry::annotate("shard", i as u64);
-            let ((), elapsed_ns) = telemetry::time_ns(|| {
-                if limit >= shard.spec.trace.duration_ns() {
-                    shard.report = Some(shard.engine.run());
-                    shard.done_epoch = Some(self.epoch);
-                } else {
-                    shard.engine.advance_until(limit);
-                }
-            });
-            shard.step_latency_ns.push(elapsed_ns);
-            telemetry::observe_timing(
-                "fleet.step.latency_us",
-                &STEP_LATENCY_EDGES_US,
-                elapsed_ns / 1_000,
-            );
+        let (epoch, limit) = (self.epoch, self.epoch.saturating_mul(self.epoch_ns));
+        let shards = Arc::clone(&self.shards);
+        self.pool(jobs).map(shards.len(), move |i| {
+            lock(&shards[i]).step(i, epoch, limit);
         });
         self.epoch_barrier(jobs);
         !self.is_done()
+    }
+
+    /// The fleet's pool for `jobs` workers (`0` = resolve automatically),
+    /// built on first use and rebuilt when the resolved count changes. On
+    /// a pool worker it has no helpers, so nested fleets never spawn.
+    fn pool(&mut self, jobs: usize) -> &par::Pool {
+        let jobs = par::resolve(jobs);
+        if self.pool.as_ref().is_some_and(|pool| pool.jobs() != jobs) {
+            self.pool = None;
+        }
+        self.pool.get_or_insert_with(|| par::Pool::new(jobs))
     }
 
     /// Post-epoch barrier bookkeeping, in deterministic shard order:
@@ -364,9 +396,8 @@ impl Fleet {
             epoch: self.epoch,
             ..EpochEntry::default()
         };
-        for slot in &self.shards {
-            // memlint: allow(no-unwrap): poisoned shard lock means an engine panicked — propagate
-            let mut shard = slot.lock().expect("shard engine panicked");
+        for slot in self.shards.iter() {
+            let mut shard = lock(slot);
             let now = shard.engine.stats();
             let prev = std::mem::replace(&mut shard.last_stats, now);
             let delta = |count: fn(&EngineStats) -> u64| count(&now).saturating_sub(count(&prev));
@@ -403,22 +434,21 @@ impl Fleet {
     /// latches into `store_error`: the fleet keeps simulating, but no
     /// further images are attempted.
     fn persist_barrier(&mut self, jobs: usize) {
-        let Some(store) = self.store.as_mut() else {
-            return;
-        };
-        if self.store_error.is_some() {
+        if self.store.is_none() || self.store_error.is_some() {
             return;
         }
-        let shards = par::ordered_map_with(jobs, self.shards.len(), |i| {
-            // memlint: allow(no-unwrap): poisoned shard lock means an engine panicked — propagate
-            let mut shard = self.shards[i].lock().expect("shard engine panicked");
-            shard.engine.checkpoint()
-        });
+        let shards = Arc::clone(&self.shards);
+        let checkpoints = self
+            .pool(jobs)
+            .map(shards.len(), move |i| lock(&shards[i]).engine.checkpoint());
         let mut image = FleetMeta {
             epoch: self.epoch,
             epoch_quanta: self.epoch_quanta,
             entries: self.epoch_log.clone(),
-            shards,
+            shards: checkpoints,
+        };
+        let Some(store) = self.store.as_mut() else {
+            return;
         };
         if let Err(err) = store.publish_snapshot(&codec::encode(&mut image, FleetMeta::fields)) {
             self.store_error = Some(err);
@@ -444,8 +474,8 @@ impl Fleet {
     pub fn report(&self) -> FleetReport {
         let mut shards = Vec::with_capacity(self.shards.len());
         let mut latencies: Vec<u64> = Vec::new();
-        for slot in &self.shards {
-            let shard = slot.lock().expect("shard engine panicked");
+        for slot in self.shards.iter() {
+            let shard = lock(slot);
             latencies.extend_from_slice(&shard.step_latency_ns);
             let Some(report) = shard.report else { continue };
             let stats = shard.engine.stats();
@@ -508,7 +538,7 @@ impl Fleet {
     /// Panics if a shard engine panicked (poisoned shard lock).
     pub fn verify_refresh_correctness(&self) -> Result<(), String> {
         for (i, slot) in self.shards.iter().enumerate() {
-            let shard = slot.lock().expect("shard engine panicked");
+            let shard = lock(slot);
             if shard.report.is_some() {
                 shard
                     .engine

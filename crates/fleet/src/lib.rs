@@ -12,9 +12,10 @@
 //!   trace, chip seed, and derived fault plan;
 //! * [`Fleet`] instantiates one `MemconEngine` per shard — fully
 //!   independent PRIL/refresh/recovery state — and advances all shards one
-//!   *epoch* (a batch of PRIL quanta) at a time over the
-//!   [`memutil::par`] work-stealing pool, applying cross-shard roll-up
-//!   work in deterministic shard order after each batch;
+//!   *epoch* (a batch of PRIL quanta) at a time on a [`memutil::par::Pool`]
+//!   that lives as long as the fleet (the caller steps shards too, and the
+//!   helper threads start once, not per epoch), applying cross-shard
+//!   roll-up work in deterministic shard order after each batch;
 //! * a [`FleetReport`] rolls the per-shard reports up into fleet-level
 //!   aggregates (failing-row distribution, refresh-ops savings) plus
 //!   per-shard step-latency percentiles, and the same aggregates are
@@ -180,8 +181,9 @@ impl FleetPlan {
                 .scaled(config.scale)
                 .with_window(config.window_s);
             let name = profile.name.clone();
-            // Inner synthesis runs inline (nested scopes are sequential in
-            // memutil::par); the fan-out above already saturates the pool.
+            // Inner synthesis runs inline (nested calls are sequential in
+            // memutil::par); the per-node fan-out above keeps every worker
+            // busy.
             let trace = Arc::new(profile.generate(mix64(seed ^ mix64(node))));
             let group = node % config.distinct_chip_seeds;
             ShardSpec {

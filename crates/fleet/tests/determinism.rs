@@ -4,13 +4,16 @@
 //! deterministic section AND the telemetry registry's deterministic
 //! section are byte-identical at any `--jobs` value — with or without a
 //! fault plan armed. These tests pin that over fleet sizes {4, 64},
-//! multiple seeds, jobs {1, 2, 8}, and three chaos fault plans.
+//! multiple seeds, jobs {1, 2, 3, 8} (3 workers split the shards into
+//! uneven ranges, which invites steals), three chaos fault plans, and one
+//! fleet whose `jobs` changes between epochs (each change rebuilds its
+//! pool).
 
 use std::sync::Arc;
 
 use faultinject::FaultPlan;
-use fleet::engine::run_fleet;
-use fleet::FleetConfig;
+use fleet::engine::{run_fleet, Fleet};
+use fleet::{FleetConfig, FleetPlan};
 
 /// Runs the fleet once at `jobs` under `telemetry::collect`, returning the
 /// byte-stable pair the contract is defined over: (fleet report
@@ -22,7 +25,7 @@ fn run_once(config: &FleetConfig, jobs: usize) -> (String, String) {
 
 fn assert_jobs_invariant(config: &FleetConfig, label: &str) {
     let (report_1, telemetry_1) = run_once(config, 1);
-    for jobs in [2, 8] {
+    for jobs in [2, 3, 8] {
         let (report_j, telemetry_j) = run_once(config, jobs);
         assert_eq!(
             report_1, report_j,
@@ -65,6 +68,36 @@ fn chaos_fleets_are_jobs_invariant() {
         )));
         assert_jobs_invariant(&config, &format!("chaos plan {plan_idx}"));
     }
+}
+
+#[test]
+fn jobs_may_change_between_epochs() {
+    // One fleet stepped at jobs 1, 2, 8, 2, 0 (automatic), round and
+    // round: every change of the resolved count rebuilds the fleet's
+    // pool mid-run, and the result is still the jobs-1 run's.
+    let mut config = FleetConfig::small(8, 0x5EED_CAFE);
+    config.epoch_quanta = 1;
+    config.fault_plan = Some(Arc::new(FaultPlan::uniform(0xF1EE_7C4A, 0.05)));
+    let (report_1, telemetry_1) = run_once(&config, 1);
+    let plan = FleetPlan::expand(&config, 1);
+    let (report, registry) = telemetry::collect(|| {
+        let mut fleet = Fleet::new(&plan);
+        let mut epochs = 0;
+        for jobs in [1, 2, 8, 2, 0].into_iter().cycle() {
+            epochs += 1;
+            if !fleet.run_epoch(jobs) {
+                break;
+            }
+        }
+        assert!(epochs > 5, "the jobs cycle comes round: {epochs} epochs");
+        fleet.report()
+    });
+    assert_eq!(report.deterministic_emit(), report_1, "fleet report");
+    assert_eq!(
+        registry.deterministic().emit(),
+        telemetry_1,
+        "telemetry deterministic section"
+    );
 }
 
 #[test]

@@ -14,9 +14,10 @@
 //!   by tests), for the experiment figure outputs and `trace-gen`,
 //! * [`bench`](mod@bench) — a `std::time`-based measurement harness replacing Criterion
 //!   for the `crates/bench` suite,
-//! * [`par`] — a scoped work-stealing thread pool with deterministic
-//!   ordered reduction (the rayon-free parallel substrate for the failure
-//!   model, chip tester, and experiments suite),
+//! * [`par`] — index-claiming parallel maps with deterministic ordered
+//!   reduction, per call or on a pool whose helper threads outlive their
+//!   calls (the rayon-free parallel substrate for the failure model, chip
+//!   tester, experiments suite and fleet),
 //! * [`codec`] — a little-endian binary decoder for the durable state
 //!   store (`crates/store`) and the two-way field lists that encode and
 //!   decode every persisted struct with one definition each.

@@ -37,11 +37,13 @@
 //!
 //! # Cost when disabled
 //!
-//! Telemetry is **off by default**. Every entry point checks an atomic
-//! flag first, instrumented crates hoist the check out of their kernels,
-//! and no allocation or locking happens on the disabled path — the
-//! `xtask obs overhead` gate holds the instrumented
-//! `evaluate_module_1bank` kernel to <2% overhead.
+//! Telemetry is **off by default**. Every free helper first looks up the
+//! current registry ([`current`]): it takes the process-wide read lock,
+//! clones the registry's `Arc`, loads the enabled flag and drops both —
+//! four atomic read-modify-writes on shared cache lines, no allocation.
+//! Instrumented crates hoist one [`enabled`] check out of their kernels
+//! or bind metric handles once, and the `xtask obs overhead` gate holds
+//! the instrumented `evaluate_module_1bank` kernel to <2% overhead.
 //!
 //! # Live observability plane
 //!

@@ -13,8 +13,8 @@
 //!   asserting no panic, zero uncorrectable escapes, refresh-correctness
 //!   on every shard, and jobs 1-vs-4 byte-identical results.
 //! * `fleet --smoke` — the quick CI leg: a small fleet (fault-free and
-//!   faulted) byte-diffed at jobs 1 vs 4, fleet report and telemetry
-//!   deterministic section both.
+//!   faulted) byte-diffed at jobs 1 vs 3 and 1 vs 4, fleet report and
+//!   telemetry deterministic section both.
 
 use std::sync::Arc;
 
@@ -158,8 +158,12 @@ fn soak_plan(seed: u64) -> Arc<FaultPlan> {
     Arc::new(FaultPlan::uniform(seed, 0.05))
 }
 
-/// The quick CI leg: a small fleet byte-diffed at jobs 1 vs 4, fault-free
-/// and with a fault plan armed.
+/// Worker counts the smoke leg byte-compares against jobs 1. Three
+/// workers split the 8-shard fleet into uneven ranges.
+const SMOKE_JOBS: [usize; 2] = [3, 4];
+
+/// The quick CI leg: a small fleet byte-diffed at jobs 1 vs each of
+/// [`SMOKE_JOBS`], fault-free and with a fault plan armed.
 fn smoke_cmd() -> i32 {
     let mut failed = false;
     for faults in [false, true] {
@@ -169,17 +173,21 @@ fn smoke_cmd() -> i32 {
         }
         let label = if faults { "faulted" } else { "fault-free" };
         let (report_1, det_1, tel_1) = run_instrumented(&config, 1);
-        let (_, det_4, tel_4) = run_instrumented(&config, 4);
-        if det_1 != det_4 {
-            eprintln!("fleet: smoke FAILED ({label}): fleet report diverges at jobs 1 vs 4");
-            failed = true;
-        }
-        if tel_1 != tel_4 {
-            eprintln!(
-                "fleet: smoke FAILED ({label}): telemetry deterministic section diverges \
-                 at jobs 1 vs 4"
-            );
-            failed = true;
+        for jobs in SMOKE_JOBS {
+            let (_, det_j, tel_j) = run_instrumented(&config, jobs);
+            if det_1 != det_j {
+                eprintln!(
+                    "fleet: smoke FAILED ({label}): fleet report diverges at jobs 1 vs {jobs}"
+                );
+                failed = true;
+            }
+            if tel_1 != tel_j {
+                eprintln!(
+                    "fleet: smoke FAILED ({label}): telemetry deterministic section diverges \
+                     at jobs 1 vs {jobs}"
+                );
+                failed = true;
+            }
         }
         if report_1.uncorrectable_escapes > 0 {
             eprintln!(
@@ -194,7 +202,7 @@ fn smoke_cmd() -> i32 {
         }
         if !failed {
             println!(
-                "fleet: smoke {label}: jobs 1 vs 4 byte-identical \
+                "fleet: smoke {label}: jobs 1, 3 and 4 byte-identical \
                  ({} report bytes, {} telemetry bytes)",
                 det_1.len(),
                 tel_1.len()

@@ -205,7 +205,7 @@ pub fn ci_cmd(bench: bool) -> i32 {
         return crash_code;
     }
 
-    println!("ci: fleet smoke (jobs 1-vs-4 byte-diff, fault-free and faulted)");
+    println!("ci: fleet smoke (jobs 1 vs 3 and 1 vs 4 byte-diff, fault-free and faulted)");
     let fleet_code = fleet::fleet_cmd(&["--smoke".to_string()]);
     if fleet_code != 0 {
         return fleet_code;

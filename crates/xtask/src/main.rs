@@ -98,8 +98,8 @@ fn usage() {
          \x20                           [--json] [--faults]), `bench` the 64-DIMM\n\
          \x20                           jobs 1-vs-4 scaling gate (>=2.5x on >=4\n\
          \x20                           CPUs), `soak` chaos plans over a faulted\n\
-         \x20                           fleet, `--smoke` the quick jobs 1-vs-4\n\
-         \x20                           byte-diff CI leg\n\
+         \x20                           fleet, `--smoke` the quick jobs 1 vs 3\n\
+         \x20                           and 1 vs 4 byte-diff CI leg\n\
          \x20 top ADDR [--watch N] [--series NAME]\n\
          \x20                           view a live scrape endpoint (HEALTH +\n\
          \x20                           METRICS, plus named SERIES), one-shot or\n\
