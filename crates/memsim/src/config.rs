@@ -9,6 +9,8 @@
 use dram::geometry::{ChipDensity, DramGeometry};
 use dram::timing::TimingParams;
 
+use crate::controller::MAX_BANKS;
+
 /// Refresh policy for a simulation run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RefreshPolicy {
@@ -137,7 +139,9 @@ impl SystemConfig {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first violated constraint.
+    /// Returns a description of the first violated constraint, among them
+    /// more banks (ranks × banks per rank) than a controller schedules
+    /// ([`MAX_BANKS`]).
     pub fn validate(&self) -> Result<(), String> {
         if self.cores == 0 {
             return Err("need at least one core".into());
@@ -149,6 +153,12 @@ impl SystemConfig {
             return Err("queue capacity must be non-zero".into());
         }
         self.geometry.validate()?;
+        let banks = usize::from(self.geometry.ranks) * usize::from(self.geometry.banks);
+        if banks > MAX_BANKS {
+            return Err(format!(
+                "{banks} banks (ranks x banks per rank) exceed the controller's {MAX_BANKS}"
+            ));
+        }
         self.timing.validate()?;
         Ok(())
     }
@@ -225,6 +235,17 @@ mod tests {
             },
         );
         let _ = c.refresh.trefi_cycles(&c.timing);
+    }
+
+    #[test]
+    fn validate_refuses_more_banks_than_the_controller_holds() {
+        let mut c = SystemConfig::four_core_baseline();
+        c.geometry.ranks = 4;
+        c.geometry.banks = 16;
+        assert!(c.validate().is_ok(), "64 banks fit");
+        c.geometry.banks = 17;
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("68 banks"), "{err}");
     }
 
     #[test]

@@ -123,6 +123,10 @@ enum ActBlock {
     Tfaw,
 }
 
+/// The most banks (ranks × banks per rank) one controller schedules: one
+/// bit each in its bank work masks.
+pub const MAX_BANKS: usize = u64::BITS as usize;
+
 /// One bank's request queue, with the number of its requests that hit the
 /// bank's open row (zero while the bank is precharged), so the scheduler
 /// scans a queue for hits only when there is one.
@@ -130,6 +134,26 @@ enum ActBlock {
 struct BankQueue {
     reqs: VecDeque<MemRequest>,
     open_hits: usize,
+}
+
+/// The banks set in `mask` in round-robin order from bank `start`
+/// (`start < 64`): `start` upward, then from bank 0 up to `start`. With
+/// only banks below `n` set and `start < n`, that is the order of a scan
+/// `start, start + 1, …` wrapping at `n`, less the banks not set.
+fn round_robin(mask: u64, start: usize) -> impl Iterator<Item = usize> {
+    let upper = u64::MAX << start;
+    set_bits(mask & upper).chain(set_bits(mask & !upper))
+}
+
+/// The set bits of `mask`, lowest first.
+fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let bit = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            bit
+        })
+    })
 }
 
 /// The memory controller for one rank-set of DDR3 banks.
@@ -146,6 +170,12 @@ pub struct MemoryController {
     refresh: RefreshScheduler,
     refresh_in_progress_until: u64,
     rr_start: usize,
+    /// Banks whose queue is non-empty, one bit per bank. The scheduler's
+    /// passes walk these bits instead of every bank: a bank with an empty
+    /// queue does nothing in either pass.
+    busy: u64,
+    /// Banks with an open-row hit queued (`open_hits > 0`), one bit each.
+    hits: u64,
     /// Recent `ACT` cycles on the rank (at most 4 kept), for `tRRD`/`tFAW`.
     act_history: VecDeque<u64>,
     /// First cycle at which `tRRD` admits the next `ACT`, set at each one.
@@ -169,9 +199,19 @@ pub struct MemoryController {
 
 impl MemoryController {
     /// Builds a controller from a system configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry has more than [`MAX_BANKS`] banks (ranks ×
+    /// banks per rank), which [`SystemConfig::validate`] refuses; callers
+    /// that skip validation meet the limit here.
     #[must_use]
     pub fn new(config: &SystemConfig) -> Self {
         let n_banks = usize::from(config.geometry.ranks) * usize::from(config.geometry.banks);
+        assert!(
+            n_banks <= MAX_BANKS,
+            "{n_banks} banks exceed the controller's {MAX_BANKS}"
+        );
         let refresh = RefreshScheduler::new(config.refresh, &config.timing);
         #[cfg(feature = "strict-invariants")]
         let checker = {
@@ -190,6 +230,8 @@ impl MemoryController {
             refresh,
             refresh_in_progress_until: 0,
             rr_start: 0,
+            busy: 0,
+            hits: 0,
             act_history: VecDeque::new(),
             trrd_end: 0,
             tfaw_end: 0,
@@ -233,9 +275,10 @@ impl MemoryController {
 
     /// Routes one bank command through the single issue choke point: the
     /// bank automaton applies it, the bank's open-row hit count follows an
-    /// `ACT` or `PRE`, and the recorder and (under `strict-invariants`) the
-    /// online protocol auditor observe it. A column command's caller takes
-    /// its request, and that request's hit, off the queue first.
+    /// `ACT` or `PRE` and its bank work mask bits follow the count, and the
+    /// recorder and (under `strict-invariants`) the online protocol auditor
+    /// observe it. A column command's caller takes its request, and that
+    /// request's hit, off the queue first.
     ///
     /// Returns `None` if the bank rejected a command the scheduler believed
     /// legal — a scheduler bug, surfaced loudly in debug builds and skipped
@@ -251,20 +294,12 @@ impl MemoryController {
                     DramCommand::Precharge => queue.open_hits = 0,
                     _ => {}
                 }
+                self.note_queue(bank);
                 #[cfg(feature = "strict-invariants")]
-                if let Err(e) = self.banks[bank].check_invariants().and_then(|()| {
-                    let queue = &self.queues[bank];
-                    let open = self.banks[bank].open_row();
-                    let hits = queue.reqs.iter().filter(|r| Some(r.row) == open).count();
-                    if hits == queue.open_hits {
-                        Ok(())
-                    } else {
-                        Err(format!(
-                            "{hits} queued open-row hits counted as {}",
-                            queue.open_hits
-                        ))
-                    }
-                }) {
+                if let Err(e) = self.banks[bank]
+                    .check_invariants()
+                    .and_then(|()| self.check_queues(bank))
+                {
                     // memlint: allow (deliberate strict-invariants abort)
                     panic!("bank {bank} invariant violation after {cmd} at cycle {now}: {e}");
                 }
@@ -275,6 +310,42 @@ impl MemoryController {
                 debug_assert!(false, "scheduler issued illegal {cmd} on bank {bank}: {e}");
                 None
             }
+        }
+    }
+
+    /// Sets `bank`'s bits in the `busy` and `hits` masks from its queue.
+    fn note_queue(&mut self, bank: usize) {
+        let queue = &self.queues[bank];
+        let bit = 1u64 << bank;
+        self.busy = (self.busy & !bit) | (u64::from(!queue.reqs.is_empty()) << bank);
+        self.hits = (self.hits & !bit) | (u64::from(queue.open_hits > 0) << bank);
+    }
+
+    /// Whether `bank`'s open-row hit count matches its queue, and the
+    /// `busy` and `hits` masks match every queue.
+    #[cfg(feature = "strict-invariants")]
+    fn check_queues(&self, bank: usize) -> Result<(), String> {
+        let queue = &self.queues[bank];
+        let open = self.banks[bank].open_row();
+        let hits = queue.reqs.iter().filter(|r| Some(r.row) == open).count();
+        if hits != queue.open_hits {
+            return Err(format!(
+                "{hits} queued open-row hits counted as {}",
+                queue.open_hits
+            ));
+        }
+        let (mut busy, mut hit) = (0u64, 0u64);
+        for (b, q) in self.queues.iter().enumerate() {
+            busy |= u64::from(!q.reqs.is_empty()) << b;
+            hit |= u64::from(q.open_hits > 0) << b;
+        }
+        if (busy, hit) == (self.busy, self.hits) {
+            Ok(())
+        } else {
+            Err(format!(
+                "bank masks busy {:#x} hits {:#x} disagree with the queues' {busy:#x} {hit:#x}",
+                self.busy, self.hits
+            ))
         }
     }
 
@@ -355,6 +426,7 @@ impl MemoryController {
             queue.open_hits += 1;
         }
         queue.reqs.push_back(req);
+        self.note_queue(req.bank);
     }
 
     /// Replaces the fault-injection session (tests and harnesses that
@@ -436,6 +508,7 @@ impl MemoryController {
             let queue = &mut self.queues[bank];
             queue.reqs.push_front(req);
             queue.open_hits += 1;
+            self.note_queue(bank);
             return;
         };
         self.bus_free = now + BURST_CYCLES;
@@ -506,8 +579,7 @@ impl MemoryController {
             return;
         }
 
-        // FR-FCFS round-robin over banks.
-        let n = self.banks.len();
+        // FR-FCFS round-robin over the banks with work.
         // Bus model: a burst occupies [issue+CL, issue+CL+BURST); a new
         // column command may issue when its data window starts at or after
         // the previous burst's end.
@@ -516,16 +588,11 @@ impl MemoryController {
             self.act_or_pre_pass(now);
             return;
         }
-        // Pass 1: oldest row-hit column command anywhere. Banks whose
-        // oldest request has starved past the limit stop accepting younger
-        // hits so pass 2 can precharge toward the starved row.
-        let mut next = self.rr_start;
-        for _ in 0..n {
-            let bank = next;
-            next = if next + 1 == n { 0 } else { next + 1 };
-            if self.queues[bank].open_hits == 0 {
-                continue;
-            }
+        // Pass 1: oldest row-hit column command anywhere, over the banks
+        // with a hit queued. Banks whose oldest request has starved past
+        // the limit stop accepting younger hits so pass 2 can precharge
+        // toward the starved row.
+        for bank in round_robin(self.hits, self.rr_start) {
             let Some(open) = self.banks[bank].open_row() else {
                 continue;
             };
@@ -541,7 +608,7 @@ impl MemoryController {
                 };
                 if self.banks[bank].check(cmd, now).is_ok() {
                     self.issue_column(bank, idx, now);
-                    self.rr_start = next;
+                    self.rr_start = self.after(bank);
                     return;
                 }
             }
@@ -551,15 +618,22 @@ impl MemoryController {
         self.act_or_pre_pass(now);
     }
 
+    /// The bank after `bank` in round-robin order.
+    fn after(&self, bank: usize) -> usize {
+        if bank + 1 == self.banks.len() {
+            0
+        } else {
+            bank + 1
+        }
+    }
+
     /// Activates an idle bank for its oldest request, or precharges a bank
     /// whose open row serves none of its queued requests (FR-FCFS keeps the
-    /// row open while hits remain).
+    /// row open while hits remain). Walks only the banks with a queued
+    /// request: an empty queue neither activates nor precharges, and
+    /// counts no stall and draws no fault.
     fn act_or_pre_pass(&mut self, now: u64) {
-        let n = self.banks.len();
-        let mut next = self.rr_start;
-        for _ in 0..n {
-            let bank = next;
-            next = if next + 1 == n { 0 } else { next + 1 };
+        for bank in round_robin(self.busy, self.rr_start) {
             let Some(head) = self.queues[bank].reqs.front().copied() else {
                 continue;
             };
@@ -600,7 +674,7 @@ impl MemoryController {
                                     self.issue_checked(bank, DramCommand::Activate, head.row, now);
                                 self.note_act(now);
                                 self.stats.acts += 1;
-                                self.rr_start = next;
+                                self.rr_start = self.after(bank);
                                 return;
                             }
                         }
@@ -611,7 +685,7 @@ impl MemoryController {
                         self.queues[bank].open_hits == 0 || self.front_is_starved(bank, open, now);
                     if drain && self.banks[bank].check(DramCommand::Precharge, now).is_ok() {
                         let _ = self.issue_checked(bank, DramCommand::Precharge, 0, now);
-                        self.rr_start = next;
+                        self.rr_start = self.after(bank);
                         return;
                     }
                 }
@@ -864,6 +938,76 @@ mod tests {
             slow.stats.refresh_blackout_cycles,
             plain.stats.refresh_blackout_cycles
         );
+    }
+
+    #[test]
+    fn round_robin_walk_matches_the_linear_scan() {
+        use memutil::rng::{Rng, SeedableRng, SmallRng};
+        let mut rng = SmallRng::seed_from_u64(0xB4_4C);
+        for n in [1usize, 3, 8, 16, 64] {
+            let all = u64::MAX >> (64 - n);
+            let mut masks = vec![0, all];
+            for _ in 0..100 {
+                // Dense, half and sparse masks.
+                let (a, b): (u64, u64) = (rng.gen(), rng.gen());
+                masks.extend([(a | b) & all, a & all, a & b & all]);
+            }
+            for mask in masks {
+                for start in 0..n {
+                    let linear: Vec<usize> = (0..n)
+                        .map(|i| (start + i) % n)
+                        .filter(|&bank| mask >> bank & 1 == 1)
+                        .collect();
+                    let walked: Vec<usize> = round_robin(mask, start).collect();
+                    assert_eq!(walked, linear, "n {n}, start {start}, mask {mask:#x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sixty_four_banks_are_scheduled() {
+        let mut cfg = config(RefreshPolicy::None);
+        cfg.geometry.ranks = 8;
+        cfg.geometry.banks = 8;
+        let mut ctrl = MemoryController::new(&cfg);
+        assert_eq!(ctrl.n_banks(), MAX_BANKS);
+        for (id, bank) in [(1, 63), (2, 0), (3, 31), (4, 63)] {
+            ctrl.enqueue(req(id, bank, 10, 0, false)).unwrap();
+        }
+        assert_eq!(ctrl.busy, (1 << 63) | (1 << 31) | 1);
+        let done = run_until_complete(&mut ctrl, 10_000);
+        assert_eq!(done.len(), 4);
+        assert_eq!((ctrl.busy, ctrl.hits), (0, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "65 banks exceed the controller's 64")]
+    fn more_banks_than_the_masks_hold_are_refused() {
+        let mut cfg = config(RefreshPolicy::None);
+        cfg.geometry.ranks = 5;
+        cfg.geometry.banks = 13;
+        let _ = MemoryController::new(&cfg);
+    }
+
+    #[cfg(feature = "strict-invariants")]
+    #[test]
+    #[should_panic(expected = "bank masks busy 0x21")]
+    fn strict_invariants_check_the_busy_mask() {
+        let mut ctrl = MemoryController::new(&config(RefreshPolicy::None));
+        ctrl.enqueue(req(1, 0, 10, 0, false)).unwrap();
+        ctrl.busy |= 1 << 5; // bank 5's queue is empty
+        ctrl.tick(0); // the ACT on bank 0 runs the invariant block
+    }
+
+    #[cfg(feature = "strict-invariants")]
+    #[test]
+    #[should_panic(expected = "bank masks busy 0x1 hits 0x9 disagree")]
+    fn strict_invariants_check_the_hits_mask() {
+        let mut ctrl = MemoryController::new(&config(RefreshPolicy::None));
+        ctrl.enqueue(req(1, 0, 10, 0, false)).unwrap();
+        ctrl.hits |= 1 << 3; // bank 3 is closed with nothing queued
+        ctrl.tick(0);
     }
 
     #[test]

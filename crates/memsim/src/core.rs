@@ -65,7 +65,11 @@ pub struct OooCore {
     /// Non-memory instructions of the current gap still to fetch.
     gap_remaining: u64,
     /// The memory access waiting to be fetched/issued.
-    pending: Option<CpuAccess>,
+    pending: CpuAccess,
+    /// Set by [`OooCore::step`] when it leaves the window full behind an
+    /// outstanding load at its head, and cleared when a load completes.
+    /// While it is set, a step changes nothing, so the system skips it.
+    stalled: bool,
     retired: u64,
     target: u64,
     /// DRAM cycle at which the retirement target was reached.
@@ -78,32 +82,31 @@ impl OooCore {
     #[must_use]
     pub fn new(
         id: u8,
-        gen: AccessTraceGenerator,
+        mut gen: AccessTraceGenerator,
         map: AddressMap,
         window: u64,
         target: u64,
     ) -> Self {
-        let mut core = OooCore {
+        let pending = gen.next_access();
+        OooCore {
             id,
             gen,
             map,
             window,
             rob: VecDeque::new(),
             rob_occupancy: 0,
-            gap_remaining: 0,
-            pending: None,
+            gap_remaining: pending.inst_gap,
+            pending,
+            stalled: false,
             retired: 0,
             target,
             finished_at: None,
-        };
-        core.advance_access();
-        core
+        }
     }
 
     fn advance_access(&mut self) {
-        let access = self.gen.next().expect("generator is infinite");
-        self.gap_remaining = access.inst_gap;
-        self.pending = Some(access);
+        self.pending = self.gen.next_access();
+        self.gap_remaining = self.pending.inst_gap;
     }
 
     /// Instructions retired so far.
@@ -119,8 +122,9 @@ impl OooCore {
     }
 
     /// Notifies the core that read `id` completed: its window entry is
-    /// marked done. A load stays in the window until it retires, so only
-    /// a load fetched by an earlier run's core has no entry.
+    /// marked done, and the core is no longer stalled. A load stays in the
+    /// window until it retires, so only a load fetched by an earlier run's
+    /// core has no entry.
     pub fn on_completion(&mut self, id: RequestId) {
         let entry = self
             .rob
@@ -128,30 +132,35 @@ impl OooCore {
             .find(|e| matches!(e, RobEntry::Read(r, _) if *r == id));
         if let Some(RobEntry::Read(_, done)) = entry {
             *done = true;
+            self.stalled = false;
         }
     }
 
+    /// Whether the last [`OooCore::step`] left the window full behind an
+    /// outstanding load at its head, with no load completed since. Such a
+    /// core's next step would change nothing: fetch has no window slot,
+    /// and retirement waits on the head load.
+    #[must_use]
+    pub(crate) fn stalled(&self) -> bool {
+        self.stalled
+    }
+
     /// Whether a [`OooCore::step`] would change nothing until a load
-    /// completes: the load at the window head is outstanding, and fetch can
-    /// place nothing, because the window is full or the next access's bank
-    /// queue is.
+    /// completes: the core is stalled, or the load at its window head is
+    /// outstanding and fetch can place nothing because the next access's
+    /// bank queue is full.
     #[must_use]
     pub(crate) fn quiescent(&self, controller: &MemoryController) -> bool {
-        if !matches!(self.rob.front(), Some(RobEntry::Read(_, false))) {
-            return false;
-        }
-        if self.rob_occupancy >= self.window {
-            return true;
-        }
-        self.gap_remaining == 0
-            && self
-                .pending
-                .is_some_and(|a| !controller.can_accept(self.map.map(a.row).0))
+        self.stalled
+            || (matches!(self.rob.front(), Some(RobEntry::Read(_, false)))
+                && self.gap_remaining == 0
+                && !controller.can_accept(self.map.map(self.pending.row).0))
     }
 
     /// Fetch + retire for one DRAM cycle. `budget` is the instruction budget
     /// (width × CPU cycles per DRAM cycle). `next_id` supplies fresh request
-    /// ids.
+    /// ids. Marks the core stalled when it leaves the window full behind an
+    /// outstanding load.
     pub fn step(
         &mut self,
         now: u64,
@@ -161,6 +170,8 @@ impl OooCore {
     ) {
         self.fetch(now, budget, controller, next_id);
         self.retire(now, budget);
+        self.stalled = self.rob_occupancy >= self.window
+            && matches!(self.rob.front(), Some(RobEntry::Read(_, false)));
     }
 
     fn fetch(
@@ -187,7 +198,7 @@ impl OooCore {
                 continue;
             }
             // The pending access itself.
-            let access = self.pending.expect("pending access present when gap is 0");
+            let access = self.pending;
             let (bank, row) = self.map.map(access.row);
             if !controller.can_accept(bank) {
                 return; // fetch stalls until queue space frees up
@@ -372,6 +383,45 @@ mod tests {
         // With the full loop, it finishes.
         let cycles = run(&mut core, &mut ctrl, 1_000_000);
         assert!(cycles > 0);
+    }
+
+    #[test]
+    fn a_full_window_behind_an_outstanding_load_stalls_until_it_completes() {
+        let (mut core, mut ctrl) = make_core(high_mpki(), 10_000);
+        let mut next_id = 0;
+        // No controller ticks: nothing completes, so the window fills.
+        let mut now = 0;
+        while !core.stalled() {
+            assert!(now < 1_000, "the window never filled");
+            core.step(now, 20, &mut ctrl, &mut next_id);
+            now += 1;
+        }
+        assert_eq!(core.rob_occupancy, core.window);
+        let Some(&RobEntry::Read(head, false)) = core.rob.front() else {
+            panic!("stalled without an outstanding load at the window head");
+        };
+        assert!(core.quiescent(&ctrl));
+        let state = |core: &OooCore| (core.retired(), core.rob_occupancy, core.rob.clone());
+        let before = (state(&core), next_id);
+        let (retired, queued) = (core.retired(), ctrl.queued());
+        for _ in 0..3 {
+            core.step(now, 20, &mut ctrl, &mut next_id);
+            now += 1;
+            assert_eq!(
+                (state(&core), next_id),
+                before,
+                "a stalled core's step changed it"
+            );
+            assert_eq!(ctrl.queued(), queued, "a stalled core's step enqueued");
+            assert!(core.stalled());
+        }
+        core.on_completion(head);
+        assert!(
+            !core.stalled(),
+            "the head load's completion clears the flag"
+        );
+        core.step(now, 20, &mut ctrl, &mut next_id);
+        assert!(core.retired() > retired, "the next step retires the load");
     }
 
     #[test]

@@ -11,6 +11,10 @@
 //! before the blackout ends, and no rejected test request waits for
 //! retry. Each of those cycles would only count a blackout cycle, so the
 //! loop credits them in one step and resumes at the blackout's end.
+//!
+//! Within a cycle, the loop skips what provably changes nothing: the step
+//! of a core stalled behind a full window, and the filtering of held
+//! completions in a cycle where none falls due.
 
 use memtrace::cpu::{AccessTraceGenerator, CpuWorkloadProfile};
 
@@ -178,35 +182,49 @@ impl System {
         let max_cycles = instructions_per_core.max(1_000) * 120;
         let mut now = 0u64;
         // Completions carry a future done_cycle (data-return time); hold
-        // them until then so loads observe their real latency.
+        // them until then so loads observe their real latency. `next_due`
+        // is the earliest done_cycle held (u64::MAX when none is), so the
+        // list is filtered only in a cycle where a completion falls due.
         let mut in_flight: Vec<Completion> = Vec::new();
+        let mut next_due = u64::MAX;
         while now < max_cycles {
             self.controller.tick(now);
-            in_flight.extend(self.controller.drain_completions());
-            in_flight.retain(|c| {
-                if c.done_cycle > now {
-                    return true;
-                }
-                if let Requester::Core(id) = c.requester {
-                    if !c.is_write {
-                        self.cores[usize::from(id)].on_completion(c.id);
+            for c in self.controller.drain_completions() {
+                next_due = next_due.min(c.done_cycle);
+                in_flight.push(c);
+            }
+            if next_due <= now {
+                next_due = u64::MAX;
+                in_flight.retain(|c| {
+                    if c.done_cycle > now {
+                        next_due = next_due.min(c.done_cycle);
+                        return true;
                     }
-                }
-                false
-            });
+                    if let Requester::Core(id) = c.requester {
+                        if !c.is_write {
+                            self.cores[usize::from(id)].on_completion(c.id);
+                        }
+                    }
+                    false
+                });
+            }
             if let Some(inj) = &mut self.injector {
                 inj.step(now, &mut self.controller, &mut self.next_id);
             }
+            // A stalled core's step would change nothing until one of its
+            // loads completes, which clears the flag.
             let mut all_done = true;
             for core in &mut self.cores {
-                core.step(now, budget, &mut self.controller, &mut self.next_id);
+                if !core.stalled() {
+                    core.step(now, budget, &mut self.controller, &mut self.next_id);
+                }
                 all_done &= core.done();
             }
             if all_done {
                 break;
             }
             let end = self.controller.blackout_end().min(max_cycles);
-            if now + 1 < end && self.idle_before(end, &in_flight) {
+            if now + 1 < end && self.idle_before(end, next_due) {
                 self.controller.tick_blackout(now + 1, end);
                 now = end;
             } else {
@@ -241,11 +259,12 @@ impl System {
     }
 
     /// Whether every cycle from the next one up to `end` would change
-    /// nothing: each core is quiescent, no completion in `in_flight` falls
-    /// due, and the injector has nothing to emit or retry.
-    fn idle_before(&self, end: u64, in_flight: &[Completion]) -> bool {
-        self.cores.iter().all(|c| c.quiescent(&self.controller))
-            && in_flight.iter().all(|c| c.done_cycle >= end)
+    /// nothing: each core is quiescent, no held completion falls due (the
+    /// earliest, `next_due`, is at `end` or later), and the injector has
+    /// nothing to emit or retry.
+    fn idle_before(&self, end: u64, next_due: u64) -> bool {
+        next_due >= end
+            && self.cores.iter().all(|c| c.quiescent(&self.controller))
             && self.injector.as_ref().is_none_or(|i| i.idle_before(end))
     }
 }
@@ -467,9 +486,11 @@ mod tests {
 
     /// `(SimStats, command stream)` FNV-1a hashes of every case of
     /// `simulated_outputs_are_pinned`, in its loop order: the outputs of a
-    /// loop that ticks every cycle and rescans every queue, which the
-    /// blackout skip and the cached scheduling state must reproduce.
-    const PINNED: [(u64, u64); 28] = [
+    /// loop that ticks every cycle, steps every core and scans every bank
+    /// and queue, which the skips and the cached scheduling state must
+    /// reproduce. The 4- and 16-bank cases were pinned before the bank
+    /// masks existed.
+    const PINNED: [(u64, u64); 36] = [
         (0xB7E29D482A6AD1EC, 0x5CA3CBB0A6EE1B21),
         (0x9DA41E69387B7CEE, 0x8A12B4249581F040),
         (0xAD8224AB77357828, 0xBF106B6052C08AEA),
@@ -498,6 +519,14 @@ mod tests {
         (0x57C0EB3A382C55B1, 0x68C5E600F3DC5BF4),
         (0x23FF80E1A9CDA531, 0x82417E8C121197AB),
         (0x39AA5136FE00AB59, 0x8F66BEC978EA33AB),
+        (0xF941F9D26588788E, 0xC0D065C0FA913FBA),
+        (0xEF77040DCE8B5F7E, 0x6744EC33C7C0719D),
+        (0x1261E43A7B8840A6, 0x501B731BD526D7DF),
+        (0xCBAC35C2FEF133C6, 0x977F4EBF9425120D),
+        (0xCE6D66D492E4F673, 0x8DCBE4559989FB62),
+        (0x8AD6405D873527EA, 0x0C4D0B89815F0679),
+        (0x1CBA26380EE3343B, 0x1A8B9C9C53F1251C),
+        (0xA35C6E6F293B9B62, 0xDCFF385C50D06CB9),
     ];
 
     #[test]
@@ -533,6 +562,14 @@ mod tests {
         let mut small = SystemConfig::new(4, ChipDensity::Gb8, reduced);
         small.geometry.rows_per_bank = 8;
         cases.push((small, Some(TestInjectConfig::copy_and_compare(1024))));
+        // Four and sixteen banks per rank: other wrap points for the
+        // round-robin bank walk. Four never meets the tFAW window; sixteen
+        // meets it most.
+        for banks in [4, 16] {
+            let mut config = SystemConfig::new(4, ChipDensity::Gb8, reduced);
+            config.geometry.banks = banks;
+            cases.push((config, Some(TestInjectConfig::read_and_compare(256))));
+        }
         let pool = spec_tpc_pool();
         let mut got = Vec::new();
         for (config, tests) in cases {
@@ -563,6 +600,7 @@ mod tests {
                 }
             }
         }
+        assert_eq!(got.len(), PINNED.len(), "one pinned pair per case");
         for (i, (got, want)) in got.iter().zip(&PINNED).enumerate() {
             assert_eq!(got, want, "case {i}: (stats, commands) hashes moved");
         }

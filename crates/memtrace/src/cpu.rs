@@ -133,12 +133,9 @@ impl AccessTraceGenerator {
     pub fn profile(&self) -> &CpuWorkloadProfile {
         &self.profile
     }
-}
 
-impl Iterator for AccessTraceGenerator {
-    type Item = CpuAccess;
-
-    fn next(&mut self) -> Option<CpuAccess> {
+    /// The next access of the stream, which never ends.
+    pub fn next_access(&mut self) -> CpuAccess {
         // Geometric-ish instruction gap with mean 1000/mpki (exponential
         // rounding keeps the mean while allowing zero gaps in bursts).
         let mean_gap = 1000.0 / self.profile.mpki;
@@ -152,12 +149,20 @@ impl Iterator for AccessTraceGenerator {
             self.block = self.rng.gen_range(0..self.blocks_per_row);
         }
         let is_write = self.rng.gen::<f64>() < self.profile.write_frac;
-        Some(CpuAccess {
+        CpuAccess {
             inst_gap,
             row: self.row,
             block: self.block,
             is_write,
-        })
+        }
+    }
+}
+
+impl Iterator for AccessTraceGenerator {
+    type Item = CpuAccess;
+
+    fn next(&mut self) -> Option<CpuAccess> {
+        Some(self.next_access())
     }
 }
 
